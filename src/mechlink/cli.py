@@ -136,45 +136,42 @@ def _witness_report(tally: stats.CoincidenceTally, params: dict,
     return doc
 
 
-def _pooled_pairs(tally: stats.CoincidenceTally, pairs) -> stats.G2Estimate:
-    """Pooled correlation estimate over detector pairs with one interval."""
-    import scipy.stats as sps
-    c = sum(tally.coincidence(i, j) for i, j in pairs)
-    n = sum(tally.pump_singles[j - 1] for _, j in pairs)
-    denom = sum(tally.read_singles[i - 1] * tally.pump_singles[j - 1]
-                for i, j in pairs)
-    if denom == 0 or n == 0:
-        raise stats.StatsError("zero singles in pooled estimate")
-    scale = tally.n_trials * n / denom
-    post = sps.beta(c + 1, n - c + 1)
-    return stats.G2Estimate(value=c / n * scale, lower=post.ppf(0.16) * scale,
-                            upper=post.ppf(0.84) * scale, coincidences=c,
-                            heralds=n)
-
-
-def _sweep_point(cfg: RunConfig, proto, stream, trials):
-    model = protocol.build_trial_model(proto, conditional_states=False)
-    log = run_campaign(proto, trials, cfg.seed, stream=stream, model=model,
-                       config_snapshot=cfg.snapshot())
-    tally = stats.tally(log)
-    same = _pooled_pairs(tally, [(1, 1), (2, 2)])
-    cross = _pooled_pairs(tally, [(1, 2), (2, 1)])
-    exact_same = 0.5 * (model.g2_exact(1, 1) + model.g2_exact(2, 2))
-    exact_cross = 0.5 * (model.g2_exact(1, 2) + model.g2_exact(2, 1))
-    return model, tally, same, cross, exact_same, exact_cross
-
-
-def _fringe_rows(xs, points):
-    rows = []
-    for x, (_, _, same, cross, es, ec) in zip(xs, points):
-        rows.append([x, same.value, same.lower, same.upper,
-                     cross.value, cross.lower, cross.upper, es, ec])
-    return rows
-
-
 _FRINGE_HEADER = ["x", "g2_same", "g2_same_err_lo", "g2_same_err_hi",
                   "g2_cross", "g2_cross_err_lo", "g2_cross_err_hi",
                   "g2_same_exact", "g2_cross_exact"]
+
+
+def _run_sweep(cfg: RunConfig, out_dir, subcommand, list_key, values,
+               at_value, x_unit):
+    """Simulate one campaign per sweep value and write fringe.csv.
+
+    `at_value(protocol, v)` sets the swept parameter; the trials are split
+    evenly over the points.  Returns (trials per point, points), each
+    point (model, same-detector estimate, cross-detector estimate,
+    exact same, exact cross).
+    """
+    problems = cfg.require_simulation()
+    if not values:
+        problems.append(f"[sweep] {list_key} is required for {subcommand}")
+    if problems:
+        raise ConfigError(problems)
+    per_point = max(1, cfg.trials // len(values))
+    points, rows = [], []
+    for i, v in enumerate(values):
+        proto = at_value(cfg.protocol, v)
+        model = protocol.build_trial_model(proto)
+        log = run_campaign(proto, per_point, cfg.seed, stream=i, model=model,
+                           config_snapshot=cfg.snapshot())
+        tally = stats.tally(log)
+        same = stats.g2_from_counts(tally, (1, 2), (1, 2))
+        cross = stats.g2_from_counts(tally, (1, 2), (2, 1))
+        exact_same = 0.5 * (model.g2_exact(1, 1) + model.g2_exact(2, 2))
+        exact_cross = 0.5 * (model.g2_exact(1, 2) + model.g2_exact(2, 1))
+        points.append((model, same, cross, exact_same, exact_cross))
+        rows.append([v / x_unit, same.value, same.lower, same.upper,
+                     cross.value, cross.lower, cross.upper, exact_same, exact_cross])
+    write_csv(os.path.join(out_dir, "fringe.csv"), _FRINGE_HEADER, rows)
+    return per_point, points
 
 
 # ---------------------------------------------------------------------------
@@ -182,31 +179,20 @@ _FRINGE_HEADER = ["x", "g2_same", "g2_same_err_lo", "g2_same_err_hi",
 
 
 def cmd_phase_sweep(cfg: RunConfig, out_dir, config_path) -> None:
-    problems = cfg.require_simulation()
-    if not cfg.delta_phi_sweep:
-        problems.append("[sweep] delta_phi_pi_list is required for phase-sweep")
-    if problems:
-        raise ConfigError(problems)
     phases = cfg.delta_phi_sweep
-    per_point = max(1, cfg.trials // len(phases))
-    points = []
-    for i, phi in enumerate(phases):
-        proto = cfg.protocol.with_delta_phi(phi)
-        points.append(_sweep_point(cfg, proto, i, per_point))
-    xs = [phi / PI for phi in phases]
-    write_csv(os.path.join(out_dir, "fringe.csv"), _FRINGE_HEADER,
-              _fringe_rows(xs, points))
+    per_point, points = _run_sweep(cfg, out_dir, "phase-sweep", "delta_phi_pi_list",
+                                   phases, lambda p, phi: p.with_delta_phi(phi), PI)
 
     # the cross/same difference doubles the fringe amplitude and cancels
     # the common offset, which conditions the period fit best
-    cross_vals = np.array([p[3].value for p in points])
-    same_vals = np.array([p[2].value for p in points])
-    cross_sigma = np.array([0.5 * (p[3].upper - p[3].lower) for p in points])
-    same_sigma = np.array([0.5 * (p[2].upper - p[2].lower) for p in points])
+    cross_vals = np.array([p[2].value for p in points])
+    same_vals = np.array([p[1].value for p in points])
+    cross_sigma = np.array([0.5 * (p[2].upper - p[2].lower) for p in points])
+    same_sigma = np.array([0.5 * (p[1].upper - p[1].lower) for p in points])
     fit = stats.fit_fringe(np.array(phases), cross_vals - same_vals,
                            np.hypot(cross_sigma, same_sigma))
-    exact_cross = np.array([p[5] for p in points])
-    exact_same = np.array([p[4] for p in points])
+    exact_cross = np.array([p[4] for p in points])
+    exact_same = np.array([p[3] for p in points])
     fit_exact = stats.fit_fringe(np.array(phases), exact_cross - exact_same)
     all_sampled = np.concatenate([cross_vals, same_vals])
     all_exact = np.concatenate([exact_cross, exact_same])
@@ -226,20 +212,9 @@ def cmd_phase_sweep(cfg: RunConfig, out_dir, config_path) -> None:
 
 
 def cmd_time_sweep(cfg: RunConfig, out_dir, config_path) -> None:
-    problems = cfg.require_simulation()
-    if not cfg.tau_sweep:
-        problems.append("[sweep] tau_ns_list is required for time-sweep")
-    if problems:
-        raise ConfigError(problems)
     taus = cfg.tau_sweep
-    per_point = max(1, cfg.trials // len(taus))
-    points = []
-    for i, tau in enumerate(taus):
-        proto = cfg.protocol.with_tau(tau)
-        points.append(_sweep_point(cfg, proto, i, per_point))
-    xs = [t / NS for t in taus]
-    write_csv(os.path.join(out_dir, "fringe.csv"), _FRINGE_HEADER,
-              _fringe_rows(xs, points))
+    per_point, points = _run_sweep(cfg, out_dir, "time-sweep", "tau_ns_list",
+                                   taus, lambda p, tau: p.with_tau(tau), NS)
 
     windows = _split_windows(taus)
     vis_rows = []
@@ -247,12 +222,12 @@ def cmd_time_sweep(cfg: RunConfig, out_dir, config_path) -> None:
         center = float(np.mean([taus[k] for k in idx]))
         v_s = _window_visibility(
             [taus[k] for k in idx],
-            [points[k][3].value for k in idx],
-            [points[k][2].value for k in idx])
+            [points[k][2].value for k in idx],
+            [points[k][1].value for k in idx])
         v_e = _window_visibility(
             [taus[k] for k in idx],
-            [points[k][5] for k in idx],
-            [points[k][4] for k in idx])
+            [points[k][4] for k in idx],
+            [points[k][3] for k in idx])
         proto = cfg.protocol.with_tau(center)
         v_bound_exact = protocol.exact_visibility_ceiling(proto)
         v_bound_formula = _formula_bound(cfg, center)
@@ -264,9 +239,9 @@ def cmd_time_sweep(cfg: RunConfig, out_dir, config_path) -> None:
     first = windows[0]
     fit = stats.fit_fringe(
         np.array([taus[k] for k in first]),
-        np.array([points[k][3].value - points[k][2].value for k in first]),
-        np.array([math.hypot(points[k][3].upper - points[k][3].lower,
-                             points[k][2].upper - points[k][2].lower) * 0.5
+        np.array([points[k][2].value - points[k][1].value for k in first]),
+        np.array([math.hypot(points[k][2].upper - points[k][2].lower,
+                             points[k][1].upper - points[k][1].lower) * 0.5
                   for k in first]))
     summary = {
         "points": len(taus),

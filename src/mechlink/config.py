@@ -65,8 +65,7 @@ _SCHEMA = {
         "leak_pump_scale": float, "read_eta_scale": float,
     },
     "protocol": {
-        "tau_ns": float, "cutoff": int, "mech_cutoff": int,
-        "heating_slices": int, "jitter_nodes": int,
+        "tau_ns": float, "cutoff": int, "mech_cutoff": int, "jitter_nodes": int,
     },
     "campaign": {"trials": int, "seed": int},
     "analysis": {
@@ -246,7 +245,7 @@ def parse_config(path) -> RunConfig:
             kwargs = {}
             if "tau_ns" in proto:
                 kwargs["tau"] = proto["tau_ns"] * NS
-            for key in ("cutoff", "mech_cutoff", "heating_slices", "jitter_nodes"):
+            for key in ("cutoff", "mech_cutoff", "jitter_nodes"):
                 if key in proto:
                     kwargs[key] = proto[key]
             try:

@@ -166,7 +166,6 @@ class ProtocolConfig:
     tau: float = 123e-9                  # pump-to-read delay, s
     cutoff: int = 3                      # optical-mode truncation
     mech_cutoff: int | None = None       # phonon-mode truncation (default: cutoff)
-    heating_slices: int = 16
     jitter_nodes: int = 9                # quadrature nodes when jitter > 0
 
     def __post_init__(self):
@@ -184,8 +183,6 @@ class ProtocolConfig:
             out.append("cutoff must be at least 2")
         if self.mech_cutoff is not None and self.mech_cutoff < 2:
             out.append("mech_cutoff must be at least 2")
-        if self.heating_slices < 1:
-            out.append("heating_slices must be positive")
         if self.jitter_nodes < 1:
             out.append("jitter_nodes must be positive")
         return out

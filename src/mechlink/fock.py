@@ -196,10 +196,6 @@ def creator(levels: int) -> np.ndarray:
     return annihilator(levels).conj().T
 
 
-def number_op(levels: int) -> np.ndarray:
-    return np.diag(np.arange(levels, dtype=np.complex128))
-
-
 # ---------------------------------------------------------------------------
 # tensor helpers (operate on the raw matrix viewed as a 2n-axis tensor)
 

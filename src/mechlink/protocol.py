@@ -5,9 +5,11 @@ Stokes optical mode), the optical modes suffer path loss, meet on the
 combining beamsplitter and hit the two threshold detectors.  A click
 heralds a shared mechanical excitation.
 
-Delay: mechanical decay, transient-bath heating (sliced into alternating
-loss / injection channels) and the relative phase accumulated by the
-frequency difference of the two oscillators.
+Delay: mechanical decay, transient-bath heating and the relative phase
+accumulated by the frequency difference of the two oscillators.  Per
+mode this is a thermal attenuator; the Fock engine applies it in
+HEATING_SLICES alternating loss / injection steps, while the witness
+moments go through its exact Heisenberg action in one step.
 
 Read stage: a partial state swap converts phonons into anti-Stokes
 photons, which interfere on the same combiner and are detected.
@@ -35,6 +37,9 @@ MA, MB, OA, OB = 0, 1, 2, 3
 # truncation tolerance for channels inside the pipeline; everything
 # discarded is accumulated in the state's truncation budget
 _PIPELINE_TOL = 1e-3
+
+# loss / injection steps per device of the Fock delay evolution
+HEATING_SLICES = 16
 
 _OUTCOMES = ((0, 0), (1, 0), (0, 1), (1, 1))
 
@@ -130,7 +135,6 @@ class PumpStageResult:
     quantum_probs: np.ndarray                  # P of (c1, c2) outcomes, index outcome_index
     mech_given: list                           # conditional mech states (None when p=0)
     false_click: tuple                         # per-detector pump-window false prob
-    flux: tuple                                # per-device quantum herald flux (both detectors)
     config: ProtocolConfig
 
     def detector_click_prob(self, detector: int) -> float:
@@ -231,11 +235,6 @@ def _stage_register(cfg: ProtocolConfig) -> fock.ModeRegister:
     return fock.ModeRegister(4, oc, cutoffs=(mc, mc, oc, oc))
 
 
-def _mech_register(cfg: ProtocolConfig) -> fock.ModeRegister:
-    mc = cfg.phonon_cutoff
-    return fock.ModeRegister(2, mc, cutoffs=(mc, mc))
-
-
 def pump_stage(cfg: ProtocolConfig, jitter_phase: float = 0.0) -> PumpStageResult:
     """Exact pre-measurement state and click analysis of the pump window."""
     intf = cfg.interferometer
@@ -263,10 +262,8 @@ def pump_stage(cfg: ProtocolConfig, jitter_phase: float = 0.0) -> PumpStageResul
 
     probs, states = _joint_click_analysis(state, OA, OB)
     false_pump, _ = false_click_probs(cfg)
-
-    flux = _per_device_flux(cfg)
     return PumpStageResult(state=state, quantum_probs=probs, mech_given=states,
-                           false_click=false_pump, flux=flux, config=cfg)
+                           false_click=false_pump, config=cfg)
 
 
 def _per_device_flux(cfg: ProtocolConfig) -> tuple:
@@ -323,56 +320,69 @@ def herald(pump: PumpStageResult, detector: int):
     return state, total
 
 
-def number_weighted_herald(pump: PumpStageResult, detector: int) -> fock.DensityMatrix:
+def number_weighted_herald(pump: PumpStageResult, detector: int):
     """Mechanical state conditioned with the photon-number weight of port j.
 
     This is the conditional average used by the moment-ratio witness:
     rho_j = Tr_opt[n_j rho] / <n_j>, the exact analog of normalizing by
-    the heralding mode intensity.
+    the heralding mode intensity.  Returns (rho_j, <n_j>).
     """
     if detector not in (1, 2):
         raise ProtocolError("detector must be 1 or 2")
-    port = OA if detector == 1 else OB
     reg = pump.state.register
-    n_op = fock.number_op(reg.levels(port))
-    weighted = fock._apply_matrix(pump.state.mat, reg.mode_dims, (port,),
-                                  n_op, dagger_side=False)
-    mech = fock._partial_trace_mat(weighted, reg.mode_dims, (MA, MB))
+    n_j = np.arange(reg.levels(OA if detector == 1 else OB))
+    # axes [mA, mB, port1, port2] on ket then bra; n_j is diagonal, so the
+    # weighted trace over both ports is one contraction
+    spec = "abklcdkl,k->abcd" if detector == 1 else "abklcdkl,l->abcd"
+    mech_reg = reg.subset((MA, MB))
+    mech = np.einsum(spec, pump.state.tensor(), n_j).reshape(mech_reg.dim,
+                                                               mech_reg.dim)
     norm = np.trace(mech).real
     if norm <= 1e-15:
         raise ProtocolError("zero-intensity herald mode")
     mech = 0.5 * (mech + mech.conj().T) / norm
-    return fock.DensityMatrix(reg.subset((MA, MB)), mech,
-                              pump.state.truncation_budget)
+    return fock.DensityMatrix(mech_reg, mech, pump.state.truncation_budget), norm
 
 
 # ---------------------------------------------------------------------------
 # delay evolution
 
 
+def _thermal_attenuators(cfg: ProtocolConfig, tau: float, steps: int) -> list:
+    """The delay of each mechanical mode as `steps` equal thermal attenuators.
+
+    Returns per device (loss per step, added occupation of each step).
+    The added occupation is chosen so the mean occupation tracks the
+    closed-form transient-bath solution exactly at every step boundary;
+    with steps=1 it is the exact (eta, N) of the whole delay.
+    """
+    edges = np.linspace(0.0, tau, steps + 1)
+    out = []
+    for dev in cfg.devices():
+        heat = HeatingParams(decay=dev.gamma_decay, bath_gamma=dev.bath_gamma,
+                             bath_k=dev.bath_k, n_init=dev.n_init)
+        q = driven_occupation(edges, heat)
+        eta = math.exp(-dev.gamma_decay * tau / steps)
+        out.append((eta, q[1:] - eta * q[:-1]))
+    return out
+
+
 def evolve_delay(state: fock.DensityMatrix, tau: float,
                  cfg: ProtocolConfig) -> fock.DensityMatrix:
     """Decay, transient-bath heating and relative phase over the delay.
 
-    The continuous rate equation is discretized into `heating_slices`
-    alternating loss / injection steps per device; the injection per
-    slice is chosen so the mean occupation tracks the closed-form
-    solution exactly at every slice boundary.  The relative phase
-    delta_omega_m * tau is applied to mechanical mode B.
+    Each mechanical mode goes through HEATING_SLICES alternating loss /
+    injection steps (`_thermal_attenuators`); the injections are
+    substepped to keep each truncation deficit small.  The relative
+    phase delta_omega_m * tau is applied to mechanical mode B.
     """
     if tau < 0:
         raise ProtocolError("delay must be non-negative")
     if tau == 0:
         return state
-    slices = cfg.heating_slices
-    edges = np.linspace(0.0, tau, slices + 1)
-    for mode, dev in zip((MA, MB), cfg.devices()):
-        heat = HeatingParams(decay=dev.gamma_decay, bath_gamma=dev.bath_gamma,
-                             bath_k=dev.bath_k, n_init=dev.n_init)
-        q = driven_occupation(edges, heat)
-        step_loss = math.exp(-dev.gamma_decay * tau / slices)
-        for s in range(slices):
-            inject = q[s + 1] - step_loss * q[s]
+    for mode, (step_loss, injections) in zip(
+            (MA, MB), _thermal_attenuators(cfg, tau, HEATING_SLICES)):
+        for inject in injections:
             state = fock.loss_channel(state, mode, step_loss)
             if inject > 1e-15:
                 # injections compose additively; substep the large ones to
@@ -570,8 +580,8 @@ class TrialModel:
     config: ProtocolConfig
     delta_phi: float
     truncation_budget: float
-    herald_states: dict          # detector -> click-conditioned mech state (post delay)
-    witness_states: dict         # detector -> intensity-weighted mech state (post delay)
+    witness_moments: dict        # detector -> (<nA nB>, |<a_A+ a_B>|^2) of the
+                                 # intensity-weighted mech state after the delay
 
     def pump_click_prob(self, detector: int) -> float:
         j = detector - 1
@@ -607,7 +617,14 @@ class TrialModel:
         return pc / (pp * pr)
 
     def exact_witness(self, detector: int) -> float:
-        return witness_from_state(self.witness_states[detector])
+        """Moment-ratio witness of the intensity-weighted herald (see
+        witness_from_state)."""
+        if detector not in self.witness_moments:
+            raise ProtocolError("zero-intensity herald mode")
+        num, coh2 = self.witness_moments[detector]
+        if coh2 <= 1e-12:
+            raise ProtocolError("witness undefined (no coherence)")
+        return float(num / coh2)
 
 
 def _jitter_nodes(cfg: ProtocolConfig):
@@ -631,16 +648,47 @@ def _use_jitter_twirl(cfg: ProtocolConfig) -> bool:
     return cfg.interferometer.phase_jitter_sigma > 0 and cfg.jitter_nodes == 1
 
 
+def _witness_moments(pump: PumpStageResult, detector: int) -> np.ndarray:
+    """Unnormalized moments of Tr_opt[n_j rho] before the delay.
+
+    Order: (<n_j>, <nA nB>, <nA>, <nB>, <a_A+ a_B>), each weighted by the
+    herald intensity <n_j>, so averages over jitter nodes stay linear.
+    """
+    state, intensity = number_weighted_herald(pump, detector)
+    ops = ([(0, True), (0, False), (1, True), (1, False)],
+           [(0, True), (0, False)], [(1, True), (1, False)],
+           [(0, True), (1, False)])
+    return intensity * np.array([1.0] + [fock.mode_moment(state, op) for op in ops])
+
+
+def _delayed_witness_moments(acc: np.ndarray, tau: float, cfg: ProtocolConfig,
+                             twirl_sigma: float) -> tuple:
+    """(<nA nB>, |<a_A+ a_B>|^2) after the delay, from `_witness_moments`.
+
+    Per mode the delay is a thermal attenuator (eta, N): in the
+    Heisenberg picture n -> eta n + N and a -> sqrt(eta) e^{i phi} a, so
+    nA nB -> (etaA nA + NA)(etaB nB + NB) and the coherence shrinks by
+    sqrt(etaA etaB).  The pump share sigma/2 of the jitter twirl damps
+    |<a_A+ a_B>|^2 by exp(-(sigma/2)^2).
+    """
+    (eta_a, (n_a,)), (eta_b, (n_b,)) = _thermal_attenuators(cfg, tau, 1)
+    _, nn, na, nb, coh = acc / acc[0].real
+    num = (eta_a * eta_b * nn + eta_a * n_b * na + n_a * eta_b * nb).real
+    num += n_a * n_b
+    coh2 = eta_a * eta_b * abs(coh) ** 2 * math.exp(-(0.5 * twirl_sigma) ** 2)
+    return float(num), float(coh2)
+
+
 def build_trial_model(cfg: ProtocolConfig, delta_phi: float | None = None,
-                      tau: float | None = None,
-                      conditional_states: bool = True) -> TrialModel:
+                      tau: float | None = None) -> TrialModel:
     """Assemble the exact 4x4 observed-outcome table for one setting.
 
     Residual lock jitter is integrated out with Gauss-Hermite quadrature;
     within one trial the pump and read windows share the same phase
-    offset, so the average runs over full pipeline evaluations.  Pass
-    conditional_states=False to skip the heralded-state diagnostics when
-    only click statistics are needed.
+    offset, so the average runs over full pipeline evaluations.  Only the
+    four click-conditioned mechanical states go through the Fock delay;
+    the witness moments of the intensity-weighted herald follow from the
+    delay's closed-form Heisenberg action.
     """
     if delta_phi is None:
         delta_phi = cfg.interferometer.delta_phi
@@ -654,13 +702,9 @@ def build_trial_model(cfg: ProtocolConfig, delta_phi: float | None = None,
         nodes, weights = _jitter_nodes(cfg)
 
     joint = np.zeros((4, 4))
-    herald_acc = {1: None, 2: None}
-    herald_norm = {1: 0.0, 2: 0.0}
-    witness_acc = {1: None, 2: None}
-    witness_norm = {1: 0.0, 2: 0.0}
+    witness_acc = {1: np.zeros(5, complex), 2: np.zeros(5, complex)}
     budget = 0.0
     false_pump = None
-    mech_reg = _mech_register(cfg)
 
     for node, weight in zip(nodes, weights):
         pump = pump_stage(cfg, jitter_phase=node)
@@ -703,48 +747,20 @@ def build_trial_model(cfg: ProtocolConfig, delta_phi: float | None = None,
                         continue
                     joint[outcome_index(a, b)] += weight * p_q * pa * pb * read_quantum[q_idx]
 
-        # conditional mechanical states for diagnostics, jitter-averaged;
-        # the states themselves carry only the pump's share of the lock
-        # noise (the read drive adds the other half to the fringe)
-        for det in (1, 2) if conditional_states else ():
+        for det in (1, 2):
             try:
-                st, p = herald(pump, det)
+                witness_acc[det] += weight * _witness_moments(pump, det)
             except ProtocolError:
-                continue
-            if twirl_sigma > 0:
-                st = fock.phase_noise_twirl(st, MB, 0.5 * twirl_sigma)
-            evolved = evolve_delay(st, tau, cfg)
-            contrib = weight * p * evolved.mat
-            herald_acc[det] = contrib if herald_acc[det] is None else herald_acc[det] + contrib
-            herald_norm[det] += weight * p
-            try:
-                wst = number_weighted_herald(pump, det)
-            except ProtocolError:
-                continue
-            intensity = fock.mode_moment(pump.state,
-                                         [(OA if det == 1 else OB, True),
-                                          (OA if det == 1 else OB, False)]).real
-            if twirl_sigma > 0:
-                wst = fock.phase_noise_twirl(wst, MB, 0.5 * twirl_sigma)
-            evolved_w = evolve_delay(wst, tau, cfg)
-            wcontrib = weight * intensity * evolved_w.mat
-            witness_acc[det] = wcontrib if witness_acc[det] is None else witness_acc[det] + wcontrib
-            witness_norm[det] += weight * intensity
+                pass  # zero-intensity herald mode
 
     joint = np.clip(joint, 0.0, None)
     joint /= joint.sum()
 
-    herald_states = {}
-    witness_states = {}
-    for det in (1, 2):
-        if herald_norm[det] > 0 and herald_acc[det] is not None:
-            m = herald_acc[det] / herald_norm[det]
-            herald_states[det] = fock.DensityMatrix(mech_reg, 0.5 * (m + m.conj().T),
-                                                    budget)
-        if witness_norm[det] > 0 and witness_acc[det] is not None:
-            m = witness_acc[det] / witness_norm[det]
-            witness_states[det] = fock.DensityMatrix(mech_reg, 0.5 * (m + m.conj().T),
-                                                     budget)
+    # the weighted states carry only the pump's share of the lock noise
+    # (the read drive adds the other half to the fringe)
+    witness_moments = {
+        det: _delayed_witness_moments(acc, tau, cfg, twirl_sigma)
+        for det, acc in witness_acc.items() if acc[0].real > 0}
 
     pump_marginal = joint.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -759,4 +775,4 @@ def build_trial_model(cfg: ProtocolConfig, delta_phi: float | None = None,
     return TrialModel(joint=joint, pump_marginal=pump_marginal,
                       read_given_pump=read_given, config=cfg,
                       delta_phi=delta_phi, truncation_budget=budget,
-                      herald_states=herald_states, witness_states=witness_states)
+                      witness_moments=witness_moments)

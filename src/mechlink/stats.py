@@ -156,19 +156,27 @@ def _g2_scale(tally_: CoincidenceTally, read_det: int, pump_det: int) -> float:
     return tally_.n_trials / cr
 
 
-def g2_from_counts(tally_: CoincidenceTally, read_det: int,
-                   pump_det: int) -> G2Estimate:
+def g2_from_counts(tally_: CoincidenceTally, read_det, pump_det) -> G2Estimate:
     """Normalized coincidence estimator with a binomial 68% interval.
 
     Point estimate C_rp * N / (C_r * C_p); the interval comes from the
     flat-prior binomial posterior of the coincidence count given the
-    heralds, mapped through the same normalization.
+    heralds, mapped through the same normalization.  Equal-length
+    sequences of read and pump detectors pool the pairs they zip into:
+    N sum C_rp / sum C_r C_p, with the posterior of the pooled counts.
     """
-    n = tally_.pump_singles[pump_det - 1]
+    pairs = list(zip(np.atleast_1d(read_det).tolist(),
+                     np.atleast_1d(pump_det).tolist(), strict=True))
+    n = sum(tally_.pump_singles[j - 1] for _, j in pairs)
     if n == 0:
         raise StatsError("zero pump singles")
-    scale = _g2_scale(tally_, read_det, pump_det)
-    c = tally_.coincidence(read_det, pump_det)
+    denom = sum(tally_.read_singles[i - 1] * tally_.pump_singles[j - 1]
+                for i, j in pairs)
+    if denom == 0:
+        raise StatsError("zero read singles")
+    # exact integer products, so one pair rounds exactly like N / C_r
+    scale = tally_.n_trials * n / denom
+    c = sum(tally_.coincidence(i, j) for i, j in pairs)
     value = c / n * scale
     post = beta_dist(c + 1, n - c + 1)
     lo = post.ppf(0.16) * scale

@@ -134,11 +134,11 @@ def stats_campaign():
     exact_same, exact_cross = [], []
     for i, phi in enumerate(phases):
         proto = cfg.protocol.with_delta_phi(phi)
-        model = protocol.build_trial_model(proto, conditional_states=False)
+        model = protocol.build_trial_model(proto)
         log = run_campaign(proto, per_point, cfg.seed, stream=i, model=model)
         t = stats.tally(log)
-        same = cli._pooled_pairs(t, [(1, 1), (2, 2)])
-        cross = cli._pooled_pairs(t, [(1, 2), (2, 1)])
+        same = stats.g2_from_counts(t, (1, 2), (1, 2))
+        cross = stats.g2_from_counts(t, (1, 2), (2, 1))
         sampled_same.append(same.value)
         sampled_cross.append(cross.value)
         sigma_same.append(0.5 * (same.upper - same.lower))
@@ -363,7 +363,7 @@ class TestCriterion7Fiber:
 
 class TestCriterion8Properties:
     def _witness_ml_from_model(self, cfg, n_trials=int(1e9)):
-        model = protocol.build_trial_model(cfg, conditional_states=False)
+        model = protocol.build_trial_model(cfg)
         n = n_trials
         cp = [max(int(model.pump_click_prob(j) * n), 1) for j in (1, 2)]
         cr = [max(int(model.read_click_prob(i) * n), 1) for i in (1, 2)]

@@ -23,7 +23,7 @@ def small_config():
 
 @pytest.fixture(scope="module")
 def small_model(small_config):
-    return protocol.build_trial_model(small_config, conditional_states=False)
+    return protocol.build_trial_model(small_config)
 
 
 class TestDeterminism:

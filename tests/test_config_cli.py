@@ -124,6 +124,14 @@ class TestCliRuns:
                        str(tmp_path / "o")])
         assert rc == 2
 
+    def test_removed_heating_slices_key_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MINIMAL.replace("tau_ns = 123",
+                                                  "tau_ns = 123\nheating_slices = 16"))
+        rc = cli.main(["witness", "--config", str(cfg), "--out",
+                       str(tmp_path / "o")])
+        assert rc == 2
+        assert "[protocol] heating_slices" in capsys.readouterr().err
+
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "[analyze]\ntally_json = /nonexistent.json\n")
         rc = cli.main(["analyze", "--config", str(cfg), "--out",

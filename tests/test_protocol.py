@@ -155,18 +155,18 @@ class TestEvolveDelay:
             assert fock.number_expectation(out, 0) == pytest.approx(
                 occupation(tau, heat, 0.02), rel=0.02)
 
-    def test_slice_doubling_changes_little(self):
+    def test_slice_doubling_changes_little(self, monkeypatch):
         dev = DeviceParams(p_pump=0.004, n_init=0.05, n_start=0.02,
                            bath_k=1.2e6, bath_gamma=1 / (0.5 * US),
                            gamma_decay=1 / (4.0 * US))
-        cfg16 = ProtocolConfig(device_a=dev, device_b=dev,
-                               interferometer=InterferometerConfig(),
-                               detectors=DetectorModel(), mech_cutoff=9)
-        cfg32 = replace(cfg16, heating_slices=32)
+        cfg = ProtocolConfig(device_a=dev, device_b=dev,
+                             interferometer=InterferometerConfig(),
+                             detectors=DetectorModel(), mech_cutoff=9)
         reg = fock.ModeRegister(2, 9)
         st = fock.product_thermal_state(reg, [0.02, 0.02], tol=1e-4)
-        a = protocol.evolve_delay(st, 2.0 * US, cfg16)
-        b = protocol.evolve_delay(st, 2.0 * US, cfg32)
+        a = protocol.evolve_delay(st, 2.0 * US, cfg)
+        monkeypatch.setattr(protocol, "HEATING_SLICES", 2 * protocol.HEATING_SLICES)
+        b = protocol.evolve_delay(st, 2.0 * US, cfg)
         assert np.max(np.abs(a.mat - b.mat)) < 1e-4
 
     def test_full_cycle_restores_relative_phase(self):
@@ -285,6 +285,28 @@ class TestWitnessFromState:
                 assert r_exact <= bound + 1e-9, (
                     f"witness inequality violated at {(n_init, p_pump, n_leak, p_dark)}")
 
+    def test_closed_form_witness_matches_fock_delay(self):
+        # oracle: the intensity-weighted herald taken through the Fock
+        # delay, then the moment ratio of the evolved state
+        import os
+        from mechlink.config import parse_config
+        base = parse_config(os.path.join(os.path.dirname(__file__), "..",
+                                         "configs", "entangle_stats.cfg")).protocol
+        assert base.interferometer.phase_jitter_sigma == 0.0   # one pump node
+        closed = {1: [], 2: []}
+        for mech_cutoff in (5, 7, 9):
+            cfg = replace(base, mech_cutoff=mech_cutoff)
+            model = protocol.build_trial_model(cfg)
+            pump = protocol.pump_stage(cfg)
+            for det in (1, 2):
+                st, _ = protocol.number_weighted_herald(pump, det)
+                oracle = protocol.witness_from_state(
+                    protocol.evolve_delay(st, cfg.tau, cfg))
+                assert model.exact_witness(det) == pytest.approx(oracle, rel=1e-4)
+                closed[det].append(model.exact_witness(det))
+        for values in closed.values():
+            assert max(values) - min(values) < 1e-6
+
 
 class TestCalibratedBudget:
     def test_aggregate_rates_with_full_detection_budget(self):
@@ -292,7 +314,7 @@ class TestCalibratedBudget:
         from mechlink.config import parse_config
         cfg = parse_config(os.path.join(os.path.dirname(__file__), "..",
                                         "configs", "entangle_realistic.cfg"))
-        model = protocol.build_trial_model(cfg.protocol, conditional_states=False)
+        model = protocol.build_trial_model(cfg.protocol)
         herald = model.herald_prob()
         joint = sum(model.coincidence_prob(i, j)
                     for i in (1, 2) for j in (1, 2))

@@ -117,6 +117,22 @@ class TestG2FromCounts:
         scaled = g2_from_counts(half, 2, 1).value
         assert scaled == pytest.approx(base, rel=0.04)
 
+    def test_one_pair_pool_equals_single_pair(self):
+        for i in (1, 2):
+            for j in (1, 2):
+                assert g2_from_counts(WITNESS_TALLY, (i,), (j,)) == \
+                       g2_from_counts(WITNESS_TALLY, i, j)
+
+    def test_pooled_pairs_share_one_normalization(self):
+        t = WITNESS_TALLY
+        est = g2_from_counts(t, (1, 2), (2, 1))
+        c = t.coincidence(1, 2) + t.coincidence(2, 1)
+        denom = (t.read_singles[0] * t.pump_singles[1]
+                 + t.read_singles[1] * t.pump_singles[0])
+        assert est.value == pytest.approx(t.n_trials * c / denom, rel=1e-12)
+        assert est.coincidences == c
+        assert est.heralds == sum(t.pump_singles)
+
 
 class TestWitnessFormula:
     def test_hand_value(self):
