@@ -1,7 +1,7 @@
 """mechlink: heralded entanglement between remote mechanical oscillators.
 
-Simulation of the pump / herald / readout protocol on a truncated
-Fock-space model, the matching photon-counting statistics (second-order
+Simulation of the pump / herald / readout protocol on exact Gaussian
+states, the matching photon-counting statistics (second-order
 coherences, entanglement witness, confidence levels), the heating and
 decay noise model, and planning tools for device yield and fiber links.
 """
@@ -10,14 +10,11 @@ __version__ = "0.1.0"
 
 from .devices import (DetectorModel, DeviceParams, InterferometerConfig,
                       ProtocolConfig)
-from .fock import DensityMatrix, ModeRegister
 
 __all__ = [
-    "DensityMatrix",
     "DetectorModel",
     "DeviceParams",
     "InterferometerConfig",
-    "ModeRegister",
     "ProtocolConfig",
     "__version__",
 ]

@@ -205,7 +205,6 @@ def cmd_phase_sweep(cfg: RunConfig, out_dir, config_path) -> None:
         "visibility_sampled": stats.visibility(all_sampled),
         "visibility_exact": stats.visibility(all_exact),
         "herald_probability_exact": points[0][0].herald_prob(),
-        "truncation_budget": max(p[0].truncation_budget for p in points),
     }
     write_json(os.path.join(out_dir, "fringe_fit.json"), summary)
     _manifest(out_dir, "phase-sweep", config_path, cfg, cfg.seed, cfg.trials)
@@ -348,7 +347,6 @@ def cmd_witness(cfg: RunConfig, out_dir, config_path) -> None:
     extras = {
         "exact": exact,
         "herald_probability_exact": model.herald_prob(),
-        "truncation_budget": model.truncation_budget,
         "trials": cfg.trials,
         "seed": cfg.seed,
     }

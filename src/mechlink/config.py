@@ -65,7 +65,7 @@ _SCHEMA = {
         "leak_pump_scale": float, "read_eta_scale": float,
     },
     "protocol": {
-        "tau_ns": float, "cutoff": int, "mech_cutoff": int, "jitter_nodes": int,
+        "tau_ns": float, "jitter_nodes": int,
     },
     "campaign": {"trials": int, "seed": int},
     "analysis": {
@@ -245,9 +245,8 @@ def parse_config(path) -> RunConfig:
             kwargs = {}
             if "tau_ns" in proto:
                 kwargs["tau"] = proto["tau_ns"] * NS
-            for key in ("cutoff", "mech_cutoff", "jitter_nodes"):
-                if key in proto:
-                    kwargs[key] = proto[key]
+            if "jitter_nodes" in proto:
+                kwargs["jitter_nodes"] = proto["jitter_nodes"]
             try:
                 cfg.protocol = ProtocolConfig(device_a=dev_a, device_b=dev_b,
                                               interferometer=intf, detectors=dets,

@@ -164,8 +164,6 @@ class ProtocolConfig:
     interferometer: InterferometerConfig = field(default_factory=InterferometerConfig)
     detectors: DetectorModel = field(default_factory=DetectorModel)
     tau: float = 123e-9                  # pump-to-read delay, s
-    cutoff: int = 3                      # optical-mode truncation
-    mech_cutoff: int | None = None       # phonon-mode truncation (default: cutoff)
     jitter_nodes: int = 9                # quadrature nodes when jitter > 0
 
     def __post_init__(self):
@@ -179,17 +177,9 @@ class ProtocolConfig:
         out += self.detectors.violations()
         if self.tau < 0:
             out.append("tau must be non-negative")
-        if self.cutoff < 2:
-            out.append("cutoff must be at least 2")
-        if self.mech_cutoff is not None and self.mech_cutoff < 2:
-            out.append("mech_cutoff must be at least 2")
         if self.jitter_nodes < 1:
             out.append("jitter_nodes must be positive")
         return out
-
-    @property
-    def phonon_cutoff(self) -> int:
-        return self.cutoff if self.mech_cutoff is None else self.mech_cutoff
 
     def devices(self) -> tuple:
         return (self.device_a, self.device_b)

@@ -516,8 +516,10 @@ def thermal_noise_channel(state: DensityMatrix, mode: int, n_add: float,
         raise FockError("added occupation must be below 0.5 per application")
     reg = state.register
     d = reg.levels(mode)
-    # ancilla levels sized so the residual tail stays well inside `tol`
-    need = max(3, math.ceil(math.log(0.1 * tol) / math.log(max(n_add, 1e-12))) + 1)
+    # the amplifier's expm on a truncated ancilla distorts the retained
+    # Kraus elements by about n_add**(levels - 1); size it for 1e-12, not
+    # for `tol`, which bounds the cutoff deficit
+    need = max(3, math.ceil(math.log(1e-12) / math.log(max(n_add, 1e-12))) + 1)
     superop = _noise_superop(d, float(n_add), need)
     out = _apply_superop_single(state.mat, reg.mode_dims, mode, superop)
     kept = np.trace(out).real

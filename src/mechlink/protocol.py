@@ -7,14 +7,25 @@ heralds a shared mechanical excitation.
 
 Delay: mechanical decay, transient-bath heating and the relative phase
 accumulated by the frequency difference of the two oscillators.  Per
-mode this is a thermal attenuator; the Fock engine applies it in
-HEATING_SLICES alternating loss / injection steps, while the witness
-moments go through its exact Heisenberg action in one step.
+mode this is one thermal attenuator.
 
 Read stage: a partial state swap converts phonons into anti-Stokes
 photons, which interfere on the same combiner and are detected.
 
-Mode layout inside a stage register: [mech A, mech B, optical A/port 1,
+Every channel above is Gaussian and a threshold click is "1 - vacuum
+projection", so states are short signed sums of zero-mean Gaussian
+terms (`GaussianState`) and nothing is truncated.  With hbar = 2 the
+vacuum covariance is the identity; a vacuum projection on k modes
+weighs a term by 2^k / sqrt(det(sigma_SS + I)) and leaves the Schur
+complement on the other modes (Weedbrook et al., RMP 84, 621 (2012)).
+The four joint click outcomes follow by inclusion-exclusion over the
+port vacuum projections (Quesada, Arrazola & Killoran, PRA 98, 062322
+(2018)), so a click-conditioned state has at most four terms per input
+term.  The two non-Gaussian steps, the lock-noise and the photon-
+distinguishability twirls, are mixtures over a rotation angle, evaluated
+by a periodic trapezoid rule of ROTATION_NODES nodes.
+
+Mode layout inside a stage: [mech A, mech B, optical A/port 1,
 optical B/port 2].  After the combiner the optical slots hold the
 detector port modes.  False positives (leaked drive light, stray
 background, electrical darks) are modeled as independent per-window
@@ -23,23 +34,24 @@ Bernoulli processes layered onto the exact quantum click probabilities.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fock
 from .devices import InterferometerConfig, ProtocolConfig
 from .noise import HeatingParams, driven_occupation
 
 MA, MB, OA, OB = 0, 1, 2, 3
 
-# truncation tolerance for channels inside the pipeline; everything
-# discarded is accumulated in the state's truncation budget
-_PIPELINE_TOL = 1e-3
+# nodes of the trapezoid rule over a rotation angle; doubling them moves
+# no outcome-table entry by more than 1e-12
+ROTATION_NODES = 32
 
-# loss / injection steps per device of the Fock delay evolution
-HEATING_SLICES = 16
+# most negative entry and largest normalization deficit a click table
+# may carry from floating-point cancellation
+_TABLE_TOL = 1e-12
 
 _OUTCOMES = ((0, 0), (1, 0), (0, 1), (1, 1))
 
@@ -50,6 +62,179 @@ class ProtocolError(ValueError):
 
 def outcome_index(click_1: bool, click_2: bool) -> int:
     return int(click_1) + 2 * int(click_2)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian states and channels
+
+
+@dataclass(frozen=True)
+class GaussianState:
+    """rho = sum_t weight[t] rho(cov[t]): a signed sum of zero-mean Gaussians.
+
+    Quadratures are ordered (x0, p0, x1, p1, ...) with hbar = 2.  The
+    weights carry the trace, so a click-conditioned state keeps its
+    outcome probability as its trace.
+    """
+
+    weight: np.ndarray      # (terms,)
+    cov: np.ndarray         # (terms, 2 * modes, 2 * modes)
+
+    @property
+    def n_modes(self) -> int:
+        return self.cov.shape[-1] // 2
+
+    def trace(self) -> float:
+        return float(self.weight.sum())
+
+
+def _axes(modes) -> np.ndarray:
+    return np.array([2 * m + q for m in modes for q in (0, 1)], dtype=int)
+
+
+def _thermal(occupations) -> GaussianState:
+    diag = np.repeat(2.0 * np.asarray(occupations, dtype=float) + 1.0, 2)
+    return GaussianState(np.ones(1), np.diag(diag)[None])
+
+
+def _with_vacuum(state: GaussianState, extra: int) -> GaussianState:
+    """Append `extra` vacuum modes after the existing ones."""
+    n = 2 * state.n_modes
+    cov = np.zeros((len(state.weight), n + 2 * extra, n + 2 * extra))
+    cov[:, :n, :n] = state.cov
+    cov[:, n:, n:] = np.eye(2 * extra)
+    return GaussianState(state.weight, cov)
+
+
+def _linear(state: GaussianState, modes, a, b=None) -> GaussianState:
+    """Heisenberg map a_k -> sum_l A_kl a_l + B_kl a_l^dag on `modes`."""
+    a = np.asarray(a, dtype=complex)
+    b = np.zeros_like(a) if b is None else np.asarray(b, dtype=complex)
+    local = np.empty((2 * len(a), 2 * len(a)))
+    local[0::2, 0::2] = (a + b).real
+    local[0::2, 1::2] = -(a - b).imag
+    local[1::2, 0::2] = (a + b).imag
+    local[1::2, 1::2] = (a - b).real
+    s = np.eye(2 * state.n_modes)
+    ax = _axes(modes)
+    s[np.ix_(ax, ax)] = local
+    return GaussianState(state.weight, s @ state.cov @ s.T)
+
+
+def _two_mode_squeeze(state, mode_a, mode_b, p_excite, phase=0.0):
+    """exp(xi a^dag b^dag - xi* a b), xi = r e^{i phase}, tanh^2 r = p_excite:
+    a -> cosh r a + e^{i phase} sinh r b^dag."""
+    r = math.atanh(math.sqrt(p_excite))
+    s = cmath.exp(1j * phase) * math.sinh(r)
+    return _linear(state, (mode_a, mode_b), math.cosh(r) * np.eye(2),
+                   [[0.0, s], [s, 0.0]])
+
+
+def _beamsplitter(state, mode_a, mode_b, transmittance, phase=0.0):
+    """a -> sqrt(T) a + e^{i phase} sqrt(1-T) b, b -> sqrt(T) b - e^{-i phase} sqrt(1-T) a."""
+    t, r = math.sqrt(transmittance), math.sqrt(1.0 - transmittance)
+    e = cmath.exp(1j * phase)
+    return _linear(state, (mode_a, mode_b), [[t, e * r], [-r / e, t]])
+
+
+def _rotate(state, mode, phi):
+    """exp(i phi n): a -> e^{i phi} a."""
+    return _linear(state, (mode,), [[cmath.exp(1j * phi)]])
+
+
+def _attenuate(state: GaussianState, mode: int, eta: float,
+               added: float = 0.0) -> GaussianState:
+    """Thermal attenuator <n> -> eta <n> + added; pure loss when added = 0."""
+    ax = _axes((mode,))
+    scale = np.ones(2 * state.n_modes)
+    scale[ax] = math.sqrt(eta)
+    cov = state.cov * np.outer(scale, scale)
+    cov[:, ax, ax] += 1.0 - eta + 2.0 * added
+    return GaussianState(state.weight, cov)
+
+
+def _rotation_twirl(state: GaussianState, mode: int, sigma: float) -> GaussianState:
+    """Average of exp(i theta n) on `mode` over theta ~ N(0, sigma^2).
+
+    Periodic trapezoid rule on ROTATION_NODES angles.  The node weights
+    carry the wrapped-normal Fourier coefficients exp(-(sigma m)^2 / 2)
+    for |m| < ROTATION_NODES / 2, so every Fourier mode of the integrand
+    below that order is integrated exactly, at any width; sigma = inf is
+    the uniform phase average.
+    """
+    k = ROTATION_NODES
+    theta = 2.0 * math.pi * np.arange(k) / k
+    m = np.arange(1, k // 2)
+    w = (1.0 + 2.0 * np.cos(np.outer(theta, m)) @ np.exp(-0.5 * (sigma * m) ** 2)) / k
+    n = 2 * state.n_modes
+    x, p = _axes((mode,))
+    rot = np.tile(np.eye(n), (k, 1, 1))
+    rot[:, x, x] = rot[:, p, p] = np.cos(theta)
+    rot[:, p, x] = np.sin(theta)
+    rot[:, x, p] = -np.sin(theta)
+    cov = rot[:, None] @ state.cov[None] @ rot[:, None].swapaxes(-1, -2)
+    return GaussianState(np.outer(w, state.weight).ravel(), cov.reshape(-1, n, n))
+
+
+def _vacuum_projection(state: GaussianState, measured, keep) -> GaussianState:
+    """<0|rho|0> on the `measured` modes; modes in neither list are traced out.
+
+    Each term's weight gains 2^k / sqrt(det(sigma_SS + I)) and the kept
+    block becomes sigma_KK - sigma_KS (sigma_SS + I)^-1 sigma_SK.
+    """
+    k_ax = _axes(keep)
+    cov_kk = state.cov[:, k_ax[:, None], k_ax]
+    if not measured:
+        return GaussianState(state.weight, cov_kk)
+    s_ax = _axes(measured)
+    c_ss = state.cov[:, s_ax[:, None], s_ax] + np.eye(len(s_ax))
+    c_ks = state.cov[:, k_ax[:, None], s_ax]
+    weight = state.weight * 2.0 ** len(measured) / np.sqrt(np.linalg.det(c_ss))
+    if keep:
+        cov_kk = cov_kk - c_ks @ np.linalg.solve(c_ss, c_ks.swapaxes(-1, -2))
+    return GaussianState(weight, cov_kk)
+
+
+def _checked_table(probs: np.ndarray, total: float, what: str) -> np.ndarray:
+    """`probs`, once their inclusion-exclusion rounding is measured small.
+
+    A most negative entry below -_TABLE_TOL or a sum further than
+    _TABLE_TOL from `total` raises.  Entries inside [-_TABLE_TOL, 0) are
+    probabilities that vanish exactly (vacuum, perfect interference) and
+    carry only the rounding of their cancelling terms; they come back as
+    0.  Nothing is renormalized.
+    """
+    lowest = float(probs.min())
+    deficit = float(probs.sum()) - total
+    if lowest < -_TABLE_TOL or abs(deficit) > _TABLE_TOL:
+        raise ProtocolError(f"{what}: most negative entry {lowest:.3e}, "
+                            f"normalization deficit {deficit:.3e}")
+    return np.maximum(probs, 0.0)
+
+
+def _click_outcomes(state: GaussianState, port1: int, port2: int):
+    """Exact joint threshold-click distribution on two ports.
+
+    Returns (probs[4], states[4]) in outcome_index order; each state is
+    the unnormalized remainder on the other modes, its trace the outcome
+    probability.  A click is 1 - vacuum projection, so outcome (c1, c2)
+    sums (-1)^|S| V(unclicked ports + S) over the subsets S of its
+    clicked ports, V being the vacuum projection.
+    """
+    ports = (port1, port2)
+    keep = tuple(m for m in range(state.n_modes) if m not in ports)
+    vac = [_vacuum_projection(state, tuple(p for i, p in enumerate(ports) if mask >> i & 1),
+                              keep)
+           for mask in range(4)]
+    states = []
+    for idx in range(4):            # bit i of idx: port i+1 clicked
+        parts = [(-1.0 if bin(sub).count("1") % 2 else 1.0, vac[(3 & ~idx) | sub])
+                 for sub in range(4) if sub & idx == sub]
+        states.append(GaussianState(
+            np.concatenate([sign * v.weight for sign, v in parts]),
+            np.concatenate([v.cov for _, v in parts])))
+    probs = np.array([s.trace() for s in states])
+    return _checked_table(probs, state.trace(), "click table"), states
 
 
 # ---------------------------------------------------------------------------
@@ -94,35 +279,20 @@ def serrodyne_compensation(interferometer: InterferometerConfig,
     return SerrodyneSetting(window, 0.0, 0.0, lam)
 
 
-def distinguishability_twirl(state: fock.DensityMatrix, mode_a: int, mode_b: int,
-                             overlap: float) -> fock.DensityMatrix:
-    """Damp which-path coherences between two optical modes.
+def _distinguishability_twirl(state: GaussianState, mode: int,
+                              overlap: float) -> GaussianState:
+    """Damp the which-path coherence of two photons to `overlap`.
 
-    Coherences with excitation-number offsets (da, db) on the two modes
-    are scaled by overlap**((da-db)/2)^2; the single-photon exchange
-    coherence (da, db) = (1, -1) gets exactly `overlap`.  Realized as a
-    Gaussian twirl of the relative phase, hence completely positive;
-    overlap 0 (fully distinguishable) kills every which-path coherence.
+    A Gaussian twirl of their relative phase theta with variance
+    -2 ln(overlap) gives the single-photon exchange coherence exactly
+    `overlap`.  The common phase of the two modes is invisible to the
+    passive combiner, the losses and the vacuum projections downstream,
+    so rotating one mode (`mode`) by theta is the same channel there.
     """
     if overlap >= 1.0:
         return state
-    if overlap < 0.0:
-        raise ProtocolError("overlap must lie in [0, 1]")
-    reg = state.register
-    shape = [1] * (2 * reg.n_modes)
-
-    def axis_vec(mode, bra):
-        s = list(shape)
-        s[mode + (reg.n_modes if bra else 0)] = reg.levels(mode)
-        return np.arange(reg.levels(mode)).reshape(s)
-
-    da = axis_vec(mode_a, False) - axis_vec(mode_a, True)
-    db = axis_vec(mode_b, False) - axis_vec(mode_b, True)
-    m = (da - db) / 2.0
-    factor = overlap ** (m**2)
-    t = state.tensor() * factor
-    return fock.DensityMatrix(reg, t.reshape(reg.dim, reg.dim),
-                              state.truncation_budget)
+    sigma = math.sqrt(-2.0 * math.log(overlap)) if overlap > 0.0 else math.inf
+    return _rotation_twirl(state, mode, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +301,9 @@ def distinguishability_twirl(state: fock.DensityMatrix, mode_a: int, mode_b: int
 
 @dataclass
 class PumpStageResult:
-    state: fock.DensityMatrix                  # [mA, mB, port1, port2]
+    state: GaussianState                       # [mA, mB, port1, port2], pre-measurement
     quantum_probs: np.ndarray                  # P of (c1, c2) outcomes, index outcome_index
-    mech_given: list                           # conditional mech states (None when p=0)
+    mech_given: list                           # per outcome, the unnormalized mech state
     false_click: tuple                         # per-detector pump-window false prob
     config: ProtocolConfig
 
@@ -178,91 +348,25 @@ def false_click_probs(cfg: ProtocolConfig) -> tuple:
     return pump, read
 
 
-def _project_then_trace(state: fock.DensityMatrix, vacuum_ports, trace_ports):
-    """<0|rho|0> on vacuum_ports, then trace out trace_ports (unnormalized)."""
-    t = state.tensor()
-    dims = list(state.register.mode_dims)
-    n = len(dims)
-    removed = []
-    for port in sorted(vacuum_ports, reverse=True):
-        nn = len(dims)
-        t = np.take(np.take(t, 0, axis=nn + port), 0, axis=port)
-        dims.pop(port)
-        removed.append(port)
-    remaining = [m for m in range(n) if m not in vacuum_ports]
-    mat = t.reshape(int(np.prod(dims)), int(np.prod(dims)))
-    keep = tuple(i for i, m in enumerate(remaining) if m not in trace_ports)
-    return fock._partial_trace_mat(mat, dims, keep)
-
-
-def _joint_click_analysis(state: fock.DensityMatrix, port1: int, port2: int):
-    """Exact joint threshold-click distribution on two modes.
-
-    Returns (probs[4], conditional reduced states[4]) with the two
-    measured modes traced out; element order follows outcome_index.
-    Assembled by inclusion-exclusion over the vacuum ("no click")
-    projections of each port.
-    """
-    keep = tuple(m for m in range(state.register.n_modes) if m not in (port1, port2))
-    v12 = _project_then_trace(state, (port1, port2), ())
-    v1 = _project_then_trace(state, (port1,), (port2,))
-    v2 = _project_then_trace(state, (port2,), (port1,))
-    full = fock._partial_trace_mat(state.mat, state.register.mode_dims, keep)
-
-    parts = {
-        (0, 0): v12,
-        (1, 0): v2 - v12,
-        (0, 1): v1 - v12,
-        (1, 1): full - v1 - v2 + v12,
-    }
-    probs = np.zeros(4)
-    states = [None] * 4
-    reg = state.register.subset(keep)
-    for (c1, c2), mat in parts.items():
-        idx = outcome_index(c1, c2)
-        p = float(np.trace(mat).real)
-        probs[idx] = max(p, 0.0)
-        if p > 1e-14:
-            states[idx] = fock.DensityMatrix(
-                reg, 0.5 * (mat + mat.conj().T) / p, state.truncation_budget)
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    return probs, states
-
-
-def _stage_register(cfg: ProtocolConfig) -> fock.ModeRegister:
-    mc, oc = cfg.phonon_cutoff, cfg.cutoff
-    return fock.ModeRegister(4, oc, cutoffs=(mc, mc, oc, oc))
-
-
 def pump_stage(cfg: ProtocolConfig, jitter_phase: float = 0.0) -> PumpStageResult:
     """Exact pre-measurement state and click analysis of the pump window."""
     intf = cfg.interferometer
-    reg = _stage_register(cfg)
     dev_a, dev_b = cfg.devices()
-    state = fock.product_thermal_state(
-        reg, [dev_a.start_occupation, dev_b.start_occupation, 0.0, 0.0],
-        tol=_PIPELINE_TOL)
+    state = _thermal([dev_a.start_occupation, dev_b.start_occupation, 0.0, 0.0])
+    state = _two_mode_squeeze(state, MA, OA, dev_a.p_pump)
+    state = _two_mode_squeeze(state, MB, OB, dev_b.p_pump,
+                              phase=intf.phi0 + jitter_phase)
+    state = _attenuate(state, OA, dev_a.eta_path * intf.arm_attenuation("A"))
+    state = _attenuate(state, OB, dev_b.eta_path * intf.arm_attenuation("B"))
+    state = _distinguishability_twirl(
+        state, OA, serrodyne_compensation(intf, "pump").overlap)
+    state = _beamsplitter(state, OA, OB, intf.combiner_transmittance)
+    state = _attenuate(state, OA, cfg.detectors.eta[0])
+    state = _attenuate(state, OB, cfg.detectors.eta[1])
 
-    state = fock.two_mode_squeeze(state, MA, OA, dev_a.p_pump, phase=0.0,
-                                  tol=_PIPELINE_TOL)
-    state = fock.two_mode_squeeze(state, MB, OB, dev_b.p_pump,
-                                  phase=intf.phi0 + jitter_phase,
-                                  tol=_PIPELINE_TOL)
-    state = fock.loss_channel(state, OA, dev_a.eta_path * intf.arm_attenuation("A"))
-    state = fock.loss_channel(state, OB, dev_b.eta_path * intf.arm_attenuation("B"))
-
-    setting = serrodyne_compensation(intf, "pump")
-    if setting.overlap < 1.0:
-        state = distinguishability_twirl(state, OA, OB, setting.overlap)
-
-    state = fock.beamsplitter(state, OA, OB, intf.combiner_transmittance)
-    state = fock.loss_channel(state, OA, cfg.detectors.eta[0])
-    state = fock.loss_channel(state, OB, cfg.detectors.eta[1])
-
-    probs, states = _joint_click_analysis(state, OA, OB)
+    probs, mech = _click_outcomes(state, OA, OB)
     false_pump, _ = false_click_probs(cfg)
-    return PumpStageResult(state=state, quantum_probs=probs, mech_given=states,
+    return PumpStageResult(state=state, quantum_probs=probs, mech_given=mech,
                            false_click=false_pump, config=cfg)
 
 
@@ -273,126 +377,51 @@ def _per_device_flux(cfg: ProtocolConfig) -> tuple:
     weights = ((t_comb, 1.0 - t_comb), (1.0 - t_comb, t_comb))
     out = []
     for dev, w, arm in zip(cfg.devices(), weights, "AB"):
-        path = dev.eta_path * intf.arm_attenuation(arm)
-        reg = fock.ModeRegister(2, cfg.cutoff,
-                                cutoffs=(cfg.phonon_cutoff, cfg.cutoff))
-        st = fock.thermal_state(dev.start_occupation, reg, 0, tol=_PIPELINE_TOL)
-        st = fock.two_mode_squeeze(st, 0, 1, dev.p_pump, tol=_PIPELINE_TOL)
-        st = fock.loss_channel(st, 1, path)
-        total = 0.0
-        for j in range(2):
-            st_j = fock.loss_channel(st, 1, w[j] * cfg.detectors.eta[j])
-            total += fock.click_measurement(st_j, 1).p_click
-        out.append(total)
+        st = _thermal([dev.start_occupation, 0.0])
+        st = _two_mode_squeeze(st, 0, 1, dev.p_pump)
+        st = _attenuate(st, 1, dev.eta_path * intf.arm_attenuation(arm))
+        out.append(sum(
+            1.0 - _vacuum_projection(_attenuate(st, 1, w[j] * cfg.detectors.eta[j]),
+                                     (1,), ()).trace()
+            for j in range(2)))
     return tuple(out)
-
-
-def herald(pump: PumpStageResult, detector: int):
-    """Condition on an observed click at `detector` (other port unconstrained).
-
-    Returns (mechanical state over [mA, mB], observed herald probability).
-    False positives are mixed in: a false herald leaves the no-click
-    conditional mechanics behind.
-    """
-    if detector not in (1, 2):
-        raise ProtocolError("detector must be 1 or 2")
-    j = detector - 1
-    f = pump.false_click[j]
-    weighted = None
-    total = 0.0
-    for c1, c2 in _OUTCOMES:
-        idx = outcome_index(c1, c2)
-        p_q = pump.quantum_probs[idx]
-        if p_q <= 0 or pump.mech_given[idx] is None:
-            continue
-        clicked = (c1, c2)[j]
-        w = p_q * (1.0 if clicked else f)
-        if w <= 0:
-            continue
-        total += w
-        contrib = w * pump.mech_given[idx].mat
-        weighted = contrib if weighted is None else weighted + contrib
-    if total <= 1e-15 or weighted is None:
-        raise ProtocolError("zero-probability herald requested")
-    reg = pump.mech_given[outcome_index(0, 0)].register
-    state = fock.DensityMatrix(reg, 0.5 * (weighted + weighted.conj().T) / total,
-                               pump.state.truncation_budget)
-    return state, total
-
-
-def number_weighted_herald(pump: PumpStageResult, detector: int):
-    """Mechanical state conditioned with the photon-number weight of port j.
-
-    This is the conditional average used by the moment-ratio witness:
-    rho_j = Tr_opt[n_j rho] / <n_j>, the exact analog of normalizing by
-    the heralding mode intensity.  Returns (rho_j, <n_j>).
-    """
-    if detector not in (1, 2):
-        raise ProtocolError("detector must be 1 or 2")
-    reg = pump.state.register
-    n_j = np.arange(reg.levels(OA if detector == 1 else OB))
-    # axes [mA, mB, port1, port2] on ket then bra; n_j is diagonal, so the
-    # weighted trace over both ports is one contraction
-    spec = "abklcdkl,k->abcd" if detector == 1 else "abklcdkl,l->abcd"
-    mech_reg = reg.subset((MA, MB))
-    mech = np.einsum(spec, pump.state.tensor(), n_j).reshape(mech_reg.dim,
-                                                               mech_reg.dim)
-    norm = np.trace(mech).real
-    if norm <= 1e-15:
-        raise ProtocolError("zero-intensity herald mode")
-    mech = 0.5 * (mech + mech.conj().T) / norm
-    return fock.DensityMatrix(mech_reg, mech, pump.state.truncation_budget), norm
 
 
 # ---------------------------------------------------------------------------
 # delay evolution
 
 
-def _thermal_attenuators(cfg: ProtocolConfig, tau: float, steps: int) -> list:
-    """The delay of each mechanical mode as `steps` equal thermal attenuators.
+def _thermal_attenuators(cfg: ProtocolConfig, tau: float) -> list:
+    """The delay of each mechanical mode as one thermal attenuator.
 
-    Returns per device (loss per step, added occupation of each step).
-    The added occupation is chosen so the mean occupation tracks the
-    closed-form transient-bath solution exactly at every step boundary;
-    with steps=1 it is the exact (eta, N) of the whole delay.
+    Returns per device (eta, N): eta = exp(-gamma tau) and N the
+    occupation the transient bath adds from zero, so that a mean
+    occupation n goes to eta n + N, the closed-form rate-equation value.
     """
-    edges = np.linspace(0.0, tau, steps + 1)
     out = []
     for dev in cfg.devices():
         heat = HeatingParams(decay=dev.gamma_decay, bath_gamma=dev.bath_gamma,
                              bath_k=dev.bath_k, n_init=dev.n_init)
-        q = driven_occupation(edges, heat)
-        eta = math.exp(-dev.gamma_decay * tau / steps)
-        out.append((eta, q[1:] - eta * q[:-1]))
+        out.append((math.exp(-dev.gamma_decay * tau),
+                    float(driven_occupation(tau, heat))))
     return out
 
 
-def evolve_delay(state: fock.DensityMatrix, tau: float,
-                 cfg: ProtocolConfig) -> fock.DensityMatrix:
+def evolve_delay(state: GaussianState, tau: float,
+                 cfg: ProtocolConfig) -> GaussianState:
     """Decay, transient-bath heating and relative phase over the delay.
 
-    Each mechanical mode goes through HEATING_SLICES alternating loss /
-    injection steps (`_thermal_attenuators`); the injections are
-    substepped to keep each truncation deficit small.  The relative
-    phase delta_omega_m * tau is applied to mechanical mode B.
+    Each mechanical mode goes through its exact thermal attenuator
+    (`_thermal_attenuators`); the relative phase delta_omega_m * tau is
+    applied to mechanical mode B.
     """
     if tau < 0:
         raise ProtocolError("delay must be non-negative")
     if tau == 0:
         return state
-    for mode, (step_loss, injections) in zip(
-            (MA, MB), _thermal_attenuators(cfg, tau, HEATING_SLICES)):
-        for inject in injections:
-            state = fock.loss_channel(state, mode, step_loss)
-            if inject > 1e-15:
-                # injections compose additively; substep the large ones to
-                # keep the per-application truncation deficit negligible
-                n_sub = max(1, math.ceil(inject / 0.05))
-                for _ in range(n_sub):
-                    state = fock.thermal_noise_channel(state, mode, inject / n_sub,
-                                                       tol=_PIPELINE_TOL)
-    state = fock.phase_rotation(state, MB, cfg.interferometer.delta_omega_m * tau)
-    return state
+    for mode, (eta, added) in zip((MA, MB), _thermal_attenuators(cfg, tau)):
+        state = _attenuate(state, mode, eta, added)
+    return _rotate(state, MB, cfg.interferometer.delta_omega_m * tau)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +432,6 @@ def evolve_delay(state: fock.DensityMatrix, tau: float,
 class ReadStageResult:
     quantum_probs: np.ndarray       # joint read-click outcomes, outcome_index order
     false_click: tuple
-    state: fock.DensityMatrix       # post-combiner, pre-measurement
 
     def detector_click_prob(self, detector: int) -> float:
         q = sum(self.quantum_probs[outcome_index(c1, c2)]
@@ -411,83 +439,55 @@ class ReadStageResult:
         f = self.false_click[detector - 1]
         return 1.0 - (1.0 - q) * (1.0 - f)
 
-    def observed_probs(self) -> np.ndarray:
-        return observed_outcome_probs(self.quantum_probs, self.false_click)
 
-
-def readout_stage(mech_state: fock.DensityMatrix, cfg: ProtocolConfig,
+def readout_stage(mech_state: GaussianState, cfg: ProtocolConfig,
                   delta_phi: float | None = None,
                   jitter_phase: float = 0.0) -> ReadStageResult:
-    """Partial state swap, interference and detection of the read window."""
+    """Partial state swap, interference and detection of the read window.
+
+    The click probabilities carry the trace of `mech_state`.
+    """
     intf = cfg.interferometer
     if delta_phi is None:
         delta_phi = intf.delta_phi
     theta_r = intf.phi0 + delta_phi + jitter_phase
     dev_a, dev_b = cfg.devices()
 
-    state = fock.extend_with_vacuum(mech_state, 2, cutoff=cfg.cutoff)
+    state = _with_vacuum(mech_state, 2)
     ra, rb = 2, 3
     # conversion amplitude m -> r carries the drive phase; arm A is the
     # phase reference, arm B adds theta_r
-    state = fock.beamsplitter(state, MA, ra, 1.0 - dev_a.p_read, phase=math.pi)
-    state = fock.beamsplitter(state, MB, rb, 1.0 - dev_b.p_read,
-                              phase=math.pi - theta_r)
-    state = fock.loss_channel(state, ra, dev_a.eta_path * intf.arm_attenuation("A"))
-    state = fock.loss_channel(state, rb, dev_b.eta_path * intf.arm_attenuation("B"))
+    state = _beamsplitter(state, MA, ra, 1.0 - dev_a.p_read, phase=math.pi)
+    state = _beamsplitter(state, MB, rb, 1.0 - dev_b.p_read,
+                          phase=math.pi - theta_r)
+    # only the read photons are measured: continue on [ra, rb] as modes 0, 1
+    state = _vacuum_projection(state, (), (ra, rb))
+    state = _attenuate(state, 0, dev_a.eta_path * intf.arm_attenuation("A"))
+    state = _attenuate(state, 1, dev_b.eta_path * intf.arm_attenuation("B"))
+    state = _distinguishability_twirl(
+        state, 0, serrodyne_compensation(intf, "read").overlap)
+    state = _beamsplitter(state, 0, 1, intf.combiner_transmittance)
+    state = _attenuate(state, 0, cfg.detectors.read_eta(0))
+    state = _attenuate(state, 1, cfg.detectors.read_eta(1))
 
-    setting = serrodyne_compensation(intf, "read")
-    if setting.overlap < 1.0:
-        state = distinguishability_twirl(state, ra, rb, setting.overlap)
-
-    state = fock.beamsplitter(state, ra, rb, intf.combiner_transmittance)
-    state = fock.loss_channel(state, ra, cfg.detectors.read_eta(0))
-    state = fock.loss_channel(state, rb, cfg.detectors.read_eta(1))
-
-    probs, _ = _joint_click_analysis(state, ra, rb)
+    probs, _ = _click_outcomes(state, 0, 1)
     _, false_read = false_click_probs(cfg)
-    return ReadStageResult(quantum_probs=probs, false_click=false_read, state=state)
+    return ReadStageResult(quantum_probs=probs, false_click=false_read)
 
 
 # ---------------------------------------------------------------------------
 # outcome algebra
 
 
-def observed_outcome_probs(quantum_probs: np.ndarray, false_p: tuple) -> np.ndarray:
-    """Distribution over observed (click1, click2) with independent falses."""
-    out = np.zeros(4)
-    f1, f2 = false_p
-    for c1, c2 in _OUTCOMES:
-        p = quantum_probs[outcome_index(c1, c2)]
-        if p <= 0:
-            continue
-        for a in (0, 1):
-            pa = (f1 if a else 1.0 - f1) if not c1 else (1.0 if a else 0.0)
-            if pa == 0.0:
-                continue
-            for b in (0, 1):
-                pb = (f2 if b else 1.0 - f2) if not c2 else (1.0 if b else 0.0)
-                out[outcome_index(a, b)] += p * pa * pb
-    return out
+def _false_click_matrix(false_p: tuple) -> np.ndarray:
+    """M[q, o] = P(observed outcome o | quantum outcome q), independent falses."""
+    per_detector = [np.array([[1.0 - f, f], [0.0, 1.0]]) for f in false_p]
+    # outcome_index = c1 + 2 c2: detector 2 is the major index
+    return np.kron(per_detector[1], per_detector[0])
 
 
 # ---------------------------------------------------------------------------
-# witness from the exact state
-
-
-def witness_from_state(mech_state: fock.DensityMatrix) -> float:
-    """Moment-ratio witness <nA nB> / |<mA+ mB>|^2 on a two-mode state.
-
-    Values below 1 certify non-separability for Gaussian-input protocols;
-    vanishing cross-coherence leaves the witness undefined.
-    """
-    if mech_state.register.n_modes != 2:
-        raise ProtocolError("witness needs a two-mode mechanical state")
-    num = fock.mode_moment(mech_state, [(0, True), (0, False), (1, True), (1, False)])
-    coh = fock.mode_moment(mech_state, [(0, True), (1, False)])
-    denom = abs(coh) ** 2
-    if denom <= 1e-12:
-        raise ProtocolError("witness undefined (no coherence)")
-    return float(num.real / denom)
+# exact single-device correlations
 
 
 def single_device_g2_exact(cfg: ProtocolConfig, device: str,
@@ -579,9 +579,11 @@ class TrialModel:
     read_given_pump: np.ndarray  # conditional read outcome table, 4x4
     config: ProtocolConfig
     delta_phi: float
-    truncation_budget: float
     witness_moments: dict        # detector -> (<nA nB>, |<a_A+ a_B>|^2) of the
                                  # intensity-weighted mech state after the delay
+
+    # nothing is truncated; perfbench/tracer.py reads this Fock-era field
+    truncation_budget = 0.0
 
     def pump_click_prob(self, detector: int) -> float:
         j = detector - 1
@@ -617,8 +619,9 @@ class TrialModel:
         return pc / (pp * pr)
 
     def exact_witness(self, detector: int) -> float:
-        """Moment-ratio witness of the intensity-weighted herald (see
-        witness_from_state)."""
+        """Moment-ratio witness <nA nB> / |<a_A+ a_B>|^2 of the
+        intensity-weighted herald after the delay; values below 1 certify
+        non-separability for Gaussian-input protocols."""
         if detector not in self.witness_moments:
             raise ProtocolError("zero-intensity herald mode")
         num, coh2 = self.witness_moments[detector]
@@ -648,17 +651,50 @@ def _use_jitter_twirl(cfg: ProtocolConfig) -> bool:
     return cfg.interferometer.phase_jitter_sigma > 0 and cfg.jitter_nodes == 1
 
 
+def _moment(state: GaussianState, ops) -> complex:
+    """Tr[rho O_1 ... O_k] for ladder operators O = (mode, dagger).
+
+    Isserlis' theorem on each zero-mean term: the sum over pairings of
+    the ordered two-point functions <a_k^dag a_l>, <a_k a_l> and their
+    conjugates, read off the covariance.
+    """
+    cov = state.cov
+    x, p = cov[:, 0::2, 0::2], cov[:, 1::2, 1::2]
+    xp, px = cov[:, 0::2, 1::2], cov[:, 1::2, 0::2]
+    n = 0.25 * (x + p + 1j * (xp - px)) - 0.5 * np.eye(state.n_modes)  # <a_k^dag a_l>
+    m = 0.25 * (x - p + 1j * (xp + px))                                 # <a_k a_l>
+
+    def pair(u, v):
+        (k, u_dag), (l, v_dag) = u, v
+        if u_dag and v_dag:
+            return m[:, k, l].conj()
+        if u_dag:
+            return n[:, k, l]
+        if v_dag:
+            return n[:, l, k] + (k == l)
+        return m[:, k, l]
+
+    def wick(ops):
+        if not ops:
+            return np.ones(len(state.weight))
+        return sum(pair(ops[0], ops[i]) * wick(ops[1:i] + ops[i + 1:])
+                   for i in range(1, len(ops)))
+
+    return complex(state.weight @ wick(tuple(ops)))
+
+
 def _witness_moments(pump: PumpStageResult, detector: int) -> np.ndarray:
     """Unnormalized moments of Tr_opt[n_j rho] before the delay.
 
     Order: (<n_j>, <nA nB>, <nA>, <nB>, <a_A+ a_B>), each weighted by the
-    herald intensity <n_j>, so averages over jitter nodes stay linear.
+    herald intensity <n_j>, so averages over jitter nodes stay linear;
+    that is Tr[n_j X rho] for each X on the pre-measurement pump state.
     """
-    state, intensity = number_weighted_herald(pump, detector)
-    ops = ([(0, True), (0, False), (1, True), (1, False)],
-           [(0, True), (0, False)], [(1, True), (1, False)],
-           [(0, True), (1, False)])
-    return intensity * np.array([1.0] + [fock.mode_moment(state, op) for op in ops])
+    port = OA if detector == 1 else OB
+    n_j = ((port, True), (port, False))
+    n_a, n_b = ((MA, True), (MA, False)), ((MB, True), (MB, False))
+    ops = ((), n_a + n_b, n_a, n_b, ((MA, True), (MB, False)))
+    return np.array([_moment(pump.state, n_j + op) for op in ops])
 
 
 def _delayed_witness_moments(acc: np.ndarray, tau: float, cfg: ProtocolConfig,
@@ -671,12 +707,30 @@ def _delayed_witness_moments(acc: np.ndarray, tau: float, cfg: ProtocolConfig,
     sqrt(etaA etaB).  The pump share sigma/2 of the jitter twirl damps
     |<a_A+ a_B>|^2 by exp(-(sigma/2)^2).
     """
-    (eta_a, (n_a,)), (eta_b, (n_b,)) = _thermal_attenuators(cfg, tau, 1)
+    (eta_a, n_a), (eta_b, n_b) = _thermal_attenuators(cfg, tau)
     _, nn, na, nb, coh = acc / acc[0].real
     num = (eta_a * eta_b * nn + eta_a * n_b * na + n_a * eta_b * nb).real
     num += n_a * n_b
     coh2 = eta_a * eta_b * abs(coh) ** 2 * math.exp(-(0.5 * twirl_sigma) ** 2)
     return float(num), float(coh2)
+
+
+def _trial_model(cfg: ProtocolConfig, delta_phi: float, joint: np.ndarray,
+                 witness_moments: dict) -> TrialModel:
+    """TrialModel of an observed joint table, checked but not clipped."""
+    joint = _checked_table(joint, 1.0, "joint outcome table")
+    pump_marginal = joint.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        read_given = np.where(pump_marginal[:, None] > 0,
+                              joint / np.maximum(pump_marginal[:, None], 1e-300),
+                              0.0)
+    # rows for impossible pump outcomes never get sampled; keep them valid
+    for idx in range(4):
+        if pump_marginal[idx] <= 0:
+            read_given[idx] = np.array([1.0, 0.0, 0.0, 0.0])
+    return TrialModel(joint=joint, pump_marginal=pump_marginal,
+                      read_given_pump=read_given, config=cfg,
+                      delta_phi=delta_phi, witness_moments=witness_moments)
 
 
 def build_trial_model(cfg: ProtocolConfig, delta_phi: float | None = None,
@@ -685,10 +739,12 @@ def build_trial_model(cfg: ProtocolConfig, delta_phi: float | None = None,
 
     Residual lock jitter is integrated out with Gauss-Hermite quadrature;
     within one trial the pump and read windows share the same phase
-    offset, so the average runs over full pipeline evaluations.  Only the
-    four click-conditioned mechanical states go through the Fock delay;
-    the witness moments of the intensity-weighted herald follow from the
-    delay's closed-form Heisenberg action.
+    offset, so the average runs over full pipeline evaluations.  Each
+    click-conditioned mechanical state goes through the delay and the
+    read stage unnormalized, so the read table row it yields is already
+    P(pump outcome, read outcome).  The witness moments of the
+    intensity-weighted herald follow from the delay's closed-form
+    Heisenberg action.
     """
     if delta_phi is None:
         delta_phi = cfg.interferometer.delta_phi
@@ -701,78 +757,26 @@ def build_trial_model(cfg: ProtocolConfig, delta_phi: float | None = None,
     else:
         nodes, weights = _jitter_nodes(cfg)
 
+    false_pump, false_read = false_click_probs(cfg)
+    f_pump, f_read = _false_click_matrix(false_pump), _false_click_matrix(false_read)
     joint = np.zeros((4, 4))
     witness_acc = {1: np.zeros(5, complex), 2: np.zeros(5, complex)}
-    budget = 0.0
-    false_pump = None
-
     for node, weight in zip(nodes, weights):
         pump = pump_stage(cfg, jitter_phase=node)
-        false_pump = pump.false_click
-        read_quantum = np.zeros((4, 4))
-        false_read = None
-        for q_idx in range(4):
-            p_q = pump.quantum_probs[q_idx]
-            mech = pump.mech_given[q_idx]
-            if p_q <= 1e-16 or mech is None:
-                # outcome cannot occur; leave a uniform placeholder row
-                read_quantum[q_idx, 0] = 1.0
-                continue
+        quantum = np.zeros((4, 4))       # P(pump outcome, read outcome), no falses
+        for q_idx, mech in enumerate(pump.mech_given):
             if twirl_sigma > 0:
-                mech = fock.phase_noise_twirl(mech, MB, twirl_sigma)
-            evolved = evolve_delay(mech, tau, cfg)
-            budget = max(budget, evolved.truncation_budget)
-            rd = readout_stage(evolved, cfg, delta_phi=delta_phi,
-                               jitter_phase=node)
-            false_read = rd.false_click
-            read_quantum[q_idx] = rd.observed_probs()
-        if false_read is None:
-            _, false_read = false_click_probs(cfg)
-
-        # assemble observed pump outcomes with falses, then the joint
-        for q_idx in range(4):
-            p_q = pump.quantum_probs[q_idx]
-            if p_q <= 0:
-                continue
-            qc = _OUTCOMES[q_idx]
-            for a in (0, 1):
-                pa = 1.0 if (qc[0] and a) else (0.0 if qc[0] else
-                                                (false_pump[0] if a else 1 - false_pump[0]))
-                if pa == 0.0:
-                    continue
-                for b in (0, 1):
-                    pb = 1.0 if (qc[1] and b) else (0.0 if qc[1] else
-                                                    (false_pump[1] if b else 1 - false_pump[1]))
-                    if pb == 0.0:
-                        continue
-                    joint[outcome_index(a, b)] += weight * p_q * pa * pb * read_quantum[q_idx]
-
+                mech = _rotation_twirl(mech, MB, twirl_sigma)
+            quantum[q_idx] = readout_stage(evolve_delay(mech, tau, cfg), cfg,
+                                           delta_phi=delta_phi,
+                                           jitter_phase=node).quantum_probs
+        joint += weight * f_pump.T @ quantum @ f_read
         for det in (1, 2):
-            try:
-                witness_acc[det] += weight * _witness_moments(pump, det)
-            except ProtocolError:
-                pass  # zero-intensity herald mode
-
-    joint = np.clip(joint, 0.0, None)
-    joint /= joint.sum()
+            witness_acc[det] += weight * _witness_moments(pump, det)
 
     # the weighted states carry only the pump's share of the lock noise
     # (the read drive adds the other half to the fringe)
     witness_moments = {
         det: _delayed_witness_moments(acc, tau, cfg, twirl_sigma)
-        for det, acc in witness_acc.items() if acc[0].real > 0}
-
-    pump_marginal = joint.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        read_given = np.where(pump_marginal[:, None] > 0,
-                              joint / np.maximum(pump_marginal[:, None], 1e-300),
-                              0.0)
-    # rows for impossible pump outcomes never get sampled; keep them valid
-    for idx in range(4):
-        if pump_marginal[idx] <= 0:
-            read_given[idx] = np.array([1.0, 0.0, 0.0, 0.0])
-
-    return TrialModel(joint=joint, pump_marginal=pump_marginal,
-                      read_given_pump=read_given, config=cfg,
-                      delta_phi=delta_phi, truncation_budget=budget,
-                      witness_moments=witness_moments)
+        for det, acc in witness_acc.items() if acc[0].real > 1e-15}
+    return _trial_model(cfg, delta_phi, joint, witness_moments)

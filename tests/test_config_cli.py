@@ -132,6 +132,15 @@ class TestCliRuns:
         assert rc == 2
         assert "[protocol] heating_slices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["cutoff", "mech_cutoff"])
+    def test_removed_cutoff_keys_rejected(self, key, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MINIMAL.replace("tau_ns = 123",
+                                                  f"tau_ns = 123\n{key} = 5"))
+        rc = cli.main(["witness", "--config", str(cfg), "--out",
+                       str(tmp_path / "o")])
+        assert rc == 2
+        assert f"[protocol] {key}" in capsys.readouterr().err
+
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "[analyze]\ntally_json = /nonexistent.json\n")
         rc = cli.main(["analyze", "--config", str(cfg), "--out",

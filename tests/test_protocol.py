@@ -1,17 +1,30 @@
-"""Protocol-stage checks: heralding, delay evolution, readout, witness."""
+"""Protocol-stage checks: heralding, delay evolution, readout, witness.
+
+Tests that inspect number-basis states run on the truncated Fock
+reference pipeline in `fock_oracle`; the rest exercise the Gaussian
+runtime, and TestFockOracleConvergence ties the two together.
+"""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fock_oracle
 from mechlink import fock, protocol
+from mechlink.config import parse_config
 from mechlink.devices import (DetectorModel, DeviceParams, InterferometerConfig,
                               ProtocolConfig)
-from mechlink.noise import HeatingParams, occupation
+from mechlink.noise import HeatingParams, driven_occupation, occupation
 
 US = 1e-6
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def shipped(name):
+    return parse_config(os.path.join(CONFIG_DIR, name)).protocol
 
 
 def ideal_config(p_pump=0.007, phi0=0.0, **kw):
@@ -19,6 +32,21 @@ def ideal_config(p_pump=0.007, phi0=0.0, **kw):
     return ProtocolConfig(device_a=dev, device_b=dev,
                           interferometer=InterferometerConfig(phi0=phi0),
                           detectors=DetectorModel(), tau=0.0, **kw)
+
+
+def heralded(pump, detector):
+    """Gaussian mechanical state given a click at `detector` (no false clicks)."""
+    parts = [st for (c1, c2), st in zip(((0, 0), (1, 0), (0, 1), (1, 1)),
+                                        pump.mech_given) if (c1, c2)[detector - 1]]
+    weight = np.concatenate([st.weight for st in parts])
+    return protocol.GaussianState(weight / weight.sum(),
+                                  np.concatenate([st.cov for st in parts]))
+
+
+def mean_occupation(state, mode):
+    """<n> of one mode of a Gaussian state (hbar = 2)."""
+    block = state.cov[:, 2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2]
+    return float(state.weight @ (0.25 * np.trace(block, axis1=1, axis2=2) - 0.5))
 
 
 def shared_excitation_vector(register, phase, sign=+1):
@@ -79,15 +107,15 @@ class TestPumpStageAndHerald:
 
     def test_herald_projects_shared_excitation(self):
         cfg = ideal_config(p_pump=0.004, phi0=0.37)
-        pump = protocol.pump_stage(cfg)
-        st, _ = protocol.herald(pump, 1)
+        pump = fock_oracle.pump_stage(cfg)
+        st, _ = fock_oracle.herald(pump, 1)
         target = shared_excitation_vector(st.register, 0.37, +1)
         assert fock.fidelity_pure(st, target) > 0.99
 
     def test_opposite_detector_flips_sign(self):
         cfg = ideal_config(p_pump=0.004, phi0=0.37)
-        pump = protocol.pump_stage(cfg)
-        st, _ = protocol.herald(pump, 2)
+        pump = fock_oracle.pump_stage(cfg)
+        st, _ = fock_oracle.herald(pump, 2)
         target = shared_excitation_vector(st.register, 0.37, -1)
         assert fock.fidelity_pure(st, target) > 0.99
 
@@ -97,8 +125,8 @@ class TestPumpStageAndHerald:
         cfg = ProtocolConfig(device_a=dev, device_b=blocked,
                              interferometer=InterferometerConfig(),
                              detectors=DetectorModel(), tau=0.0)
-        pump = protocol.pump_stage(cfg)
-        st, _ = protocol.herald(pump, 1)
+        pump = fock_oracle.pump_stage(cfg)
+        st, _ = fock_oracle.herald(pump, 1)
         target = np.zeros(st.register.dim, dtype=complex)
         target[st.register.basis_index([1, 0])] = 1.0
         assert fock.fidelity_pure(st, target) > 0.98
@@ -115,9 +143,9 @@ class TestPumpStageAndHerald:
         cfg = ProtocolConfig(device_a=dev, device_b=dev,
                              interferometer=InterferometerConfig(),
                              detectors=DetectorModel(), tau=0.0)
-        pump = protocol.pump_stage(cfg)
+        pump = fock_oracle.pump_stage(cfg)
         with pytest.raises(protocol.ProtocolError):
-            protocol.herald(pump, 1)
+            fock_oracle.herald(pump, 1)
 
 
 class TestEvolveDelay:
@@ -125,7 +153,7 @@ class TestEvolveDelay:
         cfg = ideal_config()
         reg = fock.ModeRegister(2, 3)
         st = fock.basis_state(reg, [1, 0])
-        assert protocol.evolve_delay(st, 0.0, cfg) is st
+        assert fock_oracle.evolve_delay(st, 0.0, cfg) is st
 
     def test_pure_decay_scales_occupation(self):
         dev = DeviceParams(p_pump=0.004, n_init=0.0, bath_k=0.0,
@@ -135,7 +163,7 @@ class TestEvolveDelay:
                              detectors=DetectorModel())
         reg = fock.ModeRegister(2, 3)
         st = fock.basis_state(reg, [1, 1])
-        out = protocol.evolve_delay(st, 4.0 * US, cfg)
+        out = fock_oracle.evolve_delay(st, 4.0 * US, cfg)
         assert fock.number_expectation(out, 0) == pytest.approx(
             math.exp(-1), abs=1e-6)
 
@@ -145,37 +173,44 @@ class TestEvolveDelay:
                            gamma_decay=1 / (4.0 * US))
         cfg = ProtocolConfig(device_a=dev, device_b=dev,
                              interferometer=InterferometerConfig(),
-                             detectors=DetectorModel(), mech_cutoff=9)
+                             detectors=DetectorModel())
         reg = fock.ModeRegister(2, 9)
         st = fock.product_thermal_state(reg, [0.02, 0.02], tol=1e-4)
         heat = HeatingParams(decay=dev.gamma_decay, bath_gamma=dev.bath_gamma,
                              bath_k=dev.bath_k, n_init=dev.n_init)
         for tau in (123e-9, 1.0 * US, 2.5 * US):
-            out = protocol.evolve_delay(st, tau, cfg)
+            out = fock_oracle.evolve_delay(st, tau, cfg)
             assert fock.number_expectation(out, 0) == pytest.approx(
                 occupation(tau, heat, 0.02), rel=0.02)
 
-    def test_slice_doubling_changes_little(self, monkeypatch):
+    def test_thermal_input_tracks_driven_occupation(self):
+        # one exact thermal attenuator per mode: a thermal input at n0
+        # leaves at eta n0 + driven_occupation, the rate-equation value
         dev = DeviceParams(p_pump=0.004, n_init=0.05, n_start=0.02,
                            bath_k=1.2e6, bath_gamma=1 / (0.5 * US),
                            gamma_decay=1 / (4.0 * US))
-        cfg = ProtocolConfig(device_a=dev, device_b=dev,
+        cfg = ProtocolConfig(device_a=dev, device_b=replace(dev, bath_k=0.6e6),
                              interferometer=InterferometerConfig(),
-                             detectors=DetectorModel(), mech_cutoff=9)
-        reg = fock.ModeRegister(2, 9)
-        st = fock.product_thermal_state(reg, [0.02, 0.02], tol=1e-4)
-        a = protocol.evolve_delay(st, 2.0 * US, cfg)
-        monkeypatch.setattr(protocol, "HEATING_SLICES", 2 * protocol.HEATING_SLICES)
-        b = protocol.evolve_delay(st, 2.0 * US, cfg)
-        assert np.max(np.abs(a.mat - b.mat)) < 1e-4
+                             detectors=DetectorModel())
+        st = protocol._thermal([0.02, 0.03])
+        for tau in (123e-9, 1.0 * US, 3.0 * US):
+            out = protocol.evolve_delay(st, tau, cfg)
+            for mode, n0, d in ((0, 0.02, cfg.device_a), (1, 0.03, cfg.device_b)):
+                heat = HeatingParams(decay=d.gamma_decay, bath_gamma=d.bath_gamma,
+                                     bath_k=d.bath_k, n_init=d.n_init)
+                eta = math.exp(-d.gamma_decay * tau)
+                assert abs(mean_occupation(out, mode)
+                           - (eta * n0 + driven_occupation(tau, heat))) < 1e-12
+                assert abs(mean_occupation(out, mode)
+                           - occupation(tau, heat, n0)) < 1e-12
 
     def test_full_cycle_restores_relative_phase(self):
         cfg = ideal_config(p_pump=0.004)
-        pump = protocol.pump_stage(cfg)
-        st, _ = protocol.herald(pump, 1)
+        pump = fock_oracle.pump_stage(cfg)
+        st, _ = fock_oracle.herald(pump, 1)
         period = 2 * math.pi / cfg.interferometer.delta_omega_m
         coh0 = fock.mode_moment(st, [(0, True), (1, False)])
-        evolved = protocol.evolve_delay(st, period, cfg)
+        evolved = fock_oracle.evolve_delay(st, period, cfg)
         coh1 = fock.mode_moment(evolved, [(0, True), (1, False)])
         # one full cycle returns the phase; decay only shrinks the magnitude
         assert math.isclose(np.angle(coh1), np.angle(coh0), abs_tol=1e-6)
@@ -184,15 +219,13 @@ class TestEvolveDelay:
 class TestReadoutFringe:
     def test_extremum_routes_to_one_detector(self):
         cfg = ideal_config(p_pump=0.004, phi0=0.3)
-        pump = protocol.pump_stage(cfg)
-        st, _ = protocol.herald(pump, 1)
+        st = heralded(protocol.pump_stage(cfg), 1)
         rd = protocol.readout_stage(st, cfg, delta_phi=-0.6)
         assert rd.detector_click_prob(1) > 100 * rd.detector_click_prob(2)
 
     def test_fringe_period_is_two_pi(self):
         cfg = ideal_config(p_pump=0.004, phi0=0.3)
-        pump = protocol.pump_stage(cfg)
-        st, _ = protocol.herald(pump, 1)
+        st = heralded(protocol.pump_stage(cfg), 1)
         base = protocol.readout_stage(st, cfg, delta_phi=0.4)
         wrapped = protocol.readout_stage(st, cfg, delta_phi=0.4 + 2 * math.pi)
         assert base.detector_click_prob(1) == pytest.approx(
@@ -200,8 +233,7 @@ class TestReadoutFringe:
 
     def test_fringe_is_sinusoidal_with_high_visibility(self):
         cfg = ideal_config(p_pump=0.004)
-        pump = protocol.pump_stage(cfg)
-        st, _ = protocol.herald(pump, 1)
+        st = heralded(protocol.pump_stage(cfg), 1)
         phis = np.linspace(0, 2 * math.pi, 12, endpoint=False)
         rates = np.array([protocol.readout_stage(st, cfg, delta_phi=p)
                           .detector_click_prob(1) for p in phis])
@@ -218,8 +250,7 @@ class TestReadoutFringe:
         # extremum the conditional read rates swap detectors
         cfg = ideal_config(p_pump=0.004, phi0=0.3)
         pump = protocol.pump_stage(cfg)
-        plus, _ = protocol.herald(pump, 1)
-        minus, _ = protocol.herald(pump, 2)
+        plus, minus = heralded(pump, 1), heralded(pump, 2)
         rd_plus = protocol.readout_stage(plus, cfg, delta_phi=-0.6)
         rd_minus = protocol.readout_stage(minus, cfg, delta_phi=-0.6)
         assert rd_plus.detector_click_prob(1) == pytest.approx(
@@ -229,8 +260,7 @@ class TestReadoutFringe:
 
     def test_delay_fringe_period_matches_frequency_difference(self):
         cfg = ideal_config(p_pump=0.004)
-        pump = protocol.pump_stage(cfg)
-        st, _ = protocol.herald(pump, 1)
+        st = heralded(protocol.pump_stage(cfg), 1)
         period = 2 * math.pi / cfg.interferometer.delta_omega_m
         r0 = protocol.readout_stage(
             protocol.evolve_delay(st, 123e-9, cfg), cfg, 0.0)
@@ -246,7 +276,7 @@ class TestWitnessFromState:
         reg = fock.ModeRegister(2, 3)
         amp = shared_excitation_vector(reg, 0.2)
         st = fock.pure_state(reg, amp)
-        assert protocol.witness_from_state(st) == pytest.approx(0.0, abs=1e-12)
+        assert fock_oracle.witness_from_state(st) == pytest.approx(0.0, abs=1e-12)
 
     def test_dephased_mixture_has_no_coherence(self):
         reg = fock.ModeRegister(2, 3)
@@ -254,7 +284,7 @@ class TestWitnessFromState:
                      + fock.basis_state(reg, [0, 1]).mat)
         st = fock.DensityMatrix(reg, mat)
         with pytest.raises(protocol.ProtocolError, match="no coherence"):
-            protocol.witness_from_state(st)
+            fock_oracle.witness_from_state(st)
 
     def test_witness_vs_counting_bound_at_parameter_points(self):
         # the exact moment ratio never exceeds the counting-statistics bound
@@ -276,7 +306,7 @@ class TestWitnessFromState:
                 interferometer=InterferometerConfig(),
                 detectors=DetectorModel(p_dark_pump=(p_dark, p_dark),
                                         p_dark_read=(p_dark, p_dark)),
-                tau=123e-9, mech_cutoff=5)
+                tau=123e-9)
             model = protocol.build_trial_model(cfg, delta_phi=1.9375 * math.pi)
             for det in (1, 2):
                 r_exact = model.exact_witness(det)
@@ -288,20 +318,16 @@ class TestWitnessFromState:
     def test_closed_form_witness_matches_fock_delay(self):
         # oracle: the intensity-weighted herald taken through the Fock
         # delay, then the moment ratio of the evolved state
-        import os
-        from mechlink.config import parse_config
-        base = parse_config(os.path.join(os.path.dirname(__file__), "..",
-                                         "configs", "entangle_stats.cfg")).protocol
-        assert base.interferometer.phase_jitter_sigma == 0.0   # one pump node
+        cfg = shipped("entangle_stats.cfg")
+        assert cfg.interferometer.phase_jitter_sigma == 0.0   # one pump node
         closed = {1: [], 2: []}
         for mech_cutoff in (5, 7, 9):
-            cfg = replace(base, mech_cutoff=mech_cutoff)
             model = protocol.build_trial_model(cfg)
-            pump = protocol.pump_stage(cfg)
+            pump = fock_oracle.pump_stage(cfg, mech_cutoff=mech_cutoff)
             for det in (1, 2):
-                st, _ = protocol.number_weighted_herald(pump, det)
-                oracle = protocol.witness_from_state(
-                    protocol.evolve_delay(st, cfg.tau, cfg))
+                st, _ = fock_oracle.number_weighted_herald(pump, det)
+                oracle = fock_oracle.witness_from_state(
+                    fock_oracle.evolve_delay(st, cfg.tau, cfg))
                 assert model.exact_witness(det) == pytest.approx(oracle, rel=1e-4)
                 closed[det].append(model.exact_witness(det))
         for values in closed.values():
@@ -310,11 +336,7 @@ class TestWitnessFromState:
 
 class TestCalibratedBudget:
     def test_aggregate_rates_with_full_detection_budget(self):
-        import os
-        from mechlink.config import parse_config
-        cfg = parse_config(os.path.join(os.path.dirname(__file__), "..",
-                                        "configs", "entangle_realistic.cfg"))
-        model = protocol.build_trial_model(cfg.protocol)
+        model = protocol.build_trial_model(shipped("entangle_realistic.cfg"))
         herald = model.herald_prob()
         joint = sum(model.coincidence_prob(i, j)
                     for i in (1, 2) for j in (1, 2))
@@ -372,10 +394,9 @@ class TestTrialModel:
 
     def test_cutoff_convergence_at_pump_scale(self):
         # with excitation only from the drives, observables converge fast
-        cfg3 = ideal_config(p_pump=0.007)
-        cfg4 = replace(cfg3, cutoff=4, mech_cutoff=4)
-        m3 = protocol.build_trial_model(cfg3, delta_phi=0.4)
-        m4 = protocol.build_trial_model(cfg4, delta_phi=0.4)
+        cfg = ideal_config(p_pump=0.007)
+        m3 = fock_oracle.trial_model(cfg, cutoff=3, mech_cutoff=3, delta_phi=0.4)
+        m4 = fock_oracle.trial_model(cfg, cutoff=4, mech_cutoff=4, delta_phi=0.4)
         assert abs(m3.herald_prob() - m4.herald_prob()) < 1e-6
         for i in (1, 2):
             for j in (1, 2):
@@ -403,3 +424,126 @@ class TestTrialModel:
         assert m.joint.min() >= 0
         assert m.joint.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(m.read_given_pump.sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestFockOracleConvergence:
+    """The truncated Fock tables approach the Gaussian ones from below."""
+
+    def test_stats_tables_converge_with_cutoffs(self):
+        cfg = shipped("entangle_stats.cfg")
+        exact = protocol.build_trial_model(cfg)
+        coarse = fock_oracle.trial_model(cfg, cutoff=3, mech_cutoff=5)
+        fine = fock_oracle.trial_model(cfg, cutoff=4, mech_cutoff=7)
+        rows = exact.pump_marginal > 1e-6
+        assert rows.sum() == 4
+        g = exact.read_given_pump[rows]
+        err_coarse = np.abs(coarse.read_given_pump[rows] - g)
+        err_fine = np.abs(fine.read_given_pump[rows] - g)
+        assert np.all(err_fine < err_coarse)
+        assert np.all(err_fine <= 1e-4 * g)
+
+    def test_time_sweep_rows_converge_at_one_microsecond(self):
+        # the heralded read rows are where truncation at the hot 1 us
+        # occupation bites; one delay point keeps the cutoff-13 run short
+        cfg = shipped("time_sweep.cfg").with_tau(1000e-9)
+        exact = protocol.build_trial_model(cfg).read_given_pump
+        coarse = fock_oracle.trial_model(cfg, cutoff=3, mech_cutoff=10).read_given_pump
+        fine = fock_oracle.trial_model(cfg, cutoff=3, mech_cutoff=13).read_given_pump
+        for pump_idx in (1, 2, 3):              # single- and double-click heralds
+            for read_idx in (1, 2, 3):          # read rows with a click
+                e = exact[pump_idx, read_idx]
+                assert (abs(fine[pump_idx, read_idx] - e)
+                        < abs(coarse[pump_idx, read_idx] - e)), (pump_idx, read_idx)
+                assert fine[pump_idx, read_idx] < e    # truncation crops mass
+
+
+def _separable_configs():
+    base = dict(p_read=0.034, gamma_decay=1 / (4.0 * US),
+                bath_gamma=1 / (0.5 * US), bath_k=0.0)
+    dev = DeviceParams(p_pump=0.006, n_init=0.05, **base)
+    dark_read = DetectorModel(p_dark_read=(5e-5, 5e-5))
+    return {
+        "thermal darks": ProtocolConfig(
+            device_a=DeviceParams(p_pump=0.0, n_init=0.11, **base),
+            device_b=DeviceParams(p_pump=0.0, n_init=0.11, **base),
+            interferometer=InterferometerConfig(),
+            detectors=DetectorModel(p_dark_pump=(2e-4, 2e-4),
+                                    p_dark_read=(5e-5, 5e-5)), tau=123e-9),
+        "blocked arm": ProtocolConfig(
+            device_a=dev, device_b=replace(dev, eta_path=0.0),
+            interferometer=InterferometerConfig(), detectors=dark_read, tau=123e-9),
+        "lock noise": ProtocolConfig(
+            device_a=dev, device_b=dev,
+            interferometer=InterferometerConfig(phase_jitter_sigma=3.0),
+            detectors=dark_read, tau=123e-9, jitter_nodes=1),
+        "serrodyne off": ProtocolConfig(
+            device_a=dev, device_b=dev,
+            interferometer=InterferometerConfig(serrodyne=False),
+            detectors=dark_read, tau=123e-9),
+    }
+
+
+class TestGaussianTables:
+    @pytest.mark.parametrize("name", ["entangle_stats.cfg", "entangle_realistic.cfg",
+                                      "time_sweep.cfg", "thermal darks", "blocked arm",
+                                      "lock noise", "serrodyne off", "jitter nodes"])
+    def test_tables_are_distributions(self, name):
+        if name.endswith(".cfg"):
+            cfg = shipped(name).with_tau(3000e-9 if name == "time_sweep.cfg" else 123e-9)
+        elif name == "jitter nodes":
+            cfg = replace(ideal_config(), interferometer=InterferometerConfig(
+                phase_jitter_sigma=0.6))
+        else:
+            cfg = _separable_configs()[name]
+        m = protocol.build_trial_model(cfg, delta_phi=1.9375 * math.pi)
+        assert m.joint.min() >= 0.0
+        assert m.read_given_pump.min() >= 0.0
+        assert abs(m.joint.sum() - 1.0) <= 1e-12
+        assert np.all(np.abs(m.read_given_pump.sum(axis=1) - 1.0) <= 1e-12)
+        assert m.truncation_budget == 0.0
+
+    @pytest.mark.parametrize("name", ["thermal darks", "blocked arm", "lock noise",
+                                      "serrodyne off"])
+    def test_separable_configs_keep_exact_witness_floor(self, name):
+        # the witness bound from the exact correlations, and the moment
+        # ratio where a coherence survives, stay at or above one; no fringe
+        # contrast or no coherence leaves them unbounded
+        from mechlink.stats import StatsError, witness_from_g2
+        m = protocol.build_trial_model(_separable_configs()[name],
+                                       delta_phi=1.9375 * math.pi)
+        for det in (1, 2):
+            try:
+                assert witness_from_g2(m.g2_exact(1, det), m.g2_exact(2, det)) >= 1.0
+            except StatsError:
+                pass
+            try:
+                assert m.exact_witness(det) >= 1.0
+            except protocol.ProtocolError:
+                pass
+
+    @pytest.mark.parametrize("case", ["jitter 0.19", "serrodyne off", "jitter 3.0"])
+    def test_rotation_quadrature_order_is_converged(self, case, monkeypatch):
+        cfg = {"jitter 0.19": shipped("time_sweep.cfg").with_tau(1000e-9),
+               "serrodyne off": _separable_configs()["serrodyne off"],
+               "jitter 3.0": _separable_configs()["lock noise"]}[case]
+        base = protocol.build_trial_model(cfg)
+        monkeypatch.setattr(protocol, "ROTATION_NODES", 2 * protocol.ROTATION_NODES)
+        doubled = protocol.build_trial_model(cfg)
+        assert np.max(np.abs(doubled.joint - base.joint)) <= 1e-12
+        # conditional rows divide by the pump marginal, which magnifies the
+        # rounding of rare heralds; compare the well-populated ones
+        rows = base.pump_marginal > 1e-3
+        assert np.max(np.abs(doubled.read_given_pump[rows]
+                             - base.read_given_pump[rows])) <= 1e-12
+        for det in base.witness_moments:
+            assert doubled.witness_moments[det] == pytest.approx(
+                base.witness_moments[det], rel=1e-12)
+
+    def test_click_table_deficits_fail_loudly(self):
+        # rounding-level negatives are exact zeros; nothing is renormalized
+        table = np.array([0.5, 0.3, 0.2 + 1e-16, -1e-16])
+        assert list(protocol._checked_table(table, 1.0, "t")) == [0.5, 0.3, 0.2 + 1e-16, 0.0]
+        with pytest.raises(protocol.ProtocolError, match="most negative entry -1.000e-09"):
+            protocol._checked_table(np.array([0.5, 0.5, 1e-9, -1e-9]), 1.0, "t")
+        with pytest.raises(protocol.ProtocolError, match="normalization deficit -1.000e-06"):
+            protocol._checked_table(np.array([0.5, 0.3, 0.2 - 1e-6, 0.0]), 1.0, "t")
