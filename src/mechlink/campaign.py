@@ -3,15 +3,14 @@
 Per-trial outcomes are drawn from the 4x4 table computed once per
 setting by the protocol module, using a counter-based generator keyed by
 (master seed, stream, chunk): identical (config, trials, seed) produce
-byte-identical click logs regardless of worker count or chunking.
+byte-identical click logs regardless of worker count.  Only the trials
+with a click are drawn, so the cost scales with clicks, not trials.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -27,16 +26,29 @@ CHUNK_TRIALS = 1 << 20
 
 WINDOW_PUMP = 0
 WINDOW_READ = 1
-_WINDOW_NAMES = {WINDOW_PUMP: "pump", WINDOW_READ: "read"}
-_WINDOW_CODES = {v: k for k, v in _WINDOW_NAMES.items()}
+
+# click-log text, formatted CSV_BLOCK_ROWS rows at a time: a row is the
+# trial's digits, then the suffix of its slot 2 * window + detector - 1
+CSV_BLOCK_ROWS = 1 << 16
+_ROW_SUFFIX = np.frombuffer(b",1,pump\n,2,pump\n,1,read\n,2,read\n",
+                            np.uint8).reshape(4, 8)
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+_CSV_DTYPE = [("trial", np.int64), ("detector", np.int8), ("window", "S8")]
+
+# bit s of an outcome code, pump + 4 * read in outcome_index order, is the
+# click in slot s, so a code's rows listed by slot are in log order
+_CODE_SLOTS = (np.arange(16)[:, None] >> np.arange(4)) & 1 == 1
 
 
 class CampaignError(ValueError):
     pass
 
 
-def atomic_write(path, text: str) -> None:
-    """Write-then-rename so readers never observe partial files."""
+def atomic_write(path, text) -> None:
+    """Write-then-rename so readers never observe partial files.
+
+    `text` is a string or an iterable of string blocks, written in turn.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
@@ -44,7 +56,7 @@ def atomic_write(path, text: str) -> None:
                                suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -106,14 +118,15 @@ class ClickLog:
 
     # -- serialization ------------------------------------------------
 
+    def _csv_blocks(self):
+        yield "trial,detector,window\n"
+        slot = 2 * self.window + self.detector - 1
+        for lo in range(0, len(self), CSV_BLOCK_ROWS):
+            yield _format_rows(self.trial[lo:lo + CSV_BLOCK_ROWS],
+                               slot[lo:lo + CSV_BLOCK_ROWS])
+
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["trial", "detector", "window"])
-        names = _WINDOW_NAMES
-        for t, d, w in zip(self.trial, self.detector, self.window):
-            writer.writerow([int(t), int(d), names[int(w)]])
-        return buf.getvalue()
+        return "".join(self._csv_blocks())
 
     def metadata(self) -> dict:
         from . import __version__
@@ -127,7 +140,7 @@ class ClickLog:
         }
 
     def save(self, csv_path, meta_path) -> None:
-        atomic_write(csv_path, self.to_csv())
+        atomic_write(csv_path, self._csv_blocks())
         atomic_write(meta_path, json.dumps(self.metadata(), indent=2,
                                            sort_keys=True) + "\n")
 
@@ -137,25 +150,41 @@ class ClickLog:
         if meta_path is not None:
             with open(meta_path) as fh:
                 meta = json.load(fh)
-        trials, dets, wins = [], [], []
-        with open(csv_path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["trial", "detector", "window"]:
-                raise CampaignError(f"unexpected click-log header: {header}")
-            for row in reader:
-                trials.append(int(row[0]))
-                dets.append(int(row[1]))
-                if row[2] not in _WINDOW_CODES:
-                    raise CampaignError(f"unknown window label {row[2]!r}")
-                wins.append(_WINDOW_CODES[row[2]])
-        n_trials = meta.get("n_trials", (max(trials) + 1) if trials else 0)
+        with open(csv_path, "rb") as fh:
+            header, _, body = fh.read().partition(b"\n")
+        if header.rstrip(b"\r") != b"trial,detector,window":
+            raise CampaignError(f"unexpected click-log header: {header!r}")
+        try:
+            rows = (np.loadtxt(io.BytesIO(body), dtype=_CSV_DTYPE, delimiter=",",
+                               comments=None, ndmin=1)
+                    if body.strip() else np.zeros(0, _CSV_DTYPE))
+        except ValueError as exc:
+            raise CampaignError(f"malformed click-log row: {exc}") from None
+        unknown = (rows["window"] != b"pump") & (rows["window"] != b"read")
+        if unknown.any():
+            label = rows["window"][unknown][0].decode(errors="replace")
+            raise CampaignError(f"unknown window label {label!r}")
+        trial = rows["trial"]
+        n_trials = meta.get("n_trials", int(trial.max()) + 1 if len(trial) else 0)
         return cls(n_trials=n_trials, seed=meta.get("seed", 0),
-                   stream=meta.get("stream", 0),
-                   trial=np.array(trials, dtype=np.int64),
-                   detector=np.array(dets, dtype=np.int8),
-                   window=np.array(wins, dtype=np.int8),
+                   stream=meta.get("stream", 0), trial=trial, detector=rows["detector"],
+                   window=np.where(rows["window"] == b"read", WINDOW_READ, WINDOW_PUMP),
                    config_snapshot=meta.get("config", {}))
+
+
+def _format_rows(trial, slot) -> str:
+    """CSV rows of one block: each trial's digits right-aligned in a byte
+    matrix, its slot's suffix after them, the leading blanks dropped."""
+    n_digits = 1 + np.searchsorted(_POW10, trial, side="right")
+    width = int(n_digits.max())
+    out = np.empty((len(trial), width + 8), np.uint8)
+    q = trial
+    for j in range(width - 1, -1, -1):
+        q, out[:, j] = np.divmod(q, 10)
+    out[:, :width] += ord("0")
+    out[:, width:] = _ROW_SUFFIX[slot]
+    keep = np.arange(width + 8) >= width - n_digits[:, None]
+    return out[keep].tobytes().decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -168,31 +197,22 @@ def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_chunk(model_tables, seed, stream, chunk_index, start, count):
-    """Outcome codes for trials [start, start+count): (pump, read) per trial."""
-    pump_cdf, read_cdf = model_tables
+def _sample_chunk(model, seed, stream, chunk_index, count):
+    """Sorted positions in [0, count) of the trials with a click, and their
+    outcome codes.  The empty trials are skipped (Devroye, Non-Uniform
+    Random Variate Generation, 1986, ch. X): the number of trials with a
+    click is binomial, their positions a uniform subset of that size, and
+    their codes follow the joint table given a click.
+    """
+    # P(pump, read) in code order pump + 4 * read, cumulated over codes 1..15
+    joint = model.pump_marginal[:, None] * model.read_given_pump
+    code_cdf = np.cumsum(joint.T.ravel()[1:])
+    p_click = code_cdf[-1]
     rng = _chunk_rng(seed, stream, chunk_index)
-    u = rng.random((count, 2))
-    pump_idx = np.searchsorted(pump_cdf, u[:, 0], side="right").astype(np.int8)
-    rows = read_cdf[pump_idx]
-    read_idx = (u[:, 1, None] >= rows).sum(axis=1).astype(np.int8)
-    return pump_idx, read_idx
-
-
-def _clicks_from_outcomes(start, pump_idx, read_idx):
-    """Sparse (trial, detector, window) rows, ordered, from outcome codes."""
-    rows_t, rows_d, rows_w = [], [], []
-    for window, idx in ((WINDOW_PUMP, pump_idx), (WINDOW_READ, read_idx)):
-        for det in (1, 2):
-            hits = np.nonzero((idx & det) != 0)[0]
-            rows_t.append(hits + start)
-            rows_d.append(np.full(len(hits), det, dtype=np.int8))
-            rows_w.append(np.full(len(hits), window, dtype=np.int8))
-    t = np.concatenate(rows_t)
-    d = np.concatenate(rows_d)
-    w = np.concatenate(rows_w)
-    order = np.lexsort((d, w, t))
-    return t[order], d[order], w[order]
+    k = int(rng.binomial(count, p_click))
+    positions = np.sort(rng.choice(count, k, replace=False, shuffle=False))
+    codes = 1 + np.searchsorted(code_cdf[:-1], p_click * rng.random(k), side="right")
+    return positions, codes
 
 
 def run_campaign(cfg: ProtocolConfig, n_trials: int, seed: int,
@@ -211,40 +231,19 @@ def run_campaign(cfg: ProtocolConfig, n_trials: int, seed: int,
         raise CampaignError("stream must fit in 32 bits")
     if model is None:
         model = build_trial_model(cfg)
-    pump_cdf = np.cumsum(model.pump_marginal)
-    pump_cdf[-1] = 1.0 + 1e-12
-    read_cdf = np.cumsum(model.read_given_pump, axis=1)
-    read_cdf[:, -1] = 1.0 + 1e-12
-    tables = (pump_cdf, read_cdf)
 
-    n_chunks = math.ceil(n_trials / CHUNK_TRIALS) if n_trials else 0
-    jobs = []
-    for c in range(n_chunks):
+    def work(c):
         start = c * CHUNK_TRIALS
-        count = min(CHUNK_TRIALS, n_trials - start)
-        jobs.append((c, start, count))
+        positions, codes = _sample_chunk(model, seed, stream, c,
+                                         min(CHUNK_TRIALS, n_trials - start))
+        row, slot = np.nonzero(_CODE_SLOTS[codes])
+        return positions[row] + start, slot.astype(np.int8)
 
-    def work(job):
-        c, start, count = job
-        pump_idx, read_idx = _sample_chunk(tables, seed, stream, c, start, count)
-        return _clicks_from_outcomes(start, pump_idx, read_idx)
-
-    n_workers = workers if workers is not None else worker_count()
-    if n_workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(work, jobs))
-    else:
-        parts = [work(j) for j in jobs]
-
-    if parts:
-        trial = np.concatenate([p[0] for p in parts])
-        det = np.concatenate([p[1] for p in parts])
-        win = np.concatenate([p[2] for p in parts])
-    else:
-        trial = np.zeros(0, dtype=np.int64)
-        det = np.zeros(0, dtype=np.int8)
-        win = np.zeros(0, dtype=np.int8)
+    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int8))]
+    with ThreadPoolExecutor(max_workers=workers or worker_count()) as pool:
+        parts += pool.map(work, range(-(-n_trials // CHUNK_TRIALS)))
+    trial, slot = (np.concatenate(column) for column in zip(*parts))
 
     return ClickLog(n_trials=n_trials, seed=seed, stream=stream,
-                    trial=trial, detector=det, window=win,
+                    trial=trial, detector=slot % 2 + 1, window=slot // 2,
                     config_snapshot=config_snapshot or {})

@@ -1,10 +1,14 @@
 """Sampling determinism, click-log integrity and serialization."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from mechlink import campaign, protocol, stats
-from mechlink.campaign import WINDOW_PUMP, ClickLog, run_campaign
+from mechlink.campaign import (CHUNK_TRIALS, WINDOW_PUMP, WINDOW_READ, ClickLog,
+                               run_campaign)
 from mechlink.devices import (DetectorModel, DeviceParams, InterferometerConfig,
                               ProtocolConfig)
 
@@ -24,6 +28,39 @@ def small_config():
 @pytest.fixture(scope="module")
 def small_model(small_config):
     return protocol.build_trial_model(small_config)
+
+
+@pytest.fixture(scope="module")
+def high_yield_model():
+    """Every one of the 16 (pump, read) outcomes has probability >= 9e-4."""
+    dev = DeviceParams(p_pump=0.05, p_read=0.5, n_init=0.5, bath_k=0.0)
+    cfg = ProtocolConfig(
+        device_a=dev, device_b=dev,
+        interferometer=InterferometerConfig(),
+        detectors=DetectorModel(eta=(1.0, 1.0),
+                                p_dark_pump=(0.01, 0.01),
+                                p_dark_read=(0.01, 0.01)),
+        tau=123e-9)
+    return protocol.build_trial_model(cfg)
+
+
+def outcome_counts(log):
+    """Trials per (pump, read) outcome, rebuilt from the log's rows."""
+    codes = np.zeros(log.n_trials, dtype=np.int64)
+    np.bitwise_or.at(codes, log.trial, 1 << (2 * log.window + log.detector - 1))
+    counts = np.bincount(codes, minlength=16)
+    return counts.reshape(4, 4).T        # [pump outcome, read outcome]
+
+
+def csv_writer_reference(log):
+    """The click-log text as csv.writer writes it, one row at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["trial", "detector", "window"])
+    names = {WINDOW_PUMP: "pump", WINDOW_READ: "read"}
+    for t, d, w in zip(log.trial, log.detector, log.window):
+        writer.writerow([int(t), int(d), names[int(w)]])
+    return buf.getvalue()
 
 
 class TestDeterminism:
@@ -82,6 +119,26 @@ class TestAgreementWithExactModel:
         heralds = len(np.unique(log.trial[pump_rows]))
         assert abs(heralds - n * p) < 3 * np.sqrt(n * p)
 
+    def test_every_outcome_cell_within_binomial_bounds(self, high_yield_model):
+        n = 2 * CHUNK_TRIALS + 5
+        m = high_yield_model
+        log = run_campaign(m.config, n, seed=13, model=m)
+        expected = n * m.pump_marginal[:, None] * m.read_given_pump
+        assert expected.min() >= 100
+        sigma = np.sqrt(expected * (1 - expected / n))
+        assert np.all(np.abs(outcome_counts(log) - expected) < 4 * sigma)
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_TRIALS - 1, CHUNK_TRIALS + 1])
+    def test_rows_are_the_popcounts_of_the_sampled_codes(self, high_yield_model, n):
+        m = high_yield_model
+        log = run_campaign(m.config, n, seed=4, model=m)
+        log._validate_rows()
+        codes = [campaign._sample_chunk(m, 4, 0, c, min(CHUNK_TRIALS, n - start))[1]
+                 for c, start in enumerate(range(0, n, CHUNK_TRIALS))]
+        popcounts = [np.unpackbits(c.astype(np.uint8)).sum() for c in codes]
+        assert log.n_trials == n
+        assert len(log) == sum(popcounts)
+
 
 class TestClickLog:
     def test_row_ordering_enforced(self):
@@ -113,3 +170,54 @@ class TestClickLog:
     def test_csv_header(self, small_config, small_model):
         log = run_campaign(small_config, 1000, seed=1, model=small_model)
         assert log.to_csv().splitlines()[0] == "trial,detector,window"
+
+    def test_csv_format_is_pinned(self, tmp_path):
+        n = 12_345_678_901
+        log = ClickLog(n_trials=n, seed=3, stream=2,
+                       trial=[0, 9, 10, 99, 100, 100, 100, 100, n - 1],
+                       detector=[1, 2, 1, 2, 1, 2, 1, 2, 2],
+                       window=[0, 0, 1, 1, 0, 0, 1, 1, 1])
+        text = log.to_csv()
+        assert text == ("trial,detector,window\n"
+                        "0,1,pump\n9,2,pump\n10,1,read\n99,2,read\n"
+                        "100,1,pump\n100,2,pump\n100,1,read\n100,2,read\n"
+                        "12345678900,2,read\n")
+        assert text == csv_writer_reference(log)
+        log.save(tmp_path / "log.csv", tmp_path / "log.json")
+        assert (tmp_path / "log.csv").read_bytes() == text.encode()
+        back = ClickLog.from_csv(tmp_path / "log.csv", tmp_path / "log.json")
+        assert (back.n_trials, back.seed, back.stream) == (n, 3, 2)
+        assert back.to_csv() == text
+
+    def test_csv_matches_row_writer_across_blocks(self, high_yield_model):
+        m = high_yield_model
+        log = run_campaign(m.config, 400_000, seed=8, model=m)
+        assert len(log) > 2 * campaign.CSV_BLOCK_ROWS
+        assert log.to_csv() == csv_writer_reference(log)
+
+    def test_empty_log_round_trip(self, tmp_path):
+        log = ClickLog(n_trials=7, seed=0, stream=0, trial=[], detector=[], window=[])
+        assert log.to_csv() == "trial,detector,window\n"
+        log.save(tmp_path / "log.csv", tmp_path / "log.json")
+        back = ClickLog.from_csv(tmp_path / "log.csv", tmp_path / "log.json")
+        assert back.n_trials == 7 and len(back) == 0
+
+    @pytest.mark.parametrize("body, match", [
+        ("5,1,pump\n6,1\n", "malformed click-log row"),
+        ("5,1,pump\nx,1,read\n", "malformed click-log row"),
+        ("5.5,1,read\n", "malformed click-log row"),
+        ("5,1,pump,7\n", "malformed click-log row"),
+        ("5,1,pump\n6,2,probe\n", "unknown window label 'probe'"),
+        ("5,3,read\n", "detector must be 1 or 2"),
+    ])
+    def test_malformed_rows_raise_campaign_error(self, tmp_path, body, match):
+        path = tmp_path / "bad.csv"
+        path.write_text("trial,detector,window\n" + body)
+        with pytest.raises(campaign.CampaignError, match=match):
+            ClickLog.from_csv(path)
+
+    def test_unexpected_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("trial,window,detector\n5,pump,1\n")
+        with pytest.raises(campaign.CampaignError, match="header"):
+            ClickLog.from_csv(path)

@@ -111,6 +111,21 @@ class TestCliRuns:
         assert manifest["subcommand"] == "witness"
         assert len(manifest["config_sha256"]) == 64
 
+    def test_analyze_click_log_reproduces_witness_tally(self, tmp_path):
+        cfg = write_cfg(tmp_path, MINIMAL + "\n[output]\nsave_clicklog = on\n")
+        out = tmp_path / "out"
+        rc = cli.main(["witness", "--config", str(cfg), "--out", str(out),
+                       "--trials", "300000"])
+        assert rc == 0
+        analyze = write_cfg(tmp_path, "[analyze]\nclicklog_csv = out/clicklog.csv\n"
+                            "clicklog_meta = out/clicklog_meta.json\n", "analyze.cfg")
+        rc = cli.main(["analyze", "--config", str(analyze), "--out",
+                       str(tmp_path / "re")])
+        assert rc == 0
+        tally = (out / "tally.json").read_bytes()
+        assert json.loads(tally)["Cr1p1"] > 0
+        assert (tmp_path / "re" / "tally.json").read_bytes() == tally
+
     def test_seed_required_for_simulation(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL.replace("seed = 7", ""))
         rc = cli.main(["witness", "--config", str(cfg), "--out",
