@@ -65,7 +65,7 @@ _SCHEMA = {
         "leak_pump_scale": float, "read_eta_scale": float,
     },
     "protocol": {
-        "tau_ns": float, "jitter_nodes": int,
+        "tau_ns": float,
     },
     "campaign": {"trials": int, "seed": int},
     "analysis": {
@@ -245,8 +245,6 @@ def parse_config(path) -> RunConfig:
             kwargs = {}
             if "tau_ns" in proto:
                 kwargs["tau"] = proto["tau_ns"] * NS
-            if "jitter_nodes" in proto:
-                kwargs["jitter_nodes"] = proto["jitter_nodes"]
             try:
                 cfg.protocol = ProtocolConfig(device_a=dev_a, device_b=dev_b,
                                               interferometer=intf, detectors=dets,

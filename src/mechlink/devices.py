@@ -148,14 +148,6 @@ class DetectorModel:
     def read_eta(self, detector: int) -> float:
         return self.eta[detector] * self.read_eta_scale
 
-    def background_per_phonon(self, window: str, detector: int,
-                              phonon_scale: float) -> float:
-        """Report-only: false clicks per detected phonon at the given scale."""
-        p = (self.p_dark_pump if window == "pump" else self.p_dark_read)[detector]
-        if phonon_scale <= 0:
-            return float("inf")
-        return p / phonon_scale
-
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -164,7 +156,6 @@ class ProtocolConfig:
     interferometer: InterferometerConfig = field(default_factory=InterferometerConfig)
     detectors: DetectorModel = field(default_factory=DetectorModel)
     tau: float = 123e-9                  # pump-to-read delay, s
-    jitter_nodes: int = 9                # quadrature nodes when jitter > 0
 
     def __post_init__(self):
         _check(self)
@@ -177,8 +168,6 @@ class ProtocolConfig:
         out += self.detectors.violations()
         if self.tau < 0:
             out.append("tau must be non-negative")
-        if self.jitter_nodes < 1:
-            out.append("jitter_nodes must be positive")
         return out
 
     def devices(self) -> tuple:

@@ -348,14 +348,14 @@ def false_click_probs(cfg: ProtocolConfig) -> tuple:
     return pump, read
 
 
-def pump_stage(cfg: ProtocolConfig, jitter_phase: float = 0.0) -> PumpStageResult:
+def pump_stage(cfg: ProtocolConfig) -> PumpStageResult:
     """Exact pre-measurement state and click analysis of the pump window."""
     intf = cfg.interferometer
     dev_a, dev_b = cfg.devices()
     state = _thermal([dev_a.start_occupation, dev_b.start_occupation, 0.0, 0.0])
     state = _two_mode_squeeze(state, MA, OA, dev_a.p_pump)
     state = _two_mode_squeeze(state, MB, OB, dev_b.p_pump,
-                              phase=intf.phi0 + jitter_phase)
+                              phase=intf.phi0)
     state = _attenuate(state, OA, dev_a.eta_path * intf.arm_attenuation("A"))
     state = _attenuate(state, OB, dev_b.eta_path * intf.arm_attenuation("B"))
     state = _distinguishability_twirl(
@@ -441,8 +441,7 @@ class ReadStageResult:
 
 
 def readout_stage(mech_state: GaussianState, cfg: ProtocolConfig,
-                  delta_phi: float | None = None,
-                  jitter_phase: float = 0.0) -> ReadStageResult:
+                  delta_phi: float | None = None) -> ReadStageResult:
     """Partial state swap, interference and detection of the read window.
 
     The click probabilities carry the trace of `mech_state`.
@@ -450,7 +449,7 @@ def readout_stage(mech_state: GaussianState, cfg: ProtocolConfig,
     intf = cfg.interferometer
     if delta_phi is None:
         delta_phi = intf.delta_phi
-    theta_r = intf.phi0 + delta_phi + jitter_phase
+    theta_r = intf.phi0 + delta_phi
     dev_a, dev_b = cfg.devices()
 
     state = _with_vacuum(mech_state, 2)
@@ -630,27 +629,6 @@ class TrialModel:
         return float(num / coh2)
 
 
-def _jitter_nodes(cfg: ProtocolConfig):
-    sigma = cfg.interferometer.phase_jitter_sigma
-    if sigma <= 0 or cfg.jitter_nodes == 1:
-        return np.array([0.0]), np.array([1.0])
-    x, w = np.polynomial.hermite.hermgauss(cfg.jitter_nodes)
-    return sigma * math.sqrt(2.0) * x, w / math.sqrt(math.pi)
-
-
-def _use_jitter_twirl(cfg: ProtocolConfig) -> bool:
-    """Fast lock-noise path: dephase the heralded coherence instead of
-    quadrature over full pipeline evaluations.
-
-    Within a trial the pump imprint and the read drive share the same
-    lock offset, so the fringe phase shifts by twice the offset; the
-    Gaussian average is exactly a relative-phase twirl of doubled sigma
-    on the conditional mechanical states (the neglected residue is the
-    O(p_pump^2) two-pair interference in the pump window).
-    """
-    return cfg.interferometer.phase_jitter_sigma > 0 and cfg.jitter_nodes == 1
-
-
 def _moment(state: GaussianState, ops) -> complex:
     """Tr[rho O_1 ... O_k] for ladder operators O = (mode, dagger).
 
@@ -687,8 +665,8 @@ def _witness_moments(pump: PumpStageResult, detector: int) -> np.ndarray:
     """Unnormalized moments of Tr_opt[n_j rho] before the delay.
 
     Order: (<n_j>, <nA nB>, <nA>, <nB>, <a_A+ a_B>), each weighted by the
-    herald intensity <n_j>, so averages over jitter nodes stay linear;
-    that is Tr[n_j X rho] for each X on the pre-measurement pump state.
+    herald intensity <n_j>: Tr[n_j X rho] for each X on the
+    pre-measurement pump state.
     """
     port = OA if detector == 1 else OB
     n_j = ((port, True), (port, False))
@@ -697,18 +675,18 @@ def _witness_moments(pump: PumpStageResult, detector: int) -> np.ndarray:
     return np.array([_moment(pump.state, n_j + op) for op in ops])
 
 
-def _delayed_witness_moments(acc: np.ndarray, tau: float, cfg: ProtocolConfig,
+def _delayed_witness_moments(moments: np.ndarray, tau: float, cfg: ProtocolConfig,
                              twirl_sigma: float) -> tuple:
     """(<nA nB>, |<a_A+ a_B>|^2) after the delay, from `_witness_moments`.
 
     Per mode the delay is a thermal attenuator (eta, N): in the
     Heisenberg picture n -> eta n + N and a -> sqrt(eta) e^{i phi} a, so
     nA nB -> (etaA nA + NA)(etaB nB + NB) and the coherence shrinks by
-    sqrt(etaA etaB).  The pump share sigma/2 of the jitter twirl damps
+    sqrt(etaA etaB).  The pump share sigma/2 of the lock-noise twirl damps
     |<a_A+ a_B>|^2 by exp(-(sigma/2)^2).
     """
     (eta_a, n_a), (eta_b, n_b) = _thermal_attenuators(cfg, tau)
-    _, nn, na, nb, coh = acc / acc[0].real
+    _, nn, na, nb, coh = moments / moments[0].real
     num = (eta_a * eta_b * nn + eta_a * n_b * na + n_a * eta_b * nb).real
     num += n_a * n_b
     coh2 = eta_a * eta_b * abs(coh) ** 2 * math.exp(-(0.5 * twirl_sigma) ** 2)
@@ -737,10 +715,15 @@ def build_trial_model(cfg: ProtocolConfig, delta_phi: float | None = None,
                       tau: float | None = None) -> TrialModel:
     """Assemble the exact 4x4 observed-outcome table for one setting.
 
-    Residual lock jitter is integrated out with Gauss-Hermite quadrature;
-    within one trial the pump and read windows share the same phase
-    offset, so the average runs over full pipeline evaluations.  Each
-    click-conditioned mechanical state goes through the delay and the
+    Residual lock noise offsets the path phase by one theta ~ N(0,
+    sigma^2) per trial, shared by the pump imprint and the read drive.
+    Each device's reduced optical state after the pump is thermal and
+    phase-invariant, so theta leaves the pump click table alone and acts
+    as a rotation of mech B; that rotation commutes with the optical
+    vacuum projections and the delay, so the pump and read offsets add
+    to one rotation by 2 theta.  The noise average is therefore exactly a
+    relative-phase twirl of width 2 sigma on each click-conditioned
+    mechanical state.  Each such state goes through the delay and the
     read stage unnormalized, so the read table row it yields is already
     P(pump outcome, read outcome).  The witness moments of the
     intensity-weighted herald follow from the delay's closed-form
@@ -750,33 +733,22 @@ def build_trial_model(cfg: ProtocolConfig, delta_phi: float | None = None,
         delta_phi = cfg.interferometer.delta_phi
     if tau is None:
         tau = cfg.tau
-    twirl_sigma = 0.0
-    if _use_jitter_twirl(cfg):
-        twirl_sigma = 2.0 * cfg.interferometer.phase_jitter_sigma
-        nodes, weights = np.array([0.0]), np.array([1.0])
-    else:
-        nodes, weights = _jitter_nodes(cfg)
+    twirl_sigma = 2.0 * cfg.interferometer.phase_jitter_sigma
 
+    pump = pump_stage(cfg)
+    quantum = np.zeros((4, 4))       # P(pump outcome, read outcome), no falses
+    for q_idx, mech in enumerate(pump.mech_given):
+        if twirl_sigma > 0:
+            mech = _rotation_twirl(mech, MB, twirl_sigma)
+        quantum[q_idx] = readout_stage(evolve_delay(mech, tau, cfg), cfg,
+                                       delta_phi=delta_phi).quantum_probs
     false_pump, false_read = false_click_probs(cfg)
-    f_pump, f_read = _false_click_matrix(false_pump), _false_click_matrix(false_read)
-    joint = np.zeros((4, 4))
-    witness_acc = {1: np.zeros(5, complex), 2: np.zeros(5, complex)}
-    for node, weight in zip(nodes, weights):
-        pump = pump_stage(cfg, jitter_phase=node)
-        quantum = np.zeros((4, 4))       # P(pump outcome, read outcome), no falses
-        for q_idx, mech in enumerate(pump.mech_given):
-            if twirl_sigma > 0:
-                mech = _rotation_twirl(mech, MB, twirl_sigma)
-            quantum[q_idx] = readout_stage(evolve_delay(mech, tau, cfg), cfg,
-                                           delta_phi=delta_phi,
-                                           jitter_phase=node).quantum_probs
-        joint += weight * f_pump.T @ quantum @ f_read
-        for det in (1, 2):
-            witness_acc[det] += weight * _witness_moments(pump, det)
+    joint = _false_click_matrix(false_pump).T @ quantum @ _false_click_matrix(false_read)
 
     # the weighted states carry only the pump's share of the lock noise
     # (the read drive adds the other half to the fringe)
+    moments = {det: _witness_moments(pump, det) for det in (1, 2)}
     witness_moments = {
-        det: _delayed_witness_moments(acc, tau, cfg, twirl_sigma)
-        for det, acc in witness_acc.items() if acc[0].real > 1e-15}
+        det: _delayed_witness_moments(m, tau, cfg, twirl_sigma)
+        for det, m in moments.items() if m[0].real > 1e-15}
     return _trial_model(cfg, delta_phi, joint, witness_moments)

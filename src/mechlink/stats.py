@@ -90,26 +90,11 @@ class CoincidenceTally:
     def loads(cls, text: str) -> "CoincidenceTally":
         return cls.from_json_dict(json.loads(text))
 
-    def __add__(self, other: "CoincidenceTally") -> "CoincidenceTally":
-        return CoincidenceTally(
-            n_trials=self.n_trials + other.n_trials,
-            pump_singles=tuple(a + b for a, b in
-                               zip(self.pump_singles, other.pump_singles)),
-            read_singles=tuple(a + b for a, b in
-                               zip(self.read_singles, other.read_singles)),
-            coincidences=tuple(
-                tuple(self.coincidences[i][j] + other.coincidences[i][j]
-                      for j in (0, 1)) for i in (0, 1)),
-        )
 
-
-def tally(log: ClickLog, pump_window: int = WINDOW_PUMP,
-          read_window: int = WINDOW_READ) -> CoincidenceTally:
+def tally(log: ClickLog) -> CoincidenceTally:
     """Count singles and per-trial pump/read coincidences from a click log."""
-    if pump_window == read_window:
-        raise StatsError("pump and read windows overlap")
-    pump_mask = log.window == pump_window
-    read_mask = log.window == read_window
+    pump_mask = log.window == WINDOW_PUMP
+    read_mask = log.window == WINDOW_READ
     pump_singles = []
     read_singles = []
     pump_trials = {}
@@ -238,9 +223,6 @@ class WitnessDistribution:
 
     def interval(self) -> tuple:
         return (self.lower, self.upper)
-
-    def cdf_below(self, threshold: float) -> float:
-        return confidence_below(self, threshold)
 
     def to_json_dict(self) -> dict:
         return {

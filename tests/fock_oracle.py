@@ -97,8 +97,7 @@ def _joint_click_analysis(state: fock.DensityMatrix, port1: int, port2: int):
     return probs / probs.sum(), states
 
 
-def pump_stage(cfg, jitter_phase: float = 0.0, cutoff: int = 3,
-               mech_cutoff: int = 3) -> PumpStageResult:
+def pump_stage(cfg, cutoff: int = 3, mech_cutoff: int = 3) -> PumpStageResult:
     """Pump window on the [mA, mB, port1, port2] Fock register."""
     intf = cfg.interferometer
     reg = fock.ModeRegister(4, cutoff, cutoffs=(mech_cutoff, mech_cutoff, cutoff, cutoff))
@@ -109,7 +108,7 @@ def pump_stage(cfg, jitter_phase: float = 0.0, cutoff: int = 3,
     state = fock.two_mode_squeeze(state, MA, OA, dev_a.p_pump, phase=0.0,
                                   tol=PIPELINE_TOL)
     state = fock.two_mode_squeeze(state, MB, OB, dev_b.p_pump,
-                                  phase=intf.phi0 + jitter_phase, tol=PIPELINE_TOL)
+                                  phase=intf.phi0, tol=PIPELINE_TOL)
     state = fock.loss_channel(state, OA, dev_a.eta_path * intf.arm_attenuation("A"))
     state = fock.loss_channel(state, OB, dev_b.eta_path * intf.arm_attenuation("B"))
     state = distinguishability_twirl(state, OA, OB,
@@ -197,12 +196,12 @@ def evolve_delay(state: fock.DensityMatrix, tau: float, cfg,
 
 
 def readout_stage(mech_state: fock.DensityMatrix, cfg, delta_phi=None,
-                  jitter_phase: float = 0.0, cutoff: int = 3) -> ReadStageResult:
+                  cutoff: int = 3) -> ReadStageResult:
     """Read window on [mA, mB, read A, read B]."""
     intf = cfg.interferometer
     if delta_phi is None:
         delta_phi = intf.delta_phi
-    theta_r = intf.phi0 + delta_phi + jitter_phase
+    theta_r = intf.phi0 + delta_phi
     dev_a, dev_b = cfg.devices()
     state = fock.extend_with_vacuum(mech_state, 2, cutoff=cutoff)
     ra, rb = 2, 3
@@ -237,35 +236,27 @@ def trial_model(cfg, cutoff: int = 3, mech_cutoff: int = 3, delta_phi=None,
                 tau=None) -> protocol.TrialModel:
     """The observed 4x4 outcome table of the Fock pipeline (no witness moments).
 
-    Lock jitter follows the runtime: the doubled-sigma twirl of the
-    conditional mechanical states when `jitter_nodes` is 1, otherwise
-    Gauss-Hermite nodes over full pipeline evaluations.  Mass lost to
-    truncation is renormalized away.
+    Lock jitter follows the runtime: a relative-phase twirl of doubled
+    sigma on the conditional mechanical states.  Mass lost to truncation
+    is renormalized away.
     """
     if delta_phi is None:
         delta_phi = cfg.interferometer.delta_phi
     if tau is None:
         tau = cfg.tau
-    twirl_sigma = 0.0
-    if protocol._use_jitter_twirl(cfg):
-        twirl_sigma = 2.0 * cfg.interferometer.phase_jitter_sigma
-        nodes, weights = np.array([0.0]), np.array([1.0])
-    else:
-        nodes, weights = protocol._jitter_nodes(cfg)
+    twirl_sigma = 2.0 * cfg.interferometer.phase_jitter_sigma
     false_pump, false_read = false_click_probs(cfg)
-    joint = np.zeros((4, 4))
-    for node, weight in zip(nodes, weights):
-        pump = pump_stage(cfg, node, cutoff, mech_cutoff)
-        quantum = np.zeros((4, 4))
-        for q_idx, (p_q, mech) in enumerate(zip(pump.quantum_probs, pump.mech_given)):
-            if p_q <= 1e-16 or mech is None:
-                quantum[q_idx, 0] = p_q
-                continue
-            if twirl_sigma > 0:
-                mech = fock.phase_noise_twirl(mech, MB, twirl_sigma)
-            rd = readout_stage(evolve_delay(mech, tau, cfg), cfg, delta_phi, node, cutoff)
-            quantum[q_idx] = p_q * rd.quantum_probs
-        joint += weight * (protocol._false_click_matrix(false_pump).T @ quantum
-                           @ protocol._false_click_matrix(false_read))
+    pump = pump_stage(cfg, cutoff, mech_cutoff)
+    quantum = np.zeros((4, 4))
+    for q_idx, (p_q, mech) in enumerate(zip(pump.quantum_probs, pump.mech_given)):
+        if p_q <= 1e-16 or mech is None:
+            quantum[q_idx, 0] = p_q
+            continue
+        if twirl_sigma > 0:
+            mech = fock.phase_noise_twirl(mech, MB, twirl_sigma)
+        rd = readout_stage(evolve_delay(mech, tau, cfg), cfg, delta_phi, cutoff)
+        quantum[q_idx] = p_q * rd.quantum_probs
+    joint = (protocol._false_click_matrix(false_pump).T @ quantum
+             @ protocol._false_click_matrix(false_read))
     joint = np.clip(joint, 0.0, None)
     return protocol._trial_model(cfg, delta_phi, joint / joint.sum(), {})

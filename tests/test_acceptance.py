@@ -416,7 +416,7 @@ class TestCriterion8Properties:
             device_a=dev, device_b=dev,
             interferometer=InterferometerConfig(phase_jitter_sigma=3.0),
             detectors=DetectorModel(p_dark_read=(5e-5, 5e-5)),
-            tau=123e-9, jitter_nodes=1))
+            tau=123e-9))
         # distinguishable herald photons (no compensation, full detuning)
         configs.append(ProtocolConfig(
             device_a=dev, device_b=dev,

@@ -147,7 +147,7 @@ class TestCliRuns:
         assert rc == 2
         assert "[protocol] heating_slices" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["cutoff", "mech_cutoff"])
+    @pytest.mark.parametrize("key", ["cutoff", "mech_cutoff", "jitter_nodes"])
     def test_removed_cutoff_keys_rejected(self, key, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL.replace("tau_ns = 123",
                                                   f"tau_ns = 123\n{key} = 5"))

@@ -319,7 +319,7 @@ class TestWitnessFromState:
         # oracle: the intensity-weighted herald taken through the Fock
         # delay, then the moment ratio of the evolved state
         cfg = shipped("entangle_stats.cfg")
-        assert cfg.interferometer.phase_jitter_sigma == 0.0   # one pump node
+        assert cfg.interferometer.phase_jitter_sigma == 0.0   # no lock-noise damping
         closed = {1: [], 2: []}
         for mech_cutoff in (5, 7, 9):
             model = protocol.build_trial_model(cfg)
@@ -418,6 +418,43 @@ class TestTrialModel:
 
         assert contrast(m1) < 0.8 * contrast(m0)
 
+    @pytest.mark.parametrize("tau", [123e-9, 1000e-9])
+    @pytest.mark.parametrize("sigma", [0.19, 0.6, 1.5])
+    def test_lock_noise_twirl_matches_gauss_hermite_average(self, sigma, tau):
+        # reference: one lock offset theta per trial shifts phi0 for the
+        # pump imprint and the read drive alike, so average sigma = 0
+        # models over phi0 + theta with a 61-node Gauss-Hermite rule
+        cfg = shipped("time_sweep.cfg").with_tau(tau)
+        intf = cfg.interferometer
+
+        def joint(phi0, jitter):
+            return protocol.build_trial_model(replace(cfg, interferometer=replace(
+                intf, phi0=phi0, phase_jitter_sigma=jitter))).joint
+
+        x, w = np.polynomial.hermite.hermgauss(61)
+        reference = sum(wk / math.sqrt(math.pi)
+                        * joint(intf.phi0 + math.sqrt(2.0) * sigma * xk, 0.0)
+                        for xk, wk in zip(x, w))
+        assert np.max(np.abs(joint(intf.phi0, sigma) - reference)) <= 1e-12
+
+    def test_lock_phase_does_not_reach_pump_table(self):
+        # each device's optical state after the pump is thermal and
+        # phase-invariant, which is what lets the lock noise act as one
+        # rotation of mech B
+        cfg = shipped("time_sweep.cfg")
+        base = protocol.pump_stage(cfg).quantum_probs
+        for phi0 in (0.3, 1.7, math.pi, 5.9):
+            shifted = replace(cfg, interferometer=replace(cfg.interferometer, phi0=phi0))
+            assert np.array_equal(protocol.pump_stage(shifted).quantum_probs, base)
+        marginals = [
+            protocol.build_trial_model(
+                replace(cfg, interferometer=replace(cfg.interferometer,
+                                                    phase_jitter_sigma=sigma)),
+                delta_phi=delta_phi, tau=tau).pump_marginal
+            for sigma in (0.0, 0.6, 3.0) for delta_phi in (0.0, 1.9375 * math.pi)
+            for tau in (123e-9, 1000e-9, 3000e-9)]
+        assert np.max(np.abs(np.array(marginals) - marginals[0])) <= 1e-14
+
     def test_joint_table_is_a_distribution(self):
         cfg = ideal_config()
         m = protocol.build_trial_model(cfg)
@@ -475,7 +512,7 @@ def _separable_configs():
         "lock noise": ProtocolConfig(
             device_a=dev, device_b=dev,
             interferometer=InterferometerConfig(phase_jitter_sigma=3.0),
-            detectors=dark_read, tau=123e-9, jitter_nodes=1),
+            detectors=dark_read, tau=123e-9),
         "serrodyne off": ProtocolConfig(
             device_a=dev, device_b=dev,
             interferometer=InterferometerConfig(serrodyne=False),

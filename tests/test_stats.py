@@ -60,10 +60,6 @@ class TestTally:
         assert t.coincidence(1, 2) == 1       # trial 2
         assert t.coincidence(2, 2) == 1       # trial 2
 
-    def test_overlapping_windows_rejected(self):
-        with pytest.raises(StatsError, match="overlap"):
-            tally(make_log([]), pump_window=WINDOW_PUMP, read_window=WINDOW_PUMP)
-
     def test_json_round_trip(self):
         doc = WITNESS_TALLY.dumps()
         back = CoincidenceTally.loads(doc)
