@@ -83,8 +83,6 @@ def _manifest(out_dir, subcommand, config_path, cfg: RunConfig,
 def _analysis_params(cfg: RunConfig) -> dict:
     a = cfg.analysis
     return {
-        "grid_step": a.get("g2_grid_step", stats.G2_GRID_STEP),
-        "g2_max": a.get("g2_max", stats.G2_MAX),
         "witness_step": a.get("witness_grid_step", stats.WITNESS_GRID_STEP),
         "threshold": a.get("classicality_threshold", 1.0),
         "flux_imbalance": a.get("flux_imbalance", 0.075),
@@ -96,8 +94,7 @@ def _witness_report(tally: stats.CoincidenceTally, params: dict,
     dists = {}
     for det in (1, 2):
         dists[det] = stats.witness_distribution(
-            tally, det, grid_step=params["grid_step"], g2_max=params["g2_max"],
-            witness_step=params["witness_step"])
+            tally, det, witness_step=params["witness_step"])
     sym = stats.symmetrize(dists[1], dists[2])
     threshold = params["threshold"]
     corr = stats.systematic_correction(sym.ml_value, params["flux_imbalance"])
@@ -115,7 +112,7 @@ def _witness_report(tally: stats.CoincidenceTally, params: dict,
             str(det): {
                 "ml": dists[det].ml_value,
                 "lower": dists[det].lower, "upper": dists[det].upper,
-                "grid_warning": dists[det].grid_warning,
+                "below": dists[det].below, "above": dists[det].above,
                 "distribution": {"grid": dists[det].grid,
                                  "mass": dists[det].mass},
             } for det in (1, 2)
@@ -128,6 +125,7 @@ def _witness_report(tally: stats.CoincidenceTally, params: dict,
             "confidence_below_corrected":
                 stats.confidence_below(sym, corr.corrected_threshold),
             "systematic_components": corr.components,
+            "below": sym.below, "above": sym.above,
             "distribution": {"grid": sym.grid, "mass": sym.mass},
         },
     }
@@ -523,6 +521,7 @@ def cmd_plan_fiber(cfg: RunConfig, out_dir, config_path) -> None:
             "trials": it.trials,
             "coincidences": it.coincidences,
             "witness_ml": it.witness_ml,
+            "witness_offgrid_mass": it.witness_offgrid,
         }
     write_json(os.path.join(out_dir, "fiber.json"), doc)
 

@@ -69,8 +69,8 @@ _SCHEMA = {
     },
     "campaign": {"trials": int, "seed": int},
     "analysis": {
-        "g2_grid_step": float, "g2_max": float, "witness_grid_step": float,
-        "classicality_threshold": float, "flux_imbalance": float,
+        "witness_grid_step": float, "classicality_threshold": float,
+        "flux_imbalance": float,
     },
     "sweep": {"delta_phi_pi_list": _parse_float_list,
               "tau_ns_list": _parse_float_list},

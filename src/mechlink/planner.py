@@ -334,6 +334,7 @@ class IntegrationPlan:
     coincidences: float
     witness_ml: float
     witness_sigma_upper: float
+    witness_offgrid: float          # symmetrized witness mass off its grid
     rate_scale: float
     plan: SeparationPlan
 
@@ -391,21 +392,29 @@ def integration_time(link: LinkBudget, separation_km: float,
 
     # sigma scales ~ 1/sqrt(N): bracket then bisect in log space
     n0 = 1e9 / rate_scale
-    c0, sym0, _ = clearance(n0)
+    c0, _, _ = clearance(n0)
     n_guess = n0 * (sigma_clearance / max(c0, 1e-3)) ** 2
     lo, hi = n_guess / 16.0, n_guess * 16.0
+    at_lo = at_hi = None
     for _ in range(12):
         mid = math.sqrt(lo * hi)
-        c, sym, t = clearance(mid)
-        if c < sigma_clearance:
-            lo = mid
+        result = clearance(mid)
+        if result[0] < sigma_clearance:
+            lo, at_lo = mid, result
         else:
-            hi = mid
+            hi, at_hi = mid, result
+    # a bracket end the bisection never moved is solved once, here
+    at_lo = at_lo or clearance(lo)
+    at_hi = at_hi or clearance(hi)
+    if at_lo[0] >= sigma_clearance or at_hi[0] < sigma_clearance:
+        raise PlannerError(f"{sigma_clearance} sigma clearance lies outside "
+                           f"the searched {lo:.3g}-{hi:.3g} trials")
     n_trials = hi
-    c, sym, t = clearance(n_trials)
+    _, sym, t = at_hi
     coinc = sum(t.coincidences[i][j] for i in (0, 1) for j in (0, 1))
     seconds = n_trials * link.repetition_period / (1.0 - link.overhead_fraction)
     return IntegrationPlan(days=seconds / 86400.0, trials=n_trials,
                            coincidences=coinc, witness_ml=sym.ml_value,
                            witness_sigma_upper=sym.upper - sym.ml_value,
+                           witness_offgrid=sym.below + sym.above,
                            rate_scale=rate_scale, plan=plan)

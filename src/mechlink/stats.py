@@ -6,10 +6,11 @@ The measurable entanglement witness for a herald at detector j is
 
 over the two read-detector cross-correlations g_i = g2[r_i, p_j]; any
 separable mechanical state obeys W >= 1 in a balanced setup.  Estimator
-uncertainty is dominated by the few two-fold coincidences, so per-g2
-likelihoods are binomial in the coincidence count given the heralds, and
-the witness distribution is the discretized pushforward of their product
-onto a witness grid.
+uncertainty is dominated by the few two-fold coincidences, so each g2
+has the flat-prior beta posterior of its coincidence count given the
+heralds.  The witness posterior is exact up to quadrature: its CDF at
+the edges of a fixed witness grid is a one-dimensional integral of beta
+CDFs, and the mass off the grid is reported, not folded into it.
 """
 
 from __future__ import annotations
@@ -20,15 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.stats import beta as beta_dist
+from scipy.special import betainc, betaincinv
 
 from .campaign import WINDOW_PUMP, WINDOW_READ, ClickLog
 
-# defaults of the discretization (grid step on g2, support clip, witness grid)
-G2_GRID_STEP = 0.01
-G2_MAX = 30.0
 WITNESS_GRID_STEP = 0.005
 WITNESS_MIN, WITNESS_MAX = -2.0, 20.0
+# Gauss-Legendre nodes of the witness CDF.  Against 1024 nodes, 64 put
+# every bin within 9e-7 on the published tallies and on the widest
+# planner tally (1 and 10 coincidences); that tally's `above` is within
+# 1.2e-5, slowed by the square-root edge where the roots turn complex.
+WITNESS_NODES = 64
 
 
 class StatsError(ValueError):
@@ -133,22 +136,13 @@ class G2Estimate:
         return (self.lower, self.upper)
 
 
-def _g2_scale(tally_: CoincidenceTally, read_det: int, pump_det: int) -> float:
-    """Conversion from the conditional click fraction to normalized g2."""
-    cr = tally_.read_singles[read_det - 1]
-    if cr == 0:
-        raise StatsError("zero read singles")
-    return tally_.n_trials / cr
+def _g2_posterior(tally_: CoincidenceTally, read_det, pump_det) -> tuple:
+    """(c, n, scale): g2 is scale times the coincidence fraction c / n.
 
-
-def g2_from_counts(tally_: CoincidenceTally, read_det, pump_det) -> G2Estimate:
-    """Normalized coincidence estimator with a binomial 68% interval.
-
-    Point estimate C_rp * N / (C_r * C_p); the interval comes from the
-    flat-prior binomial posterior of the coincidence count given the
-    heralds, mapped through the same normalization.  Equal-length
-    sequences of read and pump detectors pool the pairs they zip into:
-    N sum C_rp / sum C_r C_p, with the posterior of the pooled counts.
+    The fraction's flat-prior posterior given the n heralds is
+    Beta(c + 1, n - c + 1).  Equal-length sequences of read and pump
+    detectors pool the pairs they zip into: N sum C_rp / sum C_r C_p,
+    with the posterior of the pooled counts.
     """
     pairs = list(zip(np.atleast_1d(read_det).tolist(),
                      np.atleast_1d(pump_det).tolist(), strict=True))
@@ -162,38 +156,16 @@ def g2_from_counts(tally_: CoincidenceTally, read_det, pump_det) -> G2Estimate:
     # exact integer products, so one pair rounds exactly like N / C_r
     scale = tally_.n_trials * n / denom
     c = sum(tally_.coincidence(i, j) for i, j in pairs)
-    value = c / n * scale
-    post = beta_dist(c + 1, n - c + 1)
-    lo = post.ppf(0.16) * scale
-    hi = post.ppf(0.84) * scale
-    return G2Estimate(value=value, lower=lo, upper=hi, coincidences=c, heralds=n)
+    return c, n, scale
 
 
-def g2_grid_pmf(tally_: CoincidenceTally, read_det: int, pump_det: int,
-                grid_step: float = G2_GRID_STEP,
-                g2_max: float = G2_MAX) -> tuple[np.ndarray, np.ndarray]:
-    """Discretized posterior of one g2 on an equidistant grid.
-
-    Bin k covers g2 in [k*step, (k+1)*step); returned values are bin
-    centers with the binomial posterior mass integrated per bin.
-    """
-    n = tally_.pump_singles[pump_det - 1]
-    if n == 0:
-        raise StatsError("zero pump singles")
-    scale = _g2_scale(tally_, read_det, pump_det)
-    c = tally_.coincidence(read_det, pump_det)
-    n_bins = int(round(g2_max / grid_step))
-    edges = np.arange(n_bins + 1) * grid_step
-    q_edges = np.clip(edges / scale, 0.0, 1.0)
-    cdf = beta_dist(c + 1, n - c + 1).cdf(q_edges)
-    mass = np.diff(cdf)
-    tail = 1.0 - cdf[-1]
-    mass[-1] += tail
-    total = mass.sum()
-    if total <= 0:
-        raise StatsError("posterior mass vanished on the grid")
-    centers = edges[:-1] + 0.5 * grid_step
-    return centers, mass / total
+def g2_from_counts(tally_: CoincidenceTally, read_det, pump_det) -> G2Estimate:
+    """Estimator C_rp N / (C_r C_p) with its posterior's 68% interval."""
+    c, n, scale = _g2_posterior(tally_, read_det, pump_det)
+    return G2Estimate(value=c / n * scale,
+                      lower=betaincinv(c + 1, n - c + 1, 0.16) * scale,
+                      upper=betaincinv(c + 1, n - c + 1, 0.84) * scale,
+                      coincidences=c, heralds=n)
 
 
 # ---------------------------------------------------------------------------
@@ -212,94 +184,114 @@ def witness_from_g2(g2_r1: float, g2_r2: float) -> float:
 
 @dataclass
 class WitnessDistribution:
-    """Discretized distribution of the witness bound."""
+    """Witness posterior on a grid, with the mass the grid cannot hold."""
 
     grid: np.ndarray            # bin centers
-    mass: np.ndarray
-    ml_value: float             # mode of the discretized distribution
+    mass: np.ndarray            # in-grid bin masses
+    ml_value: float             # mode of the binned distribution
     lower: float                # 16th percentile (equal-tailed 68% interval)
     upper: float                # 84th percentile
-    grid_warning: bool = False  # mode unstable under grid halving
-
-    def interval(self) -> tuple:
-        return (self.lower, self.upper)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "grid": self.grid.tolist(),
-            "mass": self.mass.tolist(),
-            "ml_value": self.ml_value,
-            "lower": self.lower,
-            "upper": self.upper,
-            "grid_warning": self.grid_warning,
-        }
+    below: float = 0.0          # mass under the grid
+    above: float = 0.0          # mass over the grid (see `symmetrize`)
 
 
-def _mode_and_interval(grid: np.ndarray, mass: np.ndarray) -> tuple:
-    # most-likely value is the distribution mode; the 68% interval is
-    # equal-tailed (16th and 84th percentiles)
+def _mode_and_interval(grid: np.ndarray, mass: np.ndarray, below: float) -> tuple:
+    # the mode is the heaviest bin; the 68% interval is equal-tailed, read
+    # off the CDF at the bin edges (mass is uniform within a bin)
     ml_idx = int(np.argmax(mass))
-    ml = float(grid[ml_idx])
-    cum = np.cumsum(mass)
-    lo = float(np.interp(0.16, cum, grid))
-    hi = float(np.interp(0.84, cum, grid))
-    return ml, lo, hi
+    if ml_idx in (0, len(mass) - 1):
+        raise StatsError(f"witness mode lies at the grid edge "
+                         f"{grid[ml_idx]:g}: it may sit off the grid")
+    step = grid[1] - grid[0]
+    edges = np.append(grid - 0.5 * step, grid[-1] + 0.5 * step)
+    cum = below + np.concatenate(([0.0], np.cumsum(mass)))
+    if not cum[0] <= 0.16 < 0.84 <= cum[-1]:
+        raise StatsError(f"witness 68% interval reaches off the grid "
+                         f"[{edges[0]:g}, {edges[-1]:g}]")
+    lower, upper = np.interp([0.16, 0.84], cum, edges)
+    return float(grid[ml_idx]), float(lower), float(upper)
 
 
-def _prune_grid(centers: np.ndarray, mass: np.ndarray) -> tuple:
-    """Drop bins carrying no meaningful posterior mass (< 1e-14 of peak)."""
-    keep = mass > mass.max() * 1e-14
-    return centers[keep], mass[keep]
+def _conditional_cdf(a: np.ndarray, w: np.ndarray, c: int, n: int,
+                     scale: float) -> np.ndarray:
+    """P(W(a, b) <= w) for b = scale * Beta(c + 1, n - c + 1), over a and w.
 
+    With D = 1 + w (2a - 1), W(a, b) = w at b = r1, r2:
+    r1 = a - 2 (2a - 1) / (1 + sqrt D), r2 = a + 2 (1 + sqrt D) / w.
+    W <= w holds for b outside [r1, r2] when w >= 0 (r2 = inf at w = 0),
+    and for b in [r2, r1] when w < 0; with D < 0 it holds for every b
+    when w > 0 and for none when w < 0.
+    """
+    s = 2.0 * a - 1.0
+    d = 1.0 + w * s
+    real = d >= 0.0
+    root = np.sqrt(np.where(real, d, 0.0))
+    r1 = a - 2.0 * s / (1.0 + root)
+    with np.errstate(divide="ignore"):
+        r2 = a + 2.0 * (1.0 + root) / w
 
-def _witness_pushforward(centers1, mass1, centers2, mass2,
-                         step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Push two g2 distributions through the witness onto its own grid."""
-    centers1, mass1 = _prune_grid(centers1, mass1)
-    centers2, mass2 = _prune_grid(centers2, mass2)
-    a = centers1[:, None]
-    b = centers2[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = 4.0 * (a + b - 1.0) / (a - b) ** 2
-    weight = np.outer(mass1, mass2)
-    flat_w = w.ravel()
-    flat_weight = weight.ravel()
-    finite = np.isfinite(flat_w)
-    flat_w = np.clip(flat_w[finite], WITNESS_MIN, WITNESS_MAX)
-    flat_weight = flat_weight[finite]
-    n_bins = int(round((WITNESS_MAX - WITNESS_MIN) / step))
-    idx = np.clip(((flat_w - WITNESS_MIN) / step).astype(int), 0, n_bins - 1)
-    mass = np.bincount(idx, weights=flat_weight, minlength=n_bins)
-    grid = WITNESS_MIN + (np.arange(n_bins) + 0.5) * step
-    total = mass.sum()
-    if total <= 0:
-        raise StatsError("witness distribution is empty")
-    return grid, mass / total
+    def cdf(x):
+        return betainc(c + 1, n - c + 1, np.clip(x / scale, 0.0, 1.0))
+
+    f1, f2 = cdf(r1), cdf(r2)
+    # 1 - P(r1 < b < r2) is exactly 1 once that mass rounds away, which
+    # lets `witness_distribution` skip saturated edges; the bin just under
+    # w = 0 can come out negative by that rounding (about 1e-16 at most)
+    outside = 1.0 - (np.where(w > 0.0, f2, 1.0) - f1)
+    return np.where(w < 0.0, np.where(real, f1 - f2, 0.0),
+                    np.where(real, outside, 1.0))
 
 
 def witness_distribution(tally_: CoincidenceTally, pump_det: int,
-                         grid_step: float = G2_GRID_STEP,
-                         g2_max: float = G2_MAX,
                          witness_step: float = WITNESS_GRID_STEP) -> WitnessDistribution:
-    """Witness posterior for heralds at `pump_det`, with a grid-stability flag."""
+    """Exact witness posterior for heralds at `pump_det`, binned on edges.
 
-    def build(g_step, w_step):
-        c1, m1 = g2_grid_pmf(tally_, 1, pump_det, g_step, g2_max)
-        c2, m2 = g2_grid_pmf(tally_, 2, pump_det, g_step, g2_max)
-        return _witness_pushforward(c1, m1, c2, m2, w_step)
+    The CDF of W(a, b) over the two g2[r_i, p] at each bin edge is the
+    mean, over a's posterior, of b's beta-CDF mass on {W <= w}
+    (`_conditional_cdf`), by Gauss-Legendre in a's quantile.  Bin masses
+    are CDF differences; the mass under WITNESS_MIN and over WITNESS_MAX
+    is reported as `below` and `above`, never folded into a bin.
+    """
+    n_bins = int(round((WITNESS_MAX - WITNESS_MIN) / witness_step))
+    edges = WITNESS_MIN + witness_step * np.arange(n_bins + 1)
+    # W is symmetric in a and b.  The quadrature runs over the smaller g2:
+    # W near 0 needs the other one large, and its beta CDF resolves that
+    # tail exactly, where quadrature nodes would be too sparse.
+    (c, n, scale), post_b = sorted(
+        (_g2_posterior(tally_, i, pump_det) for i in (1, 2)),
+        key=lambda post: post[0] * post[2])
+    x, weights = np.polynomial.legendre.leggauss(WITNESS_NODES)
+    a = scale * betaincinv(c + 1, n - c + 1, 0.5 * (x + 1.0))
+    weights = 0.5 * weights
+    # every 40th edge brackets the edges where some node's CDF is neither
+    # 0 nor 1; each node's CDF is monotone, so the rest are exactly 0 or 1
+    coarse = np.r_[0:n_bins:40, n_bins]
+    g = _conditional_cdf(a, edges[coarse, None], *post_b)
+    lo = coarse[(g == 0.0).all(axis=1)].max(initial=0)
+    hi = coarse[(g == 1.0).all(axis=1)].min(initial=n_bins)
+    cdf = np.zeros((n_bins + 1, WITNESS_NODES))
+    cdf[hi:] = 1.0
+    cdf[lo:hi + 1] = _conditional_cdf(a, edges[lo:hi + 1, None], *post_b)
 
-    grid, mass = build(grid_step, witness_step)
-    ml, lo, hi = _mode_and_interval(grid, mass)
-    grid_h, mass_h = build(grid_step / 2, witness_step)
-    ml_h, _, _ = _mode_and_interval(grid_h, mass_h)
-    warning = abs(ml_h - ml) > grid_step
-    return WitnessDistribution(grid=grid, mass=mass, ml_value=ml,
-                               lower=lo, upper=hi, grid_warning=warning)
+    mass = np.diff(cdf, axis=0) @ weights
+    below = float(cdf[0] @ weights)
+    above = float((1.0 - cdf[-1]) @ weights)
+    grid = WITNESS_MIN + (np.arange(n_bins) + 0.5) * witness_step
+    ml, lower, upper = _mode_and_interval(grid, mass, below)
+    return WitnessDistribution(grid=grid, mass=mass, ml_value=ml, lower=lower,
+                               upper=upper, below=below, above=above)
 
 
 def symmetrize(dist_1: WitnessDistribution,
                dist_2: WitnessDistribution) -> WitnessDistribution:
-    """Distribution of the mean of two independent witness measurements."""
+    """Distribution of the mean of two independent witness measurements.
+
+    Pairs of in-grid bins land on the half-step grid of the mean.  Pairs
+    with a component off the grid are kept apart: both under it go to
+    `below`, all others to `above`, whose mean lies over the grid's
+    midpoint or is unknown (one component under the grid); counting them
+    over every threshold is conservative.
+    """
     step1 = dist_1.grid[1] - dist_1.grid[0]
     step2 = dist_2.grid[1] - dist_2.grid[0]
     if abs(step1 - step2) > 1e-12 or len(dist_1.grid) != len(dist_2.grid):
@@ -308,27 +300,26 @@ def symmetrize(dist_1: WitnessDistribution,
     # sum grid starts at grid1[0] + grid2[0]; the mean halves everything
     start = 0.5 * (dist_1.grid[0] + dist_2.grid[0])
     grid = start + 0.5 * step1 * np.arange(len(mass))
-    mass = mass / mass.sum()
-    ml, lo, hi = _mode_and_interval(grid, mass)
-    return WitnessDistribution(grid=grid, mass=mass, ml_value=ml,
-                               lower=lo, upper=hi,
-                               grid_warning=dist_1.grid_warning or dist_2.grid_warning)
+    in_1, in_2 = dist_1.mass.sum(), dist_2.mass.sum()
+    below = dist_1.below * dist_2.below
+    above = (dist_1.above * (dist_2.below + in_2 + dist_2.above)
+             + (dist_1.below + in_1) * dist_2.above
+             + dist_1.below * in_2 + in_1 * dist_2.below)
+    ml, lower, upper = _mode_and_interval(grid, mass, below)
+    return WitnessDistribution(grid=grid, mass=mass, ml_value=ml, lower=lower,
+                               upper=upper, below=below, above=above)
 
 
 def confidence_below(dist: WitnessDistribution, threshold: float) -> float:
-    """Cumulative witness mass below `threshold`."""
+    """Witness mass below `threshold`: `below`, plus bins by their overlap."""
     if threshold <= 0:
         raise StatsError("threshold must be positive")
     step = dist.grid[1] - dist.grid[0]
-    edges_below = dist.grid + 0.5 * step <= threshold
-    full = dist.mass[edges_below].sum()
-    # partial bin straddling the threshold
-    idx = np.searchsorted(dist.grid + 0.5 * step, threshold)
-    if idx < len(dist.grid):
-        frac = (threshold - (dist.grid[idx] - 0.5 * step)) / step
-        if 0 < frac < 1:
-            full += dist.mass[idx] * frac
-    return float(min(max(full, 0.0), 1.0))
+    overlap = np.clip((threshold - (dist.grid - 0.5 * step)) / step, 0.0, 1.0)
+    conf = dist.below + float(overlap @ dist.mass)
+    if not -1e-12 <= conf <= 1.0 + 1e-12:
+        raise StatsError(f"confidence {conf!r} outside [0, 1]")
+    return conf
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,16 @@ class TestCliRuns:
         assert rc == 2
         assert f"[protocol] {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["g2_grid_step", "g2_max"])
+    def test_removed_g2_grid_keys_rejected(self, key, tmp_path, capsys):
+        tally_json = os.path.abspath(cfg_dir("witness_run_tally.json"))
+        cfg = write_cfg(tmp_path, f"[analyze]\ntally_json = {tally_json}\n"
+                                  f"[analysis]\n{key} = 0.01\n")
+        rc = cli.main(["analyze", "--config", str(cfg), "--out",
+                       str(tmp_path / "o")])
+        assert rc == 2
+        assert f"[analysis] {key}" in capsys.readouterr().err
+
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "[analyze]\ntally_json = /nonexistent.json\n")
         rc = cli.main(["analyze", "--config", str(cfg), "--out",
@@ -291,4 +301,6 @@ class TestEmitFormats:
         doc = json.loads((out / "fiber.json").read_text())
         assert len(doc["required_db_combinations"]) == 4
         assert "75" in doc["separations"]
+        assert all(0.0 <= s["witness_offgrid_mass"] < 0.01
+                   for s in doc["separations"].values())
         assert (out / "fiber.txt").read_text().startswith("baseline")

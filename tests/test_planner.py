@@ -1,10 +1,11 @@
 """Yield statistics and fiber-budget planning checks."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from mechlink import planner
+from mechlink import planner, stats
 from mechlink.noise import NoiseBudget
 from mechlink.planner import (LinkBudget, PlannerError, YieldModel, degraded_g2,
                               integration_time, max_separation, multi_chip_yield,
@@ -187,3 +188,27 @@ class TestIntegrationTime:
                   split_separation(link, 70.0).arm_b_db)
         expected = 10 ** (2 * (db2 - db1) / 10)
         assert p2.days / p1.days == pytest.approx(expected, rel=0.25)
+
+    def test_each_probe_is_solved_once(self, monkeypatch):
+        seen = []
+        solve = stats.witness_distribution
+
+        def counted(t, det):
+            seen.append((t, det))
+            return solve(t, det)
+
+        monkeypatch.setattr(stats, "witness_distribution", counted)
+        plan = integration_time(reference_link(), 75.0)
+        # the first probe sizes the bracket, 12 bisection steps follow
+        assert len(seen) == 26
+        assert len(set(seen)) == 26
+        assert plan.witness_offgrid == 0.0
+
+    @pytest.mark.parametrize("ml, upper", [(0.9, 1.5), (0.0, 0.01)])
+    def test_unmoved_bracket_end_raises(self, ml, upper, monkeypatch):
+        # a clearance that ignores the trial count never crosses the target
+        fixed = SimpleNamespace(ml_value=ml, upper=upper, below=0.0, above=0.0)
+        monkeypatch.setattr(stats, "witness_distribution", lambda t, det: None)
+        monkeypatch.setattr(stats, "symmetrize", lambda d1, d2: fixed)
+        with pytest.raises(PlannerError, match="outside the searched"):
+            integration_time(reference_link(), 75.0)

@@ -26,6 +26,14 @@ EXTENDED_TALLY = CoincidenceTally(
     read_singles=(194023, 300373),
     coincidences=((16, 242), (223, 67)),
 )
+# the widest tally of `mechlink plan-fiber configs/plan_fiber.cfg`: the
+# first integration-time probe at 94 km, one same-detector coincidence
+WIDE_TALLY = CoincidenceTally(
+    n_trials=11_851_383_304,
+    pump_singles=(135000, 135000),
+    read_singles=(123999, 123999),
+    coincidences=((1, 10), (10, 1)),
+)
 
 
 def make_log(rows, n_trials=10):
@@ -198,7 +206,92 @@ class TestWitnessDistribution:
         point = witness_from_g2(coinc[(1, 1)] * n_trials / (cr * cp),
                                 coinc[(2, 1)] * n_trials / (cr * cp))
         assert abs(d.ml_value - point) / point < 0.01
-        assert not d.grid_warning
+        assert d.below + d.above < 1e-12
+
+    @pytest.mark.parametrize("tally_, det", [(WITNESS_TALLY, 1), (WITNESS_TALLY, 2),
+                                             (WIDE_TALLY, 1), (WIDE_TALLY, 2)])
+    def test_masses_match_monte_carlo(self, tally_, det):
+        d = witness_distribution(tally_, det, witness_step=0.05)
+        rng = np.random.default_rng(2017)
+        n = 10**6
+        a, b = (rng.beta(tally_.coincidence(i, det) + 1,
+                         tally_.pump_singles[det - 1] - tally_.coincidence(i, det) + 1,
+                         n) * tally_.n_trials / tally_.read_singles[i - 1]
+                for i in (1, 2))
+        w = 4.0 * (a + b - 1.0) / (a - b) ** 2
+        edges = stats.WITNESS_MIN + 0.05 * np.arange(len(d.mass) + 1)
+        # slot 0 is under the grid, slot len(edges) over it
+        slots = np.searchsorted(edges, w, side="right")
+        observed = np.bincount(slots, minlength=len(edges) + 1) / n
+        expected = np.concatenate(([d.below], d.mass, [d.above]))
+        # binomial sigma, floored at one draw for near-empty slots
+        sigma = np.sqrt(np.maximum(expected * (1 - expected), 1.0 / n) / n)
+        assert np.all(np.abs(observed - expected) <= 5 * sigma)
+
+    @pytest.mark.parametrize("tally_, det, tol", [
+        (WITNESS_TALLY, 1, 1e-5), (WITNESS_TALLY, 2, 1e-5),
+        (EXTENDED_TALLY, 1, 1e-5), (EXTENDED_TALLY, 2, 1e-5),
+        (WIDE_TALLY, 1, 5e-5), (WIDE_TALLY, 2, 5e-5)])
+    def test_doubling_quadrature_nodes(self, tally_, det, tol, monkeypatch):
+        base = witness_distribution(tally_, det)
+        monkeypatch.setattr(stats, "WITNESS_NODES", 2 * stats.WITNESS_NODES)
+        fine = witness_distribution(tally_, det)
+        assert np.abs(fine.mass - base.mass).max() <= tol
+        assert abs(fine.below - base.below) <= tol
+        assert abs(fine.above - base.above) <= tol
+        assert fine.ml_value == base.ml_value
+        assert fine.lower == pytest.approx(base.lower, abs=5e-5)
+        assert fine.upper == pytest.approx(base.upper, abs=5e-5)
+
+    def test_widest_planner_tally_keeps_its_mode_and_tail(self):
+        for det in (1, 2):
+            d = witness_distribution(WIDE_TALLY, det)
+            assert 0 < int(np.argmax(d.mass)) < len(d.mass) - 1
+            assert d.ml_value == pytest.approx(0.5375)
+            assert 0.011 <= d.above <= 0.012
+            assert d.below + d.mass.sum() + d.above == pytest.approx(1.0, abs=1e-12)
+            assert np.all(d.mass >= 0)
+
+    def test_percentiles_read_at_bin_edges(self):
+        # uniform on [0, 1] between 10 % under and 10 % over the grid; the
+        # mode bin borrows from its left neighbour, which moves no percentile
+        grid = (np.arange(100) + 0.5) * 0.01
+        mass = np.full(100, 0.008)
+        mass[50] += 0.001
+        mass[49] -= 0.001
+        ml, lower, upper = stats._mode_and_interval(grid, mass, 0.1)
+        assert ml == pytest.approx(0.505)
+        assert lower == pytest.approx(0.075, abs=1e-12)
+        assert upper == pytest.approx(0.925, abs=1e-12)
+        with pytest.raises(StatsError, match="68% interval"):
+            stats._mode_and_interval(grid, mass, 0.2)
+        with pytest.raises(StatsError, match="68% interval"):
+            stats._mode_and_interval(grid, 0.5 * mass, 0.1)
+        falling = np.linspace(1.0, 0.0, 100) / 50.0
+        with pytest.raises(StatsError, match="mode"):
+            stats._mode_and_interval(grid, falling, 0.0)
+
+    def test_symmetrize_keeps_off_grid_pairs_apart(self):
+        grid = (np.arange(100) + 0.5) * 0.01
+        mass = np.zeros(100)
+        mass[40:60] = 0.0475
+        d1 = stats.WitnessDistribution(grid=grid, mass=mass, ml_value=0.5,
+                                       lower=0.4, upper=0.6, above=0.05)
+        d2 = stats.WitnessDistribution(grid=grid, mass=mass, ml_value=0.5,
+                                       lower=0.4, upper=0.6, below=0.05)
+        sym = symmetrize(d1, d2)
+        assert sym.below == 0.0
+        assert sym.mass.sum() == pytest.approx(0.9025)
+        assert sym.above == pytest.approx(0.0975)
+        # the pairs with a component off the grid never count below
+        assert confidence_below(sym, 0.9) == pytest.approx(0.9025)
+
+    def test_confidence_outside_unit_interval_raises(self):
+        grid = (np.arange(100) + 0.5) * 0.01
+        d = stats.WitnessDistribution(grid=grid, mass=np.full(100, 0.011),
+                                      ml_value=0.5, lower=0.2, upper=0.8)
+        with pytest.raises(StatsError, match="outside"):
+            confidence_below(d, 2.0)
 
     def test_confidence_grows_with_statistics(self):
         confs = []
