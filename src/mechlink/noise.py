@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import least_squares
 
 # relative rate difference below which the degenerate (equal-rate) limit
 # form of the occupation solution is used
@@ -94,6 +93,9 @@ def fit_pump_probe(t, signal, sigma=None) -> PumpProbeFit:
     (decay) and of the early rise residual (bath_gamma); both rate
     orderings are tried and the better chi^2 wins.
     """
+    # scipy.optimize adds about 0.2 s to start-up; only the two fits load it
+    from scipy.optimize import least_squares
+
     t = np.asarray(t, dtype=float)
     d = np.asarray(signal, dtype=float)
     if t.shape != d.shape or t.ndim != 1:

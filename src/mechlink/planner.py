@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .noise import NoiseBudget, g2_cross
 from . import stats as counting
@@ -71,7 +71,7 @@ def _pair_match_probability(model: YieldModel, chip_a: int = 0,
     mu = model.offsets_nm[chip_a] - model.offsets_nm[chip_b]
     s = math.hypot(model.sigma_nm[chip_a], model.sigma_nm[chip_b])
     w = model.window_nm
-    return float(norm.cdf((w - mu) / s) - norm.cdf((-w - mu) / s))
+    return float(ndtr((w - mu) / s) - ndtr((-w - mu) / s))
 
 
 def pair_yield(model: YieldModel, mc_reps: int = 20000,

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 from scipy.special import betainc, betaincinv
 
 from .campaign import WINDOW_PUMP, WINDOW_READ, ClickLog
@@ -311,12 +310,16 @@ def symmetrize(dist_1: WitnessDistribution,
 
 
 def confidence_below(dist: WitnessDistribution, threshold: float) -> float:
-    """Witness mass below `threshold`: `below`, plus bins by their overlap."""
+    """Witness mass below `threshold`: one minus `above` and the bins over it.
+
+    The complement keeps a confidence near 1 from passing 1 when the
+    in-grid masses (CDF differences) sum past 1 by rounding.
+    """
     if threshold <= 0:
         raise StatsError("threshold must be positive")
     step = dist.grid[1] - dist.grid[0]
-    overlap = np.clip((threshold - (dist.grid - 0.5 * step)) / step, 0.0, 1.0)
-    conf = dist.below + float(overlap @ dist.mass)
+    over = np.clip(((dist.grid + 0.5 * step) - threshold) / step, 0.0, 1.0)
+    conf = 1.0 - dist.above - float(over @ dist.mass)
     if not -1e-12 <= conf <= 1.0 + 1e-12:
         raise StatsError(f"confidence {conf!r} outside [0, 1]")
     return conf
@@ -395,6 +398,9 @@ def fit_fringe(x, values, sigma=None) -> FringeFit:
     x carries its own units (radians for phase sweeps, seconds for delay
     sweeps); the fitted period is reported in the same units.
     """
+    # scipy.optimize adds about 0.2 s to start-up; only the two fits load it
+    from scipy.optimize import least_squares
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(values, dtype=float)
     if x.size != y.size or x.size < 5:

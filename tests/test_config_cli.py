@@ -200,6 +200,35 @@ class TestCliRuns:
             blobs.append((out / "tally.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_commands_import_only_the_scipy_they_call(self, tmp_path):
+        # scipy.stats is never needed; scipy.optimize only by the two fits
+        script = (
+            "import json, sys\n"
+            "from mechlink import cli\n"
+            "def heavy():\n"
+            "    return [m for m in ('scipy.stats', 'scipy.optimize')\n"
+            "            if m in sys.modules]\n"
+            "loaded = {'import': heavy()}\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    loaded[argv[0]] = heavy()\n"
+            "print(json.dumps(loaded))\n")
+        cfg = write_cfg(tmp_path, MINIMAL + "\n[sweep]\n"
+                        "delta_phi_pi_list = 0, 0.4, 0.8, 1.2, 1.6\n")
+        runs = [["witness", "--config", str(cfg), "--trials", "20000"],
+                ["plan-fiber", "--config", cfg_dir("plan_fiber.cfg")],
+                ["phase-sweep", "--config", str(cfg), "--trials", "100000"]]
+        for argv in runs:
+            argv += ["--out", str(tmp_path / argv[0])]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(runs)],
+            capture_output=True, text=True,
+            cwd=os.path.join(os.path.dirname(__file__), ".."))
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == {"import": [], "witness": [], "plan-fiber": [],
+                          "phase-sweep": ["scipy.optimize"]}
+
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL)
         docs = []

@@ -1,11 +1,14 @@
 """Yield statistics and fiber-budget planning checks."""
 
 import math
+import os
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from mechlink import planner, stats
+from mechlink.config import parse_config
 from mechlink.noise import NoiseBudget
 from mechlink.planner import (LinkBudget, PlannerError, YieldModel, degraded_g2,
                               integration_time, max_separation, multi_chip_yield,
@@ -76,6 +79,45 @@ class TestPairYield:
                            offsets_nm=(0.0, off))
             vals.append(pair_yield(m, mc_reps=50, seed=1).analytic)
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+
+class TestPairMatchProbability:
+    """`ndtr` replaced `scipy.stats.norm.cdf`; the two agree bit for bit."""
+
+    @staticmethod
+    def norm_cdf_reference(model):
+        from scipy.stats import norm
+        mu = model.offsets_nm[0] - model.offsets_nm[1]
+        s = math.hypot(model.sigma_nm[0], model.sigma_nm[1])
+        w = model.window_nm
+        return float(norm.cdf((w - mu) / s) - norm.cdf((-w - mu) / s))
+
+    @pytest.mark.parametrize("name", ["plan_yield_pair.cfg", "plan_yield_quad.cfg"])
+    def test_shipped_configs(self, name):
+        py = parse_config(os.path.join(os.path.dirname(__file__), "..",
+                                       "configs", name)).plan_yield
+        chips = py["chips"]
+
+        def per_chip(values):  # one entry applies to every chip, as in the CLI
+            return values * chips if len(values) == 1 else values
+
+        model = YieldModel(chips=chips, devices_per_chip=py["devices_per_chip"],
+                           sigma_nm=per_chip(py["sigma_nm_list"]),
+                           offsets_nm=per_chip(py["offsets_nm_list"]),
+                           window_mhz=py["window_mhz"],
+                           carrier_nm=py["carrier_nm"])
+        assert (planner._pair_match_probability(model)
+                == self.norm_cdf_reference(model))
+
+    def test_random_models(self):
+        rng = np.random.default_rng(8)
+        for _ in range(1000):
+            model = YieldModel(chips=2, devices_per_chip=10,
+                               sigma_nm=tuple(rng.uniform(0.05, 5.0, 2)),
+                               offsets_nm=tuple(rng.uniform(-20.0, 20.0, 2)),
+                               window_mhz=10.0 ** rng.uniform(-3.0, 6.0))
+            assert (planner._pair_match_probability(model)
+                    == self.norm_cdf_reference(model))
 
 
 class TestMultiChipYield:

@@ -291,7 +291,20 @@ class TestWitnessDistribution:
         d = stats.WitnessDistribution(grid=grid, mass=np.full(100, 0.011),
                                       ml_value=0.5, lower=0.2, upper=0.8)
         with pytest.raises(StatsError, match="outside"):
-            confidence_below(d, 2.0)
+            confidence_below(d, 0.005)
+
+    def test_confidence_never_reads_above_one(self):
+        # in-grid masses are CDF differences; here they sum to 1 + 2e-16
+        grid = (np.arange(100) + 0.5) * 0.01
+        mass = np.zeros(100)
+        mass[40:60] = 0.05
+        mass[50] += 1.5e-16
+        assert mass.sum() == 1.0 + 2.0**-52
+        d = stats.WitnessDistribution(grid=grid, mass=mass, ml_value=0.505,
+                                      lower=0.45, upper=0.55)
+        assert confidence_below(d, 2.0) == 1.0
+        assert confidence_below(d, 0.6) == 1.0
+        assert confidence_below(d, 0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_confidence_grows_with_statistics(self):
         confs = []
