@@ -19,25 +19,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .devices import ProtocolConfig
-from .protocol import TrialModel, build_trial_model
+from .protocol import CODE_SLOTS, TrialModel, build_trial_model
 
 # fixed chunk size: results must not depend on worker count
 CHUNK_TRIALS = 1 << 20
 
-WINDOW_PUMP = 0
-WINDOW_READ = 1
-
-# click-log text, formatted CSV_BLOCK_ROWS rows at a time: a row is the
-# trial's digits, then the suffix of its slot 2 * window + detector - 1
-CSV_BLOCK_ROWS = 1 << 16
+# click-log text, formatted the rows of CSV_BLOCK_TRIALS trials at a time:
+# a row is the trial's digits, then the suffix of its slot (a code's rows
+# listed by slot are in log order)
+CSV_BLOCK_TRIALS = 1 << 16
 _ROW_SUFFIX = np.frombuffer(b",1,pump\n,2,pump\n,1,read\n,2,read\n",
                             np.uint8).reshape(4, 8)
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 _CSV_DTYPE = [("trial", np.int64), ("detector", np.int8), ("window", "S8")]
-
-# bit s of an outcome code, pump + 4 * read in outcome_index order, is the
-# click in slot s, so a code's rows listed by slot are in log order
-_CODE_SLOTS = (np.arange(16)[:, None] >> np.arange(4)) & 1 == 1
 
 
 class CampaignError(ValueError):
@@ -78,52 +72,46 @@ def worker_count() -> int:
 
 @dataclass
 class ClickLog:
-    """Sparse per-trial click records plus campaign metadata.
+    """The outcome code of every trial with a click, plus campaign metadata.
 
-    Rows are sorted by (trial, window, detector); `trial` is the trial
-    index, `detector` is 1 or 2, `window` is WINDOW_PUMP or WINDOW_READ.
+    `trial` is strictly increasing; `code` (1..15) is the trial's
+    (pump, read) outcome in the protocol.CODE_SLOTS layout.  The rows, one
+    per click as (trial, detector, window), exist only in the CSV; the
+    length of a log is its number of rows.
     """
 
     n_trials: int
     seed: int
     stream: int
     trial: np.ndarray
-    detector: np.ndarray
-    window: np.ndarray
+    code: np.ndarray
     config_snapshot: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.trial = np.asarray(self.trial, dtype=np.int64)
-        self.detector = np.asarray(self.detector, dtype=np.int8)
-        self.window = np.asarray(self.window, dtype=np.int8)
-        if not (len(self.trial) == len(self.detector) == len(self.window)):
-            raise CampaignError("click columns must have equal length")
-        self._validate_rows()
-
-    def _validate_rows(self):
-        if len(self.trial) == 0:
-            return
-        if self.trial.min() < 0 or self.trial.max() >= self.n_trials:
-            raise CampaignError("trial index outside campaign range")
-        if not (np.isin(self.detector, (1, 2)).all()):
-            raise CampaignError("detector must be 1 or 2")
-        if not (np.isin(self.window, (WINDOW_PUMP, WINDOW_READ)).all()):
-            raise CampaignError("unknown window code")
-        key = (self.trial * 4 + self.window * 2 + (self.detector - 1)).astype(np.int64)
-        if np.any(np.diff(key) <= 0):
-            raise CampaignError("rows must be strictly ordered by (trial, window, detector)")
+        self.code = np.asarray(self.code)
+        if len(self.trial) != len(self.code):
+            raise CampaignError("trial and code columns must have equal length")
+        if len(self.trial):
+            if self.code.min() < 1 or self.code.max() > 15:
+                raise CampaignError("outcome code must be in 1..15")
+            if np.any(np.diff(self.trial) <= 0):
+                raise CampaignError("trials must be strictly increasing")
+            if self.trial[0] < 0 or self.trial[-1] >= self.n_trials:
+                raise CampaignError("trial index outside campaign range")
+        self.code = self.code.astype(np.int8, copy=False)
 
     def __len__(self):
-        return len(self.trial)
+        return int(np.bincount(self.code, minlength=16) @ CODE_SLOTS.sum(axis=1))
 
     # -- serialization ------------------------------------------------
 
     def _csv_blocks(self):
         yield "trial,detector,window\n"
-        slot = 2 * self.window + self.detector - 1
-        for lo in range(0, len(self), CSV_BLOCK_ROWS):
-            yield _format_rows(self.trial[lo:lo + CSV_BLOCK_ROWS],
-                               slot[lo:lo + CSV_BLOCK_ROWS])
+        for lo in range(0, len(self.trial), CSV_BLOCK_TRIALS):
+            block = slice(lo, lo + CSV_BLOCK_TRIALS)
+            row, slot = np.nonzero(CODE_SLOTS[self.code[block]])
+            yield _format_rows(self.trial[block][row], slot)
 
     def to_csv(self) -> str:
         return "".join(self._csv_blocks())
@@ -164,11 +152,17 @@ class ClickLog:
         if unknown.any():
             label = rows["window"][unknown][0].decode(errors="replace")
             raise CampaignError(f"unknown window label {label!r}")
+        if not np.isin(rows["detector"], (1, 2)).all():
+            raise CampaignError("detector must be 1 or 2")
         trial = rows["trial"]
+        slot = 2 * (rows["window"] == b"read") + rows["detector"] - 1
+        if np.any(np.diff(4 * trial + slot) <= 0):
+            raise CampaignError("rows must be strictly ordered by (trial, window, detector)")
+        first = np.flatnonzero(np.diff(trial, prepend=trial[:1] - 1))
         n_trials = meta.get("n_trials", int(trial.max()) + 1 if len(trial) else 0)
         return cls(n_trials=n_trials, seed=meta.get("seed", 0),
-                   stream=meta.get("stream", 0), trial=trial, detector=rows["detector"],
-                   window=np.where(rows["window"] == b"read", WINDOW_READ, WINDOW_PUMP),
+                   stream=meta.get("stream", 0), trial=trial[first],
+                   code=np.bitwise_or.reduceat(1 << slot, first),
                    config_snapshot=meta.get("config", {}))
 
 
@@ -236,14 +230,12 @@ def run_campaign(cfg: ProtocolConfig, n_trials: int, seed: int,
         start = c * CHUNK_TRIALS
         positions, codes = _sample_chunk(model, seed, stream, c,
                                          min(CHUNK_TRIALS, n_trials - start))
-        row, slot = np.nonzero(_CODE_SLOTS[codes])
-        return positions[row] + start, slot.astype(np.int8)
+        return positions + start, codes.astype(np.int8)
 
     parts = [(np.zeros(0, np.int64), np.zeros(0, np.int8))]
     with ThreadPoolExecutor(max_workers=workers or worker_count()) as pool:
         parts += pool.map(work, range(-(-n_trials // CHUNK_TRIALS)))
-    trial, slot = (np.concatenate(column) for column in zip(*parts))
+    trial, code = (np.concatenate(column) for column in zip(*parts))
 
     return ClickLog(n_trials=n_trials, seed=seed, stream=stream,
-                    trial=trial, detector=slot % 2 + 1, window=slot // 2,
-                    config_snapshot=config_snapshot or {})
+                    trial=trial, code=code, config_snapshot=config_snapshot or {})

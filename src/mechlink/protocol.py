@@ -53,8 +53,6 @@ ROTATION_NODES = 32
 # may carry from floating-point cancellation
 _TABLE_TOL = 1e-12
 
-_OUTCOMES = ((0, 0), (1, 0), (0, 1), (1, 1))
-
 
 class ProtocolError(ValueError):
     pass
@@ -62,6 +60,31 @@ class ProtocolError(ValueError):
 
 def outcome_index(click_1: bool, click_2: bool) -> int:
     return int(click_1) + 2 * int(click_2)
+
+
+# a trial's outcome code is pump + 4 * read, both in outcome_index order:
+# bit s of code c is the click in slot s = 2 * window + detector - 1, with
+# window 0 the pump and 1 the read
+CODE_SLOTS = (np.arange(16)[:, None] >> np.arange(4)) & 1 == 1
+_COINCIDENCE_SLOTS = (CODE_SLOTS[:, 2:, None] & CODE_SLOTS[:, None, :2]).reshape(16, 4)
+
+
+def click_totals(per_code) -> tuple:
+    """(singles, coincidences) of 16 per-code counts or probabilities.
+
+    singles[s] totals the codes with a click in slot s; coincidences[i, j]
+    those with clicks at read detector i + 1 and pump detector j + 1.
+    """
+    per_code = np.asarray(per_code)
+    return per_code @ CODE_SLOTS, (per_code @ _COINCIDENCE_SLOTS).reshape(2, 2)
+
+
+def detector_click_prob(quantum_probs, false_click: tuple, detector: int) -> float:
+    """Observed click probability of `detector` in one window, false
+    positives included, from the window's four outcome probabilities."""
+    q = quantum_probs @ CODE_SLOTS[:4, detector - 1]
+    f = false_click[detector - 1]
+    return 1.0 - (1.0 - q) * (1.0 - f)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +330,6 @@ class PumpStageResult:
     false_click: tuple                         # per-detector pump-window false prob
     config: ProtocolConfig
 
-    def detector_click_prob(self, detector: int) -> float:
-        """Observed click probability including false positives."""
-        q = sum(self.quantum_probs[outcome_index(c1, c2)]
-                for c1, c2 in _OUTCOMES if (c1, c2)[detector - 1])
-        f = self.false_click[detector - 1]
-        return 1.0 - (1.0 - q) * (1.0 - f)
-
 
 def _leak_means(cfg: ProtocolConfig) -> tuple:
     """Poisson leak means per (window, detector) from the per-device rates.
@@ -432,12 +448,6 @@ def evolve_delay(state: GaussianState, tau: float,
 class ReadStageResult:
     quantum_probs: np.ndarray       # joint read-click outcomes, outcome_index order
     false_click: tuple
-
-    def detector_click_prob(self, detector: int) -> float:
-        q = sum(self.quantum_probs[outcome_index(c1, c2)]
-                for c1, c2 in _OUTCOMES if (c1, c2)[detector - 1])
-        f = self.false_click[detector - 1]
-        return 1.0 - (1.0 - q) * (1.0 - f)
 
 
 def readout_stage(mech_state: GaussianState, cfg: ProtocolConfig,
@@ -585,26 +595,13 @@ class TrialModel:
     truncation_budget = 0.0
 
     def pump_click_prob(self, detector: int) -> float:
-        j = detector - 1
-        return sum(self.joint[outcome_index(c1, c2), :].sum()
-                   for c1, c2 in _OUTCOMES if (c1, c2)[j])
+        return float(click_totals(self.joint.T.ravel())[0][detector - 1])
 
     def read_click_prob(self, detector: int) -> float:
-        i = detector - 1
-        return sum(self.joint[:, outcome_index(c1, c2)].sum()
-                   for c1, c2 in _OUTCOMES if (c1, c2)[i])
+        return float(click_totals(self.joint.T.ravel())[0][detector + 1])
 
     def coincidence_prob(self, read_det: int, pump_det: int) -> float:
-        i, j = read_det - 1, pump_det - 1
-        total = 0.0
-        for pc1, pc2 in _OUTCOMES:
-            if not (pc1, pc2)[j]:
-                continue
-            for rc1, rc2 in _OUTCOMES:
-                if not (rc1, rc2)[i]:
-                    continue
-                total += self.joint[outcome_index(pc1, pc2), outcome_index(rc1, rc2)]
-        return total
+        return float(click_totals(self.joint.T.ravel())[1][read_det - 1, pump_det - 1])
 
     def herald_prob(self) -> float:
         return float(self.joint[1:, :].sum())

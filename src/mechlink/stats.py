@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, betaincinv
 
-from .campaign import WINDOW_PUMP, WINDOW_READ, ClickLog
+from .campaign import ClickLog
+from .protocol import click_totals
 
 WITNESS_GRID_STEP = 0.005
 WITNESS_MIN, WITNESS_MAX = -2.0, 20.0
@@ -95,28 +96,11 @@ class CoincidenceTally:
 
 def tally(log: ClickLog) -> CoincidenceTally:
     """Count singles and per-trial pump/read coincidences from a click log."""
-    pump_mask = log.window == WINDOW_PUMP
-    read_mask = log.window == WINDOW_READ
-    pump_singles = []
-    read_singles = []
-    pump_trials = {}
-    read_trials = {}
-    for det in (1, 2):
-        p_t = log.trial[pump_mask & (log.detector == det)]
-        r_t = log.trial[read_mask & (log.detector == det)]
-        pump_singles.append(len(p_t))
-        read_singles.append(len(r_t))
-        pump_trials[det] = p_t
-        read_trials[det] = r_t
-    coinc = tuple(
-        tuple(len(np.intersect1d(read_trials[i], pump_trials[j],
-                                 assume_unique=True))
-              for j in (1, 2))
-        for i in (1, 2))
+    singles, coincidences = click_totals(np.bincount(log.code, minlength=16))
     return CoincidenceTally(n_trials=log.n_trials,
-                            pump_singles=tuple(pump_singles),
-                            read_singles=tuple(read_singles),
-                            coincidences=coinc)
+                            pump_singles=tuple(singles[:2].tolist()),
+                            read_singles=tuple(singles[2:].tolist()),
+                            coincidences=tuple(map(tuple, coincidences.tolist())))
 
 
 # ---------------------------------------------------------------------------

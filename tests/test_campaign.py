@@ -1,14 +1,16 @@
 """Sampling determinism, click-log integrity and serialization."""
 
 import csv
+import hashlib
 import io
+import os
 
 import numpy as np
 import pytest
 
 from mechlink import campaign, protocol, stats
-from mechlink.campaign import (CHUNK_TRIALS, WINDOW_PUMP, WINDOW_READ, ClickLog,
-                               run_campaign)
+from mechlink.campaign import CHUNK_TRIALS, ClickLog, run_campaign
+from mechlink.config import parse_config
 from mechlink.devices import (DetectorModel, DeviceParams, InterferometerConfig,
                               ProtocolConfig)
 
@@ -45,21 +47,22 @@ def high_yield_model():
 
 
 def outcome_counts(log):
-    """Trials per (pump, read) outcome, rebuilt from the log's rows."""
-    codes = np.zeros(log.n_trials, dtype=np.int64)
-    np.bitwise_or.at(codes, log.trial, 1 << (2 * log.window + log.detector - 1))
-    counts = np.bincount(codes, minlength=16)
+    """Trials per (pump, read) outcome, the trials without a click at code 0."""
+    counts = np.bincount(log.code, minlength=16)
+    counts[0] = log.n_trials - len(log.trial)
     return counts.reshape(4, 4).T        # [pump outcome, read outcome]
 
 
 def csv_writer_reference(log):
-    """The click-log text as csv.writer writes it, one row at a time."""
+    """The click-log text as csv.writer writes it, one row at a time: a
+    trial's rows are the set bits of its code, bit 2 * window + detector - 1."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["trial", "detector", "window"])
-    names = {WINDOW_PUMP: "pump", WINDOW_READ: "read"}
-    for t, d, w in zip(log.trial, log.detector, log.window):
-        writer.writerow([int(t), int(d), names[int(w)]])
+    for t, code in zip(log.trial.tolist(), log.code.tolist()):
+        for bit in range(4):
+            if code >> bit & 1:
+                writer.writerow([t, bit % 2 + 1, ("pump", "read")[bit // 2]])
     return buf.getvalue()
 
 
@@ -68,14 +71,27 @@ class TestDeterminism:
         a = run_campaign(small_config, 500_000, seed=9, model=small_model)
         b = run_campaign(small_config, 500_000, seed=9, model=small_model)
         assert np.array_equal(a.trial, b.trial)
-        assert np.array_equal(a.detector, b.detector)
-        assert np.array_equal(a.window, b.window)
+        assert np.array_equal(a.code, b.code)
 
     def test_worker_count_does_not_change_log(self, small_config, small_model):
         n = 3 * campaign.CHUNK_TRIALS + 1234
         one = run_campaign(small_config, n, seed=5, model=small_model, workers=1)
         four = run_campaign(small_config, n, seed=5, model=small_model, workers=4)
         assert one.to_csv() == four.to_csv()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_seed_to_log_mapping_is_pinned(self, workers):
+        cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                        "entangle_stats.cfg")).protocol
+        log = run_campaign(cfg, 3 * CHUNK_TRIALS + 1234, seed=5, stream=0,
+                           workers=workers)
+        text = log.to_csv()
+        assert len(log) == text.count("\n") - 1 == 74_747
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "1a1a1755cdba0acdf5716917da1ed16488bb1ce83fb4c6d68cf52bc8d0e11403")
+        assert stats.tally(log).to_json_dict() == {
+            "N": 3_146_962, "Cp1": 23_008, "Cp2": 22_897, "Cr1": 14_479,
+            "Cr2": 14_363, "Cr1p1": 115, "Cr2p1": 854, "Cr1p2": 883, "Cr2p2": 106}
 
     def test_different_seed_differs(self, small_config, small_model):
         a = run_campaign(small_config, 500_000, seed=1, model=small_model)
@@ -115,8 +131,7 @@ class TestAgreementWithExactModel:
         n = 10_000_000
         log = run_campaign(small_config, n, seed=11, model=small_model)
         p = small_model.herald_prob()
-        pump_rows = log.window == WINDOW_PUMP
-        heralds = len(np.unique(log.trial[pump_rows]))
+        heralds = np.count_nonzero(log.code & 0b11)     # a pump-window click
         assert abs(heralds - n * p) < 3 * np.sqrt(n * p)
 
     def test_every_outcome_cell_within_binomial_bounds(self, high_yield_model):
@@ -132,26 +147,42 @@ class TestAgreementWithExactModel:
     def test_rows_are_the_popcounts_of_the_sampled_codes(self, high_yield_model, n):
         m = high_yield_model
         log = run_campaign(m.config, n, seed=4, model=m)
-        log._validate_rows()
         codes = [campaign._sample_chunk(m, 4, 0, c, min(CHUNK_TRIALS, n - start))[1]
                  for c, start in enumerate(range(0, n, CHUNK_TRIALS))]
         popcounts = [np.unpackbits(c.astype(np.uint8)).sum() for c in codes]
         assert log.n_trials == n
-        assert len(log) == sum(popcounts)
+        assert np.array_equal(log.code, np.concatenate([np.zeros(0, int), *codes]))
+        assert len(log) == sum(popcounts) == log.to_csv().count("\n") - 1
 
 
 class TestClickLog:
-    def test_row_ordering_enforced(self):
-        with pytest.raises(campaign.CampaignError, match="ordered"):
-            ClickLog(n_trials=10, seed=0, stream=0,
-                     trial=np.array([5, 3]), detector=np.array([1, 1]),
-                     window=np.array([0, 0]))
+    def test_row_ordering_enforced(self, tmp_path):
+        for trial in ([5, 3], [3, 3]):
+            with pytest.raises(campaign.CampaignError, match="strictly increasing"):
+                ClickLog(n_trials=10, seed=0, stream=0, trial=trial, code=[1, 1])
+        path = tmp_path / "log.csv"
+        for body in ("5,1,read\n5,1,pump\n", "5,2,pump\n5,1,pump\n",
+                     "6,1,pump\n5,1,pump\n", "5,1,pump\n5,1,pump\n"):
+            path.write_text("trial,detector,window\n" + body)
+            with pytest.raises(campaign.CampaignError, match="strictly ordered"):
+                ClickLog.from_csv(path)
 
-    def test_detector_validation(self):
-        with pytest.raises(campaign.CampaignError, match="detector"):
-            ClickLog(n_trials=10, seed=0, stream=0,
-                     trial=np.array([1]), detector=np.array([3]),
-                     window=np.array([0]))
+    def test_detector_validation(self, tmp_path):
+        path = tmp_path / "log.csv"
+        for detector in (0, 3):
+            path.write_text(f"trial,detector,window\n5,{detector},pump\n")
+            with pytest.raises(campaign.CampaignError, match="detector must be 1 or 2"):
+                ClickLog.from_csv(path)
+
+    @pytest.mark.parametrize("code", [0, 16, -1])
+    def test_code_validation(self, code):
+        with pytest.raises(campaign.CampaignError, match="code must be in 1..15"):
+            ClickLog(n_trials=10, seed=0, stream=0, trial=[1, 2], code=[3, code])
+
+    @pytest.mark.parametrize("trial", [-1, 10])
+    def test_trial_range_validation(self, trial):
+        with pytest.raises(campaign.CampaignError, match="outside campaign range"):
+            ClickLog(n_trials=10, seed=0, stream=0, trial=[trial], code=[1])
 
     def test_csv_round_trip(self, small_config, small_model, tmp_path):
         log = run_campaign(small_config, 300_000, seed=21, model=small_model,
@@ -163,8 +194,7 @@ class TestClickLog:
         assert back.n_trials == log.n_trials
         assert back.seed == log.seed
         assert np.array_equal(back.trial, log.trial)
-        assert np.array_equal(back.detector, log.detector)
-        assert np.array_equal(back.window, log.window)
+        assert np.array_equal(back.code, log.code)
         assert stats.tally(back).to_json_dict() == stats.tally(log).to_json_dict()
 
     def test_csv_header(self, small_config, small_model):
@@ -174,9 +204,8 @@ class TestClickLog:
     def test_csv_format_is_pinned(self, tmp_path):
         n = 12_345_678_901
         log = ClickLog(n_trials=n, seed=3, stream=2,
-                       trial=[0, 9, 10, 99, 100, 100, 100, 100, n - 1],
-                       detector=[1, 2, 1, 2, 1, 2, 1, 2, 2],
-                       window=[0, 0, 1, 1, 0, 0, 1, 1, 1])
+                       trial=[0, 9, 10, 99, 100, n - 1],
+                       code=[0b0001, 0b0010, 0b0100, 0b1000, 0b1111, 0b1000])
         text = log.to_csv()
         assert text == ("trial,detector,window\n"
                         "0,1,pump\n9,2,pump\n10,1,read\n99,2,read\n"
@@ -192,11 +221,11 @@ class TestClickLog:
     def test_csv_matches_row_writer_across_blocks(self, high_yield_model):
         m = high_yield_model
         log = run_campaign(m.config, 400_000, seed=8, model=m)
-        assert len(log) > 2 * campaign.CSV_BLOCK_ROWS
+        assert len(log.trial) > 2 * campaign.CSV_BLOCK_TRIALS
         assert log.to_csv() == csv_writer_reference(log)
 
     def test_empty_log_round_trip(self, tmp_path):
-        log = ClickLog(n_trials=7, seed=0, stream=0, trial=[], detector=[], window=[])
+        log = ClickLog(n_trials=7, seed=0, stream=0, trial=[], code=[])
         assert log.to_csv() == "trial,detector,window\n"
         log.save(tmp_path / "log.csv", tmp_path / "log.json")
         back = ClickLog.from_csv(tmp_path / "log.csv", tmp_path / "log.json")

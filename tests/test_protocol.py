@@ -27,6 +27,10 @@ def shipped(name):
     return parse_config(os.path.join(CONFIG_DIR, name)).protocol
 
 
+def click_prob(stage, detector):
+    return protocol.detector_click_prob(stage.quantum_probs, stage.false_click, detector)
+
+
 def ideal_config(p_pump=0.007, phi0=0.0, **kw):
     dev = DeviceParams(p_pump=p_pump, p_read=0.034, n_init=0.0, bath_k=0.0)
     return ProtocolConfig(device_a=dev, device_b=dev,
@@ -102,8 +106,8 @@ class TestSerrodyne:
 class TestPumpStageAndHerald:
     def test_symmetric_config_clicks_equally(self):
         pump = protocol.pump_stage(ideal_config())
-        assert pump.detector_click_prob(1) == pytest.approx(
-            pump.detector_click_prob(2), abs=1e-10)
+        assert click_prob(pump, 1) == pytest.approx(
+            click_prob(pump, 2), abs=1e-10)
 
     def test_herald_projects_shared_excitation(self):
         cfg = ideal_config(p_pump=0.004, phi0=0.37)
@@ -118,6 +122,11 @@ class TestPumpStageAndHerald:
         st, _ = fock_oracle.herald(pump, 2)
         target = shared_excitation_vector(st.register, 0.37, -1)
         assert fock.fidelity_pure(st, target) > 0.99
+
+    def test_detector_click_prob_sums_the_clicked_outcomes(self):
+        q, false = np.array([0.5, 0.2, 0.1, 0.2]), (0.1, 0.3)
+        assert protocol.detector_click_prob(q, false, 1) == pytest.approx(1 - 0.6 * 0.9)
+        assert protocol.detector_click_prob(q, false, 2) == pytest.approx(1 - 0.7 * 0.7)
 
     def test_blocked_arm_heralds_single_device(self):
         dev = DeviceParams(p_pump=0.007, n_init=0.0, bath_k=0.0)
@@ -135,8 +144,8 @@ class TestPumpStageAndHerald:
         cfg = replace(ideal_config(),
                       detectors=DetectorModel(p_dark_pump=(1e-3, 1e-3)))
         pump = protocol.pump_stage(cfg)
-        quantum_only = protocol.pump_stage(ideal_config()).detector_click_prob(1)
-        assert pump.detector_click_prob(1) > quantum_only
+        quantum_only = click_prob(protocol.pump_stage(ideal_config()), 1)
+        assert click_prob(pump, 1) > quantum_only
 
     def test_zero_probability_herald_rejected(self):
         dev = DeviceParams(p_pump=0.0, n_init=0.0, bath_k=0.0)
@@ -221,22 +230,22 @@ class TestReadoutFringe:
         cfg = ideal_config(p_pump=0.004, phi0=0.3)
         st = heralded(protocol.pump_stage(cfg), 1)
         rd = protocol.readout_stage(st, cfg, delta_phi=-0.6)
-        assert rd.detector_click_prob(1) > 100 * rd.detector_click_prob(2)
+        assert click_prob(rd, 1) > 100 * click_prob(rd, 2)
 
     def test_fringe_period_is_two_pi(self):
         cfg = ideal_config(p_pump=0.004, phi0=0.3)
         st = heralded(protocol.pump_stage(cfg), 1)
         base = protocol.readout_stage(st, cfg, delta_phi=0.4)
         wrapped = protocol.readout_stage(st, cfg, delta_phi=0.4 + 2 * math.pi)
-        assert base.detector_click_prob(1) == pytest.approx(
-            wrapped.detector_click_prob(1), rel=1e-9)
+        assert click_prob(base, 1) == pytest.approx(
+            click_prob(wrapped, 1), rel=1e-9)
 
     def test_fringe_is_sinusoidal_with_high_visibility(self):
         cfg = ideal_config(p_pump=0.004)
         st = heralded(protocol.pump_stage(cfg), 1)
         phis = np.linspace(0, 2 * math.pi, 12, endpoint=False)
-        rates = np.array([protocol.readout_stage(st, cfg, delta_phi=p)
-                          .detector_click_prob(1) for p in phis])
+        rates = np.array([click_prob(protocol.readout_stage(st, cfg, delta_phi=p), 1)
+                          for p in phis])
         mean = rates.mean()
         vis = (rates.max() - rates.min()) / (rates.max() + rates.min())
         assert vis > 0.97
@@ -253,10 +262,10 @@ class TestReadoutFringe:
         plus, minus = heralded(pump, 1), heralded(pump, 2)
         rd_plus = protocol.readout_stage(plus, cfg, delta_phi=-0.6)
         rd_minus = protocol.readout_stage(minus, cfg, delta_phi=-0.6)
-        assert rd_plus.detector_click_prob(1) == pytest.approx(
-            rd_minus.detector_click_prob(2), rel=1e-9)
-        assert rd_plus.detector_click_prob(2) == pytest.approx(
-            rd_minus.detector_click_prob(1), rel=1e-9)
+        assert click_prob(rd_plus, 1) == pytest.approx(
+            click_prob(rd_minus, 2), rel=1e-9)
+        assert click_prob(rd_plus, 2) == pytest.approx(
+            click_prob(rd_minus, 1), rel=1e-9)
 
     def test_delay_fringe_period_matches_frequency_difference(self):
         cfg = ideal_config(p_pump=0.004)
@@ -266,8 +275,8 @@ class TestReadoutFringe:
             protocol.evolve_delay(st, 123e-9, cfg), cfg, 0.0)
         r1 = protocol.readout_stage(
             protocol.evolve_delay(st, 123e-9 + period, cfg), cfg, 0.0)
-        assert r0.detector_click_prob(1) == pytest.approx(
-            r1.detector_click_prob(1), rel=2e-2)
+        assert click_prob(r0, 1) == pytest.approx(
+            click_prob(r1, 1), rel=2e-2)
         assert period == pytest.approx(22.22e-9, abs=0.01e-9)
 
 
@@ -384,6 +393,20 @@ class TestBalance:
 
 
 class TestTrialModel:
+    def test_click_marginals_sum_their_joint_cells(self):
+        # outcome_index 1 and 3 click detector 1, 2 and 3 detector 2
+        m = protocol.build_trial_model(shipped("entangle_stats.cfg"))
+        clicks = {1: [1, 3], 2: [2, 3]}
+        for d in (1, 2):
+            assert m.pump_click_prob(d) == pytest.approx(
+                m.joint[clicks[d], :].sum(), rel=1e-15)
+            assert m.read_click_prob(d) == pytest.approx(
+                m.joint[:, clicks[d]].sum(), rel=1e-15)
+        for i in (1, 2):
+            for j in (1, 2):
+                assert m.coincidence_prob(i, j) == pytest.approx(
+                    m.joint[np.ix_(clicks[j], clicks[i])].sum(), rel=1e-15)
+
     def test_detector_symmetry_of_noiseless_fringe(self):
         # heralds on 1 vs 2 give fringes exactly pi out of phase: at a fringe
         # extremum the conditional read rates swap detectors

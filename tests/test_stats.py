@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mechlink import stats
-from mechlink.campaign import WINDOW_PUMP, WINDOW_READ, ClickLog
+from mechlink.campaign import ClickLog
 from mechlink.stats import (CoincidenceTally, StatsError, confidence_below,
                             fit_fringe, g2_from_counts, symmetrize,
                             systematic_correction, tally, visibility,
@@ -36,12 +37,49 @@ WIDE_TALLY = CoincidenceTally(
 )
 
 
+PUMP, READ = 0, 1
+
+
 def make_log(rows, n_trials=10):
-    rows = sorted(rows)
+    """A log of (trial, window, detector) rows: each row sets bit
+    2 * window + detector - 1 of its trial's code."""
+    codes = {}
+    for trial, window, detector in rows:
+        codes[trial] = codes.get(trial, 0) | 1 << (2 * window + detector - 1)
+    trials = sorted(codes)
     return ClickLog(n_trials=n_trials, seed=0, stream=0,
-                    trial=np.array([r[0] for r in rows]),
-                    detector=np.array([r[2] for r in rows]),
-                    window=np.array([r[1] for r in rows]))
+                    trial=trials, code=[codes[t] for t in trials])
+
+
+def row_tally(log) -> CoincidenceTally:
+    """The row-level tally: the log expanded into (trial, detector, window)
+    rows, singles counted by mask and coincidences by intersecting the
+    trials of a read and a pump detector."""
+    rows = np.array([(t, bit % 2 + 1, bit // 2)
+                     for t, code in zip(log.trial.tolist(), log.code.tolist())
+                     for bit in range(4) if code >> bit & 1], dtype=np.int64)
+    trial, detector, window = rows.reshape(-1, 3).T
+    clicked = {(w, d): trial[(window == w) & (detector == d)]
+               for w in (PUMP, READ) for d in (1, 2)}
+    return CoincidenceTally(
+        n_trials=log.n_trials,
+        pump_singles=tuple(len(clicked[PUMP, d]) for d in (1, 2)),
+        read_singles=tuple(len(clicked[READ, d]) for d in (1, 2)),
+        coincidences=tuple(
+            tuple(len(np.intersect1d(clicked[READ, i], clicked[PUMP, j],
+                                     assume_unique=True)) for j in (1, 2))
+            for i in (1, 2)))
+
+
+@st.composite
+def click_logs(draw):
+    """Valid logs: sorted unique trials below n_trials, codes in 1..15."""
+    n_trials = draw(st.integers(1, 10**12))
+    trials = draw(st.lists(st.integers(0, n_trials - 1), unique=True, max_size=40))
+    codes = draw(st.lists(st.integers(1, 15), min_size=len(trials),
+                          max_size=len(trials)))
+    return ClickLog(n_trials=n_trials, seed=draw(st.integers(0, 2**32 - 1)),
+                    stream=0, trial=sorted(trials), code=codes)
 
 
 class TestTally:
@@ -55,18 +93,31 @@ class TestTally:
         # trial 0: pump d1 + read d2; trial 1: pump d2 only; trial 2: both
         # windows both detectors
         rows = [
-            (0, WINDOW_PUMP, 1), (0, WINDOW_READ, 2),
-            (1, WINDOW_PUMP, 2),
-            (2, WINDOW_PUMP, 1), (2, WINDOW_PUMP, 2),
-            (2, WINDOW_READ, 1), (2, WINDOW_READ, 2),
+            (0, PUMP, 1), (0, READ, 2),
+            (1, PUMP, 2),
+            (2, PUMP, 1), (2, PUMP, 2),
+            (2, READ, 1), (2, READ, 2),
         ]
-        t = tally(make_log(rows))
+        log = make_log(rows)
+        assert list(log.code) == [0b1001, 0b0010, 0b1111] and len(log) == 7
+        t = tally(log)
         assert t.pump_singles == (2, 2)
         assert t.read_singles == (1, 2)
         assert t.coincidence(1, 1) == 1       # trial 2
         assert t.coincidence(2, 1) == 2       # trials 0 and 2
         assert t.coincidence(1, 2) == 1       # trial 2
         assert t.coincidence(2, 2) == 1       # trial 2
+
+    @given(log=click_logs())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_csv_round_trip_and_row_tally(self, log, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("log")
+        log.save(directory / "log.csv", directory / "log.json")
+        back = ClickLog.from_csv(directory / "log.csv", directory / "log.json")
+        assert np.array_equal(back.trial, log.trial)
+        assert np.array_equal(back.code, log.code)
+        assert (back.n_trials, back.seed, len(back)) == (log.n_trials, log.seed, len(log))
+        assert tally(log) == row_tally(log)
 
     def test_json_round_trip(self):
         doc = WITNESS_TALLY.dumps()
