@@ -426,8 +426,7 @@ def cmd_plan_yield(cfg: RunConfig, out_dir, config_path) -> None:
         carrier_nm=py.get("carrier_nm", 1550.0))
     reps = py.get("mc_reps", 20000)
     seed = py.get("seed", 1)
-    est = (planner.pair_yield(model, mc_reps=reps, seed=seed) if chips == 2
-           else planner.multi_chip_yield(model, mc_reps=reps, seed=seed))
+    est = planner.multi_chip_yield(model, mc_reps=reps, seed=seed)
     doc = {
         "chips": chips,
         "devices_per_chip": model.devices_per_chip,

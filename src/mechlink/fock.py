@@ -192,10 +192,6 @@ def annihilator(levels: int) -> np.ndarray:
     return a
 
 
-def creator(levels: int) -> np.ndarray:
-    return annihilator(levels).conj().T
-
-
 # ---------------------------------------------------------------------------
 # tensor helpers (operate on the raw matrix viewed as a 2n-axis tensor)
 
@@ -670,12 +666,6 @@ def fidelity_pure(state: DensityMatrix, target: np.ndarray) -> float:
     if abs(norm - 1.0) > 1e-9:
         raise FockError("target state vector must be normalized")
     return float(np.real(v.conj() @ state.mat @ v))
-
-
-def _embed_single(op: np.ndarray, dims: Sequence[int], mode: int) -> np.ndarray:
-    before = np.eye(int(math.prod(dims[:mode])), dtype=np.complex128)
-    after = np.eye(int(math.prod(dims[mode + 1:])), dtype=np.complex128)
-    return np.kron(np.kron(before, op), after)
 
 
 def mode_moment(state: DensityMatrix,

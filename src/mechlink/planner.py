@@ -74,45 +74,6 @@ def _pair_match_probability(model: YieldModel, chip_a: int = 0,
     return float(ndtr((w - mu) / s) - ndtr((-w - mu) / s))
 
 
-def pair_yield(model: YieldModel, mc_reps: int = 20000,
-               seed: int = 1) -> YieldEstimate:
-    """Probability that two chips share at least one matching device pair.
-
-    Analytic: 1 - (1 - p)^(nA nB) under pairwise independence; the Monte
-    Carlo draws full wavelength sets and checks for any matching pair.
-    """
-    if model.chips != 2:
-        raise PlannerError("pair_yield needs a two-chip model")
-    p = _pair_match_probability(model)
-    n_pairs = model.devices_per_chip**2
-    analytic = 1.0 - (1.0 - p) ** n_pairs
-
-    rng = np.random.default_rng(seed)
-    n = model.devices_per_chip
-    hits = 0
-    chunk = max(1, min(mc_reps, int(2e7 / (2 * n))))
-    done = 0
-    while done < mc_reps:
-        m = min(chunk, mc_reps - done)
-        a = rng.normal(model.offsets_nm[0], model.sigma_nm[0], size=(m, n))
-        b = rng.normal(model.offsets_nm[1], model.sigma_nm[1], size=(m, n))
-        a.sort(axis=1)
-        b.sort(axis=1)
-        w = model.window_nm
-        # nearest b-neighbor distance for every a
-        for row in range(m):
-            idx = np.searchsorted(b[row], a[row])
-            left = np.abs(a[row] - b[row][np.clip(idx - 1, 0, n - 1)])
-            right = np.abs(a[row] - b[row][np.clip(idx, 0, n - 1)])
-            if min(left.min(), right.min()) < w:
-                hits += 1
-        done += m
-    mc = hits / mc_reps
-    se = _binomial_se(mc, mc_reps)
-    return YieldEstimate(analytic=analytic, monte_carlo=mc, monte_carlo_se=se,
-                         pair_probability=p)
-
-
 def _binomial_se(p_hat: float, reps: int) -> float:
     # floored at the one-count scale so boundary estimates stay usable
     return math.sqrt(max(p_hat * (1 - p_hat), 1.0 / reps) / reps)
@@ -120,26 +81,24 @@ def _binomial_se(p_hat: float, reps: int) -> float:
 
 def multi_chip_yield(model: YieldModel, mc_reps: int = 100_000,
                      seed: int = 1) -> YieldEstimate:
-    """Probability of a c-way cross-chip match.
+    """Probability of a c-way cross-chip match, for any c >= 2.
 
     The analytic estimate chains pairwise matches independently:
     p_tuple = p_pair^(c-1), yield = 1 - (1 - p_tuple)^(n^c); this is the
-    birthday-paradox-style extrapolation.  The Monte Carlo counts tuples
-    that are mutually within the window (one device per chip, all
-    pairwise differences below it), which is the stricter geometric
-    criterion; it is reported with its standard error and is the more
-    conservative planning figure when the two disagree.
+    birthday-paradox-style extrapolation.  The Monte Carlo counts
+    repetitions holding a tuple that is mutually within the window (one
+    device per chip, all pairwise differences below it), which is the
+    stricter geometric criterion for c > 2; it is reported with its
+    standard error and is the more conservative planning figure when the
+    two disagree.
     """
     c = model.chips
-    if c == 2:
-        return pair_yield(model, mc_reps=mc_reps, seed=seed)
     p = _pair_match_probability(model, 0, 1)
     n_tuples = model.devices_per_chip**c
     analytic = 1.0 - (1.0 - p ** (c - 1)) ** n_tuples
 
     rng = np.random.default_rng(seed)
     n = model.devices_per_chip
-    w = model.window_nm
     hits = 0
     chunk = max(1, int(4e6 / (c * n)))
     done = 0
@@ -147,7 +106,7 @@ def multi_chip_yield(model: YieldModel, mc_reps: int = 100_000,
         m = min(chunk, mc_reps - done)
         lam = np.stack([rng.normal(model.offsets_nm[k], model.sigma_nm[k],
                                    size=(m, n)) for k in range(c)], axis=1)
-        hits += int(np.count_nonzero(_mutual_match_rows(lam, w)))
+        hits += int(np.count_nonzero(_matched_repetitions(lam, model.window_nm)))
         done += m
     mc = hits / mc_reps
     se = _binomial_se(mc, mc_reps)
@@ -155,36 +114,28 @@ def multi_chip_yield(model: YieldModel, mc_reps: int = 100_000,
                          pair_probability=p ** (c - 1))
 
 
-def _mutual_match_rows(lam: np.ndarray, window: float) -> np.ndarray:
-    """Rows (repetitions) containing a one-per-chip tuple with range < window.
+def _matched_repetitions(lam: np.ndarray, window: float) -> np.ndarray:
+    """Repetitions holding a one-per-chip tuple with range < window.
 
-    lam has shape (reps, chips, devices).  All wavelengths of a row are
-    sorted together with chip labels; a match is a sorted run of at most
-    `scan` consecutive elements whose span is below the window and whose
-    labels cover every chip (longer runs are astronomically unlikely at
-    the windows this planner targets).
+    lam has shape (reps, chips, devices).  The tightest such tuple whose
+    smallest wavelength is a given one takes, from every chip, that chip's
+    next wavelength at or above it; a repetition matches when, for some
+    wavelength, the farthest of those lies less than the window above it.
+    Every tuple is covered by the one starting at its smallest member, so
+    the test is exact.
     """
     reps, chips, n = lam.shape
     flat = lam.reshape(reps, chips * n)
-    labels = np.broadcast_to(np.arange(chips, dtype=np.int16)[None, :, None],
-                             (reps, chips, n)).reshape(reps, chips * n)
-    order = np.argsort(flat, axis=1)
+    # descending, so a running minimum along a row looks ahead
+    order = np.argsort(flat, axis=1)[:, ::-1]
     svals = np.take_along_axis(flat, order, axis=1)
-    slabs = np.take_along_axis(labels, order, axis=1)
-
-    total = chips * n
-    # a run longer than chips+3 inside these sub-picometre windows is
-    # beyond-negligible at planning densities
-    scan_max = min(total, chips + 3)
-    onehot = np.zeros((reps, total + 1, chips), dtype=np.int16)
-    np.cumsum(np.eye(chips, dtype=np.int16)[slabs], axis=1, out=onehot[:, 1:])
-    found = np.zeros(reps, dtype=bool)
-    for m in range(chips, scan_max + 1):
-        span = svals[:, m - 1:] - svals[:, : total - m + 1]
-        counts = onehot[:, m:, :] - onehot[:, : total - m + 1, :]
-        covers = (counts > 0).all(axis=2)
-        found |= ((span < window) & covers).any(axis=1)
-    return found
+    chip = order // n
+    farthest = np.full_like(svals, -np.inf)
+    for k in range(chips):
+        nearest_k = np.minimum.accumulate(np.where(chip == k, svals, np.inf),
+                                          axis=1)
+        np.maximum(farthest, nearest_k, out=farthest)
+    return ((farthest - svals) < window).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +284,7 @@ class IntegrationPlan:
     trials: float
     coincidences: float
     witness_ml: float
-    witness_sigma_upper: float
     witness_offgrid: float          # symmetrized witness mass off its grid
-    rate_scale: float
-    plan: SeparationPlan
 
 
 def _projected_tally(link: LinkBudget, g2_floor: float, rate_scale: float,
@@ -379,8 +327,7 @@ def integration_time(link: LinkBudget, separation_km: float,
     """
     plan = split_separation(link, separation_km, contrast_retention)
     worst_db = max(plan.arm_a_db, plan.arm_b_db)
-    trans = 10.0 ** (-worst_db / 10.0)
-    rate_scale = trans
+    rate_scale = 10.0 ** (-worst_db / 10.0)
 
     def clearance(n_trials):
         t = _projected_tally(link, plan.g2_floor, rate_scale, n_trials)
@@ -415,6 +362,4 @@ def integration_time(link: LinkBudget, separation_km: float,
     seconds = n_trials * link.repetition_period / (1.0 - link.overhead_fraction)
     return IntegrationPlan(days=seconds / 86400.0, trials=n_trials,
                            coincidences=coinc, witness_ml=sym.ml_value,
-                           witness_sigma_upper=sym.upper - sym.ml_value,
-                           witness_offgrid=sym.below + sym.above,
-                           rate_scale=rate_scale, plan=plan)
+                           witness_offgrid=sym.below + sym.above)

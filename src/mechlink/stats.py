@@ -115,9 +115,6 @@ class G2Estimate:
     coincidences: int
     heralds: int
 
-    def interval(self) -> tuple:
-        return (self.lower, self.upper)
-
 
 def _g2_posterior(tally_: CoincidenceTally, read_det, pump_det) -> tuple:
     """(c, n, scale): g2 is scale times the coincidence fraction c / n.
@@ -317,7 +314,6 @@ def confidence_below(dist: WitnessDistribution, threshold: float) -> float:
 class SystematicCorrection:
     corrected_witness: float
     corrected_threshold: float
-    relative_correction: float
     components: dict
 
 
@@ -340,7 +336,6 @@ def systematic_correction(witness_value: float, flux_imbalance: float,
     return SystematicCorrection(
         corrected_witness=witness_value * (1.0 + 0.5 * flux_imbalance**2),
         corrected_threshold=1.0 / (1.0 + total),
-        relative_correction=total,
         components=components,
     )
 
@@ -349,18 +344,12 @@ def systematic_correction(witness_value: float, flux_imbalance: float,
 # fringe analysis
 
 
-def visibility(values, mode: str = "extrema") -> float:
+def visibility(values) -> float:
     """Fringe contrast (max - min) / (max + min) of a correlation sweep."""
     v = np.asarray(values, dtype=float)
     if v.size < 2:
         raise StatsError("need at least two fringe samples")
-    if mode == "fit":
-        fit = fit_fringe(np.arange(v.size, dtype=float) * (2 * math.pi / v.size), v)
-        top, bot = fit.offset + abs(fit.amplitude), fit.offset - abs(fit.amplitude)
-    elif mode == "extrema":
-        top, bot = float(v.max()), float(v.min())
-    else:
-        raise StatsError("mode must be 'extrema' or 'fit'")
+    top, bot = float(v.max()), float(v.min())
     if top + bot == 0:
         raise StatsError("degenerate fringe: extrema sum to zero")
     return (top - bot) / (top + bot)

@@ -304,7 +304,7 @@ class TestCriterion6Yield:
         for offset, target in ((0.0, 0.999996), (2.5, 0.9998), (5.0, 0.927)):
             m = planner.YieldModel(chips=2, devices_per_chip=234,
                                    sigma_nm=(2.0, 2.0), offsets_nm=(0.0, offset))
-            est = planner.pair_yield(m, mc_reps=5000, seed=3)
+            est = planner.multi_chip_yield(m, mc_reps=5000, seed=3)
             results.append((offset, target, est))
         quad = planner.multi_chip_yield(
             planner.YieldModel(chips=4, devices_per_chip=500,

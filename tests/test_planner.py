@@ -1,5 +1,6 @@
 """Yield statistics and fiber-budget planning checks."""
 
+import itertools
 import math
 import os
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ from mechlink.config import parse_config
 from mechlink.noise import NoiseBudget
 from mechlink.planner import (LinkBudget, PlannerError, YieldModel, degraded_g2,
                               integration_time, max_separation, multi_chip_yield,
-                              pair_yield, required_added_db, split_separation)
+                              required_added_db, split_separation)
 
 US = 1e-6
 
@@ -43,7 +44,7 @@ class TestPairYield:
     def test_colocated_chips(self):
         m = YieldModel(chips=2, devices_per_chip=234, sigma_nm=(2.0, 2.0),
                        offsets_nm=(0.0, 0.0))
-        est = pair_yield(m, mc_reps=4000, seed=3)
+        est = multi_chip_yield(m, mc_reps=4000, seed=3)
         assert est.analytic == pytest.approx(0.999996, abs=1e-5)
         assert abs(est.monte_carlo - est.analytic) <= 3 * max(est.monte_carlo_se,
                                                               1e-4)
@@ -52,14 +53,14 @@ class TestPairYield:
     def test_offset_chips(self, offset, expected):
         m = YieldModel(chips=2, devices_per_chip=234, sigma_nm=(2.0, 2.0),
                        offsets_nm=(0.0, offset))
-        est = pair_yield(m, mc_reps=4000, seed=3)
+        est = multi_chip_yield(m, mc_reps=4000, seed=3)
         assert est.analytic == pytest.approx(expected, abs=0.002)
         assert abs(est.monte_carlo - est.analytic) <= 3 * est.monte_carlo_se
 
     def test_vanishing_window(self):
         m = YieldModel(chips=2, devices_per_chip=234, sigma_nm=(2.0, 2.0),
                        offsets_nm=(0.0, 0.0), window_mhz=1e-6)
-        est = pair_yield(m, mc_reps=200, seed=1)
+        est = multi_chip_yield(m, mc_reps=200, seed=1)
         assert est.analytic < 1e-4
         assert est.monte_carlo == 0.0
 
@@ -67,7 +68,7 @@ class TestPairYield:
         def yield_at(n, w):
             m = YieldModel(chips=2, devices_per_chip=n, sigma_nm=(2.0, 2.0),
                            offsets_nm=(0.0, 3.0), window_mhz=w)
-            return pair_yield(m, mc_reps=50, seed=1).analytic
+            return multi_chip_yield(m, mc_reps=50, seed=1).analytic
 
         assert yield_at(50, 100) < yield_at(150, 100) < yield_at(400, 100)
         assert yield_at(100, 30) < yield_at(100, 100) < yield_at(100, 300)
@@ -77,7 +78,7 @@ class TestPairYield:
         for off in (0.0, 2.0, 4.0, 6.0):
             m = YieldModel(chips=2, devices_per_chip=234, sigma_nm=(2.0, 2.0),
                            offsets_nm=(0.0, off))
-            vals.append(pair_yield(m, mc_reps=50, seed=1).analytic)
+            vals.append(multi_chip_yield(m, mc_reps=50, seed=1).analytic)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -131,21 +132,59 @@ class TestMultiChipYield:
         assert est.monte_carlo < est.analytic
         assert 0.25 < est.monte_carlo < 0.45
 
-    def test_two_chips_reduces_to_pair_yield(self):
-        m = YieldModel(chips=2, devices_per_chip=100, sigma_nm=(2.0, 2.0),
-                       offsets_nm=(0.0, 1.0))
-        a = multi_chip_yield(m, mc_reps=3000, seed=9)
-        b = pair_yield(m, mc_reps=3000, seed=9)
-        assert a.analytic == b.analytic
-        assert abs(a.monte_carlo - b.monte_carlo) <= 3 * (a.monte_carlo_se
-                                                          + b.monte_carlo_se)
-
     def test_single_device_tiny_window(self):
         m = YieldModel(chips=3, devices_per_chip=1, sigma_nm=(2.0,) * 3,
                        offsets_nm=(0.0,) * 3, window_mhz=1e-3)
         est = multi_chip_yield(m, mc_reps=500, seed=2)
         assert est.analytic < 1e-6
         assert est.monte_carlo == 0.0
+
+    @pytest.mark.parametrize("model,expected", [
+        (YieldModel(chips=4, devices_per_chip=500, sigma_nm=(2.0,) * 4,
+                    offsets_nm=(0.0,) * 4), 0.35025),
+        (YieldModel(chips=2, devices_per_chip=234, sigma_nm=(2.0, 2.0),
+                    offsets_nm=(0.0, 5.0)), 0.9235),
+    ], ids=["four-chip", "two-chip"])
+    def test_seed_to_result_mapping_is_pinned(self, model, expected):
+        assert multi_chip_yield(model, mc_reps=4000, seed=3).monte_carlo == expected
+
+
+def brute_force_matches(lam, window):
+    """Every one-per-chip tuple of every repetition, checked directly."""
+    return np.array([any(max(t) - min(t) < window for t in itertools.product(*rep))
+                     for rep in lam])
+
+
+class TestMatchedRepetitions:
+    """The per-repetition verdict behind the yield Monte Carlo."""
+
+    @pytest.mark.parametrize("chips", [2, 3, 4])
+    def test_equals_brute_force(self, chips):
+        rng = np.random.default_rng(chips)
+        verdicts = []
+        for trial in range(150):
+            n = int(rng.integers(1, 7))
+            if trial % 2:
+                lam = rng.uniform(0.0, 3.0, size=(6, chips, n))
+            else:
+                # eighths are exact in binary: ties and ranges equal to
+                # the window both occur
+                lam = rng.integers(0, 24, size=(6, chips, n)) / 8.0
+            window = rng.integers(1, 8) / 8.0
+            expected = brute_force_matches(lam, window)
+            np.testing.assert_array_equal(
+                planner._matched_repetitions(lam, window), expected)
+            verdicts.extend(expected)
+        assert 0.2 < np.mean(verdicts) < 0.8
+
+    @pytest.mark.parametrize("chips", [2, 3, 4])
+    def test_range_equal_to_window_does_not_match(self, chips):
+        # chip k holds k / (chips - 1) and a far decoy, so the only tuple
+        # in reach spans exactly 1.0; the match rule is strict
+        lam = np.array([[[k / (chips - 1), 10.0 * (k + 1)]
+                         for k in range(chips)]])
+        assert not planner._matched_repetitions(lam, 1.0)[0]
+        assert planner._matched_repetitions(lam, np.nextafter(1.0, 2.0))[0]
 
 
 class TestDegradedCorrelation:

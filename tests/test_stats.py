@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mechlink import stats
+from mechlink import cli, stats
 from mechlink.campaign import ClickLog
 from mechlink.stats import (CoincidenceTally, StatsError, confidence_below,
                             fit_fringe, g2_from_counts, symmetrize,
@@ -404,10 +404,11 @@ class TestFringeTools:
         assert visibility([3.0, 3.0, 3.0]) == 0.0
 
     def test_fitted_mode_recovers_known_visibility(self):
+        # the sinusoid-fit contrast the time sweep reports per window
         rng = np.random.default_rng(8)
         x = np.linspace(0, 4 * math.pi, 40)
         y = 4.0 * (1 + 0.8 * np.cos(x - 0.3)) + rng.normal(0, 0.05, x.size)
-        assert visibility(y, mode="fit") == pytest.approx(0.80, abs=0.01)
+        assert cli._window_visibility(x, y, y) == pytest.approx(0.80, abs=0.01)
 
     def test_phase_fringe_period_recovery(self):
         rng = np.random.default_rng(3)
