@@ -83,9 +83,10 @@ def multi_chip_yield(model: YieldModel, mc_reps: int = 100_000,
                      seed: int = 1) -> YieldEstimate:
     """Probability of a c-way cross-chip match, for any c >= 2.
 
-    The analytic estimate chains pairwise matches independently:
-    p_tuple = p_pair^(c-1), yield = 1 - (1 - p_tuple)^(n^c); this is the
-    birthday-paradox-style extrapolation.  The Monte Carlo counts
+    The analytic estimate chains the matches of consecutive chips
+    independently: p_tuple = p(0, 1) p(1, 2) ... p(c-2, c-1) and
+    yield = 1 - (1 - p_tuple)^(n^c); this is the birthday-paradox-style
+    extrapolation.  The Monte Carlo counts
     repetitions holding a tuple that is mutually within the window (one
     device per chip, all pairwise differences below it), which is the
     stricter geometric criterion for c > 2; it is reported with its
@@ -93,9 +94,10 @@ def multi_chip_yield(model: YieldModel, mc_reps: int = 100_000,
     two disagree.
     """
     c = model.chips
-    p = _pair_match_probability(model, 0, 1)
+    p_tuple = math.prod(_pair_match_probability(model, k, k + 1)
+                        for k in range(c - 1))
     n_tuples = model.devices_per_chip**c
-    analytic = 1.0 - (1.0 - p ** (c - 1)) ** n_tuples
+    analytic = 1.0 - (1.0 - p_tuple) ** n_tuples
 
     rng = np.random.default_rng(seed)
     n = model.devices_per_chip
@@ -111,7 +113,7 @@ def multi_chip_yield(model: YieldModel, mc_reps: int = 100_000,
     mc = hits / mc_reps
     se = _binomial_se(mc, mc_reps)
     return YieldEstimate(analytic=analytic, monte_carlo=mc, monte_carlo_se=se,
-                         pair_probability=p ** (c - 1))
+                         pair_probability=p_tuple)
 
 
 def _matched_repetitions(lam: np.ndarray, window: float) -> np.ndarray:
@@ -298,7 +300,9 @@ def _projected_tally(link: LinkBudget, g2_floor: float, rate_scale: float,
     its square automatically.
     """
     g_max = g2_floor
-    g_min = max(g_max - (g2_floor - 1.0), 0.05)
+    # one contrast below the ceiling, g_max - (g2_floor - 1), is exactly 1:
+    # with g2_floor > 1 both differences are representable, so both are exact
+    g_min = 1.0
     n = float(n_trials)
     cp = 0.5 * link.herald_prob * rate_scale * n
     cr = 0.5 * link.read_prob * rate_scale * n
@@ -331,9 +335,10 @@ def integration_time(link: LinkBudget, separation_km: float,
 
     def clearance(n_trials):
         t = _projected_tally(link, plan.g2_floor, rate_scale, n_trials)
-        d1 = counting.witness_distribution(t, 1)
-        d2 = counting.witness_distribution(t, 2)
-        sym = counting.symmetrize(d1, d2)
+        # the tally is mirror-symmetric in the two heralds, so their
+        # posteriors are equal bit for bit
+        d = counting.witness_distribution(t, 1)
+        sym = counting.symmetrize(d, d)
         sigma_up = max(sym.upper - sym.ml_value, 1e-6)
         return (1.0 - sym.ml_value) / sigma_up, sym, t
 

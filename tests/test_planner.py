@@ -139,6 +139,27 @@ class TestMultiChipYield:
         assert est.analytic < 1e-6
         assert est.monte_carlo == 0.0
 
+    def test_analytic_chains_consecutive_chips(self):
+        # chip 2 sits 10 sigma away from the other two: no tuple matches
+        m = YieldModel(chips=3, devices_per_chip=300, sigma_nm=(1.0,) * 3,
+                       offsets_nm=(0.0, 0.0, 10.0))
+        est = multi_chip_yield(m, mc_reps=2000, seed=1)
+        assert est.pair_probability == (planner._pair_match_probability(m, 0, 1)
+                                        * planner._pair_match_probability(m, 1, 2))
+        assert est.analytic < 1e-6
+        assert est.monte_carlo == 0.0
+
+    @pytest.mark.parametrize("chips, n", [(2, 234), (3, 300), (4, 500)])
+    def test_equal_chips_keep_the_power_law(self, chips, n):
+        m = YieldModel(chips=chips, devices_per_chip=n, sigma_nm=(2.0,) * chips,
+                       offsets_nm=(0.0,) * chips)
+        p = planner._pair_match_probability(m)
+        est = multi_chip_yield(m, mc_reps=10, seed=1)
+        assert est.pair_probability == pytest.approx(p ** (chips - 1),
+                                                     rel=1e-12)
+        assert est.analytic == pytest.approx(
+            1.0 - (1.0 - p ** (chips - 1)) ** n**chips, abs=1e-12)
+
     @pytest.mark.parametrize("model,expected", [
         (YieldModel(chips=4, devices_per_chip=500, sigma_nm=(2.0,) * 4,
                     offsets_nm=(0.0,) * 4), 0.35025),
@@ -280,10 +301,23 @@ class TestIntegrationTime:
 
         monkeypatch.setattr(stats, "witness_distribution", counted)
         plan = integration_time(reference_link(), 75.0)
-        # the first probe sizes the bracket, 12 bisection steps follow
-        assert len(seen) == 26
-        assert len(set(seen)) == 26
-        assert plan.witness_offgrid == 0.0
+        # the first probe sizes the bracket, 12 bisection steps follow; the
+        # heralds' posteriors are equal, so each probe solves one of them
+        assert len(seen) == 13
+        assert len(set(seen)) == 13
+        # only the rounding-level tails of the g2 posteriors leave the grid
+        assert 0.0 <= plan.witness_offgrid < 1e-150
+
+    @pytest.mark.parametrize("n_trials", [4.105e9, 1.2e10, 6.4e10, 2.8e11])
+    def test_projected_heralds_have_equal_posteriors(self, n_trials):
+        link = reference_link()
+        plan = split_separation(link, 94.0)
+        rate_scale = 10.0 ** (-max(plan.arm_a_db, plan.arm_b_db) / 10.0)
+        t = planner._projected_tally(link, plan.g2_floor, rate_scale, n_trials)
+        d1, d2 = (stats.witness_distribution(t, det) for det in (1, 2))
+        assert np.array_equal(d1.mass, d2.mass)
+        assert ((d1.ml_value, d1.lower, d1.upper, d1.below, d1.above)
+                == (d2.ml_value, d2.lower, d2.upper, d2.below, d2.above))
 
     @pytest.mark.parametrize("ml, upper", [(0.9, 1.5), (0.0, 0.01)])
     def test_unmoved_bracket_end_raises(self, ml, upper, monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -35,6 +36,11 @@ WIDE_TALLY = CoincidenceTally(
     read_singles=(123999, 123999),
     coincidences=((1, 10), (10, 1)),
 )
+
+
+def config_tally(name) -> CoincidenceTally:
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", name)) as fh:
+        return CoincidenceTally.loads(fh.read())
 
 
 PUMP, READ = 0, 1
@@ -285,14 +291,46 @@ class TestWitnessDistribution:
         (WIDE_TALLY, 1, 5e-5), (WIDE_TALLY, 2, 5e-5)])
     def test_doubling_quadrature_nodes(self, tally_, det, tol, monkeypatch):
         base = witness_distribution(tally_, det)
-        monkeypatch.setattr(stats, "WITNESS_NODES", 2 * stats.WITNESS_NODES)
+        x, w = np.polynomial.legendre.leggauss(2 * stats.WITNESS_NODES)
+        monkeypatch.setattr(stats, "_LEGENDRE_X", x)
+        monkeypatch.setattr(stats, "_LEGENDRE_W", 0.5 * w)
         fine = witness_distribution(tally_, det)
+        assert len(fine.mass) == len(base.mass)
         assert np.abs(fine.mass - base.mass).max() <= tol
         assert abs(fine.below - base.below) <= tol
         assert abs(fine.above - base.above) <= tol
         assert fine.ml_value == base.ml_value
         assert fine.lower == pytest.approx(base.lower, abs=5e-5)
         assert fine.upper == pytest.approx(base.upper, abs=5e-5)
+
+    @pytest.mark.parametrize("tally_", [
+        config_tally("witness_run_tally.json"),
+        config_tally("extended_phase_tally.json"),
+        # planner tallies of plan_fiber.cfg: a 94 km projection with no
+        # same-detector coincidence, the first probe at 94 km and at 75 km
+        CoincidenceTally(n_trials=4_105_000_000, pump_singles=(46760, 46760),
+                         read_singles=(42950, 42950),
+                         coincidences=((0, 4), (4, 0))),
+        WIDE_TALLY,
+        CoincidenceTally(n_trials=5_633_379_961, pump_singles=(135000, 135000),
+                         read_singles=(124000, 124000),
+                         coincidences=((3, 21), (21, 3))),
+    ], ids=["published", "extended", "0-4", "1-10", "3-21"])
+    @pytest.mark.parametrize("det", [1, 2])
+    def test_bands_skip_only_exact_zeros_and_ones(self, tally_, det):
+        # the reference evaluates the node CDFs at every edge
+        (c, n, scale), post_b = sorted(
+            (stats._g2_posterior(tally_, i, det) for i in (1, 2)),
+            key=lambda post: post[0] * post[2])
+        a = scale * stats.betaincinv(c + 1, n - c + 1,
+                                     0.5 * (stats._LEGENDRE_X + 1.0))
+        d = witness_distribution(tally_, det)
+        edges = stats.WITNESS_MIN + stats.WITNESS_GRID_STEP * np.arange(
+            len(d.mass) + 1)
+        cdf = stats._conditional_cdf(a, edges[:, None], *post_b)
+        assert np.array_equal(d.mass, np.diff(cdf, axis=0) @ stats._LEGENDRE_W)
+        assert d.below == cdf[0] @ stats._LEGENDRE_W
+        assert d.above == (1.0 - cdf[-1]) @ stats._LEGENDRE_W
 
     def test_widest_planner_tally_keeps_its_mode_and_tail(self):
         for det in (1, 2):
