@@ -83,19 +83,22 @@ def multi_chip_yield(model: YieldModel, mc_reps: int = 100_000,
                      seed: int = 1) -> YieldEstimate:
     """Probability of a c-way cross-chip match, for any c >= 2.
 
-    The analytic estimate chains the matches of consecutive chips
-    independently: p_tuple = p(0, 1) p(1, 2) ... p(c-2, c-1) and
-    yield = 1 - (1 - p_tuple)^(n^c); this is the birthday-paradox-style
-    extrapolation.  The Monte Carlo counts
-    repetitions holding a tuple that is mutually within the window (one
-    device per chip, all pairwise differences below it), which is the
-    stricter geometric criterion for c > 2; it is reported with its
+    The analytic estimate chains pairwise matches independently along
+    the chips sorted by center offset, k_1 ... k_c: p_tuple =
+    p(k_1, k_2) ... p(k_c-1, k_c) and yield = 1 - (1 - p_tuple)^(n^c);
+    this is the birthday-paradox-style extrapolation, and the sort keeps
+    it from depending on how the chips are numbered.  The Monte Carlo
+    counts repetitions holding a tuple that is mutually within the window
+    (one device per chip, all pairwise differences below it), which is
+    the stricter geometric criterion for c > 2; it is reported with its
     standard error and is the more conservative planning figure when the
     two disagree.
     """
     c = model.chips
-    p_tuple = math.prod(_pair_match_probability(model, k, k + 1)
-                        for k in range(c - 1))
+    chain = sorted(range(c), key=lambda k: (model.offsets_nm[k],
+                                            model.sigma_nm[k]))
+    p_tuple = math.prod(_pair_match_probability(model, i, j)
+                        for i, j in zip(chain, chain[1:]))
     n_tuples = model.devices_per_chip**c
     analytic = 1.0 - (1.0 - p_tuple) ** n_tuples
 

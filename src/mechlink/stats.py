@@ -15,6 +15,7 @@ CDFs, and the mass off the grid is reported, not folded into it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -32,9 +33,6 @@ WITNESS_MIN, WITNESS_MAX = -2.0, 20.0
 # planner tally (1 and 10 coincidences); that tally's `above` is within
 # 1.2e-5, slowed by the square-root edge where the roots turn complex.
 WITNESS_NODES = 64
-# the nodes on [-1, 1] and the weights halved, so they average over [0, 1]
-_LEGENDRE_X, _LEGENDRE_W = np.polynomial.legendre.leggauss(WITNESS_NODES)
-_LEGENDRE_W = 0.5 * _LEGENDRE_W
 
 
 class StatsError(ValueError):
@@ -218,13 +216,21 @@ def _conditional_cdf(a: np.ndarray, w: np.ndarray, c: int, n: int,
 
     f1, f2 = cdf(r1), cdf(r2)
     # 1 - P(r1 < b < r2) is exactly 1 once that mass rounds away, which
-    # lets `witness_distribution` skip saturated edges.  It is also exactly
-    # 0 while P(b <= r1) is under about 1e-16, a tail that f1 - f2 keeps at
-    # w < 0: the CDF can step down across w = 0, and the bin just under it
-    # can come out negative (about 1e-16 at most)
+    # lets `witness_distribution` skip saturated edges.  The difference
+    # cancels to exactly 0 only where f2 is 1; there the CDF is f1, the
+    # tail that f1 - f2 keeps at w < 0, so the exact 0s of each node's CDF
+    # are a leading run in w and its exact 1s a trailing one
     outside = 1.0 - (np.where(w > 0.0, f2, 1.0) - f1)
+    outside = np.where(outside > 0.0, outside, f1)
     return np.where(w < 0.0, np.where(real, f1 - f2, 0.0),
                     np.where(real, outside, 1.0))
+
+
+@functools.cache
+def _legendre(nodes: int) -> tuple:
+    # Gauss-Legendre nodes on [-1, 1], weights halved to average over [0, 1]
+    x, weights = np.polynomial.legendre.leggauss(nodes)
+    return x, 0.5 * weights
 
 
 def witness_distribution(tally_: CoincidenceTally, pump_det: int,
@@ -247,25 +253,24 @@ def witness_distribution(tally_: CoincidenceTally, pump_det: int,
     (c, n, scale), post_b = sorted(
         (_g2_posterior(tally_, i, pump_det) for i in (1, 2)),
         key=lambda post: post[0] * post[2])
-    a = scale * betaincinv(c + 1, n - c + 1, 0.5 * (_LEGENDRE_X + 1.0))
-    # each node's CDF is monotone in w on either side of w = 0 and can
-    # only step down to exactly 0 across it (`_conditional_cdf`), so every
-    # 40th edge and the last edge under 0 bracket each node's band: its CDF
-    # is exactly 0 up to its leading run of 0 probes, exactly 1 from its
-    # first 1 probe
-    under_zero = np.searchsorted(edges, 0.0) - 1
-    coarse = np.unique(np.r_[0:n_bins:40, under_zero, n_bins])
+    x, weights = _legendre(WITNESS_NODES)
+    a = scale * betaincinv(c + 1, n - c + 1, 0.5 * (x + 1.0))
+    # each node's exact 0s and 1s are a leading and a trailing run of the
+    # edges (`_conditional_cdf`), so every 40th edge brackets its band: the
+    # column is exactly 0 up to its last 0 probe, exactly 1 from its first
+    # 1 probe, and is evaluated in between
+    coarse = np.r_[0:n_bins:40, n_bins]
     probe = _conditional_cdf(a, edges[coarse, None], *post_b)
     cdf = np.zeros((n_bins + 1, len(a)))
     for k, column in enumerate(probe.T):
-        lo = coarse[np.logical_and.accumulate(column == 0.0)].max(initial=0)
+        lo = coarse[column == 0.0].max(initial=0)
         hi = coarse[column == 1.0].min(initial=n_bins)
         cdf[hi:, k] = 1.0
         cdf[lo:hi + 1, k] = _conditional_cdf(a[k], edges[lo:hi + 1], *post_b)
 
-    mass = np.diff(cdf, axis=0) @ _LEGENDRE_W
-    below = float(cdf[0] @ _LEGENDRE_W)
-    above = float((1.0 - cdf[-1]) @ _LEGENDRE_W)
+    mass = np.diff(cdf, axis=0) @ weights
+    below = float(cdf[0] @ weights)
+    above = float((1.0 - cdf[-1]) @ weights)
     grid = WITNESS_MIN + (np.arange(n_bins) + 0.5) * witness_step
     ml, lower, upper = _mode_and_interval(grid, mass, below)
     return WitnessDistribution(grid=grid, mass=mass, ml_value=ml, lower=lower,

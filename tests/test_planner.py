@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import witness_oracle
 from mechlink import planner, stats
 from mechlink.config import parse_config
 from mechlink.noise import NoiseBudget
@@ -139,7 +140,7 @@ class TestMultiChipYield:
         assert est.analytic < 1e-6
         assert est.monte_carlo == 0.0
 
-    def test_analytic_chains_consecutive_chips(self):
+    def test_analytic_chains_every_chip(self):
         # chip 2 sits 10 sigma away from the other two: no tuple matches
         m = YieldModel(chips=3, devices_per_chip=300, sigma_nm=(1.0,) * 3,
                        offsets_nm=(0.0, 0.0, 10.0))
@@ -148,6 +149,17 @@ class TestMultiChipYield:
                                         * planner._pair_match_probability(m, 1, 2))
         assert est.analytic < 1e-6
         assert est.monte_carlo == 0.0
+
+    def test_analytic_ignores_chip_numbering(self):
+        offsets, sigmas = (0.0, 0.0, 3.0, -1.0), (2.0, 1.5, 2.0, 1.0)
+        seen = set()
+        for perm in itertools.permutations(range(4)):
+            m = YieldModel(chips=4, devices_per_chip=300,
+                           sigma_nm=tuple(sigmas[k] for k in perm),
+                           offsets_nm=tuple(offsets[k] for k in perm))
+            est = multi_chip_yield(m, mc_reps=10, seed=1)
+            seen.add((est.analytic, est.pair_probability))
+        assert len(seen) == 1
 
     @pytest.mark.parametrize("chips, n", [(2, 234), (3, 300), (4, 500)])
     def test_equal_chips_keep_the_power_law(self, chips, n):
@@ -305,8 +317,11 @@ class TestIntegrationTime:
         # heralds' posteriors are equal, so each probe solves one of them
         assert len(seen) == 13
         assert len(set(seen)) == 13
-        # only the rounding-level tails of the g2 posteriors leave the grid
-        assert 0.0 <= plan.witness_offgrid < 1e-150
+        # the off-grid mass is that of the full-grid posteriors
+        t = next(t for t, _ in seen if t.n_trials == int(plan.trials))
+        d = witness_oracle.full_grid_distribution(t, 1)
+        sym = stats.symmetrize(d, d)
+        assert plan.witness_offgrid == sym.below + sym.above
 
     @pytest.mark.parametrize("n_trials", [4.105e9, 1.2e10, 6.4e10, 2.8e11])
     def test_projected_heralds_have_equal_posteriors(self, n_trials):

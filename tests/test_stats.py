@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import witness_oracle
 from mechlink import cli, stats
 from mechlink.campaign import ClickLog
 from mechlink.stats import (CoincidenceTally, StatsError, confidence_below,
@@ -291,11 +292,8 @@ class TestWitnessDistribution:
         (WIDE_TALLY, 1, 5e-5), (WIDE_TALLY, 2, 5e-5)])
     def test_doubling_quadrature_nodes(self, tally_, det, tol, monkeypatch):
         base = witness_distribution(tally_, det)
-        x, w = np.polynomial.legendre.leggauss(2 * stats.WITNESS_NODES)
-        monkeypatch.setattr(stats, "_LEGENDRE_X", x)
-        monkeypatch.setattr(stats, "_LEGENDRE_W", 0.5 * w)
+        monkeypatch.setattr(stats, "WITNESS_NODES", 2 * stats.WITNESS_NODES)
         fine = witness_distribution(tally_, det)
-        assert len(fine.mass) == len(base.mass)
         assert np.abs(fine.mass - base.mass).max() <= tol
         assert abs(fine.below - base.below) <= tol
         assert abs(fine.above - base.above) <= tol
@@ -318,19 +316,21 @@ class TestWitnessDistribution:
     ], ids=["published", "extended", "0-4", "1-10", "3-21"])
     @pytest.mark.parametrize("det", [1, 2])
     def test_bands_skip_only_exact_zeros_and_ones(self, tally_, det):
-        # the reference evaluates the node CDFs at every edge
-        (c, n, scale), post_b = sorted(
-            (stats._g2_posterior(tally_, i, det) for i in (1, 2)),
-            key=lambda post: post[0] * post[2])
-        a = scale * stats.betaincinv(c + 1, n - c + 1,
-                                     0.5 * (stats._LEGENDRE_X + 1.0))
+        cdf, _ = witness_oracle.full_grid_cdf(tally_, det)
+        # what the coarse probe relies on: each node's exact 0s are a
+        # leading run of the edges and its exact 1s a trailing one
+        zero, one = cdf == 0.0, cdf == 1.0
+        assert np.array_equal(zero, np.logical_and.accumulate(zero, axis=0))
+        assert np.array_equal(one, np.logical_and.accumulate(one[::-1],
+                                                             axis=0)[::-1])
         d = witness_distribution(tally_, det)
-        edges = stats.WITNESS_MIN + stats.WITNESS_GRID_STEP * np.arange(
-            len(d.mass) + 1)
-        cdf = stats._conditional_cdf(a, edges[:, None], *post_b)
-        assert np.array_equal(d.mass, np.diff(cdf, axis=0) @ stats._LEGENDRE_W)
-        assert d.below == cdf[0] @ stats._LEGENDRE_W
-        assert d.above == (1.0 - cdf[-1]) @ stats._LEGENDRE_W
+        ref = witness_oracle.full_grid_distribution(tally_, det)
+        assert np.array_equal(d.mass, ref.mass)
+        assert (d.below, d.above) == (ref.below, ref.above)
+        assert ((d.ml_value, d.lower, d.upper)
+                == (ref.ml_value, ref.lower, ref.upper))
+        # the tails on both sides of w = 0 join, so no bin there goes negative
+        assert d.mass.min() >= 0.0
 
     def test_widest_planner_tally_keeps_its_mode_and_tail(self):
         for det in (1, 2):
