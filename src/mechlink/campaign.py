@@ -9,6 +9,7 @@ with a click are drawn, so the cost scales with clicks, not trials.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import os
@@ -28,8 +29,8 @@ CHUNK_TRIALS = 1 << 20
 # a row is the trial's digits, then the suffix of its slot (a code's rows
 # listed by slot are in log order)
 CSV_BLOCK_TRIALS = 1 << 16
-_ROW_SUFFIX = np.frombuffer(b",1,pump\n,2,pump\n,1,read\n,2,read\n",
-                            np.uint8).reshape(4, 8)
+_CODE_INCIDENCE = CODE_SLOTS.view(np.uint32).ravel()    # a code's slot flags
+_ROW_SUFFIX = np.frombuffer(b",1,pump\n,2,pump\n,1,read\n,2,read\n", "<u8")
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 _CSV_DTYPE = [("trial", np.int64), ("detector", np.int8), ("window", "S8")]
 
@@ -41,7 +42,7 @@ class CampaignError(ValueError):
 def atomic_write(path, text) -> None:
     """Write-then-rename so readers never observe partial files.
 
-    `text` is a string or an iterable of string blocks, written in turn.
+    `text` is a string or an iterable of str or bytes blocks, written in turn.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -49,8 +50,9 @@ def atomic_write(path, text) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
                                suffix=os.path.basename(path))
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+        with os.fdopen(fd, "wb") as fh:
+            for block in [text] if isinstance(text, str) else text:
+                fh.write(block.encode() if isinstance(block, str) else block)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -107,14 +109,14 @@ class ClickLog:
     # -- serialization ------------------------------------------------
 
     def _csv_blocks(self):
-        yield "trial,detector,window\n"
+        yield b"trial,detector,window\n"
         for lo in range(0, len(self.trial), CSV_BLOCK_TRIALS):
             block = slice(lo, lo + CSV_BLOCK_TRIALS)
-            row, slot = np.nonzero(CODE_SLOTS[self.code[block]])
-            yield _format_rows(self.trial[block][row], slot)
+            flat = np.flatnonzero(_CODE_INCIDENCE[self.code[block]].view(bool))
+            yield _format_rows(self.trial[block][flat >> 2], flat & 3)
 
     def to_csv(self) -> str:
-        return "".join(self._csv_blocks())
+        return b"".join(self._csv_blocks()).decode("ascii")
 
     def metadata(self) -> dict:
         from . import __version__
@@ -156,7 +158,8 @@ class ClickLog:
             raise CampaignError("detector must be 1 or 2")
         trial = rows["trial"]
         slot = 2 * (rows["window"] == b"read") + rows["detector"] - 1
-        if np.any(np.diff(4 * trial + slot) <= 0):
+        later, same = trial[1:] > trial[:-1], trial[1:] == trial[:-1]
+        if not np.all(later | same & (slot[1:] > slot[:-1])):
             raise CampaignError("rows must be strictly ordered by (trial, window, detector)")
         first = np.flatnonzero(np.diff(trial, prepend=trial[:1] - 1))
         n_trials = meta.get("n_trials", int(trial.max()) + 1 if len(trial) else 0)
@@ -166,19 +169,37 @@ class ClickLog:
                    config_snapshot=meta.get("config", {}))
 
 
-def _format_rows(trial, slot) -> str:
-    """CSV rows of one block: each trial's digits right-aligned in a byte
-    matrix, its slot's suffix after them, the leading blanks dropped."""
-    n_digits = 1 + np.searchsorted(_POW10, trial, side="right")
-    width = int(n_digits.max())
-    out = np.empty((len(trial), width + 8), np.uint8)
-    q = trial
-    for j in range(width - 1, -1, -1):
-        q, out[:, j] = np.divmod(q, 10)
-    out[:, :width] += ord("0")
-    out[:, width:] = _ROW_SUFFIX[slot]
-    keep = np.arange(width + 8) >= width - n_digits[:, None]
-    return out[keep].tobytes().decode("ascii")
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """ASCII 0000..9999, one 4-byte word each (built at the first write)."""
+    return (np.arange(10_000, dtype=np.uint16)[:, None]
+            // np.array([1000, 100, 10, 1], np.uint16) % 10
+            + ord("0")).astype(np.uint8).view("<u4").ravel()
+
+
+def _format_rows(trial, slot) -> bytes:
+    """CSV rows of one block, `trial` non-decreasing.  Rows of one digit
+    count form fixed-width records of 4-byte digit groups and the 8-byte
+    suffix, stored in offset order: each word overwrites the unused bytes
+    of a 1-3 digit leading group before it."""
+    first, last = 1 + np.searchsorted(_POW10, trial[[0, -1]], side="right")
+    edges = [0, *np.searchsorted(trial, _POW10[first - 1:last - 1]), len(trial)]
+    runs = []
+    for width, lo, hi in zip(range(first, last + 1), edges, edges[1:]):
+        lead = (width - 1) % 4 + 1
+        q, words = trial[lo:hi], [_ROW_SUFFIX[slot[lo:hi]]]
+        for _ in range((width - lead) // 4):
+            q, r = np.divmod(q, 10_000)
+            words.insert(0, _digit_groups()[r])
+        words.insert(0, _digit_groups()[q] >> 8 * (4 - lead))
+        offsets = [0, *range(lead, width, 4), width]
+        record = np.empty(hi - lo, np.dtype({
+            "names": [f"f{at}" for at in offsets], "offsets": offsets,
+            "formats": ["<u4"] * (len(words) - 1) + ["<u8"], "itemsize": width + 8}))
+        for name, values in zip(record.dtype.names, words):
+            record[name] = values
+        runs.append(record.tobytes())
+    return b"".join(runs)
 
 
 # ---------------------------------------------------------------------------

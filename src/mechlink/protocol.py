@@ -79,14 +79,6 @@ def click_totals(per_code) -> tuple:
     return per_code @ CODE_SLOTS, (per_code @ _COINCIDENCE_SLOTS).reshape(2, 2)
 
 
-def detector_click_prob(quantum_probs, false_click: tuple, detector: int) -> float:
-    """Observed click probability of `detector` in one window, false
-    positives included, from the window's four outcome probabilities."""
-    q = quantum_probs @ CODE_SLOTS[:4, detector - 1]
-    f = false_click[detector - 1]
-    return 1.0 - (1.0 - q) * (1.0 - f)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian states and channels
 

@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mechlink import campaign, protocol, stats
 from mechlink.campaign import CHUNK_TRIALS, ClickLog, run_campaign
@@ -231,6 +232,31 @@ class TestClickLog:
         back = ClickLog.from_csv(tmp_path / "log.csv", tmp_path / "log.json")
         assert back.n_trials == 7 and len(back) == 0
 
+    def test_csv_crosses_every_digit_width(self, tmp_path):
+        trial = sorted({*range(10), *(10**k + d for k in range(1, 13) for d in (-1, 0)),
+                        2**32 - 1, 2**32, 2**62})
+        log = ClickLog(n_trials=2**62 + 1, seed=0, stream=0, trial=trial,
+                       code=1 + np.arange(len(trial)) % 15)
+        assert set(log.code) == set(range(1, 16))
+        text = log.to_csv()
+        assert text == csv_writer_reference(log)
+        log.save(tmp_path / "log.csv", tmp_path / "log.json")
+        assert (tmp_path / "log.csv").read_bytes() == text.encode()
+
+    @given(trial=st.lists(st.integers(0, 2**63 - 2), unique=True, max_size=50),
+           codes=st.lists(st.integers(1, 15), min_size=50, max_size=50))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_csv_matches_row_writer_and_round_trips(self, trial, codes,
+                                                    tmp_path_factory):
+        log = ClickLog(n_trials=2**63 - 1, seed=0, stream=0, trial=sorted(trial),
+                       code=codes[:len(trial)])
+        assert log.to_csv() == csv_writer_reference(log)
+        directory = tmp_path_factory.mktemp("log")
+        log.save(directory / "log.csv", directory / "log.json")
+        back = ClickLog.from_csv(directory / "log.csv", directory / "log.json")
+        assert np.array_equal(back.trial, log.trial)
+        assert np.array_equal(back.code, log.code)
+
     @pytest.mark.parametrize("body, match", [
         ("5,1,pump\n6,1\n", "malformed click-log row"),
         ("5,1,pump\nx,1,read\n", "malformed click-log row"),
@@ -250,3 +276,23 @@ class TestClickLog:
         path.write_text("trial,window,detector\n5,pump,1\n")
         with pytest.raises(campaign.CampaignError, match="header"):
             ClickLog.from_csv(path)
+
+
+class TestAtomicWrite:
+    def test_str_and_block_iterables_write_the_same_file(self, tmp_path):
+        text = "trial,detector,window\n5,1,pump\n12,2,read\n"
+        blocks = [text[:7], text[7:30], text[30:]]
+        campaign.atomic_write(tmp_path / "str.csv", text)
+        campaign.atomic_write(tmp_path / "strs.csv", iter(blocks))
+        campaign.atomic_write(tmp_path / "bytes.csv", (b.encode() for b in blocks))
+        for name in ("str.csv", "strs.csv", "bytes.csv"):
+            assert (tmp_path / name).read_bytes() == text.encode()
+
+    def test_failure_mid_iteration_leaves_no_file(self, tmp_path):
+        def blocks():
+            yield b"trial,detector,window\n"
+            raise RuntimeError("disk full")
+
+        with pytest.raises(RuntimeError, match="disk full"):
+            campaign.atomic_write(tmp_path / "log.csv", blocks())
+        assert list(tmp_path.iterdir()) == []
