@@ -104,7 +104,15 @@ class ClickLog:
         self.code = self.code.astype(np.int8, copy=False)
 
     def __len__(self):
-        return int(np.bincount(self.code, minlength=16) @ CODE_SLOTS.sum(axis=1))
+        return int(self.code_counts() @ CODE_SLOTS.sum(axis=1))
+
+    def code_counts(self) -> np.ndarray:
+        """Trials per outcome code 0..15, counted CSV_BLOCK_TRIALS codes at
+        a time so the int8 column is never widened whole."""
+        counts = np.zeros(16, np.int64)
+        for lo in range(0, len(self.code), CSV_BLOCK_TRIALS):
+            counts += np.bincount(self.code[lo:lo + CSV_BLOCK_TRIALS], minlength=16)
+        return counts
 
     # -- serialization ------------------------------------------------
 
@@ -220,8 +228,7 @@ def _sample_chunk(model, seed, stream, chunk_index, count):
     their codes follow the joint table given a click.
     """
     # P(pump, read) in code order pump + 4 * read, cumulated over codes 1..15
-    joint = model.pump_marginal[:, None] * model.read_given_pump
-    code_cdf = np.cumsum(joint.T.ravel()[1:])
+    code_cdf = np.cumsum(model.joint.T.ravel()[1:])
     p_click = code_cdf[-1]
     rng = _chunk_rng(seed, stream, chunk_index)
     k = int(rng.binomial(count, p_click))

@@ -295,13 +295,11 @@ def _formula_bound(cfg: RunConfig, tau: float) -> float:
     """Low-temperature closed-form visibility ceiling for the config.
 
     Per-phonon background rates are referred to each device's detector-2
-    detection scale, the convention of single-device runs.
+    read-window detection scale, the convention of single-device runs.
     """
     proto = cfg.protocol
-    intf = proto.interferometer
     budgets = []
-    for dev, arm, w2 in ((proto.device_a, "A", 1.0 - intf.combiner_transmittance),
-                         (proto.device_b, "B", intf.combiner_transmittance)):
+    for i, dev in enumerate(proto.devices()):
         heat = noise.HeatingParams(decay=dev.gamma_decay,
                                    bath_gamma=dev.bath_gamma,
                                    bath_k=dev.bath_k, n_init=dev.n_init)
@@ -310,8 +308,7 @@ def _formula_bound(cfg: RunConfig, tau: float) -> float:
         def n_th(t, heat=heat, n0=n0):
             return noise.occupation(t, heat, n0)
 
-        scale = (dev.p_read * dev.eta_path * intf.arm_attenuation(arm)
-                 * w2 * proto.detectors.eta[1])
+        scale = protocol.read_detection_scale(proto, i, 1)
         n_bg = proto.detectors.p_dark_read[1] / scale if scale > 0 else 0.0
         budgets.append(noise.NoiseBudget(
             n_th=n_th, p_pump=dev.p_pump, n_leak=dev.n_leak,

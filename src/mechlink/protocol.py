@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -320,7 +320,17 @@ class PumpStageResult:
     quantum_probs: np.ndarray                  # P of (c1, c2) outcomes, index outcome_index
     mech_given: list                           # per outcome, the unnormalized mech state
     false_click: tuple                         # per-detector pump-window false prob
-    config: ProtocolConfig
+
+
+def read_detection_scale(cfg: ProtocolConfig, device: int, detector: int) -> float:
+    """Probability that one phonon of `device` (0 = A) clicks `detector`
+    (0 = detector 1) in the read window, interference aside: the state
+    swap, the path, the combiner port and the read-window efficiency."""
+    intf, dev = cfg.interferometer, cfg.devices()[device]
+    t_comb = intf.combiner_transmittance
+    port = t_comb if device == detector else 1.0 - t_comb
+    path = dev.eta_path * intf.arm_attenuation("AB"[device])
+    return dev.p_read * path * port * cfg.detectors.read_eta(detector)
 
 
 def _leak_means(cfg: ProtocolConfig) -> tuple:
@@ -331,15 +341,8 @@ def _leak_means(cfg: ProtocolConfig) -> tuple:
     detection scale; pump-window leakage is scaled by the pulse-energy
     ratio.
     """
-    intf = cfg.interferometer
-    t_comb = intf.combiner_transmittance
-    weights = ((t_comb, 1.0 - t_comb), (1.0 - t_comb, t_comb))  # device -> port
-    read = [0.0, 0.0]
-    for dev, w, arm in zip(cfg.devices(), weights, "AB"):
-        path = dev.eta_path * intf.arm_attenuation(arm)
-        for j in range(2):
-            scale = dev.p_read * path * w[j] * cfg.detectors.read_eta(j)
-            read[j] += dev.n_leak * scale
+    read = [sum(dev.n_leak * read_detection_scale(cfg, i, j)
+                for i, dev in enumerate(cfg.devices())) for j in range(2)]
     pump = [cfg.detectors.leak_pump_scale * m for m in read]
     return tuple(pump), tuple(read)
 
@@ -375,24 +378,21 @@ def pump_stage(cfg: ProtocolConfig) -> PumpStageResult:
     probs, mech = _click_outcomes(state, OA, OB)
     false_pump, _ = false_click_probs(cfg)
     return PumpStageResult(state=state, quantum_probs=probs, mech_given=mech,
-                           false_click=false_pump, config=cfg)
+                           false_click=false_pump)
+
+
+def _blocked(cfg: ProtocolConfig, arm: str) -> ProtocolConfig:
+    """`cfg` with the path of `arm` blocked, so the other device runs alone."""
+    key = f"device_{arm.lower()}"
+    return replace(cfg, **{key: replace(getattr(cfg, key), eta_path=0.0)})
 
 
 def _per_device_flux(cfg: ProtocolConfig) -> tuple:
-    """Quantum herald flux contribution of each device (other arm blocked)."""
-    intf = cfg.interferometer
-    t_comb = intf.combiner_transmittance
-    weights = ((t_comb, 1.0 - t_comb), (1.0 - t_comb, t_comb))
-    out = []
-    for dev, w, arm in zip(cfg.devices(), weights, "AB"):
-        st = _thermal([dev.start_occupation, 0.0])
-        st = _two_mode_squeeze(st, 0, 1, dev.p_pump)
-        st = _attenuate(st, 1, dev.eta_path * intf.arm_attenuation(arm))
-        out.append(sum(
-            1.0 - _vacuum_projection(_attenuate(st, 1, w[j] * cfg.detectors.eta[j]),
-                                     (1,), ()).trace()
-            for j in range(2)))
-    return tuple(out)
+    """Quantum herald flux of each device, the other arm blocked: its
+    expected number of pump-window detector clicks."""
+    clicks = CODE_SLOTS[:4, :2].sum(axis=1)
+    return tuple(float(pump_stage(_blocked(cfg, other)).quantum_probs @ clicks)
+                 for other in "BA")
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +442,13 @@ class ReadStageResult:
     false_click: tuple
 
 
-def readout_stage(mech_state: GaussianState, cfg: ProtocolConfig,
-                  delta_phi: float | None = None) -> ReadStageResult:
+def readout_stage(mech_state: GaussianState, cfg: ProtocolConfig) -> ReadStageResult:
     """Partial state swap, interference and detection of the read window.
 
     The click probabilities carry the trace of `mech_state`.
     """
     intf = cfg.interferometer
-    if delta_phi is None:
-        delta_phi = intf.delta_phi
-    theta_r = intf.phi0 + delta_phi
+    theta_r = intf.phi0 + intf.delta_phi
     dev_a, dev_b = cfg.devices()
 
     state = _with_vacuum(mech_state, 2)
@@ -491,8 +488,7 @@ def _false_click_matrix(false_p: tuple) -> np.ndarray:
 # exact single-device correlations
 
 
-def single_device_g2_exact(cfg: ProtocolConfig, device: str,
-                           tau: float | None = None) -> float:
+def single_device_g2_exact(cfg: ProtocolConfig, device: str) -> float:
     """Exact pump/read cross-correlation of one device, other arm blocked.
 
     Evaluated at detector 2 (the convention for single-device runs) and
@@ -500,22 +496,14 @@ def single_device_g2_exact(cfg: ProtocolConfig, device: str,
     low-temperature expression neglects; min(g2_A, g2_B) - 1 is the
     rigorous ceiling on the two-device interference contrast.
     """
-    import dataclasses
-
     if device not in ("A", "B"):
         raise ProtocolError("device must be 'A' or 'B'")
-    blocked = "B" if device == "A" else "A"
-    blocked_dev = getattr(cfg, f"device_{blocked.lower()}")
-    cfg_single = dataclasses.replace(
-        cfg, **{f"device_{blocked.lower()}": dataclasses.replace(blocked_dev, eta_path=0.0)})
-    model = build_trial_model(cfg_single, tau=tau)
-    return model.g2_exact(2, 2)
+    return build_trial_model(_blocked(cfg, "B" if device == "A" else "A")).g2_exact(2, 2)
 
 
-def exact_visibility_ceiling(cfg: ProtocolConfig, tau: float | None = None) -> float:
+def exact_visibility_ceiling(cfg: ProtocolConfig) -> float:
     """Visibility bound C/(C+2) from the exact single-device correlations."""
-    c = min(single_device_g2_exact(cfg, "A", tau),
-            single_device_g2_exact(cfg, "B", tau)) - 1.0
+    c = min(single_device_g2_exact(cfg, "A"), single_device_g2_exact(cfg, "B")) - 1.0
     if c <= 0:
         return 0.0
     return c / (c + 2.0)
@@ -530,25 +518,20 @@ def balance(cfg: ProtocolConfig, target: float = 0.02) -> tuple:
 
     Returns (arm, attenuation); bisection on the pump-stage flux until
     the relative difference is far below `target` (guard: both arms must
-    produce flux).
+    produce flux above the click tables' rounding).
     """
-    import dataclasses
-
-    base = dataclasses.replace(
-        cfg, interferometer=dataclasses.replace(
-            cfg.interferometer, balance_attenuation=1.0, balance_arm="none"))
+    base = replace(cfg, interferometer=replace(
+        cfg.interferometer, balance_attenuation=1.0, balance_arm="none"))
     flux_a, flux_b = _per_device_flux(base)
-    if flux_a <= 0 or flux_b <= 0:
+    if min(flux_a, flux_b) <= _TABLE_TOL:
         raise ProtocolError("unreachable balance: one arm produces no herald flux")
     if abs(flux_a - flux_b) / max(flux_a, flux_b) <= 1e-12:
         return ("none", 1.0)
     arm = "A" if flux_a > flux_b else "B"
 
     def imbalance(att):
-        c = dataclasses.replace(
-            base, interferometer=dataclasses.replace(
-                base.interferometer, balance_attenuation=att, balance_arm=arm))
-        fa, fb = _per_device_flux(c)
+        fa, fb = _per_device_flux(replace(base, interferometer=replace(
+            base.interferometer, balance_attenuation=att, balance_arm=arm)))
         return fa - fb
 
     lo, hi = 0.0, 1.0
@@ -576,10 +559,7 @@ class TrialModel:
     """Exact per-trial outcome distribution and derived statistics."""
 
     joint: np.ndarray            # P(pump outcome, read outcome), 4x4
-    pump_marginal: np.ndarray    # P per pump outcome
-    read_given_pump: np.ndarray  # conditional read outcome table, 4x4
     config: ProtocolConfig
-    delta_phi: float
     witness_moments: dict        # detector -> (<nA nB>, |<a_A+ a_B>|^2) of the
                                  # intensity-weighted mech state after the delay
 
@@ -664,7 +644,7 @@ def _witness_moments(pump: PumpStageResult, detector: int) -> np.ndarray:
     return np.array([_moment(pump.state, n_j + op) for op in ops])
 
 
-def _delayed_witness_moments(moments: np.ndarray, tau: float, cfg: ProtocolConfig,
+def _delayed_witness_moments(moments: np.ndarray, cfg: ProtocolConfig,
                              twirl_sigma: float) -> tuple:
     """(<nA nB>, |<a_A+ a_B>|^2) after the delay, from `_witness_moments`.
 
@@ -674,7 +654,7 @@ def _delayed_witness_moments(moments: np.ndarray, tau: float, cfg: ProtocolConfi
     sqrt(etaA etaB).  The pump share sigma/2 of the lock-noise twirl damps
     |<a_A+ a_B>|^2 by exp(-(sigma/2)^2).
     """
-    (eta_a, n_a), (eta_b, n_b) = _thermal_attenuators(cfg, tau)
+    (eta_a, n_a), (eta_b, n_b) = _thermal_attenuators(cfg, cfg.tau)
     _, nn, na, nb, coh = moments / moments[0].real
     num = (eta_a * eta_b * nn + eta_a * n_b * na + n_a * eta_b * nb).real
     num += n_a * n_b
@@ -682,26 +662,7 @@ def _delayed_witness_moments(moments: np.ndarray, tau: float, cfg: ProtocolConfi
     return float(num), float(coh2)
 
 
-def _trial_model(cfg: ProtocolConfig, delta_phi: float, joint: np.ndarray,
-                 witness_moments: dict) -> TrialModel:
-    """TrialModel of an observed joint table, checked but not clipped."""
-    joint = _checked_table(joint, 1.0, "joint outcome table")
-    pump_marginal = joint.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        read_given = np.where(pump_marginal[:, None] > 0,
-                              joint / np.maximum(pump_marginal[:, None], 1e-300),
-                              0.0)
-    # rows for impossible pump outcomes never get sampled; keep them valid
-    for idx in range(4):
-        if pump_marginal[idx] <= 0:
-            read_given[idx] = np.array([1.0, 0.0, 0.0, 0.0])
-    return TrialModel(joint=joint, pump_marginal=pump_marginal,
-                      read_given_pump=read_given, config=cfg,
-                      delta_phi=delta_phi, witness_moments=witness_moments)
-
-
-def build_trial_model(cfg: ProtocolConfig, delta_phi: float | None = None,
-                      tau: float | None = None) -> TrialModel:
+def build_trial_model(cfg: ProtocolConfig) -> TrialModel:
     """Assemble the exact 4x4 observed-outcome table for one setting.
 
     Residual lock noise offsets the path phase by one theta ~ N(0,
@@ -718,10 +679,6 @@ def build_trial_model(cfg: ProtocolConfig, delta_phi: float | None = None,
     intensity-weighted herald follow from the delay's closed-form
     Heisenberg action.
     """
-    if delta_phi is None:
-        delta_phi = cfg.interferometer.delta_phi
-    if tau is None:
-        tau = cfg.tau
     twirl_sigma = 2.0 * cfg.interferometer.phase_jitter_sigma
 
     pump = pump_stage(cfg)
@@ -729,8 +686,8 @@ def build_trial_model(cfg: ProtocolConfig, delta_phi: float | None = None,
     for q_idx, mech in enumerate(pump.mech_given):
         if twirl_sigma > 0:
             mech = _rotation_twirl(mech, MB, twirl_sigma)
-        quantum[q_idx] = readout_stage(evolve_delay(mech, tau, cfg), cfg,
-                                       delta_phi=delta_phi).quantum_probs
+        mech = evolve_delay(mech, cfg.tau, cfg)
+        quantum[q_idx] = readout_stage(mech, cfg).quantum_probs
     false_pump, false_read = false_click_probs(cfg)
     joint = _false_click_matrix(false_pump).T @ quantum @ _false_click_matrix(false_read)
 
@@ -738,6 +695,7 @@ def build_trial_model(cfg: ProtocolConfig, delta_phi: float | None = None,
     # (the read drive adds the other half to the fringe)
     moments = {det: _witness_moments(pump, det) for det in (1, 2)}
     witness_moments = {
-        det: _delayed_witness_moments(m, tau, cfg, twirl_sigma)
+        det: _delayed_witness_moments(m, cfg, twirl_sigma)
         for det, m in moments.items() if m[0].real > 1e-15}
-    return _trial_model(cfg, delta_phi, joint, witness_moments)
+    return TrialModel(joint=_checked_table(joint, 1.0, "joint outcome table"),
+                      config=cfg, witness_moments=witness_moments)

@@ -97,7 +97,7 @@ class CoincidenceTally:
 
 def tally(log: ClickLog) -> CoincidenceTally:
     """Count singles and per-trial pump/read coincidences from a click log."""
-    singles, coincidences = click_totals(np.bincount(log.code, minlength=16))
+    singles, coincidences = click_totals(log.code_counts())
     return CoincidenceTally(n_trials=log.n_trials,
                             pump_singles=tuple(singles[:2].tolist()),
                             read_singles=tuple(singles[2:].tolist()),

@@ -119,7 +119,7 @@ def pump_stage(cfg, cutoff: int = 3, mech_cutoff: int = 3) -> PumpStageResult:
     probs, states = _joint_click_analysis(state, OA, OB)
     false_pump, _ = false_click_probs(cfg)
     return PumpStageResult(state=state, quantum_probs=probs, mech_given=states,
-                           false_click=false_pump, config=cfg)
+                           false_click=false_pump)
 
 
 def herald(pump: PumpStageResult, detector: int):
@@ -195,13 +195,11 @@ def evolve_delay(state: fock.DensityMatrix, tau: float, cfg,
     return fock.phase_rotation(state, MB, cfg.interferometer.delta_omega_m * tau)
 
 
-def readout_stage(mech_state: fock.DensityMatrix, cfg, delta_phi=None,
+def readout_stage(mech_state: fock.DensityMatrix, cfg,
                   cutoff: int = 3) -> ReadStageResult:
     """Read window on [mA, mB, read A, read B]."""
     intf = cfg.interferometer
-    if delta_phi is None:
-        delta_phi = intf.delta_phi
-    theta_r = intf.phi0 + delta_phi
+    theta_r = intf.phi0 + intf.delta_phi
     dev_a, dev_b = cfg.devices()
     state = fock.extend_with_vacuum(mech_state, 2, cutoff=cutoff)
     ra, rb = 2, 3
@@ -232,18 +230,13 @@ def witness_from_state(mech_state: fock.DensityMatrix) -> float:
     return float(num.real / denom)
 
 
-def trial_model(cfg, cutoff: int = 3, mech_cutoff: int = 3, delta_phi=None,
-                tau=None) -> protocol.TrialModel:
+def trial_model(cfg, cutoff: int = 3, mech_cutoff: int = 3) -> protocol.TrialModel:
     """The observed 4x4 outcome table of the Fock pipeline (no witness moments).
 
     Lock jitter follows the runtime: a relative-phase twirl of doubled
     sigma on the conditional mechanical states.  Mass lost to truncation
     is renormalized away.
     """
-    if delta_phi is None:
-        delta_phi = cfg.interferometer.delta_phi
-    if tau is None:
-        tau = cfg.tau
     twirl_sigma = 2.0 * cfg.interferometer.phase_jitter_sigma
     false_pump, false_read = false_click_probs(cfg)
     pump = pump_stage(cfg, cutoff, mech_cutoff)
@@ -254,9 +247,9 @@ def trial_model(cfg, cutoff: int = 3, mech_cutoff: int = 3, delta_phi=None,
             continue
         if twirl_sigma > 0:
             mech = fock.phase_noise_twirl(mech, MB, twirl_sigma)
-        rd = readout_stage(evolve_delay(mech, tau, cfg), cfg, delta_phi, cutoff)
+        rd = readout_stage(evolve_delay(mech, cfg.tau, cfg), cfg, cutoff)
         quantum[q_idx] = p_q * rd.quantum_probs
     joint = (protocol._false_click_matrix(false_pump).T @ quantum
              @ protocol._false_click_matrix(false_read))
     joint = np.clip(joint, 0.0, None)
-    return protocol._trial_model(cfg, delta_phi, joint / joint.sum(), {})
+    return protocol.TrialModel(joint=joint / joint.sum(), config=cfg, witness_moments={})

@@ -139,7 +139,7 @@ class TestAgreementWithExactModel:
         n = 2 * CHUNK_TRIALS + 5
         m = high_yield_model
         log = run_campaign(m.config, n, seed=13, model=m)
-        expected = n * m.pump_marginal[:, None] * m.read_given_pump
+        expected = n * m.joint
         assert expected.min() >= 100
         sigma = np.sqrt(expected * (1 - expected / n))
         assert np.all(np.abs(outcome_counts(log) - expected) < 4 * sigma)
@@ -224,6 +224,13 @@ class TestClickLog:
         log = run_campaign(m.config, 400_000, seed=8, model=m)
         assert len(log.trial) > 2 * campaign.CSV_BLOCK_TRIALS
         assert log.to_csv() == csv_writer_reference(log)
+
+    def test_code_counts_equal_the_plain_bincount(self, high_yield_model):
+        empty = ClickLog(n_trials=7, seed=0, stream=0, trial=[], code=[])
+        log = run_campaign(high_yield_model.config, 400_000, seed=8, model=high_yield_model)
+        assert len(log.trial) > 2 * campaign.CSV_BLOCK_TRIALS
+        for each in (empty, log):
+            assert np.array_equal(each.code_counts(), np.bincount(each.code, minlength=16))
 
     def test_empty_log_round_trip(self, tmp_path):
         log = ClickLog(n_trials=7, seed=0, stream=0, trial=[], code=[])

@@ -5,10 +5,11 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from mechlink import cli
+from mechlink import cli, protocol
 from mechlink.config import ConfigError, parse_config
 
 
@@ -270,6 +271,30 @@ class TestAnalyzeRoundTrip:
         assert 0.58 <= doc["witness"]["1"]["ml"] <= 0.66
         assert 0.80 <= doc["witness"]["2"]["ml"] <= 0.88
         assert 0.71 <= doc["witness_symmetrized"]["ml"] <= 0.77
+
+
+class TestFormulaBound:
+    def test_background_is_referred_to_the_read_window_efficiency(self):
+        # a read-window throughput 1.35 times the pump window's divides the
+        # per-phonon background as dividing the read dark probability does
+        run = parse_config(cfg_dir("entangle_realistic.cfg"))
+        det = run.protocol.detectors
+        assert det.read_eta_scale == 1.35
+
+        def with_detectors(**kw):
+            return replace(run, protocol=replace(run.protocol, detectors=replace(det, **kw)))
+
+        unit = with_detectors(read_eta_scale=1.0)
+        for i in range(2):
+            for j in range(2):
+                assert protocol.read_detection_scale(run.protocol, i, j) == pytest.approx(
+                    1.35 * protocol.read_detection_scale(unit.protocol, i, j), rel=1e-15)
+        darker = with_detectors(read_eta_scale=1.0,
+                                p_dark_read=(det.p_dark_read[0], det.p_dark_read[1] / 1.35))
+        tau = run.protocol.tau
+        bound = cli._formula_bound(run, tau)
+        assert bound == pytest.approx(cli._formula_bound(darker, tau), rel=1e-12)
+        assert abs(bound - cli._formula_bound(unit, tau)) > 1e-4
 
 
 class TestEmitFormats:

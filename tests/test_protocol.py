@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fock_oracle
 from mechlink import fock, protocol
@@ -37,6 +38,11 @@ def detector_click_prob(quantum_probs, false_click, detector):
 
 def click_prob(stage, detector):
     return detector_click_prob(stage.quantum_probs, stage.false_click, detector)
+
+
+def read_given_pump(model):
+    """Conditional read-outcome rows P(read | pump) of a trial model's joint."""
+    return model.joint / model.joint.sum(axis=1, keepdims=True)
 
 
 def ideal_config(p_pump=0.007, phi0=0.0, **kw):
@@ -101,8 +107,8 @@ class TestSerrodyne:
         cfg_on = ideal_config()
         lam = protocol.serrodyne_compensation(intf, "pump").overlap
         assert 0.1 < lam < 0.9
-        m_on = protocol.build_trial_model(cfg_on, delta_phi=math.pi)
-        m_off = protocol.build_trial_model(cfg_off, delta_phi=math.pi)
+        m_on = protocol.build_trial_model(cfg_on.with_delta_phi(math.pi))
+        m_off = protocol.build_trial_model(cfg_off.with_delta_phi(math.pi))
 
         def contrast(m):
             gs = [m.g2_exact(i, j) for i in (1, 2) for j in (1, 2)]
@@ -237,14 +243,14 @@ class TestReadoutFringe:
     def test_extremum_routes_to_one_detector(self):
         cfg = ideal_config(p_pump=0.004, phi0=0.3)
         st = heralded(protocol.pump_stage(cfg), 1)
-        rd = protocol.readout_stage(st, cfg, delta_phi=-0.6)
+        rd = protocol.readout_stage(st, cfg.with_delta_phi(-0.6))
         assert click_prob(rd, 1) > 100 * click_prob(rd, 2)
 
     def test_fringe_period_is_two_pi(self):
         cfg = ideal_config(p_pump=0.004, phi0=0.3)
         st = heralded(protocol.pump_stage(cfg), 1)
-        base = protocol.readout_stage(st, cfg, delta_phi=0.4)
-        wrapped = protocol.readout_stage(st, cfg, delta_phi=0.4 + 2 * math.pi)
+        base = protocol.readout_stage(st, cfg.with_delta_phi(0.4))
+        wrapped = protocol.readout_stage(st, cfg.with_delta_phi(0.4 + 2 * math.pi))
         assert click_prob(base, 1) == pytest.approx(
             click_prob(wrapped, 1), rel=1e-9)
 
@@ -252,7 +258,7 @@ class TestReadoutFringe:
         cfg = ideal_config(p_pump=0.004)
         st = heralded(protocol.pump_stage(cfg), 1)
         phis = np.linspace(0, 2 * math.pi, 12, endpoint=False)
-        rates = np.array([click_prob(protocol.readout_stage(st, cfg, delta_phi=p), 1)
+        rates = np.array([click_prob(protocol.readout_stage(st, cfg.with_delta_phi(p)), 1)
                           for p in phis])
         mean = rates.mean()
         vis = (rates.max() - rates.min()) / (rates.max() + rates.min())
@@ -268,8 +274,8 @@ class TestReadoutFringe:
         cfg = ideal_config(p_pump=0.004, phi0=0.3)
         pump = protocol.pump_stage(cfg)
         plus, minus = heralded(pump, 1), heralded(pump, 2)
-        rd_plus = protocol.readout_stage(plus, cfg, delta_phi=-0.6)
-        rd_minus = protocol.readout_stage(minus, cfg, delta_phi=-0.6)
+        rd_plus = protocol.readout_stage(plus, cfg.with_delta_phi(-0.6))
+        rd_minus = protocol.readout_stage(minus, cfg.with_delta_phi(-0.6))
         assert click_prob(rd_plus, 1) == pytest.approx(
             click_prob(rd_minus, 2), rel=1e-9)
         assert click_prob(rd_plus, 2) == pytest.approx(
@@ -279,10 +285,8 @@ class TestReadoutFringe:
         cfg = ideal_config(p_pump=0.004)
         st = heralded(protocol.pump_stage(cfg), 1)
         period = 2 * math.pi / cfg.interferometer.delta_omega_m
-        r0 = protocol.readout_stage(
-            protocol.evolve_delay(st, 123e-9, cfg), cfg, 0.0)
-        r1 = protocol.readout_stage(
-            protocol.evolve_delay(st, 123e-9 + period, cfg), cfg, 0.0)
+        r0 = protocol.readout_stage(protocol.evolve_delay(st, 123e-9, cfg), cfg)
+        r1 = protocol.readout_stage(protocol.evolve_delay(st, 123e-9 + period, cfg), cfg)
         assert click_prob(r0, 1) == pytest.approx(
             click_prob(r1, 1), rel=2e-2)
         assert period == pytest.approx(22.22e-9, abs=0.01e-9)
@@ -324,7 +328,7 @@ class TestWitnessFromState:
                 detectors=DetectorModel(p_dark_pump=(p_dark, p_dark),
                                         p_dark_read=(p_dark, p_dark)),
                 tau=123e-9)
-            model = protocol.build_trial_model(cfg, delta_phi=1.9375 * math.pi)
+            model = protocol.build_trial_model(cfg.with_delta_phi(1.9375 * math.pi))
             for det in (1, 2):
                 r_exact = model.exact_witness(det)
                 bound = witness_from_g2(model.g2_exact(1, det),
@@ -419,15 +423,15 @@ class TestTrialModel:
         # heralds on 1 vs 2 give fringes exactly pi out of phase: at a fringe
         # extremum the conditional read rates swap detectors
         cfg = ideal_config(p_pump=0.004)
-        m = protocol.build_trial_model(cfg, delta_phi=1.9375 * math.pi)
+        m = protocol.build_trial_model(cfg.with_delta_phi(1.9375 * math.pi))
         assert m.g2_exact(1, 1) == pytest.approx(m.g2_exact(2, 2), rel=1e-6)
         assert m.g2_exact(2, 1) == pytest.approx(m.g2_exact(1, 2), rel=1e-6)
 
     def test_cutoff_convergence_at_pump_scale(self):
         # with excitation only from the drives, observables converge fast
-        cfg = ideal_config(p_pump=0.007)
-        m3 = fock_oracle.trial_model(cfg, cutoff=3, mech_cutoff=3, delta_phi=0.4)
-        m4 = fock_oracle.trial_model(cfg, cutoff=4, mech_cutoff=4, delta_phi=0.4)
+        cfg = ideal_config(p_pump=0.007).with_delta_phi(0.4)
+        m3 = fock_oracle.trial_model(cfg, cutoff=3, mech_cutoff=3)
+        m4 = fock_oracle.trial_model(cfg, cutoff=4, mech_cutoff=4)
         assert abs(m3.herald_prob() - m4.herald_prob()) < 1e-6
         for i in (1, 2):
             for j in (1, 2):
@@ -440,8 +444,8 @@ class TestTrialModel:
         cfg = ideal_config(p_pump=0.004)
         jit = replace(cfg, interferometer=replace(
             cfg.interferometer, phase_jitter_sigma=0.6))
-        m0 = protocol.build_trial_model(cfg, delta_phi=1.9375 * math.pi)
-        m1 = protocol.build_trial_model(jit, delta_phi=1.9375 * math.pi)
+        m0 = protocol.build_trial_model(cfg.with_delta_phi(1.9375 * math.pi))
+        m1 = protocol.build_trial_model(jit.with_delta_phi(1.9375 * math.pi))
 
         def contrast(m):
             gs = [m.g2_exact(i, j) for i in (1, 2) for j in (1, 2)]
@@ -480,8 +484,8 @@ class TestTrialModel:
         marginals = [
             protocol.build_trial_model(
                 replace(cfg, interferometer=replace(cfg.interferometer,
-                                                    phase_jitter_sigma=sigma)),
-                delta_phi=delta_phi, tau=tau).pump_marginal
+                                                    phase_jitter_sigma=sigma))
+                .with_delta_phi(delta_phi).with_tau(tau)).joint.sum(axis=1)
             for sigma in (0.0, 0.6, 3.0) for delta_phi in (0.0, 1.9375 * math.pi)
             for tau in (123e-9, 1000e-9, 3000e-9)]
         assert np.max(np.abs(np.array(marginals) - marginals[0])) <= 1e-14
@@ -491,7 +495,7 @@ class TestTrialModel:
         m = protocol.build_trial_model(cfg)
         assert m.joint.min() >= 0
         assert m.joint.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(m.read_given_pump.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(read_given_pump(m).sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestFockOracleConvergence:
@@ -502,11 +506,11 @@ class TestFockOracleConvergence:
         exact = protocol.build_trial_model(cfg)
         coarse = fock_oracle.trial_model(cfg, cutoff=3, mech_cutoff=5)
         fine = fock_oracle.trial_model(cfg, cutoff=4, mech_cutoff=7)
-        rows = exact.pump_marginal > 1e-6
+        rows = exact.joint.sum(axis=1) > 1e-6
         assert rows.sum() == 4
-        g = exact.read_given_pump[rows]
-        err_coarse = np.abs(coarse.read_given_pump[rows] - g)
-        err_fine = np.abs(fine.read_given_pump[rows] - g)
+        g = read_given_pump(exact)[rows]
+        err_coarse = np.abs(read_given_pump(coarse)[rows] - g)
+        err_fine = np.abs(read_given_pump(fine)[rows] - g)
         assert np.all(err_fine < err_coarse)
         assert np.all(err_fine <= 1e-4 * g)
 
@@ -514,9 +518,9 @@ class TestFockOracleConvergence:
         # the heralded read rows are where truncation at the hot 1 us
         # occupation bites; one delay point keeps the cutoff-13 run short
         cfg = shipped("time_sweep.cfg").with_tau(1000e-9)
-        exact = protocol.build_trial_model(cfg).read_given_pump
-        coarse = fock_oracle.trial_model(cfg, cutoff=3, mech_cutoff=10).read_given_pump
-        fine = fock_oracle.trial_model(cfg, cutoff=3, mech_cutoff=13).read_given_pump
+        exact = read_given_pump(protocol.build_trial_model(cfg))
+        coarse = read_given_pump(fock_oracle.trial_model(cfg, cutoff=3, mech_cutoff=10))
+        fine = read_given_pump(fock_oracle.trial_model(cfg, cutoff=3, mech_cutoff=13))
         for pump_idx in (1, 2, 3):              # single- and double-click heralds
             for read_idx in (1, 2, 3):          # read rows with a click
                 e = exact[pump_idx, read_idx]
@@ -563,11 +567,11 @@ class TestGaussianTables:
                 phase_jitter_sigma=0.6))
         else:
             cfg = _separable_configs()[name]
-        m = protocol.build_trial_model(cfg, delta_phi=1.9375 * math.pi)
+        m = protocol.build_trial_model(cfg.with_delta_phi(1.9375 * math.pi))
         assert m.joint.min() >= 0.0
-        assert m.read_given_pump.min() >= 0.0
+        assert read_given_pump(m).min() >= 0.0
         assert abs(m.joint.sum() - 1.0) <= 1e-12
-        assert np.all(np.abs(m.read_given_pump.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all(np.abs(read_given_pump(m).sum(axis=1) - 1.0) <= 1e-12)
         assert m.truncation_budget == 0.0
 
     @pytest.mark.parametrize("name", ["thermal darks", "blocked arm", "lock noise",
@@ -577,8 +581,8 @@ class TestGaussianTables:
         # ratio where a coherence survives, stay at or above one; no fringe
         # contrast or no coherence leaves them unbounded
         from mechlink.stats import StatsError, witness_from_g2
-        m = protocol.build_trial_model(_separable_configs()[name],
-                                       delta_phi=1.9375 * math.pi)
+        m = protocol.build_trial_model(
+            _separable_configs()[name].with_delta_phi(1.9375 * math.pi))
         for det in (1, 2):
             try:
                 assert witness_from_g2(m.g2_exact(1, det), m.g2_exact(2, det)) >= 1.0
@@ -600,9 +604,9 @@ class TestGaussianTables:
         assert np.max(np.abs(doubled.joint - base.joint)) <= 1e-12
         # conditional rows divide by the pump marginal, which magnifies the
         # rounding of rare heralds; compare the well-populated ones
-        rows = base.pump_marginal > 1e-3
-        assert np.max(np.abs(doubled.read_given_pump[rows]
-                             - base.read_given_pump[rows])) <= 1e-12
+        rows = base.joint.sum(axis=1) > 1e-3
+        assert np.max(np.abs(read_given_pump(doubled)[rows]
+                             - read_given_pump(base)[rows])) <= 1e-12
         for det in base.witness_moments:
             assert doubled.witness_moments[det] == pytest.approx(
                 base.witness_moments[det], rel=1e-12)
@@ -615,3 +619,52 @@ class TestGaussianTables:
             protocol._checked_table(np.array([0.5, 0.5, 1e-9, -1e-9]), 1.0, "t")
         with pytest.raises(protocol.ProtocolError, match="normalization deficit -1.000e-06"):
             protocol._checked_table(np.array([0.5, 0.3, 0.2 - 1e-6, 0.0]), 1.0, "t")
+
+
+@st.composite
+def protocol_configs(draw):
+    """A ProtocolConfig anywhere inside the validation guards; `at_setting`
+    picks its (delta_phi, tau, lock sigma).  The decay, bath and frequency
+    constants keep their defaults."""
+    unit, dark = st.floats(0.0, 1.0), st.floats(0.0, 1e-2)
+
+    def device():
+        return DeviceParams(p_pump=draw(st.floats(0.0, 0.05)), p_read=draw(unit),
+                            eta_path=draw(unit), n_init=draw(st.floats(0.0, 0.2)),
+                            n_leak=draw(st.floats(0.0, 0.1)))
+
+    scale = draw(st.floats(0.05, 2.0))
+    eta = st.floats(0.0, min(1.0, 1.0 / scale))
+    detectors = DetectorModel(eta=(draw(eta), draw(eta)),
+                              p_dark_pump=(draw(dark), draw(dark)),
+                              p_dark_read=(draw(dark), draw(dark)),
+                              read_eta_scale=scale)
+    intf = InterferometerConfig(phi0=draw(st.floats(0.0, 2 * math.pi)),
+                                splitter_deviation=draw(st.floats(0.0, 0.1)),
+                                balance_arm=draw(st.sampled_from(["A", "B", "none"])),
+                                balance_attenuation=draw(unit),
+                                serrodyne=draw(st.booleans()))
+    return ProtocolConfig(device_a=device(), device_b=device(), interferometer=intf,
+                          detectors=detectors)
+
+
+def at_setting(cfg, delta_phi, tau, sigma):
+    return replace(cfg, interferometer=replace(
+        cfg.interferometer, phase_jitter_sigma=sigma)).with_delta_phi(delta_phi).with_tau(tau)
+
+
+setting_draws = st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 3e-6),
+                          st.floats(0.0, math.pi))
+
+
+class TestRandomConfigs:
+    @given(cfg=protocol_configs(), first=setting_draws, second=setting_draws)
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    def test_joint_is_a_distribution_with_a_setting_free_pump_marginal(
+            self, cfg, first, second):
+        tables = [protocol.build_trial_model(at_setting(cfg, *s)).joint
+                  for s in (first, second)]
+        for joint in tables:
+            assert joint.min() >= 0.0
+            assert abs(joint.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(tables[1].sum(axis=1) - tables[0].sum(axis=1))) <= 1e-14
