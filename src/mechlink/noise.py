@@ -93,7 +93,7 @@ def fit_pump_probe(t, signal, sigma=None) -> PumpProbeFit:
     (decay) and of the early rise residual (bath_gamma); both rate
     orderings are tried and the better chi^2 wins.
     """
-    # scipy.optimize adds about 0.2 s to start-up; only the two fits load it
+    # scipy.optimize adds about 0.2 s to start-up; only this fit loads it
     from scipy.optimize import least_squares
 
     t = np.asarray(t, dtype=float)

@@ -385,19 +385,29 @@ def fit_fringe(x, values, sigma=None) -> FringeFit:
 
     x carries its own units (radians for phase sweeps, seconds for delay
     sweeps); the fitted period is reported in the same units.
-    """
-    # scipy.optimize adds about 0.2 s to start-up; only the two fits load it
-    from scipy.optimize import least_squares
 
+    The fit is by variable projection (Golub & Pereyra, SIAM J. Numer.
+    Anal. 10, 1973): at a fixed period the model c0 + c1 cos wx + c2 sin wx
+    is linear, so a weighted least-squares solve profiles the cost down to
+    chi2(period).  A period scan picks the basin, and the period is the
+    root of the exact profile slope, bracketed by the scan and closed to a
+    few ulp by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971).
+    `period_error` is the period's standard error in the linearized
+    four-parameter (amplitude, period, x0, offset) fit.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(values, dtype=float)
     if x.size != y.size or x.size < 5:
         raise StatsError("need at least 5 samples to fit a fringe")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise StatsError("fringe samples must be finite")
     span = x.max() - x.min()
     if sigma is None:
         sigma = np.full_like(y, max(1e-12, 0.05 * (y.max() - y.min() + 1e-12)))
     else:
         sigma = np.asarray(sigma, dtype=float)
+        if not (np.isfinite(sigma).all() and (sigma > 0).all()):
+            raise StatsError("uncertainties must be finite and positive")
 
     amp0 = 0.5 * (y.max() - y.min())
     off0 = float(np.mean(y))
@@ -405,54 +415,83 @@ def fit_fringe(x, values, sigma=None) -> FringeFit:
         return FringeFit(amplitude=0.0, period=float("nan"), phase=0.0,
                          offset=off0, period_error=float("inf"), flagged=True)
 
-    # coarse period scan with the quadratures solved linearly, then polish
-    def quadrature_fit(period):
+    def profile(period):
+        # the linear solve at one period, its weighted residual r, and the
+        # residual's period derivative (dB/dP) c; r is orthogonal to the
+        # basis B, so the profile slope d chi2 / dP is exactly 2 r . (dB/dP) c
         w = 2 * math.pi / period
-        basis = np.stack([np.ones_like(x), np.cos(w * x), np.sin(w * x)], axis=1)
-        bw = basis / sigma[:, None]
+        cos, sin = np.cos(w * x), np.sin(w * x)
+        bw = np.stack([np.ones_like(x), cos, sin], axis=1) / sigma[:, None]
         coef, *_ = np.linalg.lstsq(bw, y / sigma, rcond=None)
         resid = bw @ coef - y / sigma
-        return coef, float(np.dot(resid, resid))
+        d_period = w / period * x * (coef[1] * sin - coef[2] * cos) / sigma
+        return coef, resid, bw, d_period
+
+    def cost(period):
+        resid = profile(period)[1]
+        return float(resid @ resid)
+
+    def slope(period):          # half the profile slope
+        _, resid, _, d_period = profile(period)
+        return float(resid @ d_period)
 
     # periods under ~2 sample spacings are aliases, not resolvable content
     spacing = float(np.median(np.diff(np.sort(x))))
     min_period = max(span / 12, 2.2 * spacing)
     periods = span / np.exp(np.linspace(math.log(0.4),
                                         math.log(span / min_period), 60))
-    best_period, best_cost, best_coef = None, np.inf, None
-    for period in periods:
-        coef, cost = quadrature_fit(period)
-        if cost < best_cost:
-            best_period, best_cost, best_coef = period, cost, coef
-    # fine local refinement around the coarse winner seeds the polish
-    for period in best_period * np.linspace(0.93, 1.07, 41):
-        coef, cost = quadrature_fit(period)
-        if cost < best_cost:
-            best_period, best_cost, best_coef = period, cost, coef
+    best = periods[np.argmin([cost(p) for p in periods])]
+    fine = best * np.linspace(0.93, 1.07, 41)
+    k = int(np.argmin([cost(p) for p in fine]))
 
-    def residual(p):
-        amp, period, x0, off = p
-        return (off + amp * np.cos(2 * math.pi * (x - x0) / period) - y) / sigma
-
-    off0 = best_coef[0]
-    amp_seed = math.hypot(best_coef[1], best_coef[2])
-    x0_seed = math.atan2(best_coef[2], best_coef[1]) * best_period / (2 * math.pi)
-    try:
-        best = least_squares(
-            residual, [amp_seed, best_period, x0_seed, off0],
-            bounds=([0.0, span / 20, -np.inf, -np.inf],
-                    [np.inf, 20 * span, np.inf, np.inf]),
-            xtol=1e-13, ftol=1e-13, max_nfev=4000)
-    except ValueError:
+    # bracket the slope's root by the fine winner's neighbours, widened
+    # geometrically within [span / 20, 20 span] until the sign changes
+    lo, hi = fine[max(k - 1, 0)], fine[min(k + 1, fine.size - 1)]
+    g_lo, g_hi = slope(lo), slope(hi)
+    while not g_lo < 0.0 < g_hi:
+        ratio = hi / lo
+        if g_lo >= 0.0 and lo > span / 20:
+            lo = max(lo / ratio, span / 20)
+            g_lo = slope(lo)
+        elif g_hi <= 0.0 and hi < 20 * span:
+            hi = min(hi * ratio, 20 * span)
+            g_hi = slope(hi)
+        else:
+            raise StatsError("fringe fit did not converge")
+    # Illinois regula falsi keeps the slope negative at lo and positive at
+    # hi, so it closes on a minimum; an end kept twice in a row has its
+    # slope halved
+    kept = 0
+    for _ in range(200):
+        if hi - lo <= 4 * np.spacing(hi):
+            break
+        period = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+        if not lo < period < hi:
+            period = 0.5 * (lo + hi)
+        g = slope(period)
+        if g < 0.0:
+            if kept > 0:
+                g_hi *= 0.5
+            lo, g_lo, kept = period, g, 1
+        elif g > 0.0:
+            if kept < 0:
+                g_lo *= 0.5
+            hi, g_hi, kept = period, g, -1
+        else:
+            lo = hi = period
+    else:
         raise StatsError("fringe fit did not converge")
-    amp, period, x0, off = best.x
-    jac = best.jac
-    try:
-        cov = np.linalg.inv(jac.T @ jac)
-        period_err = float(math.sqrt(max(cov[1, 1], 0.0)))
-    except np.linalg.LinAlgError:
-        period_err = float("inf")
-    return FringeFit(amplitude=float(amp), period=float(period),
-                     phase=float(x0), offset=float(off),
-                     period_error=period_err,
+
+    period = float(0.5 * (lo + hi))
+    coef, _, bw, d_period = profile(period)
+    amp = math.hypot(coef[1], coef[2])
+    # [(J^T J)^-1] of the period is one over the squared norm of the part
+    # of its Jacobian column that the linear columns cannot absorb; that
+    # holds for (c0, c1, c2, period) as for (amplitude, period, x0, offset)
+    absorbed, *_ = np.linalg.lstsq(bw, d_period, rcond=None)
+    free = float(np.linalg.norm(d_period - bw @ absorbed))
+    return FringeFit(amplitude=amp, period=period,
+                     phase=math.atan2(coef[2], coef[1]) * period / (2 * math.pi),
+                     offset=float(coef[0]),
+                     period_error=1.0 / free if free > 0.0 else float("inf"),
                      flagged=bool(amp < 2 * np.mean(sigma) / math.sqrt(x.size)))

@@ -202,7 +202,7 @@ class TestCliRuns:
         assert blobs[0] == blobs[1]
 
     def test_commands_import_only_the_scipy_they_call(self, tmp_path):
-        # scipy.stats is never needed; scipy.optimize only by the two fits
+        # scipy.stats is never needed; scipy.optimize only by fit_pump_probe
         script = (
             "import json, sys\n"
             "from mechlink import cli\n"
@@ -215,10 +215,12 @@ class TestCliRuns:
             "    loaded[argv[0]] = heavy()\n"
             "print(json.dumps(loaded))\n")
         cfg = write_cfg(tmp_path, MINIMAL + "\n[sweep]\n"
-                        "delta_phi_pi_list = 0, 0.4, 0.8, 1.2, 1.6\n")
+                        "delta_phi_pi_list = 0, 0.4, 0.8, 1.2, 1.6\n"
+                        "tau_ns_list = 1000, 1004.44, 1008.88, 1013.32, 1017.76\n")
         runs = [["witness", "--config", str(cfg), "--trials", "20000"],
                 ["plan-fiber", "--config", cfg_dir("plan_fiber.cfg")],
-                ["phase-sweep", "--config", str(cfg), "--trials", "100000"]]
+                ["phase-sweep", "--config", str(cfg), "--trials", "100000"],
+                ["time-sweep", "--config", str(cfg), "--trials", "100000"]]
         for argv in runs:
             argv += ["--out", str(tmp_path / argv[0])]
         proc = subprocess.run(
@@ -228,7 +230,7 @@ class TestCliRuns:
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.splitlines()[-1])
         assert loaded == {"import": [], "witness": [], "plan-fiber": [],
-                          "phase-sweep": ["scipy.optimize"]}
+                          "phase-sweep": [], "time-sweep": []}
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL)

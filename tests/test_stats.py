@@ -468,3 +468,101 @@ class TestFringeTools:
         fit = fit_fringe(np.arange(10.0), np.full(10, 2.5))
         assert fit.flagged
         assert fit.amplitude == 0.0
+
+    # a 5-point delay window of the 1 us time sweep: cross - same g2
+    # differences of amplitude about 0.9 with sigma about 0.045
+    DELAY_PERIOD = 1 / 45e6
+    DELAY_X = (1000.0 + 4.44 * np.arange(5)) * 1e-9
+    DELAY_SIGMA = np.full(5, 0.045)
+
+    def _delay_window(self, rng):
+        x0 = rng.uniform(0, self.DELAY_PERIOD)
+        theta = 2 * math.pi * (self.DELAY_X - x0) / self.DELAY_PERIOD
+        return 0.1 + 0.9 * np.cos(theta) + rng.normal(0, self.DELAY_SIGMA)
+
+    @staticmethod
+    def _profiled_cost(x, y, sigma, period):
+        w = 2 * math.pi / period
+        basis = np.stack([np.ones_like(x), np.cos(w * x), np.sin(w * x)], axis=1)
+        coef, *_ = np.linalg.lstsq(basis / sigma[:, None], y / sigma, rcond=None)
+        resid = (basis @ coef - y) / sigma
+        return float(resid @ resid)
+
+    def test_fit_does_not_depend_on_the_unit_of_x(self):
+        y = self._delay_window(np.random.default_rng(11))
+        sec = fit_fringe(self.DELAY_X, y, self.DELAY_SIGMA)
+        ns = fit_fringe(self.DELAY_X * 1e9, y, self.DELAY_SIGMA)
+        assert ns.period == pytest.approx(1e9 * sec.period, rel=1e-9)
+        assert ns.period_error == pytest.approx(1e9 * sec.period_error, rel=1e-9)
+        assert ns.amplitude == pytest.approx(sec.amplitude, rel=1e-9)
+        assert ns.offset == pytest.approx(sec.offset, rel=1e-9)
+
+    def test_fitted_period_minimizes_the_profiled_cost(self):
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            y = self._delay_window(rng)
+            fit = fit_fringe(self.DELAY_X, y, self.DELAY_SIGMA)
+            at_fit = self._profiled_cost(self.DELAY_X, y, self.DELAY_SIGMA, fit.period)
+            # the fine scan's step is 0.35 %; scan one step either side
+            dense = fit.period * np.linspace(0.9965, 1.0035, 701)
+            lowest = min(self._profiled_cost(self.DELAY_X, y, self.DELAY_SIGMA, p)
+                         for p in dense)
+            assert at_fit <= lowest * (1 + 1e-12)
+
+    def test_period_error_is_calibrated(self):
+        rng = np.random.default_rng(13)
+        z = []
+        for _ in range(200):
+            fit = fit_fringe(self.DELAY_X, self._delay_window(rng), self.DELAY_SIGMA)
+            z.append((fit.period - self.DELAY_PERIOD) / fit.period_error)
+        assert 0.8 <= math.sqrt(np.mean(np.square(z))) <= 1.25
+
+    def test_period_error_from_the_four_parameter_jacobian(self):
+        # sqrt[(J^T J)^-1] of the period, J the Jacobian of
+        # (off + amp cos(2 pi (x - x0) / period) - y) / sigma
+        rng = np.random.default_rng(14)
+        x = np.linspace(0, 3.5 * math.pi, 24)
+        sigma = rng.uniform(0.02, 0.06, x.size)
+        y = 0.2 + 1.5 * np.cos(x - 0.7) + rng.normal(0, sigma)
+        fit = fit_fringe(x, y, sigma)
+        amp, period, x0 = fit.amplitude, fit.period, fit.phase
+        theta = 2 * math.pi * (x - x0) / period
+        jac = np.stack([np.cos(theta),
+                        amp * np.sin(theta) * theta / period,
+                        amp * np.sin(theta) * 2 * math.pi / period,
+                        np.ones_like(x)], axis=1) / sigma[:, None]
+        cov = np.linalg.inv(jac.T @ jac)
+        assert fit.period_error == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-9)
+
+    def test_zero_sigma_raises(self):
+        x, y = self.DELAY_X, self._delay_window(np.random.default_rng(15))
+        with pytest.raises(StatsError, match="positive"):
+            fit_fringe(x, y, np.where(np.arange(5) == 2, 0.0, 0.045))
+
+    def test_negative_sigma_raises(self):
+        x, y = self.DELAY_X, self._delay_window(np.random.default_rng(15))
+        with pytest.raises(StatsError, match="positive"):
+            fit_fringe(x, y, -self.DELAY_SIGMA)
+
+    def test_nan_value_raises(self):
+        y = self._delay_window(np.random.default_rng(15))
+        y[3] = np.nan
+        with pytest.raises(StatsError, match="finite"):
+            fit_fringe(self.DELAY_X, y, self.DELAY_SIGMA)
+        with pytest.raises(StatsError, match="finite"):
+            fit_fringe(self.DELAY_X, y)
+
+    def test_non_finite_x_or_sigma_raises(self):
+        y = self._delay_window(np.random.default_rng(15))
+        x = self.DELAY_X.copy()
+        x[0] = np.inf
+        with pytest.raises(StatsError, match="finite"):
+            fit_fringe(x, y, self.DELAY_SIGMA)
+        with pytest.raises(StatsError, match="finite"):
+            fit_fringe(self.DELAY_X, y, np.full(5, np.nan))
+
+    def test_period_running_off_the_bounds_raises(self):
+        # a straight line is best fitted by an ever longer period
+        x = np.arange(8.0)
+        with pytest.raises(StatsError, match="did not converge"):
+            fit_fringe(x, 0.5 * x, np.full(8, 0.01))
