@@ -516,7 +516,7 @@ def cmd_plan_fiber(cfg: RunConfig, out_dir, config_path) -> None:
             "integration_days": it.days,
             "trials": it.trials,
             "coincidences": it.coincidences,
-            "witness_ml": it.witness_ml,
+            "witness_median": it.witness_median,
             "witness_offgrid_mass": it.witness_offgrid,
         }
     write_json(os.path.join(out_dir, "fiber.json"), doc)
@@ -535,7 +535,7 @@ def cmd_plan_fiber(cfg: RunConfig, out_dir, config_path) -> None:
             f"separation {km} km: split A {s['arm_a_km']:.0f} / "
             f"B {s['arm_b_km']:.0f} km, {entry['integration_days']:.0f} days "
             f"({entry['coincidences']:.0f} coincidences, witness "
-            f"{entry['witness_ml']:.2f})")
+            f"{entry['witness_median']:.2f})")
     atomic_write(os.path.join(out_dir, "fiber.txt"), "\n".join(lines) + "\n")
     _manifest(out_dir, "plan-fiber", config_path, cfg)
 

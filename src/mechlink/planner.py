@@ -287,20 +287,32 @@ def split_separation(link: LinkBudget, separation_km: float,
 class IntegrationPlan:
     days: float
     trials: float
-    coincidences: float
-    witness_ml: float
+    coincidences: float             # expected, summed over the four cells
+    witness_median: float
     witness_offgrid: float          # symmetrized witness mass off its grid
+
+
+# The integration-time solve starts where the weakest (same-detector) cell
+# expects this many coincidences: the witness posterior is already narrow
+# there, and the clearance grows as sqrt(N)
+START_COINCIDENCES = 100.0
+# Width in log N to which the solve closes the bracket of its root
+LOG_N_TOLERANCE = 1e-6
+# How far from the start, in log N, the bracket may be widened
+MAX_LOG_REACH = math.log(1e6)
 
 
 def _projected_tally(link: LinkBudget, g2_floor: float, rate_scale: float,
                      n_trials: float) -> counting.CoincidenceTally:
-    """Synthetic counting statistics of the degraded configuration.
+    """Expected counting statistics of the degraded configuration.
 
     The fringe is taken at its working point: cross-detector pairs at the
     contrast ceiling, same-detector pairs at the corresponding minimum;
     singles follow the baseline herald/read rates scaled by the link
     transmission (paths matched to the worse arm), so coincidences carry
-    its square automatically.
+    its square automatically.  Every count is its real expected value,
+    unrounded, so the witness posterior moves smoothly with `n_trials`;
+    the tally is mirror-symmetric in the two heralds.
     """
     g_max = g2_floor
     # one contrast below the ceiling, g_max - (g2_floor - 1), is exactly 1:
@@ -309,17 +321,29 @@ def _projected_tally(link: LinkBudget, g2_floor: float, rate_scale: float,
     n = float(n_trials)
     cp = 0.5 * link.herald_prob * rate_scale * n
     cr = 0.5 * link.read_prob * rate_scale * n
-    coinc = [[0, 0], [0, 0]]
-    for i in (1, 2):
-        for j in (1, 2):
-            g = g_max if i != j else g_min
-            coinc[i - 1][j - 1] = int(round(g * cr * cp / n))
+    coinc = [[(g_max if i != j else g_min) * cr * cp / n for j in (1, 2)]
+             for i in (1, 2)]
     return counting.CoincidenceTally(
-        n_trials=int(n),
-        pump_singles=(int(cp), int(cp)),
-        read_singles=(int(cr), int(cr)),
+        n_trials=n,
+        pump_singles=(cp, cp),
+        read_singles=(cr, cr),
         coincidences=(tuple(coinc[0]), tuple(coinc[1])),
     )
+
+
+def _clearance(link: LinkBudget, g2_floor: float, rate_scale: float,
+               n_trials: float) -> tuple:
+    """(1 - median) / (84th percentile - median) of the projected witness.
+
+    Returns the clearance with the symmetrized posterior and the tally.
+    """
+    t = _projected_tally(link, g2_floor, rate_scale, n_trials)
+    # the tally is mirror-symmetric in the two heralds, so their
+    # posteriors are equal bit for bit
+    d = counting.witness_distribution(t, 1)
+    sym = counting.symmetrize(d, d)
+    median = sym.median
+    return (1.0 - median) / (sym.upper - median), sym, t
 
 
 def integration_time(link: LinkBudget, separation_km: float,
@@ -328,46 +352,66 @@ def integration_time(link: LinkBudget, separation_km: float,
     """Measurement time for the witness to clear classicality by `sigma_clearance`.
 
     Both arms are matched to the worse transmission, so singles scale
-    with it and coincidences with its square; the needed trial count is
-    solved on the projected counting statistics with the same witness
-    machinery used for real data.
+    with it and coincidences with its square.  The trial count N solves
+    log(clearance / sigma_clearance) = 0 in log N on the projected
+    counting statistics, with the witness located by its posterior
+    median.  The solve starts where the same-detector cell expects
+    START_COINCIDENCES coincidences and takes one log-log secant step of
+    slope 1/2 (clearance ~ sqrt N); while the sign does not change, the
+    step doubles, within MAX_LOG_REACH of the start.  Illinois regula
+    falsi (Dowell & Jarratt, BIT 11, 1971) then closes the bracket to
+    LOG_N_TOLERANCE, and the plan is read at its cleared end.
     """
     plan = split_separation(link, separation_km, contrast_retention)
     worst_db = max(plan.arm_a_db, plan.arm_b_db)
     rate_scale = 10.0 ** (-worst_db / 10.0)
+    target = math.log(sigma_clearance)
 
-    def clearance(n_trials):
-        t = _projected_tally(link, plan.g2_floor, rate_scale, n_trials)
-        # the tally is mirror-symmetric in the two heralds, so their
-        # posteriors are equal bit for bit
-        d = counting.witness_distribution(t, 1)
-        sym = counting.symmetrize(d, d)
-        sigma_up = max(sym.upper - sym.ml_value, 1e-6)
-        return (1.0 - sym.ml_value) / sigma_up, sym, t
+    def probe(log_n):
+        c, sym, t = _clearance(link, plan.g2_floor, rate_scale, math.exp(log_n))
+        return log_n, math.log(c) - target if c > 0.0 else -math.inf, sym, t
 
-    # sigma scales ~ 1/sqrt(N): bracket then bisect in log space
-    n0 = 1e9 / rate_scale
-    c0, _, _ = clearance(n0)
-    n_guess = n0 * (sigma_clearance / max(c0, 1e-3)) ** 2
-    lo, hi = n_guess / 16.0, n_guess * 16.0
-    at_lo = at_hi = None
-    for _ in range(12):
-        mid = math.sqrt(lo * hi)
-        result = clearance(mid)
-        if result[0] < sigma_clearance:
-            lo, at_lo = mid, result
+    # the same-detector cell expects g_min cr cp / N = h r s^2 N / 4
+    start = math.log(4.0 * START_COINCIDENCES
+                     / (link.herald_prob * link.read_prob * rate_scale**2))
+    near = probe(start)
+    step = math.copysign(max(2.0 * abs(near[1]), LOG_N_TOLERANCE), -near[1])
+    while True:
+        log_n = min(max(near[0] + step, start - MAX_LOG_REACH),
+                    start + MAX_LOG_REACH)
+        if log_n == near[0]:
+            raise PlannerError(
+                f"{sigma_clearance} sigma clearance lies outside the searched "
+                f"{math.exp(start - MAX_LOG_REACH):.3g}-"
+                f"{math.exp(start + MAX_LOG_REACH):.3g} trials")
+        far = probe(log_n)
+        if (far[1] < 0.0) != (near[1] < 0.0):
+            break
+        near, step = far, 2.0 * step
+    # the clearance rises with N: below the target at lo, cleared at hi.
+    # Illinois keeps that order; an end kept twice in a row has its value
+    # halved
+    lo, hi = sorted((near, far), key=lambda p: p[0])
+    del near, far               # only the bracket ends' posteriors stay alive
+    f_lo, f_hi = lo[1], hi[1]
+    kept = 0
+    while hi[0] - lo[0] > LOG_N_TOLERANCE:
+        log_n = lo[0] - f_lo * (hi[0] - lo[0]) / (f_hi - f_lo)
+        if not lo[0] < log_n < hi[0]:
+            log_n = 0.5 * (lo[0] + hi[0])
+        p = probe(log_n)
+        if p[1] < 0.0:
+            if kept > 0:
+                f_hi *= 0.5
+            lo, f_lo, kept = p, p[1], 1
         else:
-            hi, at_hi = mid, result
-    # a bracket end the bisection never moved is solved once, here
-    at_lo = at_lo or clearance(lo)
-    at_hi = at_hi or clearance(hi)
-    if at_lo[0] >= sigma_clearance or at_hi[0] < sigma_clearance:
-        raise PlannerError(f"{sigma_clearance} sigma clearance lies outside "
-                           f"the searched {lo:.3g}-{hi:.3g} trials")
-    n_trials = hi
-    _, sym, t = at_hi
+            if kept < 0:
+                f_lo *= 0.5
+            hi, f_hi, kept = p, p[1], -1
+
+    _, _, sym, t = hi
     coinc = sum(t.coincidences[i][j] for i in (0, 1) for j in (0, 1))
-    seconds = n_trials * link.repetition_period / (1.0 - link.overhead_fraction)
-    return IntegrationPlan(days=seconds / 86400.0, trials=n_trials,
-                           coincidences=coinc, witness_ml=sym.ml_value,
+    seconds = t.n_trials * link.repetition_period / (1.0 - link.overhead_fraction)
+    return IntegrationPlan(days=seconds / 86400.0, trials=t.n_trials,
+                           coincidences=coinc, witness_median=sym.median,
                            witness_offgrid=sym.below + sym.above)

@@ -41,7 +41,11 @@ class StatsError(ValueError):
 
 @dataclass(frozen=True)
 class CoincidenceTally:
-    """Singles and two-fold coincidences of one campaign."""
+    """Singles and two-fold coincidences of one campaign.
+
+    Counts may also be real expected values, as in the planner's
+    projections; the posteriors take them as they are.
+    """
 
     n_trials: int
     pump_singles: tuple        # C(p_1), C(p_2)
@@ -175,21 +179,34 @@ class WitnessDistribution:
     below: float = 0.0          # mass under the grid
     above: float = 0.0          # mass over the grid (see `symmetrize`)
 
+    @property
+    def median(self) -> float:
+        """Posterior median, read off the CDF at the bin edges."""
+        return float(_edge_quantiles(self.grid, self.mass, self.below, [0.5],
+                                     "median")[0])
+
+
+def _edge_quantiles(grid: np.ndarray, mass: np.ndarray, below: float,
+                    probs: list, name: str) -> np.ndarray:
+    # quantiles in increasing order, read off the CDF at the bin edges
+    # (mass is uniform within a bin)
+    step = grid[1] - grid[0]
+    edges = np.append(grid - 0.5 * step, grid[-1] + 0.5 * step)
+    cum = below + np.concatenate(([0.0], np.cumsum(mass)))
+    if not (cum[0] <= probs[0] and probs[-1] <= cum[-1]):
+        raise StatsError(f"witness {name} reaches off the grid "
+                         f"[{edges[0]:g}, {edges[-1]:g}]")
+    return np.interp(probs, cum, edges)
+
 
 def _mode_and_interval(grid: np.ndarray, mass: np.ndarray, below: float) -> tuple:
-    # the mode is the heaviest bin; the 68% interval is equal-tailed, read
-    # off the CDF at the bin edges (mass is uniform within a bin)
+    # the mode is the heaviest bin; the 68% interval is equal-tailed
     ml_idx = int(np.argmax(mass))
     if ml_idx in (0, len(mass) - 1):
         raise StatsError(f"witness mode lies at the grid edge "
                          f"{grid[ml_idx]:g}: it may sit off the grid")
-    step = grid[1] - grid[0]
-    edges = np.append(grid - 0.5 * step, grid[-1] + 0.5 * step)
-    cum = below + np.concatenate(([0.0], np.cumsum(mass)))
-    if not cum[0] <= 0.16 < 0.84 <= cum[-1]:
-        raise StatsError(f"witness 68% interval reaches off the grid "
-                         f"[{edges[0]:g}, {edges[-1]:g}]")
-    lower, upper = np.interp([0.16, 0.84], cum, edges)
+    lower, upper = _edge_quantiles(grid, mass, below, [0.16, 0.84],
+                                   "68% interval")
     return float(grid[ml_idx]), float(lower), float(upper)
 
 

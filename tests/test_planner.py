@@ -312,16 +312,18 @@ class TestIntegrationTime:
             return solve(t, det)
 
         monkeypatch.setattr(stats, "witness_distribution", counted)
-        plan = integration_time(reference_link(), 75.0)
-        # the first probe sizes the bracket, 12 bisection steps follow; the
-        # heralds' posteriors are equal, so each probe solves one of them
-        assert len(seen) == 13
-        assert len(set(seen)) == 13
-        # the off-grid mass is that of the full-grid posteriors
-        t = next(t for t, _ in seen if t.n_trials == int(plan.trials))
-        d = witness_oracle.full_grid_distribution(t, 1)
-        sym = stats.symmetrize(d, d)
-        assert plan.witness_offgrid == sym.below + sym.above
+        for km in (0.0, 75.0, 94.0):
+            seen.clear()
+            plan = integration_time(reference_link(), km)
+            # a start, one secant step and the Illinois closing; the
+            # heralds' posteriors are equal, so each probe solves one
+            assert len(seen) <= 8
+            assert len(set(seen)) == len(seen)
+            # the off-grid mass is that of the full-grid posteriors
+            t = next(t for t, _ in seen if t.n_trials == plan.trials)
+            d = witness_oracle.full_grid_distribution(t, 1)
+            sym = stats.symmetrize(d, d)
+            assert plan.witness_offgrid == sym.below + sym.above
 
     @pytest.mark.parametrize("n_trials", [4.105e9, 1.2e10, 6.4e10, 2.8e11])
     def test_projected_heralds_have_equal_posteriors(self, n_trials):
@@ -334,11 +336,48 @@ class TestIntegrationTime:
         assert ((d1.ml_value, d1.lower, d1.upper, d1.below, d1.above)
                 == (d2.ml_value, d2.lower, d2.upper, d2.below, d2.above))
 
-    @pytest.mark.parametrize("ml, upper", [(0.9, 1.5), (0.0, 0.01)])
-    def test_unmoved_bracket_end_raises(self, ml, upper, monkeypatch):
-        # a clearance that ignores the trial count never crosses the target
-        fixed = SimpleNamespace(ml_value=ml, upper=upper, below=0.0, above=0.0)
+    @pytest.mark.parametrize("median, upper", [(0.9, 1.5), (0.0, 0.01)])
+    def test_unmoved_bracket_end_raises(self, median, upper, monkeypatch):
+        # a clearance that ignores the trial count never crosses the target,
+        # from below (0.17 sigma) or from above (100 sigma)
+        fixed = SimpleNamespace(median=median, upper=upper, below=0.0, above=0.0)
+        probes = []
         monkeypatch.setattr(stats, "witness_distribution", lambda t, det: None)
-        monkeypatch.setattr(stats, "symmetrize", lambda d1, d2: fixed)
+        monkeypatch.setattr(stats, "symmetrize",
+                            lambda d1, d2: probes.append(d1) or fixed)
         with pytest.raises(PlannerError, match="outside the searched"):
             integration_time(reference_link(), 75.0)
+        # the start, the secant step and one doubled step, which reaches
+        # MAX_LOG_REACH from the start
+        assert len(probes) == 3
+
+    @staticmethod
+    def _clearances(km, n_trials):
+        link = reference_link()
+        plan = split_separation(link, km)
+        rate_scale = 10.0 ** (-max(plan.arm_a_db, plan.arm_b_db) / 10.0)
+        return [planner._clearance(link, plan.g2_floor, rate_scale, n)[0]
+                for n in n_trials]
+
+    def test_clearance_rises_through_closely_spaced_trial_counts(self):
+        # 1 % apart at 75 km, where a clearance on rounded counts and the
+        # binned mode went backwards (43.748, then 43.726)
+        c = self._clearances(75.0, np.linspace(1.0e13, 1.05e13, 6))
+        assert np.all(np.diff(c) > 0)
+
+    @pytest.mark.parametrize("km", [0.0, 75.0, 94.0])
+    def test_clearance_rises_across_the_solved_range(self, km):
+        link = reference_link()
+        plan = split_separation(link, km)
+        rate_scale = 10.0 ** (-max(plan.arm_a_db, plan.arm_b_db) / 10.0)
+        start = (4.0 * planner.START_COINCIDENCES
+                 / (link.herald_prob * link.read_prob * rate_scale**2))
+        # the solve probes from its start down to about a fifth of it, where
+        # rounded counts made the clearance jump back and forth by 0.1-0.2
+        c = self._clearances(km, start * np.geomspace(0.2, 1.0, 33))
+        assert np.all(np.diff(c) > 0)
+        # and beyond: from one expected same-detector coincidence, where
+        # the witness median crosses 1, to ten times the start
+        c = self._clearances(km, start * np.geomspace(0.01, 10.0, 7))
+        assert c[0] < 0.0 < 3.0 < c[-1]
+        assert np.all(np.diff(c) > 0)

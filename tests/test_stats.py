@@ -137,6 +137,18 @@ class TestTally:
             CoincidenceTally(n_trials=100, pump_singles=(5, 5),
                              read_singles=(5, 5), coincidences=((6, 0), (0, 0)))
 
+    def test_real_counts_keep_the_validation(self):
+        singles = dict(n_trials=100.0, pump_singles=(5.25, 5.25),
+                       read_singles=(5.25, 5.25))
+        with pytest.raises(StatsError, match="non-negative"):
+            CoincidenceTally(**singles, coincidences=((0.5, -0.25), (0.5, 0.5)))
+        with pytest.raises(StatsError, match="non-negative"):
+            CoincidenceTally(n_trials=100.0, pump_singles=(5.25, -0.5),
+                             read_singles=(5.25, 5.25),
+                             coincidences=((0.0, 0.0), (0.0, 0.0)))
+        with pytest.raises(StatsError, match="exceeds"):
+            CoincidenceTally(**singles, coincidences=((5.5, 0.0), (0.0, 0.0)))
+
 
 class TestG2FromCounts:
     def test_point_estimates_from_published_block(self):
@@ -332,6 +344,23 @@ class TestWitnessDistribution:
         # the tails on both sides of w = 0 join, so no bin there goes negative
         assert d.mass.min() >= 0.0
 
+    @pytest.mark.parametrize("tally_", [WITNESS_TALLY, EXTENDED_TALLY,
+                                        WIDE_TALLY],
+                             ids=["published", "extended", "1-10"])
+    @pytest.mark.parametrize("det", [1, 2])
+    def test_integer_valued_real_counts_give_the_same_posterior(self, tally_,
+                                                                 det):
+        real = CoincidenceTally(
+            n_trials=float(tally_.n_trials),
+            pump_singles=tuple(map(float, tally_.pump_singles)),
+            read_singles=tuple(map(float, tally_.read_singles)),
+            coincidences=tuple(tuple(map(float, row))
+                               for row in tally_.coincidences))
+        d, ref = witness_distribution(real, det), witness_distribution(tally_, det)
+        assert np.array_equal(d.mass, ref.mass)
+        assert ((d.ml_value, d.lower, d.upper, d.below, d.above)
+                == (ref.ml_value, ref.lower, ref.upper, ref.below, ref.above))
+
     def test_widest_planner_tally_keeps_its_mode_and_tail(self):
         for det in (1, 2):
             d = witness_distribution(WIDE_TALLY, det)
@@ -359,6 +388,21 @@ class TestWitnessDistribution:
         falling = np.linspace(1.0, 0.0, 100) / 50.0
         with pytest.raises(StatsError, match="mode"):
             stats._mode_and_interval(grid, falling, 0.0)
+
+    def test_median_read_at_bin_edges(self):
+        # the uniform distribution of test_percentiles_read_at_bin_edges:
+        # the CDF reaches 0.499 at the edge 0.5, and the bin over it holds
+        # 0.009
+        grid = (np.arange(100) + 0.5) * 0.01
+        mass = np.full(100, 0.008)
+        mass[50] += 0.001
+        mass[49] -= 0.001
+        dist = stats.WitnessDistribution(grid=grid, mass=mass, ml_value=0.505,
+                                         lower=0.075, upper=0.925, below=0.1)
+        assert dist.median == pytest.approx(0.5 + 0.01 / 9, abs=1e-12)
+        dist.below = 0.6
+        with pytest.raises(StatsError, match="median"):
+            dist.median
 
     def test_symmetrize_keeps_off_grid_pairs_apart(self):
         grid = (np.arange(100) + 0.5) * 0.01
