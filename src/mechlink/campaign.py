@@ -25,10 +25,11 @@ from .protocol import CODE_SLOTS, TrialModel, build_trial_model
 # fixed chunk size: results must not depend on worker count
 CHUNK_TRIALS = 1 << 20
 
-# click-log text, formatted the rows of CSV_BLOCK_TRIALS trials at a time:
-# a row is the trial's digits, then the suffix of its slot (a code's rows
-# listed by slot are in log order)
-CSV_BLOCK_TRIALS = 1 << 16
+# click-log text, formatted the rows of CSV_BLOCK_TRIALS trials at a time
+# (a block's temporaries take about 70 bytes a row): a row is the trial's
+# digits, then the suffix of its slot (a code's rows listed by slot are in
+# log order)
+CSV_BLOCK_TRIALS = 1 << 14
 _CODE_INCIDENCE = CODE_SLOTS.view(np.uint32).ravel()    # a code's slot flags
 _ROW_SUFFIX = np.frombuffer(b",1,pump\n,2,pump\n,1,read\n,2,read\n", "<u8")
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
@@ -42,7 +43,8 @@ class CampaignError(ValueError):
 def atomic_write(path, text) -> None:
     """Write-then-rename so readers never observe partial files.
 
-    `text` is a string or an iterable of str or bytes blocks, written in turn.
+    `text` is a string or an iterable of str or bytes-like blocks, written
+    in turn.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -97,7 +99,7 @@ class ClickLog:
         if len(self.trial):
             if self.code.min() < 1 or self.code.max() > 15:
                 raise CampaignError("outcome code must be in 1..15")
-            if np.any(np.diff(self.trial) <= 0):
+            if np.any(self.trial[1:] <= self.trial[:-1]):
                 raise CampaignError("trials must be strictly increasing")
             if self.trial[0] < 0 or self.trial[-1] >= self.n_trials:
                 raise CampaignError("trial index outside campaign range")
@@ -121,7 +123,7 @@ class ClickLog:
         for lo in range(0, len(self.trial), CSV_BLOCK_TRIALS):
             block = slice(lo, lo + CSV_BLOCK_TRIALS)
             flat = np.flatnonzero(_CODE_INCIDENCE[self.code[block]].view(bool))
-            yield _format_rows(self.trial[block][flat >> 2], flat & 3)
+            yield from _format_rows(self.trial[block][flat >> 2], flat & 3)
 
     def to_csv(self) -> str:
         return b"".join(self._csv_blocks()).decode("ascii")
@@ -185,14 +187,14 @@ def _digit_groups() -> np.ndarray:
             + ord("0")).astype(np.uint8).view("<u4").ravel()
 
 
-def _format_rows(trial, slot) -> bytes:
-    """CSV rows of one block, `trial` non-decreasing.  Rows of one digit
-    count form fixed-width records of 4-byte digit groups and the 8-byte
-    suffix, stored in offset order: each word overwrites the unused bytes
-    of a 1-3 digit leading group before it."""
+def _format_rows(trial, slot):
+    """Yield the CSV rows of one block, `trial` non-decreasing, one uint8
+    buffer per digit count.  Rows of one digit count form fixed-width
+    records of 4-byte digit groups and the 8-byte suffix, stored in offset
+    order: each word overwrites the unused bytes of a 1-3 digit leading
+    group before it."""
     first, last = 1 + np.searchsorted(_POW10, trial[[0, -1]], side="right")
     edges = [0, *np.searchsorted(trial, _POW10[first - 1:last - 1]), len(trial)]
-    runs = []
     for width, lo, hi in zip(range(first, last + 1), edges, edges[1:]):
         lead = (width - 1) % 4 + 1
         q, words = trial[lo:hi], [_ROW_SUFFIX[slot[lo:hi]]]
@@ -201,13 +203,15 @@ def _format_rows(trial, slot) -> bytes:
             words.insert(0, _digit_groups()[r])
         words.insert(0, _digit_groups()[q] >> 8 * (4 - lead))
         offsets = [0, *range(lead, width, 4), width]
-        record = np.empty(hi - lo, np.dtype({
+        # overlapping fields cannot export a buffer, so the records are a
+        # view of the bytes, not the other way round
+        text = np.empty((hi - lo) * (width + 8), np.uint8)
+        record = text.view(np.dtype({
             "names": [f"f{at}" for at in offsets], "offsets": offsets,
             "formats": ["<u4"] * (len(words) - 1) + ["<u8"], "itemsize": width + 8}))
         for name, values in zip(record.dtype.names, words):
             record[name] = values
-        runs.append(record.tobytes())
-    return b"".join(runs)
+        yield text
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +224,11 @@ def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _code_cdf(model) -> np.ndarray:
+    """P(pump, read) in code order pump + 4 * read, cumulated over codes 1..15."""
+    return np.cumsum(model.joint.T.ravel()[1:])
+
+
 def _sample_chunk(model, seed, stream, chunk_index, count):
     """Sorted positions in [0, count) of the trials with a click, and their
     outcome codes.  The empty trials are skipped (Devroye, Non-Uniform
@@ -227,8 +236,7 @@ def _sample_chunk(model, seed, stream, chunk_index, count):
     click is binomial, their positions a uniform subset of that size, and
     their codes follow the joint table given a click.
     """
-    # P(pump, read) in code order pump + 4 * read, cumulated over codes 1..15
-    code_cdf = np.cumsum(model.joint.T.ravel()[1:])
+    code_cdf = _code_cdf(model)
     p_click = code_cdf[-1]
     rng = _chunk_rng(seed, stream, chunk_index)
     k = int(rng.binomial(count, p_click))
@@ -254,16 +262,23 @@ def run_campaign(cfg: ProtocolConfig, n_trials: int, seed: int,
     if model is None:
         model = build_trial_model(cfg)
 
-    def work(c):
-        start = c * CHUNK_TRIALS
-        positions, codes = _sample_chunk(model, seed, stream, c,
-                                         min(CHUNK_TRIALS, n_trials - start))
-        return positions + start, codes.astype(np.int8)
+    # each chunk's generator draws its click count first, so the counts
+    # place every chunk's clicks before any is sampled
+    p_click = _code_cdf(model)[-1]
+    sizes = np.diff(np.r_[0:n_trials:CHUNK_TRIALS, n_trials]).tolist()
+    bounds = np.zeros(len(sizes) + 1, np.int64)
+    for c, count in enumerate(sizes):
+        bounds[c + 1] = bounds[c] + _chunk_rng(seed, stream, c).binomial(count, p_click)
+    trial = np.empty(bounds[-1], np.int64)
+    code = np.empty(bounds[-1], np.int8)
 
-    parts = [(np.zeros(0, np.int64), np.zeros(0, np.int8))]
+    def work(c):
+        positions, codes = _sample_chunk(model, seed, stream, c, sizes[c])
+        np.add(positions, c * CHUNK_TRIALS, out=trial[bounds[c]:bounds[c + 1]])
+        code[bounds[c]:bounds[c + 1]] = codes
+
     with ThreadPoolExecutor(max_workers=workers or worker_count()) as pool:
-        parts += pool.map(work, range(-(-n_trials // CHUNK_TRIALS)))
-    trial, code = (np.concatenate(column) for column in zip(*parts))
+        list(pool.map(work, range(len(sizes))))
 
     return ClickLog(n_trials=n_trials, seed=seed, stream=stream,
                     trial=trial, code=code, config_snapshot=config_snapshot or {})

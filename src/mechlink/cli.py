@@ -295,7 +295,8 @@ def _formula_bound(cfg: RunConfig, tau: float) -> float:
     """Low-temperature closed-form visibility ceiling for the config.
 
     Per-phonon background rates are referred to each device's detector-2
-    read-window detection scale, the convention of single-device runs.
+    read-window detection scale, the convention of single-device runs.  A
+    background outside the formula's range fails (`noise.NoiseBudget`).
     """
     proto = cfg.protocol
     budgets = []
@@ -312,7 +313,7 @@ def _formula_bound(cfg: RunConfig, tau: float) -> float:
         n_bg = proto.detectors.p_dark_read[1] / scale if scale > 0 else 0.0
         budgets.append(noise.NoiseBudget(
             n_th=n_th, p_pump=dev.p_pump, n_leak=dev.n_leak,
-            n_bg=min(n_bg, 0.499), decay=dev.gamma_decay))
+            n_bg=n_bg, decay=dev.gamma_decay))
     return noise.visibility_bound(tau, *budgets)
 
 

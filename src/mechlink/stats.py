@@ -275,19 +275,22 @@ def witness_distribution(tally_: CoincidenceTally, pump_det: int,
     # each node's exact 0s and 1s are a leading and a trailing run of the
     # edges (`_conditional_cdf`), so every 40th edge brackets its band: the
     # column is exactly 0 up to its last 0 probe, exactly 1 from its first
-    # 1 probe, and is evaluated in between
+    # 1 probe, and is evaluated in between; its CDF differences vanish
+    # outside the band, and its first and last values are its band's ends
     coarse = np.r_[0:n_bins:40, n_bins]
     probe = _conditional_cdf(a, edges[coarse, None], *post_b)
-    cdf = np.zeros((n_bins + 1, len(a)))
+    step = np.zeros((n_bins, len(a)))
+    ends = np.empty((2, len(a)))
     for k, column in enumerate(probe.T):
         lo = coarse[column == 0.0].max(initial=0)
         hi = coarse[column == 1.0].min(initial=n_bins)
-        cdf[hi:, k] = 1.0
-        cdf[lo:hi + 1, k] = _conditional_cdf(a[k], edges[lo:hi + 1], *post_b)
+        band = _conditional_cdf(a[k], edges[lo:hi + 1], *post_b)
+        step[lo:hi, k] = np.diff(band)
+        ends[:, k] = band[[0, -1]]
 
-    mass = np.diff(cdf, axis=0) @ weights
-    below = float(cdf[0] @ weights)
-    above = float((1.0 - cdf[-1]) @ weights)
+    mass = step @ weights
+    below = float(ends[0] @ weights)
+    above = float((1.0 - ends[1]) @ weights)
     grid = WITNESS_MIN + (np.arange(n_bins) + 0.5) * witness_step
     ml, lower, upper = _mode_and_interval(grid, mass, below)
     return WitnessDistribution(grid=grid, mass=mass, ml_value=ml, lower=lower,

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,39 @@ class TestDeterminism:
         a = run_campaign(small_config, 200_000, seed=1, stream=0, model=small_model)
         b = run_campaign(small_config, 200_000, seed=1, stream=1, model=small_model)
         assert a.to_csv() != b.to_csv()
+
+
+def traced_peak(run):
+    """run() and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_campaign_holds_its_log_once(self, high_yield_model, workers):
+        m = high_yield_model
+        log, peak = traced_peak(lambda: run_campaign(
+            m.config, 3 * CHUNK_TRIALS + 1234, seed=5, model=m, workers=workers))
+        held = log.trial.nbytes + log.code.nbytes
+        # a sampling worker holds numpy's 8-byte tail-shuffle index over its
+        # chunk and the chunk's positions
+        most = np.bincount(log.trial // CHUNK_TRIALS).max()
+        assert peak < held + workers * 8 * (CHUNK_TRIALS + most) + 250_000
+
+    def test_csv_is_written_one_block_at_a_time(self, high_yield_model):
+        m = high_yield_model
+        log = run_campaign(m.config, 400_000, seed=8, model=m)
+        assert len(log.trial) > 10 * campaign.CSV_BLOCK_TRIALS
+        campaign._digit_groups()
+        _, peak = traced_peak(lambda: list(map(len, log._csv_blocks())))
+        # one block's rows (1.4 a trial here) and their temporaries take
+        # about 97 bytes a trial of the block; a copy of the block's text
+        # adds about 20, a second block about 97
+        assert peak < 112 * campaign.CSV_BLOCK_TRIALS
 
 
 class TestAgreementWithExactModel:

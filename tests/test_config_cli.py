@@ -173,6 +173,20 @@ class TestCliRuns:
                        str(tmp_path / "o")])
         assert rc == 3
 
+    def test_read_background_outside_the_formula_range_fails(self, tmp_path,
+                                                               capsys):
+        # 1e-2 dark clicks per read window over a 5e-3 detection scale
+        text = (MINIMAL.replace("p_pump = 0.005", "p_pump = 0.005\np_read = 0.01")
+                .replace("p_pump = 0.006", "p_pump = 0.006\np_read = 0.01")
+                .replace("eta_2 = 1.0", "eta_2 = 1.0\np_dark_read_2 = 0.01")
+                .replace("trials = 1000", "trials = 500000")
+                + "[sweep]\ntau_ns_list = 123, 124, 125, 126, 127\n")
+        rc = cli.main(["time-sweep", "--config", str(write_cfg(tmp_path, text)),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "NoiseModelError: n_bg=2.0 outside the validity range [0, 0.5)" in err
+
     def test_byte_identical_reruns(self, tmp_path):
         text = MINIMAL + "\n[sweep]\ndelta_phi_pi_list = 0, 0.5, 1.0, 1.5, 1.9\n"
         cfg = write_cfg(tmp_path, text)

@@ -276,6 +276,49 @@ class TestSeparationPlanning:
             split_separation(reference_link(), 500.0)
 
 
+class TestWitnessStepConvergence:
+    """Halving the shipped witness bin step 0.005 moves each reported
+    quantity by less than the error measured at that step against steps
+    halved three more times: 1.3e-5 (84th percentile), 2e-6 (median),
+    6.4e-6 (confidence under 1) and 1.5e-4 (plan-fiber clearance),
+    relative.  An error falling as the step squared moves by 3/4 of
+    itself at one halving."""
+
+    @staticmethod
+    def _quantities(t, step, mirrored=False):
+        # a mirror-symmetric tally's heralds have equal posteriors
+        d1 = stats.witness_distribution(t, 1, witness_step=step)
+        d2 = d1 if mirrored else stats.witness_distribution(t, 2, witness_step=step)
+        sym = stats.symmetrize(d1, d2)
+        median = sym.median
+        return np.array([sym.upper, median, stats.confidence_below(sym, 1.0),
+                         (1.0 - median) / (sym.upper - median)])
+
+    def test_published_tally(self):
+        with open(os.path.join(os.path.dirname(__file__), "..", "configs",
+                               "witness_run_tally.json")) as fh:
+            t = stats.CoincidenceTally.loads(fh.read())
+        coarse, fine = (self._quantities(t, step) for step in (0.005, 0.0025))
+        moved = np.abs(fine - coarse) / np.abs(fine)
+        assert np.all(moved[:3] <= [1.3e-5, 2e-6, 6.4e-6])
+
+    def test_seventy_five_km_tally(self):
+        link = reference_link()
+        plan = split_separation(link, 75.0)
+        rate_scale = 10.0 ** (-max(plan.arm_a_db, plan.arm_b_db) / 10.0)
+        # the trial count the 75 km plan clears 3 sigma at
+        t = planner._projected_tally(link, plan.g2_floor, rate_scale, 5.334e10)
+        q = [self._quantities(t, step, mirrored=True)
+             for step in (0.005, 0.0025, 0.00125)]
+        moved = np.abs(q[1] - q[0]) / np.abs(q[1])
+        assert moved[3] <= 1.5e-4
+        assert moved[2] <= 6.4e-6
+        # the confidence and the clearance converge as the step squared:
+        # each halving moves them about a quarter as far as the last one
+        ratio = (q[1] - q[0])[2:] / (q[2] - q[1])[2:]
+        assert np.all((3.0 < ratio) & (ratio < 7.0))
+
+
 class TestIntegrationTime:
     def test_at_maximum_separation(self):
         plan = integration_time(reference_link(), 94.0)

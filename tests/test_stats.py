@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,6 +370,21 @@ class TestWitnessDistribution:
             assert 0.011 <= d.above <= 0.012
             assert d.below + d.mass.sum() + d.above == pytest.approx(1.0, abs=1e-12)
             assert np.all(d.mass >= 0)
+
+    def test_posterior_holds_only_its_band_differences(self):
+        # the (bins x nodes) CDF differences and one band's temporaries,
+        # not the (edges x nodes) CDF beside its np.diff
+        n_bins = int(round((stats.WITNESS_MAX - stats.WITNESS_MIN)
+                           / stats.WITNESS_GRID_STEP))
+        allowed = 8 * n_bins * stats.WITNESS_NODES + 500_000
+        for det in (1, 2):
+            tracemalloc.start()
+            try:
+                d = witness_distribution(WIDE_TALLY, det)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - d.grid.nbytes - d.mass.nbytes < allowed
 
     def test_percentiles_read_at_bin_edges(self):
         # uniform on [0, 1] between 10 % under and 10 % over the grid; the
