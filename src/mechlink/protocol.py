@@ -21,9 +21,12 @@ complement on the other modes (Weedbrook et al., RMP 84, 621 (2012)).
 The four joint click outcomes follow by inclusion-exclusion over the
 port vacuum projections (Quesada, Arrazola & Killoran, PRA 98, 062322
 (2018)), so a click-conditioned state has at most four terms per input
-term.  The two non-Gaussian steps, the lock-noise and the photon-
-distinguishability twirls, are mixtures over a rotation angle, evaluated
-by a periodic trapezoid rule of ROTATION_NODES nodes.
+term.  The one non-Gaussian step is a mixture over the relative phase
+of the two devices: residual lock noise and, with serrodyne
+compensation off, the distinguishability of the pump and read photons
+each blur that one angle, so `build_trial_model` applies them as one
+relative-phase twirl whose variance is their sum, evaluated by a
+periodic trapezoid rule of ROTATION_NODES nodes.
 
 Mode layout inside a stage: [mech A, mech B, optical A/port 1,
 optical B/port 2].  After the combiner the optical slots hold the
@@ -253,17 +256,7 @@ def _click_outcomes(state: GaussianState, port1: int, port2: int):
 
 
 # ---------------------------------------------------------------------------
-# serrodyne bookkeeping
-
-
-@dataclass(frozen=True)
-class SerrodyneSetting:
-    """Effective drive-frequency offsets per arm and the photon overlap."""
-
-    window: str
-    offset_a: float      # rad/s added to the arm-A drive
-    offset_b: float
-    overlap: float       # spectral overlap of the emitted photons, in [0, 1]
+# photon distinguishability
 
 
 def envelope_overlap(delta_omega: float, envelope_sigma: float) -> float:
@@ -275,39 +268,19 @@ def envelope_overlap(delta_omega: float, envelope_sigma: float) -> float:
     return math.exp(-0.5 * (delta_omega * envelope_sigma) ** 2)
 
 
-def serrodyne_compensation(interferometer: InterferometerConfig,
-                           window: str) -> SerrodyneSetting:
-    """Frequency bookkeeping for one pulse window.
+def distinguishability_variance(interferometer: InterferometerConfig) -> float:
+    """Variance of the relative phase that tells the two devices' photons
+    apart in one pulse window.
 
-    With compensation on, the drive to device A is shifted so the emitted
-    photons from both devices are degenerate: overlap 1.  With it off
-    the emitted photons are detuned by the full mechanical frequency
-    difference and interference terms shrink by the envelope overlap.
+    With serrodyne compensation on, the drives make the photons of both
+    devices degenerate: 0.  With it off they are detuned by the full
+    mechanical frequency difference, and a Gaussian relative phase of
+    variance (delta_omega_m sigma_env)^2 damps their exchange coherence
+    to exactly `envelope_overlap`, exp(-variance / 2).
     """
-    if window not in ("pump", "read"):
-        raise ProtocolError("window must be 'pump' or 'read'")
-    d = interferometer.delta_omega_m
     if interferometer.serrodyne:
-        off = d if window == "pump" else -d
-        return SerrodyneSetting(window, off, 0.0, 1.0)
-    lam = envelope_overlap(d, interferometer.envelope_sigma_ns * 1e-9)
-    return SerrodyneSetting(window, 0.0, 0.0, lam)
-
-
-def _distinguishability_twirl(state: GaussianState, mode: int,
-                              overlap: float) -> GaussianState:
-    """Damp the which-path coherence of two photons to `overlap`.
-
-    A Gaussian twirl of their relative phase theta with variance
-    -2 ln(overlap) gives the single-photon exchange coherence exactly
-    `overlap`.  The common phase of the two modes is invisible to the
-    passive combiner, the losses and the vacuum projections downstream,
-    so rotating one mode (`mode`) by theta is the same channel there.
-    """
-    if overlap >= 1.0:
-        return state
-    sigma = math.sqrt(-2.0 * math.log(overlap)) if overlap > 0.0 else math.inf
-    return _rotation_twirl(state, mode, sigma)
+        return 0.0
+    return (interferometer.delta_omega_m * interferometer.envelope_sigma_ns * 1e-9) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +333,11 @@ def false_click_probs(cfg: ProtocolConfig) -> tuple:
 
 
 def pump_stage(cfg: ProtocolConfig) -> PumpStageResult:
-    """Exact pre-measurement state and click analysis of the pump window."""
+    """Exact pre-measurement state and click analysis of the pump window.
+
+    The photons' distinguishability does not change this click table; it
+    is part of the relative-phase twirl of `build_trial_model`.
+    """
     intf = cfg.interferometer
     dev_a, dev_b = cfg.devices()
     state = _thermal([dev_a.start_occupation, dev_b.start_occupation, 0.0, 0.0])
@@ -369,8 +346,6 @@ def pump_stage(cfg: ProtocolConfig) -> PumpStageResult:
                               phase=intf.phi0)
     state = _attenuate(state, OA, dev_a.eta_path * intf.arm_attenuation("A"))
     state = _attenuate(state, OB, dev_b.eta_path * intf.arm_attenuation("B"))
-    state = _distinguishability_twirl(
-        state, OA, serrodyne_compensation(intf, "pump").overlap)
     state = _beamsplitter(state, OA, OB, intf.combiner_transmittance)
     state = _attenuate(state, OA, cfg.detectors.eta[0])
     state = _attenuate(state, OB, cfg.detectors.eta[1])
@@ -445,7 +420,9 @@ class ReadStageResult:
 def readout_stage(mech_state: GaussianState, cfg: ProtocolConfig) -> ReadStageResult:
     """Partial state swap, interference and detection of the read window.
 
-    The click probabilities carry the trace of `mech_state`.
+    The click probabilities carry the trace of `mech_state`.  Photon
+    distinguishability and lock noise enter as the relative-phase twirl
+    that `build_trial_model` applies to `mech_state`.
     """
     intf = cfg.interferometer
     theta_r = intf.phi0 + intf.delta_phi
@@ -462,8 +439,6 @@ def readout_stage(mech_state: GaussianState, cfg: ProtocolConfig) -> ReadStageRe
     state = _vacuum_projection(state, (), (ra, rb))
     state = _attenuate(state, 0, dev_a.eta_path * intf.arm_attenuation("A"))
     state = _attenuate(state, 1, dev_b.eta_path * intf.arm_attenuation("B"))
-    state = _distinguishability_twirl(
-        state, 0, serrodyne_compensation(intf, "read").overlap)
     state = _beamsplitter(state, 0, 1, intf.combiner_transmittance)
     state = _attenuate(state, 0, cfg.detectors.read_eta(0))
     state = _attenuate(state, 1, cfg.detectors.read_eta(1))
@@ -644,42 +619,58 @@ def _witness_moments(pump: PumpStageResult, detector: int) -> np.ndarray:
     return np.array([_moment(pump.state, n_j + op) for op in ops])
 
 
-def _delayed_witness_moments(moments: np.ndarray, cfg: ProtocolConfig,
-                             twirl_sigma: float) -> tuple:
+def _delayed_witness_moments(moments: np.ndarray, cfg: ProtocolConfig) -> tuple:
     """(<nA nB>, |<a_A+ a_B>|^2) after the delay, from `_witness_moments`.
 
     Per mode the delay is a thermal attenuator (eta, N): in the
     Heisenberg picture n -> eta n + N and a -> sqrt(eta) e^{i phi} a, so
     nA nB -> (etaA nA + NA)(etaB nB + NB) and the coherence shrinks by
-    sqrt(etaA etaB).  The pump share sigma/2 of the lock-noise twirl damps
-    |<a_A+ a_B>|^2 by exp(-(sigma/2)^2).
+    sqrt(etaA etaB).  The pump's share of the relative-phase twirl, the
+    pump photons' distinguishability variance and the lock offset theta
+    of the pump imprint, rotates mech A against mech B and leaves the
+    number moments alone; it damps |<a_A+ a_B>|^2 by
+    exp(-(sigma_d^2 + sigma^2)).
     """
     (eta_a, n_a), (eta_b, n_b) = _thermal_attenuators(cfg, cfg.tau)
     _, nn, na, nb, coh = moments / moments[0].real
     num = (eta_a * eta_b * nn + eta_a * n_b * na + n_a * eta_b * nb).real
     num += n_a * n_b
-    coh2 = eta_a * eta_b * abs(coh) ** 2 * math.exp(-(0.5 * twirl_sigma) ** 2)
+    pump_variance = (distinguishability_variance(cfg.interferometer)
+                     + cfg.interferometer.phase_jitter_sigma ** 2)
+    coh2 = eta_a * eta_b * abs(coh) ** 2 * math.exp(-pump_variance)
     return float(num), float(coh2)
 
 
 def build_trial_model(cfg: ProtocolConfig) -> TrialModel:
     """Assemble the exact 4x4 observed-outcome table for one setting.
 
-    Residual lock noise offsets the path phase by one theta ~ N(0,
-    sigma^2) per trial, shared by the pump imprint and the read drive.
-    Each device's reduced optical state after the pump is thermal and
-    phase-invariant, so theta leaves the pump click table alone and acts
-    as a rotation of mech B; that rotation commutes with the optical
-    vacuum projections and the delay, so the pump and read offsets add
-    to one rotation by 2 theta.  The noise average is therefore exactly a
-    relative-phase twirl of width 2 sigma on each click-conditioned
-    mechanical state.  Each such state goes through the delay and the
+    Three independent normal angles blur the relative phase of the two
+    devices, and nothing else:
+    - the lock offset theta ~ N(0, sigma^2), shared by the pump imprint
+      and the read drive.  Each device's optical state after the pump is
+      thermal and phase-invariant, so theta leaves the pump click table
+      alone and acts as a rotation of mech B in each window: 2 theta.
+    - with serrodyne off, the pump photons' relative phase, of variance
+      sigma_d^2 (`distinguishability_variance`), on optical A.  The
+      two-mode squeeze is invariant under R_mA(t) R_oA(-t), so it acts
+      as a rotation of mech A.
+    - the read photons' relative phase, of the same variance, on read
+      mode A.  The swap's other input is vacuum, so it acts as a
+      rotation of mech A before the swap.
+    The combiner, the losses, the vacuum projections and the delay are
+    blind to a common phase, and independent normal angles add their
+    variances (Mardia & Jupp, Directional Statistics, 2000).  So the
+    average is exactly one relative-phase twirl of variance
+    sigma_d^2 + (2 sigma)^2 + sigma_d^2 on each click-conditioned
+    mechanical state.  Each twirled state goes through the delay and the
     read stage unnormalized, so the read table row it yields is already
     P(pump outcome, read outcome).  The witness moments of the
     intensity-weighted herald follow from the delay's closed-form
-    Heisenberg action.
+    Heisenberg action (`_delayed_witness_moments`).
     """
-    twirl_sigma = 2.0 * cfg.interferometer.phase_jitter_sigma
+    intf = cfg.interferometer
+    twirl_sigma = math.sqrt(2.0 * distinguishability_variance(intf)
+                            + (2.0 * intf.phase_jitter_sigma) ** 2)
 
     pump = pump_stage(cfg)
     quantum = np.zeros((4, 4))       # P(pump outcome, read outcome), no falses
@@ -691,11 +682,9 @@ def build_trial_model(cfg: ProtocolConfig) -> TrialModel:
     false_pump, false_read = false_click_probs(cfg)
     joint = _false_click_matrix(false_pump).T @ quantum @ _false_click_matrix(false_read)
 
-    # the weighted states carry only the pump's share of the lock noise
-    # (the read drive adds the other half to the fringe)
     moments = {det: _witness_moments(pump, det) for det in (1, 2)}
     witness_moments = {
-        det: _delayed_witness_moments(m, cfg, twirl_sigma)
+        det: _delayed_witness_moments(m, cfg)
         for det, m in moments.items() if m[0].real > 1e-15}
     return TrialModel(joint=_checked_table(joint, 1.0, "joint outcome table"),
                       config=cfg, witness_moments=witness_moments)

@@ -18,8 +18,8 @@ import numpy as np
 from mechlink import fock, protocol
 from mechlink.noise import HeatingParams, driven_occupation
 from mechlink.protocol import (MA, MB, OA, OB, ProtocolError, PumpStageResult,
-                               ReadStageResult, false_click_probs, outcome_index,
-                               serrodyne_compensation)
+                               ReadStageResult, envelope_overlap, false_click_probs,
+                               outcome_index)
 
 # truncation tolerance for channels inside the pipeline
 PIPELINE_TOL = 1e-3
@@ -28,6 +28,14 @@ PIPELINE_TOL = 1e-3
 HEATING_SLICES = 16
 
 _OUTCOMES = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def photon_overlap(intf) -> float:
+    """Overlap of the two devices' photons in one pulse window: 1 with
+    serrodyne compensation, the detuned envelope overlap without."""
+    if intf.serrodyne:
+        return 1.0
+    return envelope_overlap(intf.delta_omega_m, intf.envelope_sigma_ns * 1e-9)
 
 
 def distinguishability_twirl(state: fock.DensityMatrix, mode_a: int, mode_b: int,
@@ -111,8 +119,7 @@ def pump_stage(cfg, cutoff: int = 3, mech_cutoff: int = 3) -> PumpStageResult:
                                   phase=intf.phi0, tol=PIPELINE_TOL)
     state = fock.loss_channel(state, OA, dev_a.eta_path * intf.arm_attenuation("A"))
     state = fock.loss_channel(state, OB, dev_b.eta_path * intf.arm_attenuation("B"))
-    state = distinguishability_twirl(state, OA, OB,
-                                     serrodyne_compensation(intf, "pump").overlap)
+    state = distinguishability_twirl(state, OA, OB, photon_overlap(intf))
     state = fock.beamsplitter(state, OA, OB, intf.combiner_transmittance)
     state = fock.loss_channel(state, OA, cfg.detectors.eta[0])
     state = fock.loss_channel(state, OB, cfg.detectors.eta[1])
@@ -208,8 +215,7 @@ def readout_stage(mech_state: fock.DensityMatrix, cfg,
                               phase=math.pi - theta_r)
     state = fock.loss_channel(state, ra, dev_a.eta_path * intf.arm_attenuation("A"))
     state = fock.loss_channel(state, rb, dev_b.eta_path * intf.arm_attenuation("B"))
-    state = distinguishability_twirl(state, ra, rb,
-                                     serrodyne_compensation(intf, "read").overlap)
+    state = distinguishability_twirl(state, ra, rb, photon_overlap(intf))
     state = fock.beamsplitter(state, ra, rb, intf.combiner_transmittance)
     state = fock.loss_channel(state, ra, cfg.detectors.read_eta(0))
     state = fock.loss_channel(state, rb, cfg.detectors.read_eta(1))

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fock_oracle
+import twirl_oracle
 from mechlink import fock, protocol
 from mechlink.config import parse_config
 from mechlink.devices import (DetectorModel, DeviceParams, InterferometerConfig,
@@ -77,15 +78,11 @@ def shared_excitation_vector(register, phase, sign=+1):
 class TestSerrodyne:
     def test_compensation_gives_unit_overlap(self):
         intf = InterferometerConfig(serrodyne=True)
-        s = protocol.serrodyne_compensation(intf, "pump")
-        assert s.overlap == 1.0
-        assert s.offset_a == intf.delta_omega_m
-        assert protocol.serrodyne_compensation(intf, "read").offset_a == -intf.delta_omega_m
+        assert protocol.distinguishability_variance(intf) == 0.0
 
     def test_zero_detuning_is_identity(self):
         intf = InterferometerConfig(serrodyne=False, delta_omega_m=0.0)
-        s = protocol.serrodyne_compensation(intf, "pump")
-        assert s.overlap == 1.0
+        assert protocol.distinguishability_variance(intf) == 0.0
 
     def test_overlap_against_quadrature_oracle(self):
         # |integral of |f|^2 e^{i d t}| for a Gaussian envelope, numerically
@@ -97,6 +94,12 @@ class TestSerrodyne:
         oracle = abs(np.trapezoid(env * np.exp(1j * delta * ts), ts))
         assert protocol.envelope_overlap(delta, sigma_t) == pytest.approx(
             oracle, rel=1e-6)
+        # a relative phase of this variance damps the exchange coherence
+        # to the overlap
+        intf = InterferometerConfig(serrodyne=False, delta_omega_m=delta,
+                                    envelope_sigma_ns=40.0)
+        assert math.exp(-0.5 * protocol.distinguishability_variance(intf)) == pytest.approx(
+            oracle, rel=1e-6)
 
     def test_compensation_off_reduces_fringe_contrast(self):
         # detuning chosen so the overlap is partial rather than negligible
@@ -105,7 +108,7 @@ class TestSerrodyne:
                                     envelope_sigma_ns=40.0)
         cfg_off = replace(ideal_config(), interferometer=intf)
         cfg_on = ideal_config()
-        lam = protocol.serrodyne_compensation(intf, "pump").overlap
+        lam = math.exp(-0.5 * protocol.distinguishability_variance(intf))
         assert 0.1 < lam < 0.9
         m_on = protocol.build_trial_model(cfg_on.with_delta_phi(math.pi))
         m_off = protocol.build_trial_model(cfg_off.with_delta_phi(math.pi))
@@ -593,11 +596,14 @@ class TestGaussianTables:
             except protocol.ProtocolError:
                 pass
 
-    @pytest.mark.parametrize("case", ["jitter 0.19", "serrodyne off", "jitter 3.0"])
+    @pytest.mark.parametrize("case", ["jitter 0.19", "serrodyne off", "jitter 3.0",
+                                      "partial overlap, jitter 0.6"])
     def test_rotation_quadrature_order_is_converged(self, case, monkeypatch):
         cfg = {"jitter 0.19": shipped("time_sweep.cfg").with_tau(1000e-9),
                "serrodyne off": _separable_configs()["serrodyne off"],
-               "jitter 3.0": _separable_configs()["lock noise"]}[case]
+               "jitter 3.0": _separable_configs()["lock noise"],
+               "partial overlap, jitter 0.6": photon_case(
+                   shipped("time_sweep.cfg").with_tau(1000e-9), "off, 4 MHz", 0.6)}[case]
         base = protocol.build_trial_model(cfg)
         monkeypatch.setattr(protocol, "ROTATION_NODES", 2 * protocol.ROTATION_NODES)
         doubled = protocol.build_trial_model(cfg)
@@ -619,6 +625,72 @@ class TestGaussianTables:
             protocol._checked_table(np.array([0.5, 0.5, 1e-9, -1e-9]), 1.0, "t")
         with pytest.raises(protocol.ProtocolError, match="normalization deficit -1.000e-06"):
             protocol._checked_table(np.array([0.5, 0.3, 0.2 - 1e-6, 0.0]), 1.0, "t")
+
+
+PHOTON_CASES = {
+    "serrodyne on": dict(serrodyne=True),
+    "off, 45 MHz": dict(serrodyne=False),
+    "off, 2 MHz": dict(serrodyne=False, delta_omega_m=2 * math.pi * 2e6,
+                       envelope_sigma_ns=40.0),
+    "off, 4 MHz": dict(serrodyne=False, delta_omega_m=2 * math.pi * 4e6,
+                       envelope_sigma_ns=40.0),
+}
+
+
+def photon_case(cfg, case, sigma):
+    """`cfg` with the photon overlap of `case` and lock noise `sigma`; the
+    2 and 4 MHz detunings leave overlaps 0.88 and 0.60, 45 MHz 1.7e-28."""
+    return replace(cfg, interferometer=replace(
+        cfg.interferometer, phase_jitter_sigma=sigma, **PHOTON_CASES[case]))
+
+
+class TestOneRelativePhaseTwirl:
+    """The runtime's one twirl of summed variance against the three stacked
+    twirls of `twirl_oracle`, applied where each blur happens."""
+
+    BASES = (("time_sweep.cfg", 1000e-9), ("entangle_realistic.cfg", 123e-9))
+
+    def configs(self, case, sigma):
+        return [photon_case(shipped(name).with_tau(tau), case, sigma)
+                for name, tau in self.BASES]
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.19, 0.6])
+    @pytest.mark.parametrize("case", list(PHOTON_CASES))
+    def test_merged_joint_matches_stacked_twirls(self, case, sigma, monkeypatch):
+        # 16 nodes keep one stacked build (16^3 terms per pump outcome)
+        # under 0.1 s; on one grid the merged and stacked weights agree
+        # in every Fourier mode, so they must agree to rounding
+        monkeypatch.setattr(protocol, "ROTATION_NODES", 16)
+        for cfg in self.configs(case, sigma):
+            merged = protocol.build_trial_model(cfg).joint
+            assert np.max(np.abs(merged - twirl_oracle.joint(cfg))) <= 1e-14
+
+    @pytest.mark.parametrize("case", list(PHOTON_CASES))
+    def test_pump_photon_twirl_leaves_pump_table_alone(self, case):
+        for cfg in self.configs(case, 0.0):
+            assert np.max(np.abs(twirl_oracle.pump_stage(cfg).quantum_probs
+                                 - protocol.pump_stage(cfg).quantum_probs)) <= 1e-15
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.19, 0.6])
+    @pytest.mark.parametrize("case", list(PHOTON_CASES))
+    def test_pump_overlap_factor_matches_isserlis_sums(self, case, sigma):
+        # reference: the moments of the pump state twirled on optical A;
+        # at 45 MHz the exact coherence is ~1e-57 and the twirled sums
+        # read ~5e-34 of trapezoid rounding, both below the witness floor
+        for cfg in self.configs(case, sigma):
+            model = protocol.build_trial_model(cfg)
+            reference = twirl_oracle.witness_moments(cfg)
+            assert reference.keys() == model.witness_moments.keys() == {1, 2}
+            for det in (1, 2):
+                (num, coh2), (num_ref, coh2_ref) = model.witness_moments[det], reference[det]
+                assert num == pytest.approx(num_ref, rel=1e-12)
+                if max(coh2, coh2_ref) > 1e-12:
+                    assert coh2 == pytest.approx(coh2_ref, rel=1e-12)
+                    continue
+                assert case == "off, 45 MHz"
+                for moments in (model.witness_moments, reference):
+                    with pytest.raises(protocol.ProtocolError, match="no coherence"):
+                        protocol.TrialModel(model.joint, cfg, moments).exact_witness(det)
 
 
 @st.composite
@@ -659,7 +731,7 @@ setting_draws = st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 3e-6),
 
 class TestRandomConfigs:
     @given(cfg=protocol_configs(), first=setting_draws, second=setting_draws)
-    @settings(max_examples=15, deadline=None, derandomize=True)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     def test_joint_is_a_distribution_with_a_setting_free_pump_marginal(
             self, cfg, first, second):
         tables = [protocol.build_trial_model(at_setting(cfg, *s)).joint
