@@ -98,13 +98,11 @@ def _witness_report(tally: stats.CoincidenceTally, params: dict,
     sym = stats.symmetrize(dists[1], dists[2])
     threshold = params["threshold"]
     corr = stats.systematic_correction(sym.ml_value, params["flux_imbalance"])
-    g2 = {}
-    for i in (1, 2):
-        for j in (1, 2):
-            est = stats.g2_from_counts(tally, i, j)
-            g2[f"r{i}p{j}"] = {"value": est.value, "lower": est.lower,
-                               "upper": est.upper,
-                               "coincidences": est.coincidences}
+    pairs = [(i, j) for i in (1, 2) for j in (1, 2)]
+    g2 = {f"r{i}p{j}": {"value": est.value, "lower": est.lower,
+                        "upper": est.upper, "coincidences": est.coincidences}
+          for (i, j), est in zip(pairs, stats.g2_estimates(
+              [(tally, i, j) for i, j in pairs]))}
     doc = {
         "tally": tally.to_json_dict(),
         "g2": g2,
@@ -154,15 +152,19 @@ def _run_sweep(cfg: RunConfig, out_dir, subcommand, list_key, values,
     if problems:
         raise ConfigError(problems)
     per_point = max(1, cfg.trials // len(values))
-    points, rows = [], []
+    models, tallies = [], []
     for i, v in enumerate(values):
         proto = at_value(cfg.protocol, v)
-        model = protocol.build_trial_model(proto)
-        log = run_campaign(proto, per_point, cfg.seed, stream=i, model=model,
-                           config_snapshot=cfg.snapshot())
-        tally = stats.tally(log)
-        same = stats.g2_from_counts(tally, (1, 2), (1, 2))
-        cross = stats.g2_from_counts(tally, (1, 2), (2, 1))
+        models.append(protocol.build_trial_model(proto))
+        log = run_campaign(proto, per_point, cfg.seed, stream=i,
+                           model=models[-1], config_snapshot=cfg.snapshot())
+        tallies.append(stats.tally(log))
+    # every point's same- and cross-detector intervals in one solve
+    estimates = stats.g2_estimates([(t, (1, 2), (1, 2)) for t in tallies]
+                                   + [(t, (1, 2), (2, 1)) for t in tallies])
+    points, rows = [], []
+    for v, model, same, cross in zip(values, models, estimates[:len(values)],
+                                     estimates[len(values):]):
         exact_same = 0.5 * (model.g2_exact(1, 1) + model.g2_exact(2, 2))
         exact_cross = 0.5 * (model.g2_exact(1, 2) + model.g2_exact(2, 1))
         points.append((model, same, cross, exact_same, exact_cross))

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .noise import NoiseBudget, g2_cross
 from . import stats as counting
@@ -71,7 +70,11 @@ def _pair_match_probability(model: YieldModel, chip_a: int = 0,
     mu = model.offsets_nm[chip_a] - model.offsets_nm[chip_b]
     s = math.hypot(model.sigma_nm[chip_a], model.sigma_nm[chip_b])
     w = model.window_nm
-    return float(ndtr((w - mu) / s) - ndtr((-w - mu) / s))
+
+    def ndtr(z):
+        return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+    return ndtr((w - mu) / s) - ndtr((-w - mu) / s)
 
 
 def _binomial_se(p_hat: float, reps: int) -> float:

@@ -10,7 +10,9 @@ uncertainty is dominated by the few two-fold coincidences, so each g2
 has the flat-prior beta posterior of its coincidence count given the
 heralds.  The witness posterior is exact up to quadrature: its CDF at
 the edges of a fixed witness grid is a one-dimensional integral of beta
-CDFs, and the mass off the grid is reported, not folded into it.
+CDFs, and the mass off the grid is reported, not folded into it.  The
+beta CDF and quantile are evaluated here in numpy (`beta_cdf`,
+`beta_quantile`).
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 from .campaign import ClickLog
 from .protocol import click_totals
@@ -33,6 +35,8 @@ WITNESS_MIN, WITNESS_MAX = -2.0, 20.0
 # planner tally (1 and 10 coincidences); that tally's `above` is within
 # 1.2e-5, slowed by the square-root edge where the roots turn complex.
 WITNESS_NODES = 64
+# edges of node bands evaluated together by `witness_distribution`
+WITNESS_BLOCK = 4096
 
 
 class StatsError(ValueError):
@@ -109,6 +113,369 @@ def tally(log: ClickLog) -> CoincidenceTally:
 
 
 # ---------------------------------------------------------------------------
+# beta posterior: regularized incomplete beta function and its inverse
+#
+# I_x(a, b) = x^a (1-x)^b / B(a, b) * f, with the prefactor in Loader's
+# saddle-point form (Loader 2000, "Fast and accurate computation of binomial
+# probabilities") and f the continued fraction BFRAC of Didonato & Morris
+# (ACM TOMS 18, 1992, Algorithm 708).  With lambda = a - (a + b) x the
+# fraction is taken for I_x(a, b) when lambda >= 0 and for
+# I_{1-x}(b, a) = 1 - I_x(a, b) otherwise; c = 1 + |lambda| comes from the
+# original x, and (a + b)(1 - x) is formed only for x > 1/2, where 1 - x is
+# exact.
+
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# coefficients 1 / (2j + 1), j >= 1, of the deviance series in v^2
+_BD0_SERIES = 1.0 / np.arange(3.0, 41.0, 2.0)
+# each orientation's fraction depth is probed at |lambda| = sigma z_k,
+# z_k = 2^(k/4) - 1, and an element in [z_k, z_k+1) takes the depth of z_k
+_LADDER_STEPS = 32
+_LADDER_Z = 2.0 ** (np.arange(_LADDER_STEPS) / 4.0) - 1.0
+
+
+def _stirlerr(z: float) -> float:
+    """log Gamma(z + 1) - log(sqrt(2 pi z) (z / e)^z)."""
+    if z <= 15.0:
+        return math.lgamma(z + 1.0) - (z + 0.5) * math.log(z) + z - _LN_SQRT_2PI
+    zz = z * z
+    return (1/12 - (1/360 - (1/1260 - (1/1680 - 1/(1188 * zz)) / zz) / zz) / zz) / z
+
+
+def _bd0(m: float, big_m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Loader's deviance m log(m / M) + M - m, d = M - m, without cancellation.
+
+    For |v| < 0.1, v = -d / (m + M), it is d^2 / (m + M) plus the odd
+    series 2m sum_j v^(2j+1) / (2j + 1), summed until its terms fall under
+    1e-17 of the first; elsewhere m log(m / M) + d loses nothing.
+    """
+    v = -d / (m + big_m)
+    v2 = v * v
+    near = v2 < 0.01
+    top = float(np.max(v2, where=near, initial=0.0))
+    terms = 1 if top == 0.0 else min(len(_BD0_SERIES), math.ceil(
+        math.log(1e-17) / math.log(top)))
+    series = np.full_like(v, _BD0_SERIES[terms - 1])
+    for coef in _BD0_SERIES[terms - 2::-1]:
+        series *= v2
+        series += coef
+    series *= 2.0 * m * v * v2
+    series -= v * d
+    if near.all():
+        return series
+    with np.errstate(divide="ignore"):
+        far = m * np.log(m / big_m) + d
+    return np.where(near, series, far)
+
+
+def _oriented_terms(a: float, b: float, orientation: int, depth: int) -> tuple:
+    """(A, U, V, E) for n = 0 ... depth + 1: alpha_n = A[n] x0^2 and
+    beta_n = U[n] + V[n] x + E[n] c.
+
+    Orientation 0 (lambda >= 0) is the fraction for I_x(a, b), in x0 = x;
+    orientation 1 the one for I_(1-x)(b, a), in x0 = 1 - x.  The terms are
+    Didonato & Morris's, beta_n = n + S[n] x0 + E[n] (c + n (1 + y0)),
+    written in the original x; the head c / c1 is E[0] c.
+    """
+    a0, b0 = (a, b) if orientation == 0 else (b, a)
+    n = np.arange(1.0, depth + 2.0)
+    s = a0 + 2.0 * n - 1.0
+    p = 1.0 + (n - 1.0) / a0
+    e = a0 / s
+    alpha = np.r_[0.0, p * (p + b0 / a0) * e * e * n * (b0 - n)]
+    slope = np.r_[0.0, n * (b0 - n) / s]
+    t = n / a0
+    c1 = 1.0 + 1.0 / a0
+    e = np.r_[1.0 / c1, (1.0 + t) / (c1 + t + t)]
+    n = np.r_[0.0, n]
+    if orientation == 0:
+        u, v = n + 2.0 * n * e, slope - n * e           # 1 + y0 = 2 - x
+    else:
+        u, v = n + slope + n * e, n * e - slope         # 1 + y0 = 1 + x
+    u[0] = v[0] = 0.0
+    return alpha, u, v, e
+
+
+@dataclass(frozen=True)
+class _Fraction:
+    """One posterior's BFRAC, tabulated once per orientation o.
+
+    `depths[o, k]` is the number of terms after which Didonato & Morris's
+    forward recurrence has stopped on every ladder point from z_k out,
+    plus one.  `backward[o]` holds A'[n] = A[n] / (E[n-1] E[n]),
+    U' = U / E and V' = V / E, for the backward sum
+    t'_n = U'[n] + V'[n] x + c + A'[n+1] x0^2 / t'_(n+1), f = 1 / (E[0] t'_0).
+    """
+
+    sigma: float
+    depths: np.ndarray
+    backward: tuple
+
+
+_FRACTIONS: dict = {}
+
+
+def _fractions(posts: list) -> list:
+    """The `_Fraction` of each (a, b), probing new ones 16 at a time."""
+    if len(_FRACTIONS) + len(posts) > 256:
+        _FRACTIONS.clear()
+    new = [p for p in dict.fromkeys(posts) if p not in _FRACTIONS]
+    for first in range(0, len(new), 16):
+        chunk = new[first:first + 16]
+        for (a, b), depths in zip(chunk, _ladder_depths(chunk)):
+            backward = []
+            for o in (0, 1):
+                alpha, u, v, e = _oriented_terms(a, b, o, int(depths[o].max()))
+                scaled = alpha.copy()
+                scaled[1:] /= e[1:] * e[:-1]
+                backward.append((scaled, u / e, v / e, 1.0 / e[0]))
+            _FRACTIONS[a, b] = _Fraction(math.sqrt(a * b / (a + b)), depths,
+                                         tuple(backward))
+    return [_FRACTIONS[p] for p in posts]
+
+
+def _ladder_depths(posts: list) -> np.ndarray:
+    """Forward-recurrence depths, (posterior, orientation, ladder step).
+
+    Every ladder point of every posterior runs one forward recurrence;
+    the tables grow until each point has stopped.
+    """
+    a, b = (np.array(v)[:, None] for v in zip(*posts))
+    sigma = np.sqrt(a * b / (a + b))
+    o = np.repeat([0, 1], _LADDER_STEPS)
+    lam = sigma * np.r_[_LADDER_Z, _LADDER_Z]
+    x = np.where(o == 0, a - lam, a + lam) / (a + b)
+    c = 1.0 + lam
+    x2 = np.where(o == 0, x, 1.0 - x) ** 2
+    x, c, x2 = x.ravel(), c.ravel(), x2.ravel()
+    inside = (x > 0.0) & (x < 1.0)      # points off (0, 1) are never used
+    cap = 32 + int(2.0 * sigma.max())
+    while True:
+        # every term of every point at once: alpha_n and beta_n (rows n)
+        al, be = (np.empty((cap + 2, len(x))) for _ in range(2))
+        for j, (aj, bj) in enumerate(posts):
+            cols = slice(2 * _LADDER_STEPS * j, 2 * _LADDER_STEPS * (j + 1))
+            alpha, u, v, e = np.stack([np.stack(_oriented_terms(aj, bj, oj, cap))
+                                       for oj in (0, 1)])[o].transpose(1, 2, 0)
+            al[:, cols] = alpha * x2[cols]
+            be[:, cols] = u + v * x[cols] + e * c[cols]
+        steps = _forward_stops(al, be, inside)
+        if steps is not None:
+            break
+        cap *= 2
+    steps = steps.reshape(len(posts), 2, _LADDER_STEPS)
+    # a ladder step takes the deepest point at or beyond it
+    return np.maximum.accumulate(steps[..., ::-1], axis=2)[..., ::-1] + 1
+
+
+def _forward_stops(al: np.ndarray, be: np.ndarray, inside: np.ndarray):
+    """First n at which |f_n - f_(n-1)| <= eps f_n, per column; None if not all.
+
+    Didonato & Morris's recurrence from a_0 = 0, b_0 = 1, a_1 = 1,
+    b_1 = c / c1, rescaled each step so that b_(n+1) = 1.
+    """
+    an, bn = np.zeros(al.shape[1]), 1.0 / be[0]
+    r = [bn]
+    steps = np.where(inside, 0, -1)
+    for n, (al_n, be_n) in enumerate(zip(al[1:], be[1:]), start=1):
+        anew, bnew = al_n * an + be_n * r[-1], al_n * bn + be_n
+        an, bn = r[-1] / bnew, 1.0 / bnew
+        r.append(anew / bnew)
+        if n % 16 and n < len(al) - 1:
+            continue
+        del r[:-17]
+        rows = np.array(r)
+        done = np.abs(np.diff(rows, axis=0)) <= np.finfo(float).eps * rows[1:]
+        first = n - len(rows) + 2 + np.argmax(done, axis=0)
+        steps = np.where((steps == 0) & done.any(axis=0), first, steps)
+        if (steps != 0).all():
+            return np.maximum(steps, 0)
+    return None
+
+
+def _fraction(posts: list, which, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """BFRAC at 0 < x < 1 for element i's posterior posts[which[i]].
+
+    Each element is summed backward from its own depth: elements are
+    ordered deepest first and join the recurrence at their depth (t = inf).
+    With one posterior, each orientation is summed on its own with scalar
+    terms; over several posteriors, every element gathers the terms of its
+    (posterior, orientation) column.  Either way an element sees the same
+    arithmetic, so it comes out the same in any batch.
+    """
+    fr = _fractions(posts)
+    group = 2 * which + (lam < 0.0)
+    sigma = np.array([f.sigma for f in fr])[which]
+    step = np.floor(4.0 * np.log2(1.0 + np.abs(lam) / sigma))
+    step = np.minimum(step, _LADDER_STEPS - 1).astype(np.intp)
+    depth = np.concatenate([f.depths for f in fr])[group, step]
+    del step
+    # deepest first, in one run per orientation with one posterior, else
+    # in a single run
+    key = (depth.max() - depth).astype(np.uint16)
+    if len(fr) == 1:
+        key[group == 1] += 2**15
+    order = np.argsort(key, kind="stable")
+    cuts = [0, int(np.searchsorted(key[order], 2**15)), len(x)]
+    depth, group = depth[order], group[order]
+    x, c = x[order], 1.0 + np.abs(lam[order])
+    x2 = np.where(group % 2 == 0, x, 1.0 - x) ** 2
+    # (term, column) tables, zero past a column's own depth
+    columns = [f.backward[o] for f in fr for o in (0, 1)]
+    rows = int(depth.max()) + 2
+    alpha, u, v = (np.zeros((rows, len(columns))) for _ in range(3))
+    for k, (sa, su, sv, _) in enumerate(columns):
+        n = min(len(sa), rows)
+        alpha[:n, k], u[:n, k], v[:n, k] = sa[:n], su[:n], sv[:n]
+    t = np.full_like(x, np.inf)
+    tmp = np.empty_like(x)
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo == hi:
+            continue
+        if len(fr) == 1:
+            terms = [alpha[1:, group[lo]].tolist(), v[:, group[lo]].tolist(),
+                     u[:, group[lo]].tolist()]
+        else:
+            gathered = [np.empty(hi - lo) for _ in range(3)]
+        ds = depth[lo:hi]
+        active = np.searchsorted(-ds, -np.arange(int(ds[0]) + 1),
+                                 side="right").tolist()
+        m = -1
+        for n in range(int(ds[0]), -1, -1):
+            if active[n] != m:
+                m = active[n]
+                tt, x2m, cm = t[lo:lo + m], x2[lo:lo + m], c[lo:lo + m]
+                xm, tm, gm = x[lo:lo + m], tmp[lo:lo + m], group[lo:lo + m]
+            if len(fr) == 1:
+                a_n, v_n, u_n = terms[0][n], terms[1][n], terms[2][n]
+            else:
+                a_n, v_n, u_n = (table[k].take(gm, out=g[:m]) for table, k, g
+                                 in zip((alpha, v, u), (n + 1, n, n), gathered))
+            np.divide(x2m, tt, out=tt)
+            tt *= a_n
+            tt += cm
+            np.multiply(xm, v_n, out=tm)
+            tt += tm
+            tt += u_n
+    f = np.empty_like(t)
+    f[order] = np.array([col[3] for col in columns])[group] / t
+    return f
+
+
+def _beta_tail(posts: list, which, x: np.ndarray) -> tuple:
+    """(w, prefactor, lambda) at 0 < x < 1, element i in Beta(posts[which[i]]).
+
+    The prefactor is x^a (1-x)^b / B(a, b) and lambda = a - (a+b) x; w is
+    the oriented tail, I_x(a, b) where lambda >= 0 and 1 - I_x(a, b)
+    where lambda < 0.
+    """
+    a, b = (np.array(v)[which] for v in zip(*posts))
+    ab = a + b
+    # lambda = a - (a+b) x = (a+b)(1-x) - b, from x below 1/2 and from
+    # 1 - x, which is exact there, above it; likewise (a+b) x and (a+b)(1-x)
+    upper = np.flatnonzero(x > 0.5)
+    mx = ab * x
+    lam = a - mx
+    if len(upper):
+        a_up, b_up, y_up = (np.broadcast_to(v, x.shape)[upper]
+                            for v in (ab, b, 1.0 - x))
+        lam[upper] = a_up * y_up - b_up
+        mx[upper] = np.broadcast_to(a, x.shape)[upper] - lam[upper]
+    my = b + lam
+    if len(upper):
+        my[upper] = a_up * y_up
+    # Loader: x^a (1-x)^b / B(a, b) = sqrt(ab / (2 pi (a+b)))
+    #   exp(st(a+b) - st(a) - st(b) - bd0(a, (a+b) x) - bd0(b, (a+b)(1-x)))
+    head = np.array([_stirlerr(p + q) - _stirlerr(p) - _stirlerr(q)
+                     + 0.5 * math.log(p * q / (p + q)) - _LN_SQRT_2PI
+                     for p, q in posts])[which]
+    pre = head - _bd0(a, mx, -lam)
+    del mx
+    pre -= _bd0(b, my, lam)
+    del my
+    np.exp(pre, out=pre)
+    w = np.zeros_like(x)
+    live = np.flatnonzero(pre > 0.0)
+    if len(live):
+        which_live = which if np.ndim(which) == 0 else which[live]
+        w[live] = pre[live] * _fraction(posts, which_live, x[live], lam[live])
+    return w, pre, lam
+
+
+def beta_cdf(a: float, b: float, x) -> np.ndarray:
+    """Regularized incomplete beta function I_x(a, b), over an array of x.
+
+    Exactly 0 for x <= 0 and exactly 1 for x >= 1.
+    """
+    x = np.asarray(x, dtype=float)
+    out = (x >= 1.0).astype(float)
+    inner = np.flatnonzero((x > 0.0) & (x < 1.0))
+    if len(inner):
+        w, _, lam = _beta_tail([(float(a), float(b))], 0, x.ravel()[inner])
+        out.ravel()[inner] = np.where(lam < 0.0, 1.0 - w, w)
+    return out
+
+
+def beta_quantile(a, b, p) -> np.ndarray:
+    """Inverse of `beta_cdf` in x, for 0 < p < 1; a, b and p broadcast.
+
+    Halley's method in u = log(x / (1 - x)) on h = log T - log t, T the
+    nearer tail (I below the median, 1 - I above it) and t its target:
+    dI/du is the prefactor x^a (1-x)^b / B(a, b), and its own u-derivative
+    is the prefactor times lambda = a - (a + b) x.  A power-law tail makes
+    h nearly linear in u.  It starts from the normal approximation with
+    its skewness term and keeps a bracket; each element stops on its own,
+    so it comes out the same in any batch.
+    """
+    a, b, p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, p)))
+    shape = p.shape
+    a, b, q = a.ravel(), b.ravel(), p.ravel()
+    if not ((q > 0.0) & (q < 1.0)).all():
+        raise StatsError("beta quantile needs 0 < p < 1")
+    index: dict = {}
+    which = np.array([index.setdefault(ab, len(index))
+                      for ab in zip(a.tolist(), b.tolist())], dtype=np.intp)
+    posts = list(index)
+    ab = a + b
+    mean = a / ab
+    sd = np.sqrt(a * b / (ab * ab * (ab + 1.0)))
+    skew = 2.0 * (b - a) * np.sqrt(ab + 1.0) / ((ab + 2.0) * np.sqrt(a * b))
+    z = np.array([statistics.NormalDist().inv_cdf(v) for v in q])
+    x = np.clip(mean + sd * (z + skew * (z * z - 1.0) / 6.0),
+                0.01 * mean, 1.0 - 0.01 * (1.0 - mean))
+    u = np.log(x) - np.log1p(-x)
+    lower = q <= 0.5
+    sign = np.where(lower, 1.0, -1.0)
+    target = np.log(np.where(lower, q, 1.0 - q))
+    lo, hi = np.full_like(u, -np.inf), np.full_like(u, np.inf)
+    result = np.full_like(u, np.nan)
+    for _ in range(100):
+        w, pre, lam = _beta_tail(posts, which, x)
+        tail = np.where(lower == (lam < 0.0), 1.0 - w, w)
+        below = np.where(lower, tail, 1.0 - tail) < q
+        lo, hi = np.where(below, u, lo), np.where(below, hi, u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = np.log(tail) - target
+            g = pre / tail
+            du = -2.0 * h * sign / (2.0 * g - h * (sign * lam - g))
+        step = np.where(np.isfinite(du), np.clip(du, -4.0, 4.0),
+                        np.where(below, 4.0, -4.0))
+        new = u + step
+        bisect = np.isfinite(lo) & np.isfinite(hi) & ~((new > lo) & (new < hi))
+        new = np.where(bisect, 0.5 * (lo + hi), new)
+        # a step under 1e-9 leaves an error far under 1e-15 after it; near
+        # x = 1, where u is resolved more coarsely, x itself stops moving
+        done = ((np.abs(du) <= 1e-9)
+                | ((1.0 - x) * np.abs(du) <= 4.0 * np.finfo(float).eps))
+        finished = done & np.isnan(result)
+        result[finished] = 1.0 / (1.0 + np.exp(-(u[finished] + du[finished])))
+        if not np.isnan(result).any():
+            return result.reshape(shape)
+        u = new
+        x = 1.0 / (1.0 + np.exp(-u))
+    raise StatsError("beta quantile did not converge")
+
+
+# ---------------------------------------------------------------------------
 # second-order coherence from counts
 
 
@@ -146,11 +513,21 @@ def _g2_posterior(tally_: CoincidenceTally, read_det, pump_det) -> tuple:
 
 def g2_from_counts(tally_: CoincidenceTally, read_det, pump_det) -> G2Estimate:
     """Estimator C_rp N / (C_r C_p) with its posterior's 68% interval."""
-    c, n, scale = _g2_posterior(tally_, read_det, pump_det)
-    return G2Estimate(value=c / n * scale,
-                      lower=betaincinv(c + 1, n - c + 1, 0.16) * scale,
-                      upper=betaincinv(c + 1, n - c + 1, 0.84) * scale,
-                      coincidences=c, heralds=n)
+    return g2_estimates([(tally_, read_det, pump_det)])[0]
+
+
+def g2_estimates(requests) -> list:
+    """`g2_from_counts` of each (tally, read_det, pump_det), solved together.
+
+    All the 16th and 84th percentiles come from one `beta_quantile` call,
+    and each comes out as it would alone.
+    """
+    posts = [_g2_posterior(*req) for req in requests]
+    c, n = (np.array([post[k] for post in posts], dtype=float) for k in (0, 1))
+    bounds = beta_quantile((c + 1)[:, None], (n - c + 1)[:, None], [0.16, 0.84])
+    return [G2Estimate(value=cj / nj * scale, lower=float(lo * scale),
+                       upper=float(hi * scale), coincidences=cj, heralds=nj)
+            for (cj, nj, scale), (lo, hi) in zip(posts, bounds.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +601,16 @@ def _conditional_cdf(a: np.ndarray, w: np.ndarray, c: int, n: int,
     d = 1.0 + w * s
     real = d >= 0.0
     root = np.sqrt(np.where(real, d, 0.0))
-    r1 = a - 2.0 * s / (1.0 + root)
     with np.errstate(divide="ignore"):
-        r2 = a + 2.0 * (1.0 + root) / w
-
-    def cdf(x):
-        return betainc(c + 1, n - c + 1, np.clip(x / scale, 0.0, 1.0))
-
-    f1, f2 = cdf(r1), cdf(r2)
+        x = np.stack((a - 2.0 * s / (1.0 + root),        # r1
+                      a + 2.0 * (1.0 + root) / w))       # r2
+    # both roots' beta CDFs in one kernel call, with the roots' own
+    # temporaries freed first
+    del s, d, root
+    x /= scale
+    np.clip(x, 0.0, 1.0, out=x)
+    f1, f2 = beta_cdf(c + 1, n - c + 1, x)
+    del x
     # 1 - P(r1 < b < r2) is exactly 1 once that mass rounds away, which
     # lets `witness_distribution` skip saturated edges.  The difference
     # cancels to exactly 0 only where f2 is 1; there the CDF is f1, the
@@ -250,6 +629,21 @@ def _legendre(nodes: int) -> tuple:
     return x, 0.5 * weights
 
 
+def _witness_nodes(tally_: CoincidenceTally, pump_det: int) -> tuple:
+    """(a at the quadrature nodes, node weights, b's posterior (c, n, scale)).
+
+    W is symmetric in a and b.  The quadrature runs over the smaller g2:
+    W near 0 needs the other one large, and its beta CDF resolves that
+    tail exactly, where quadrature nodes would be too sparse.
+    """
+    (c, n, scale), post_b = sorted(
+        (_g2_posterior(tally_, i, pump_det) for i in (1, 2)),
+        key=lambda post: post[0] * post[2])
+    x, weights = _legendre(WITNESS_NODES)
+    a = scale * beta_quantile(c + 1, n - c + 1, 0.5 * (x + 1.0))
+    return a, weights, post_b
+
+
 def witness_distribution(tally_: CoincidenceTally, pump_det: int,
                          witness_step: float = WITNESS_GRID_STEP) -> WitnessDistribution:
     """Exact witness posterior for heralds at `pump_det`, binned on edges.
@@ -258,20 +652,15 @@ def witness_distribution(tally_: CoincidenceTally, pump_det: int,
     mean, over a's posterior, of b's beta-CDF mass on {W <= w}
     (`_conditional_cdf`), by Gauss-Legendre in a's quantile.  Each node's
     CDF is evaluated only on its own band of edges, bracketed by a coarse
-    probe; below the band it is exactly 0 and above it exactly 1.  Bin
-    masses are CDF differences; the mass under WITNESS_MIN and over
-    WITNESS_MAX is reported as `below` and `above`, never folded into a bin.
+    probe; below the band it is exactly 0 and above it exactly 1.  Bands
+    are evaluated together, WITNESS_BLOCK edges at a time, and their
+    weighted CDF differences are added into the bin masses node by node.
+    The mass under WITNESS_MIN and over WITNESS_MAX is reported as `below`
+    and `above`, never folded into a bin.
     """
     n_bins = int(round((WITNESS_MAX - WITNESS_MIN) / witness_step))
     edges = WITNESS_MIN + witness_step * np.arange(n_bins + 1)
-    # W is symmetric in a and b.  The quadrature runs over the smaller g2:
-    # W near 0 needs the other one large, and its beta CDF resolves that
-    # tail exactly, where quadrature nodes would be too sparse.
-    (c, n, scale), post_b = sorted(
-        (_g2_posterior(tally_, i, pump_det) for i in (1, 2)),
-        key=lambda post: post[0] * post[2])
-    x, weights = _legendre(WITNESS_NODES)
-    a = scale * betaincinv(c + 1, n - c + 1, 0.5 * (x + 1.0))
+    a, weights, post_b = _witness_nodes(tally_, pump_det)
     # each node's exact 0s and 1s are a leading and a trailing run of the
     # edges (`_conditional_cdf`), so every 40th edge brackets its band: the
     # column is exactly 0 up to its last 0 probe, exactly 1 from its first
@@ -279,16 +668,32 @@ def witness_distribution(tally_: CoincidenceTally, pump_det: int,
     # outside the band, and its first and last values are its band's ends
     coarse = np.r_[0:n_bins:40, n_bins]
     probe = _conditional_cdf(a, edges[coarse, None], *post_b)
-    step = np.zeros((n_bins, len(a)))
-    ends = np.empty((2, len(a)))
-    for k, column in enumerate(probe.T):
-        lo = coarse[column == 0.0].max(initial=0)
-        hi = coarse[column == 1.0].min(initial=n_bins)
-        band = _conditional_cdf(a[k], edges[lo:hi + 1], *post_b)
-        step[lo:hi, k] = np.diff(band)
-        ends[:, k] = band[[0, -1]]
+    lo = np.where(probe == 0.0, coarse[:, None], 0).max(axis=0)
+    hi = np.where(probe == 1.0, coarse[:, None], n_bins).min(axis=0)
+    width = hi - lo + 1
 
-    mass = step @ weights
+    mass = np.zeros(n_bins)
+    ends = np.empty((2, len(a)))
+    first = 0
+    while first < len(a):
+        # whole bands, in node order, up to WITNESS_BLOCK edges (at least one)
+        last = first + max(1, int(np.searchsorted(
+            np.cumsum(width[first:]), WITNESS_BLOCK, side="right")))
+        widths = width[first:last]
+        nodes = np.repeat(np.arange(first, last), widths)
+        start = np.cumsum(widths) - widths        # each band's first point
+        stop = start + widths - 1                 # and its last
+        edge = lo[nodes] + np.arange(len(nodes)) - start.repeat(widths)
+        cdf = _conditional_cdf(a[nodes], edges[edge], *post_b)
+        # differences within a band, weighted by the band's node, added
+        # into the masses in node order
+        inner = np.ones(len(nodes) - 1, dtype=bool)
+        inner[stop[:-1]] = False
+        step = np.diff(cdf)[inner] * weights[nodes[1:][inner]]
+        np.add.at(mass, edge[:-1][inner], step)
+        ends[:, first:last] = cdf[start], cdf[stop]
+        first = last
+
     below = float(ends[0] @ weights)
     above = float((1.0 - ends[1]) @ weights)
     grid = WITNESS_MIN + (np.arange(n_bins) + 0.5) * witness_step
@@ -311,7 +716,14 @@ def symmetrize(dist_1: WitnessDistribution,
     step2 = dist_2.grid[1] - dist_2.grid[0]
     if abs(step1 - step2) > 1e-12 or len(dist_1.grid) != len(dist_2.grid):
         raise StatsError("witness distributions live on incompatible grids")
-    mass = np.convolve(dist_1.mass, dist_2.mass)
+    # only the nonzero spans are convolved; the sum grid keeps full length
+    mass = np.zeros(len(dist_1.mass) + len(dist_2.mass) - 1)
+    spans = [np.flatnonzero(d.mass)[[0, -1]] if d.mass.any() else None
+             for d in (dist_1, dist_2)]
+    if spans[0] is not None and spans[1] is not None:
+        (lo1, hi1), (lo2, hi2) = spans
+        mass[lo1 + lo2:hi1 + hi2 + 1] = np.convolve(dist_1.mass[lo1:hi1 + 1],
+                                                    dist_2.mass[lo2:hi2 + 1])
     # sum grid starts at grid1[0] + grid2[0]; the mean halves everything
     start = 0.5 * (dist_1.grid[0] + dist_2.grid[0])
     grid = start + 0.5 * step1 * np.arange(len(mass))

@@ -216,13 +216,14 @@ class TestCliRuns:
         assert blobs[0] == blobs[1]
 
     def test_commands_import_only_the_scipy_they_call(self, tmp_path):
-        # scipy.stats is never needed; scipy.optimize only by fit_pump_probe
+        # scipy.special and scipy.stats are never needed; scipy.optimize
+        # (which loads scipy.special) only by pump-probe's fit, run last
         script = (
             "import json, sys\n"
             "from mechlink import cli\n"
             "def heavy():\n"
-            "    return [m for m in ('scipy.stats', 'scipy.optimize')\n"
-            "            if m in sys.modules]\n"
+            "    return [m for m in ('scipy.special', 'scipy.stats',\n"
+            "                        'scipy.optimize') if m in sys.modules]\n"
             "loaded = {'import': heavy()}\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert cli.main(argv) == 0, argv\n"
@@ -233,8 +234,11 @@ class TestCliRuns:
                         "tau_ns_list = 1000, 1004.44, 1008.88, 1013.32, 1017.76\n")
         runs = [["witness", "--config", str(cfg), "--trials", "20000"],
                 ["plan-fiber", "--config", cfg_dir("plan_fiber.cfg")],
+                ["plan-yield", "--config", cfg_dir("plan_yield_pair.cfg")],
+                ["analyze", "--config", cfg_dir("analyze_example.cfg")],
                 ["phase-sweep", "--config", str(cfg), "--trials", "100000"],
-                ["time-sweep", "--config", str(cfg), "--trials", "100000"]]
+                ["time-sweep", "--config", str(cfg), "--trials", "100000"],
+                ["pump-probe", "--config", cfg_dir("pump_probe.cfg")]]
         for argv in runs:
             argv += ["--out", str(tmp_path / argv[0])]
         proc = subprocess.run(
@@ -244,7 +248,9 @@ class TestCliRuns:
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.splitlines()[-1])
         assert loaded == {"import": [], "witness": [], "plan-fiber": [],
-                          "phase-sweep": [], "time-sweep": []}
+                          "plan-yield": [], "analyze": [], "phase-sweep": [],
+                          "time-sweep": [],
+                          "pump-probe": ["scipy.special", "scipy.optimize"]}
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL)

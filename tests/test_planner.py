@@ -84,7 +84,11 @@ class TestPairYield:
 
 
 class TestPairMatchProbability:
-    """`ndtr` replaced `scipy.stats.norm.cdf`; the two agree bit for bit."""
+    """The normal CDF as 0.5 erfc(-z / sqrt 2) against `scipy.stats.norm.cdf`.
+
+    They agree within 1e-15 absolute; about half of the values are bit
+    for bit equal, and the relative gap reaches ~5e-14 only in the far tail.
+    """
 
     @staticmethod
     def norm_cdf_reference(model):
@@ -109,7 +113,7 @@ class TestPairMatchProbability:
                            window_mhz=py["window_mhz"],
                            carrier_nm=py["carrier_nm"])
         assert (planner._pair_match_probability(model)
-                == self.norm_cdf_reference(model))
+                == pytest.approx(self.norm_cdf_reference(model), rel=0, abs=1e-15))
 
     def test_random_models(self):
         rng = np.random.default_rng(8)
@@ -119,7 +123,8 @@ class TestPairMatchProbability:
                                offsets_nm=tuple(rng.uniform(-20.0, 20.0, 2)),
                                window_mhz=10.0 ** rng.uniform(-3.0, 6.0))
             assert (planner._pair_match_probability(model)
-                    == self.norm_cdf_reference(model))
+                    == pytest.approx(self.norm_cdf_reference(model), rel=0,
+                                     abs=1e-15))
 
 
 class TestMultiChipYield:
