@@ -125,8 +125,9 @@ def tally(log: ClickLog) -> CoincidenceTally:
 # exact.
 
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# coefficients 1 / (2j + 1), j >= 1, of the deviance series in v^2
-_BD0_SERIES = 1.0 / np.arange(3.0, 41.0, 2.0)
+# coefficients 1 / (2j + 1), j = 1 ... 9, of the deviance series in v^2:
+# at v^2 < 0.01 the first term left out is under 1e-18 of the sum
+_BD0_SERIES = 1.0 / np.arange(3.0, 21.0, 2.0)
 # each orientation's fraction depth is probed at |lambda| = sigma z_k,
 # z_k = 2^(k/4) - 1, and an element in [z_k, z_k+1) takes the depth of z_k
 _LADDER_STEPS = 32
@@ -142,24 +143,22 @@ def _stirlerr(z: float) -> float:
 
 
 def _bd0(m: float, big_m: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Loader's deviance m log(m / M) + M - m, d = M - m, without cancellation.
+    """Loader's deviance m log(m / M) + M - m, d = M - m.
 
     For |v| < 0.1, v = -d / (m + M), it is d^2 / (m + M) plus the odd
-    series 2m sum_j v^(2j+1) / (2j + 1), summed until its terms fall under
-    1e-17 of the first; elsewhere m log(m / M) + d loses nothing.
+    series 2m sum_j v^(2j+1) / (2j + 1), without cancellation; elsewhere
+    it is m log(m / M) + d, which loses about eps m |v| to cancellation
+    just past |v| = 0.1.
     """
     v = -d / (m + big_m)
     v2 = v * v
-    near = v2 < 0.01
-    top = float(np.max(v2, where=near, initial=0.0))
-    terms = 1 if top == 0.0 else min(len(_BD0_SERIES), math.ceil(
-        math.log(1e-17) / math.log(top)))
-    series = np.full_like(v, _BD0_SERIES[terms - 1])
-    for coef in _BD0_SERIES[terms - 2::-1]:
+    series = np.full_like(v, _BD0_SERIES[-1])
+    for coef in _BD0_SERIES[-2::-1]:
         series *= v2
         series += coef
     series *= 2.0 * m * v * v2
     series -= v * d
+    near = v2 < 0.01
     if near.all():
         return series
     with np.errstate(divide="ignore"):
@@ -237,7 +236,8 @@ def _ladder_depths(posts: list) -> np.ndarray:
     """Forward-recurrence depths, (posterior, orientation, ladder step).
 
     Every ladder point of every posterior runs one forward recurrence;
-    the tables grow until each point has stopped.
+    the tables start at 32 + 2 sigma terms and double until each point
+    has stopped, up to 16 times that.
     """
     a, b = (np.array(v)[:, None] for v in zip(*posts))
     sigma = np.sqrt(a * b / (a + b))
@@ -249,6 +249,7 @@ def _ladder_depths(posts: list) -> np.ndarray:
     x, c, x2 = x.ravel(), c.ravel(), x2.ravel()
     inside = (x > 0.0) & (x < 1.0)      # points off (0, 1) are never used
     cap = 32 + int(2.0 * sigma.max())
+    limit = 16 * cap
     while True:
         # every term of every point at once: alpha_n and beta_n (rows n)
         al, be = (np.empty((cap + 2, len(x))) for _ in range(2))
@@ -261,6 +262,8 @@ def _ladder_depths(posts: list) -> np.ndarray:
         steps = _forward_stops(al, be, inside)
         if steps is not None:
             break
+        if cap == limit:
+            raise StatsError("beta fraction did not converge")
         cap *= 2
     steps = steps.reshape(len(posts), 2, _LADDER_STEPS)
     # a ladder step takes the deepest point at or beyond it
@@ -667,7 +670,11 @@ def witness_distribution(tally_: CoincidenceTally, pump_det: int,
     # 1 probe, and is evaluated in between; its CDF differences vanish
     # outside the band, and its first and last values are its band's ends
     coarse = np.r_[0:n_bins:40, n_bins]
-    probe = _conditional_cdf(a, edges[coarse, None], *post_b)
+    # as many nodes per call as keep it within WITNESS_BLOCK edges
+    per_call = max(1, WITNESS_BLOCK // len(coarse))
+    probe = np.hstack([_conditional_cdf(a[k:k + per_call], edges[coarse, None],
+                                        *post_b)
+                       for k in range(0, len(a), per_call)])
     lo = np.where(probe == 0.0, coarse[:, None], 0).max(axis=0)
     hi = np.where(probe == 1.0, coarse[:, None], n_bins).min(axis=0)
     width = hi - lo + 1

@@ -224,7 +224,7 @@ class TestBetaKernel:
 
     @staticmethod
     def reference(a, b, x) -> float:
-        mp = pytest.importorskip("mpmath")
+        import mpmath as mp
         with mp.workdps(40):
             a, b, x = mp.mpf(a), mp.mpf(b), mp.mpf(float(x))
             log_beta = mp.loggamma(a) + mp.loggamma(b) - mp.loggamma(a + b)
@@ -303,6 +303,19 @@ class TestBetaKernel:
         batch = stats.g2_estimates(requests)
         for req, est in zip(requests, batch):
             assert est == g2_from_counts(*req)
+
+    @pytest.mark.parametrize("a", (1.01, 1.05, 1.2))
+    def test_deep_fractions_against_scipy(self, a):
+        # near lambda = 0 these fractions run about 70 terms, so the
+        # depth probe's tables double from their first 32 + 2 sigma = 34
+        from scipy.special import betainc
+        for b in (1e4, 1e8):
+            lam = np.r_[-np.logspace(-12, 1.5, 60), 0.0, np.logspace(-12, 1.5, 60)]
+            x = np.clip((a - lam) / (a + b), 0.0, 1.0)
+            got, ref = stats.beta_cdf(a, b, x), betainc(a, b, x)
+            assert np.abs(got - ref).max() <= 5e-14
+            tail = ref <= 0.5
+            assert (np.abs(got - ref)[tail] <= 1e-11 * ref[tail]).all()
 
     def test_quantile_rejects_levels_outside_zero_one(self):
         with pytest.raises(StatsError):
