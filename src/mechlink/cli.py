@@ -19,7 +19,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__, noise, planner, protocol, stats
 from .campaign import ClickLog, atomic_write, run_campaign
@@ -70,8 +69,7 @@ def _manifest(out_dir, subcommand, config_path, cfg: RunConfig,
         "config": cfg.snapshot(),
         "seed": seed,
         "trials": trials,
-        "versions": {"mechlink": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"mechlink": __version__, "numpy": np.__version__},
     }
     write_json(os.path.join(out_dir, "manifest.json"), doc)
 

@@ -21,6 +21,13 @@ import numpy as np
 # form of the occupation solution is used
 _DEGENERATE_RTOL = 1e-9
 
+# pump-probe fit: grid points per log rate, grid minima polished, steps
+# allowed per polish, and the relative chi2 gain at which a polish ends
+PROFILE_GRID = 160
+PROFILE_STARTS = 4
+POLISH_STEPS = 1000
+POLISH_FTOL = 1e-12
+
 
 class NoiseModelError(ValueError):
     pass
@@ -86,113 +93,101 @@ class PumpProbeFit:
 
 
 def fit_pump_probe(t, signal, sigma=None) -> PumpProbeFit:
-    """Weighted least-squares fit of the two-exponential response.
-
-    Model: d(t) = a e^{-decay t} - b e^{-bath_gamma t} + n_final.
-    Initial guesses come from a log-linear fit of the late-time tail
-    (decay) and of the early rise residual (bath_gamma); both rate
-    orderings are tried and the better chi^2 wins.
-    """
-    # scipy.optimize adds about 0.2 s to start-up; only this fit loads it
-    from scipy.optimize import least_squares
-
+    """Weighted fit of d(t) = a e^{-decay t} - b e^{-bath_gamma t} + n_final
+    by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973):
+    the profiled chi2 is scanned over decay < bath_gamma (the mirror a, b ->
+    -b, -a swaps the rates) on a log grid over [1e-3, 1e4] / t_max, and its
+    lowest local minima are polished by damped Gauss-Newton in the log rates
+    on the reduced Jacobian (Kaufman, BIT 15, 1975)."""
     t = np.asarray(t, dtype=float)
     d = np.asarray(signal, dtype=float)
-    if t.shape != d.shape or t.ndim != 1:
-        raise FitError("time and signal arrays must be 1-d and equal length")
+    if t.shape != d.shape or t.ndim != 1 or not np.isfinite([t, d]).all():
+        raise FitError("time and signal arrays must be finite, 1-d and equal length")
     if len(t) < 6:
         raise FitError("need at least 6 samples spanning both timescales")
     if sigma is None:
         sigma = np.full_like(d, max(np.std(d), 1e-12) * 0.1)
     else:
         sigma = np.asarray(sigma, dtype=float)
-        if np.any(sigma <= 0):
-            raise FitError("uncertainties must be positive")
+        if not (np.isfinite(sigma).all() and (sigma > 0).all()):
+            raise FitError("uncertainties must be finite and positive")
 
     span = d.max() - d.min()
     if span < 1e-12 or span < 0.01 * np.mean(sigma):
         raise FitError("degenerate fit: signal has no dynamic range")
 
     order = np.argsort(t)
-    t, d, sigma = t[order], d[order], sigma[order]
+    t, y, sigma = t[order], d[order] / sigma[order], sigma[order]
+    box = np.log([1e-3, 1e4]) - math.log(max(t[-1], 1e-12))
 
-    def residual(x):
-        a, b, g, gam, c = x
-        return (pump_probe_model(t, a, b, g, gam, c) - d) / sigma
+    def profile(x):
+        # at log rates x: linear coefficients, weighted residual, reduced Jacobian
+        rates = np.exp(x)
+        e = np.exp(-np.outer(t, rates)) / sigma[:, None]
+        basis = np.column_stack([e * [1.0, -1.0], 1.0 / sigma])
+        coef = np.linalg.lstsq(basis, y, rcond=None)[0]
+        dmodel = -rates * t[:, None] * e * [coef[0], -coef[1]]
+        jac = dmodel - basis @ np.linalg.lstsq(basis, dmodel, rcond=None)[0]
+        return coef, basis @ coef - y, jac
 
-    def jacobian(x):
-        a, b, g, gam, c = x
-        eg = np.exp(-g * t)
-        egam = np.exp(-gam * t)
-        cols = np.stack([
-            eg,
-            -egam,
-            -a * t * eg,
-            b * t * egam,
-            np.ones_like(t),
-        ], axis=1)
-        return cols / sigma[:, None]
-
-    t_scale = max(t[-1], 1e-12)
-    best = None
-    for g0, gam0 in _initial_rates(t, d, t_scale):
-        c0 = d[-1]
-        a0 = max(d.max() - c0, span)
-        b0 = max(a0 - (d[0] - c0), 0.1 * a0)
-        x0 = np.array([a0, b0, g0, gam0, c0])
-        try:
-            res = least_squares(
-                residual, x0, jac=jacobian,
-                bounds=([0, 0, 1e-3 / t_scale, 1e-3 / t_scale, -np.inf],
-                        [np.inf, np.inf, 1e4 / t_scale, 1e4 / t_scale, np.inf]),
-                xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
-        except ValueError:
-            continue
-        if best is None or res.cost < best.cost:
-            best = res
-    if best is None or not best.success and best.cost > 1e6:
+    def polish(x):
+        # Levenberg's damping falls tenfold after each gain, rises otherwise
+        coef, resid, jac = profile(x)
+        damping = 1e-3
+        for _ in range(POLISH_STEPS):
+            chi2 = resid @ resid
+            shift = math.sqrt(damping * np.sum(jac * jac)) * np.eye(2)
+            step = np.linalg.lstsq(np.vstack([jac, shift]),
+                                   np.append(-resid, [0.0, 0.0]), rcond=None)[0]
+            trial = profile(new := np.clip(x + step, *box))
+            if trial[1] @ trial[1] < chi2:
+                x, (coef, resid, jac), damping = new, trial, 0.1 * damping
+                if chi2 - resid @ resid <= POLISH_FTOL * chi2:
+                    return float(resid @ resid), x, coef, resid
+            elif damping < 1e20:
+                damping *= 10.0
+            else:                   # no step gains anything: a minimum
+                return float(chi2), x, coef, resid
         raise FitError("pump-probe fit did not converge")
 
-    a, b, g, gam, c = best.x
-    if b < 1e-9 * max(a, 1.0) or abs(g - gam) < 1e-6 * max(g, gam):
+    # grid chi2: with the constant and the slower exponential projected out
+    # of everything, each faster one removes its squared normalized overlap
+    grid = np.linspace(*box, PROFILE_GRID)
+    cols = np.exp(-np.outer(np.exp(grid), t)) / sigma
+    chi = np.full((PROFILE_GRID, PROFILE_GRID), np.inf)
+    for i in range(PROFILE_GRID - 1):
+        q = np.linalg.qr(np.column_stack([1.0 / sigma, cols[i]]))[0]
+        rest, y_rest = cols[i + 1:] - cols[i + 1:] @ q @ q.T, y - q @ (q.T @ y)
+        chi[i, i + 1:] = y_rest @ y_rest - (rest @ y_rest) ** 2 / np.fmax(
+            np.einsum("ij,ij->i", rest, rest), np.finfo(float).tiny)
+    window = np.lib.stride_tricks.sliding_window_view(
+        np.pad(chi, 1, constant_values=np.inf), (3, 3)).min(axis=(2, 3))
+    minima = np.flatnonzero((chi == window) & np.isfinite(chi))
+    starts = minima[np.argsort(chi.flat[minima])[:PROFILE_STARTS]]
+    chi2, x, coef, resid = min(map(polish, grid[np.column_stack(
+        np.unravel_index(starts, chi.shape))]), key=lambda fit: fit[0])
+
+    # decay < bath_gamma unless only the mirror has bath_k >= 0 (a slow bath)
+    (a, b, c), (g, gam) = coef, np.exp(x)
+    if g > gam:
+        a, b, g, gam = -b, -a, gam, g
+    if b < 0 <= a:
+        a, b, g, gam = -b, -a, gam, g
+    if b * (gam - g) < 0:
+        raise FitError("a cooling transient: neither labelling has bath_k >= 0")
+    if (min(abs(a), abs(b)) < 1e-9 * max(abs(a), abs(b), 1.0)
+            or abs(g - gam) < 1e-6 * max(g, gam)):
         raise FitError("degenerate fit: rise component unidentifiable")
-    jac = jacobian(best.x)
-    jtj = jac.T @ jac
+    e = np.exp(-np.outer(t, [g, gam])) / sigma[:, None]
+    jac = np.column_stack([e * [1.0, -1.0], -t[:, None] * e * [a, -b], 1.0 / sigma])
     try:
-        cov = np.linalg.inv(jtj)
+        cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         raise FitError("degenerate fit: singular information matrix")
-    chi2 = 2 * best.cost
-    bath_k = b * (gam - g)
-    if bath_k < 0:
-        # mirrored solution: the "rise" exponential is the slower one
-        a, b = -b, -a
-        g, gam = gam, g
-        bath_k = b * (gam - g)
-    params = HeatingParams(decay=g, bath_gamma=gam, bath_k=max(bath_k, 0.0),
-                           n_init=0.0, n_final=c)
-    return PumpProbeFit(params=params, amplitude_fast=a, amplitude_rise=b,
-                        chi2=chi2, covariance=cov, residuals=best.fun)
-
-
-def _initial_rates(t, d, t_scale):
-    """Two starting (decay, bath_gamma) guesses from tail / rise shapes."""
-    c0 = d[-1]
-    tail = d - c0
-    late = tail > max(tail.max() * 0.05, 1e-12)
-    g0 = 1.0 / t_scale
-    if late.sum() >= 3:
-        idx = np.where(late)[0]
-        half = idx[len(idx) // 2:]
-        if len(half) >= 2:
-            slope = np.polyfit(t[half], np.log(np.maximum(tail[half], 1e-300)), 1)[0]
-            if slope < 0:
-                g0 = -slope
-    peak = int(np.argmax(d))
-    gam0 = 10.0 * g0
-    if peak >= 2:
-        gam0 = max(2.0 / max(t[peak], t_scale * 1e-3), 1.5 * g0)
-    return [(g0, gam0), (g0, 8.0 * g0), (0.5 * g0, 20.0 * g0)]
+    return PumpProbeFit(params=HeatingParams(decay=g, bath_gamma=gam,
+                                             bath_k=b * (gam - g), n_final=c),
+                        amplitude_fast=a, amplitude_rise=b,
+                        chi2=chi2, covariance=cov, residuals=resid)
 
 
 def read_pump_probe_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

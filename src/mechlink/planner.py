@@ -189,7 +189,7 @@ def degraded_g2(budget: NoiseBudget, added_db: float, t: float,
         raise PlannerError("added loss must be non-negative")
     trans = 10.0 ** (-added_db / 10.0)
     t_eff = t if include_decay else 0.0
-    scaled = replace(budget, n_bg=min(budget.n_bg / trans, 0.499))
+    scaled = replace(budget, n_bg=budget.n_bg / trans)
     g = g2_cross(t_eff, scaled)
     if herald_dilution:
         f_true = 1.0 / (1.0 + budget.n_bg / trans)
@@ -200,20 +200,25 @@ def degraded_g2(budget: NoiseBudget, added_db: float, t: float,
 def required_added_db(budget: NoiseBudget, g2_floor: float, t: float,
                       herald_dilution: bool = True,
                       include_decay: bool = True) -> float:
-    """Loss that degrades the correlation exactly to `g2_floor` (bisection)."""
-    base = degraded_g2(budget, 0.0, t, herald_dilution, include_decay)
-    if base <= g2_floor:
+    """Loss that degrades the correlation exactly to `g2_floor`: the scaled
+    background x = n_bg / T at which D0 + x, times 1 + x with herald dilution,
+    is e^{-decay t} / (g2_floor - 1), D0 = n_th + p_pump e^{-decay t} + n_leak
+    (the quadratic's root in the form that does not cancel).  x >= 0.5 raises.
+    """
+    if degraded_g2(budget, 0.0, t, herald_dilution, include_decay) <= g2_floor:
         return 0.0
-    lo, hi = 0.0, 60.0
-    if degraded_g2(budget, hi, t, herald_dilution, include_decay) > g2_floor:
-        raise PlannerError("floor not reachable within 60 dB")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if degraded_g2(budget, mid, t, herald_dilution, include_decay) > g2_floor:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if budget.n_bg == 0.0 or g2_floor <= 1.0:
+        raise PlannerError("floor not reachable by added loss")
+    t_eff = t if include_decay else 0.0
+    e = math.exp(-budget.decay * t_eff)
+    d0 = budget.thermal_at(t_eff) + budget.p_pump * e + budget.n_leak
+    excess = e / (g2_floor - 1.0) - d0
+    x = (2.0 * excess / (1.0 + d0 + math.sqrt((1.0 + d0) ** 2 + 4.0 * excess))
+         if herald_dilution else excess)
+    if not x < 0.5:
+        raise PlannerError(f"floor {g2_floor:.6g} needs n_bg/T = {x:.3g}, "
+                           f"outside the validity range [0, 0.5)")
+    return 10.0 * math.log10(x / budget.n_bg)
 
 
 @dataclass

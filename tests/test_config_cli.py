@@ -215,15 +215,15 @@ class TestCliRuns:
             blobs.append((out / "tally.json").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_commands_import_only_the_scipy_they_call(self, tmp_path):
-        # scipy.special and scipy.stats are never needed; scipy.optimize
-        # (which loads scipy.special) only by pump-probe's fit, run last
+    def test_no_command_loads_scipy(self, tmp_path):
+        # every command runs on numpy alone; scipy is a dependency of the
+        # Fock reference engine and of the tests only
         script = (
             "import json, sys\n"
             "from mechlink import cli\n"
             "def heavy():\n"
-            "    return [m for m in ('scipy.special', 'scipy.stats',\n"
-            "                        'scipy.optimize') if m in sys.modules]\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m == 'scipy' or m.startswith('scipy.'))\n"
             "loaded = {'import': heavy()}\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert cli.main(argv) == 0, argv\n"
@@ -249,8 +249,7 @@ class TestCliRuns:
         loaded = json.loads(proc.stdout.splitlines()[-1])
         assert loaded == {"import": [], "witness": [], "plan-fiber": [],
                           "plan-yield": [], "analyze": [], "phase-sweep": [],
-                          "time-sweep": [],
-                          "pump-probe": ["scipy.special", "scipy.optimize"]}
+                          "time-sweep": [], "pump-probe": []}
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL)

@@ -105,10 +105,77 @@ class TestPumpProbeFit:
             assert 1 / fit.params.decay == pytest.approx(4.0 * US, rel=0.05)
             assert 1 / fit.params.bath_gamma == pytest.approx(0.5 * US, rel=0.10)
 
+    def test_slow_bath_recovery(self):
+        # the bath outlives the oscillator, so the rise amplitude b is
+        # negative and only the mirrored labelling heats: b (bath - decay) > 0
+        t = self._synthetic()[0]
+        truth = HeatingParams(decay=2 / US, bath_gamma=0.2 / US, bath_k=0.2 / US)
+        d = occupation(t, truth, 0.3)
+        fit = fit_pump_probe(t, d, np.maximum(0.005 * d, 1e-4))
+        for name in ("decay", "bath_gamma", "bath_k"):
+            assert getattr(fit.params, name) == pytest.approx(
+                getattr(truth, name), rel=1e-6)
+        assert fit.amplitude_rise < 0
+
+    def test_cooling_transient_rejected(self):
+        # a e^{-2t} - b e^{-0.25t} with a, b > 0: read either way round, the
+        # bath coupling b (bath - decay) is negative, so the curve cools
+        t = self._synthetic()[0]
+        d = pump_probe_model(t, 0.9, 0.7, 2 / US, 0.25 / US, 0.08)
+        with pytest.raises(FitError, match="cooling transient"):
+            fit_pump_probe(t, d, np.maximum(0.005 * d, 1e-4))
+
+    def test_reaches_the_profile_grid_minimum(self):
+        # physical heating responses with two resolvable exponentials: rates
+        # log-uniform over 0.1-10 /us and a factor of 2 or more apart, both
+        # amplitudes 0.05 or more, 2 % noise.  The fit's chi2 is no higher
+        # than the lowest chi2 of a 200 x 200 log-rate grid over its box
+        t = self._synthetic()[0]
+        rates = np.exp(np.linspace(math.log(1e-3), math.log(1e4), 200)) / t[-1]
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            while True:
+                decay, bath = np.exp(rng.uniform(math.log(0.1), math.log(10), 2))
+                k = math.exp(rng.uniform(math.log(0.2), math.log(5)))
+                n_eq, n0 = rng.uniform(0, 0.2), rng.uniform(0, 1)
+                b = k / (bath - decay)
+                if (max(decay, bath) >= 2 * min(decay, bath)
+                        and min(abs(b), abs(n0 - n_eq + b)) >= 0.05):
+                    break
+            truth = HeatingParams(decay=decay / US, bath_gamma=bath / US,
+                                  bath_k=k / US, n_init=n_eq)
+            d = occupation(t, truth, n0)
+            sigma = np.maximum(0.02 * d, 1e-4)
+            d = d + rng.normal(0, sigma)
+            fit = fit_pump_probe(t, d, sigma)
+
+            # grid chi2 with the weighted constant and the slower exponential
+            # projected out by Gram-Schmidt, then the faster one's overlap
+            y, cols = d / sigma, np.exp(-np.outer(rates, t)) / sigma
+            const = (1 / sigma) / np.linalg.norm(1 / sigma)
+            cols -= np.outer(cols @ const, const)
+            y = y - (y @ const) * const
+            lowest = np.inf
+            for i in range(rates.size - 1):
+                slow = cols[i] / np.linalg.norm(cols[i])
+                fast = cols[i + 1:] - np.outer(cols[i + 1:] @ slow, slow)
+                y_i = y - (y @ slow) * slow
+                chi = y_i @ y_i - (fast @ y_i) ** 2 / np.einsum("ij,ij->i", fast, fast)
+                lowest = min(lowest, chi.min())
+            assert fit.chi2 <= lowest * (1 + 1e-9)
+
     def test_constant_data_rejected(self):
         t = np.linspace(0, 10 * US, 30)
         with pytest.raises(FitError, match="degenerate"):
             fit_pump_probe(t, np.full_like(t, 0.3))
+
+    def test_non_finite_samples_rejected(self):
+        # a blank CSV cell reads as nan
+        t, d, sigma = self._synthetic()
+        with pytest.raises(FitError, match="finite"):
+            fit_pump_probe(t, np.where(t == t[5], np.nan, d), sigma)
+        with pytest.raises(FitError, match="finite"):
+            fit_pump_probe(t, d, np.where(t == t[5], np.nan, sigma))
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(FitError):

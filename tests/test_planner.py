@@ -11,7 +11,7 @@ import pytest
 import witness_oracle
 from mechlink import planner, stats
 from mechlink.config import parse_config
-from mechlink.noise import NoiseBudget
+from mechlink.noise import NoiseBudget, NoiseModelError
 from mechlink.planner import (LinkBudget, PlannerError, YieldModel, degraded_g2,
                               integration_time, max_separation, multi_chip_yield,
                               required_added_db, split_separation)
@@ -237,13 +237,39 @@ class TestDegradedCorrelation:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_background_dominated_limit(self):
-        assert degraded_g2(BUDGET_B, 55.0, 123e-9) < 1.05
+        # past n_bg / T = 0.5 the correlation formula no longer applies
+        with pytest.raises(NoiseModelError, match="validity range"):
+            degraded_g2(BUDGET_B, 55.0, 123e-9)
+        # at n_bg / T = 0.45 the scaled background is most of the noise
+        # denominator and, with the heralds it dilutes, takes the contrast
+        # below a sixth of its baseline
+        e = math.exp(-123e-9 / (5.8 * US))
+        d0 = 0.069 + 0.008 * e + 0.032
+        g = degraded_g2(BUDGET_B, 10 * math.log10(0.45 / 0.0032), 123e-9)
+        assert g - 1 == pytest.approx(e / ((d0 + 0.45) * 1.45), rel=1e-12)
+        assert g - 1 < (degraded_g2(BUDGET_B, 0.0, 123e-9) - 1) / 6
 
     def test_required_loss_for_common_floor(self):
         db_a = required_added_db(BUDGET_A, 7.1, 123e-9)
         db_b = required_added_db(BUDGET_B, 7.1, 123e-9)
         assert db_a == pytest.approx(5.4, abs=1.5)
         assert db_b == pytest.approx(10.6, abs=1.5)
+
+    def test_floor_past_the_validity_range_rejected(self):
+        # a floor of 1.5 needs n_bg / T near 0.9 with dilution (1.8 without),
+        # where the correlation formula no longer applies
+        for dilution, decay in itertools.product((True, False), repeat=2):
+            for budget in (BUDGET_A, BUDGET_B):
+                with pytest.raises(PlannerError, match="validity range"):
+                    required_added_db(budget, 1.5, 123e-9, dilution, decay)
+
+    def test_closed_form_reaches_the_floor(self):
+        for dilution, decay in itertools.product((True, False), repeat=2):
+            for budget, floor in itertools.product((BUDGET_A, BUDGET_B),
+                                                   (7.1, 3.0)):
+                db = required_added_db(budget, floor, 123e-9, dilution, decay)
+                assert degraded_g2(budget, db, 123e-9, dilution, decay) == \
+                    pytest.approx(floor, rel=1e-13)
 
     def test_round_trip_loss(self):
         db = required_added_db(BUDGET_B, 8.0, 123e-9)
