@@ -40,6 +40,12 @@ class CampaignError(ValueError):
     pass
 
 
+def trial_dtype(n_trials: int) -> type:
+    """The narrowest dtype of `ClickLog.trial` that holds every index of
+    `n_trials` trials: uint32 up to 2**32 trials, int64 beyond."""
+    return np.uint32 if n_trials <= 1 << 32 else np.int64
+
+
 def atomic_write(path, text) -> None:
     """Write-then-rename so readers never observe partial files.
 
@@ -78,8 +84,9 @@ def worker_count() -> int:
 class ClickLog:
     """The outcome code of every trial with a click, plus campaign metadata.
 
-    `trial` is strictly increasing; `code` (1..15) is the trial's
-    (pump, read) outcome in the protocol.CODE_SLOTS layout.  The rows, one
+    `trial` is strictly increasing, stored as `trial_dtype(n_trials)`;
+    `code` (1..15) is the trial's (pump, read) outcome in the
+    protocol.CODE_SLOTS layout, an int8.  The rows, one
     per click as (trial, detector, window), exist only in the CSV; the
     length of a log is its number of rows.
     """
@@ -92,17 +99,19 @@ class ClickLog:
     config_snapshot: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.trial = np.asarray(self.trial, dtype=np.int64)
+        # checked as given, then narrowed: an index out of range never wraps
+        trial = np.asarray(self.trial)
         self.code = np.asarray(self.code)
-        if len(self.trial) != len(self.code):
+        if len(trial) != len(self.code):
             raise CampaignError("trial and code columns must have equal length")
-        if len(self.trial):
+        if len(trial):
             if self.code.min() < 1 or self.code.max() > 15:
                 raise CampaignError("outcome code must be in 1..15")
-            if np.any(self.trial[1:] <= self.trial[:-1]):
+            if np.any(trial[1:] <= trial[:-1]):
                 raise CampaignError("trials must be strictly increasing")
-            if self.trial[0] < 0 or self.trial[-1] >= self.n_trials:
+            if int(trial[0]) < 0 or int(trial[-1]) >= self.n_trials:
                 raise CampaignError("trial index outside campaign range")
+        self.trial = trial.astype(trial_dtype(self.n_trials), copy=False)
         self.code = self.code.astype(np.int8, copy=False)
 
     def __len__(self):
@@ -241,8 +250,17 @@ def _sample_chunk(model, seed, stream, chunk_index, count):
     rng = _chunk_rng(seed, stream, chunk_index)
     k = int(rng.binomial(count, p_click))
     positions = np.sort(rng.choice(count, k, replace=False, shuffle=False))
-    codes = 1 + np.searchsorted(code_cdf[:-1], p_click * rng.random(k), side="right")
-    return positions, codes
+    return positions, _outcome_codes(code_cdf[:-1], p_click * rng.random(k))
+
+
+def _outcome_codes(thresholds, u) -> np.ndarray:
+    """1 + the number of `thresholds` at or below each of `u`, as int8: the
+    same as 1 + searchsorted(thresholds, u, side="right"), ties and
+    repeated thresholds included, counted one threshold at a time."""
+    codes = np.ones(len(u), np.int8)
+    for threshold in thresholds:
+        codes += u >= threshold
+    return codes
 
 
 def run_campaign(cfg: ProtocolConfig, n_trials: int, seed: int,
@@ -269,12 +287,14 @@ def run_campaign(cfg: ProtocolConfig, n_trials: int, seed: int,
     bounds = np.zeros(len(sizes) + 1, np.int64)
     for c, count in enumerate(sizes):
         bounds[c + 1] = bounds[c] + _chunk_rng(seed, stream, c).binomial(count, p_click)
-    trial = np.empty(bounds[-1], np.int64)
+    trial = np.empty(bounds[-1], trial_dtype(n_trials))
     code = np.empty(bounds[-1], np.int8)
 
     def work(c):
         positions, codes = _sample_chunk(model, seed, stream, c, sizes[c])
-        np.add(positions, c * CHUNK_TRIALS, out=trial[bounds[c]:bounds[c + 1]])
+        # every position is below n_trials, so the cast never wraps
+        np.add(positions, c * CHUNK_TRIALS, out=trial[bounds[c]:bounds[c + 1]],
+               casting="unsafe")
         code[bounds[c]:bounds[c + 1]] = codes
 
     with ThreadPoolExecutor(max_workers=workers or worker_count()) as pool:

@@ -154,9 +154,10 @@ def _run_sweep(cfg: RunConfig, out_dir, subcommand, list_key, values,
     for i, v in enumerate(values):
         proto = at_value(cfg.protocol, v)
         models.append(protocol.build_trial_model(proto))
-        log = run_campaign(proto, per_point, cfg.seed, stream=i,
-                           model=models[-1], config_snapshot=cfg.snapshot())
-        tallies.append(stats.tally(log))
+        # a point's log is dropped once tallied, before the next is sampled
+        tallies.append(stats.tally(run_campaign(
+            proto, per_point, cfg.seed, stream=i, model=models[-1],
+            config_snapshot=cfg.snapshot())))
     # every point's same- and cross-detector intervals in one solve
     estimates = stats.g2_estimates([(t, (1, 2), (1, 2)) for t in tallies]
                                    + [(t, (1, 2), (2, 1)) for t in tallies])
@@ -325,6 +326,13 @@ def cmd_witness(cfg: RunConfig, out_dir, config_path) -> None:
     log = run_campaign(cfg.protocol, cfg.trials, cfg.seed, model=model,
                        config_snapshot=cfg.snapshot())
     tally = stats.tally(log)
+    save = cfg.save_clicklog
+    if save is None:
+        save = len(log) <= 5_000_000
+    if save:
+        log.save(os.path.join(out_dir, "clicklog.csv"),
+                 os.path.join(out_dir, "clicklog_meta.json"))
+    del log    # the report needs only the tally
     params = _analysis_params(cfg)
 
     exact = {}
@@ -349,13 +357,6 @@ def cmd_witness(cfg: RunConfig, out_dir, config_path) -> None:
     doc = _witness_report(tally, params, extras)
     write_json(os.path.join(out_dir, "witness.json"), doc)
     atomic_write(os.path.join(out_dir, "tally.json"), tally.dumps())
-
-    save = cfg.save_clicklog
-    if save is None:
-        save = len(log) <= 5_000_000
-    if save:
-        log.save(os.path.join(out_dir, "clicklog.csv"),
-                 os.path.join(out_dir, "clicklog_meta.json"))
     _manifest(out_dir, "witness", config_path, cfg, cfg.seed, cfg.trials)
 
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import json
 import os
 import tracemalloc
 
@@ -317,6 +318,57 @@ class TestClickLog:
         path.write_text("trial,window,detector\n5,pump,1\n")
         with pytest.raises(campaign.CampaignError, match="header"):
             ClickLog.from_csv(path)
+
+
+class TestTrialColumn:
+    @pytest.mark.parametrize("n, dtype", [(2**32, np.uint32), (2**32 + 1, np.int64)])
+    def test_dtype_boundary(self, n, dtype):
+        log = ClickLog(n_trials=n, seed=0, stream=0, trial=[0, n - 1], code=[1, 8])
+        assert log.trial.dtype == dtype
+        assert log.trial.tolist() == [0, n - 1]
+
+    @pytest.mark.parametrize("n, trial", [
+        (2**32, [0, 999_999_999, 1_000_000_000, 2**32 - 1]),
+        (2**32 + 1, [2**32 - 1, 2**32]),
+    ])
+    def test_ten_digit_rows_round_trip(self, tmp_path, n, trial):
+        log = ClickLog(n_trials=n, seed=1, stream=0, trial=trial,
+                       code=[0b1111, 0b0110, 0b1001, 0b0001][:len(trial)])
+        text = log.to_csv()
+        assert text == csv_writer_reference(log)
+        log.save(tmp_path / "log.csv", tmp_path / "log.json")
+        assert (tmp_path / "log.csv").read_bytes() == text.encode()
+        back = ClickLog.from_csv(tmp_path / "log.csv", tmp_path / "log.json")
+        assert back.trial.dtype == log.trial.dtype
+        assert back.trial.tolist() == trial
+        assert back.to_csv() == text
+
+    @pytest.mark.parametrize("n, row", [
+        (10, "-1"), (10, "10"), (2**32, "-1"), (2**32, "4294967296"),
+        (2**32, "4294967297"),
+    ])
+    def test_csv_trial_outside_range_rejected(self, tmp_path, n, row):
+        (tmp_path / "log.csv").write_text(f"trial,detector,window\n{row},1,pump\n")
+        (tmp_path / "log.json").write_text(json.dumps({"n_trials": n}))
+        with pytest.raises(campaign.CampaignError, match="outside campaign range"):
+            ClickLog.from_csv(tmp_path / "log.csv", tmp_path / "log.json")
+
+    def test_sampled_log_holds_five_bytes_per_clicked_trial(self, high_yield_model):
+        m = high_yield_model
+        log = run_campaign(m.config, 400_000, seed=8, model=m)
+        assert len(log.trial) > 0
+        assert log.trial.nbytes + log.code.nbytes == 5 * len(log.trial)
+
+    def test_outcome_codes_equal_the_right_side_search(self, small_model):
+        code_cdf = campaign._code_cdf(small_model)
+        repeated = np.array([0.1, 0.1, 0.25, 0.25, 0.25, 0.5, 0.7, 0.7])
+        for thresholds in (code_cdf[:-1], repeated):
+            u = np.concatenate([thresholds, np.nextafter(thresholds, 0),
+                                np.nextafter(thresholds, 1), [0.0],
+                                thresholds[-1] * np.random.default_rng(3).random(1000)])
+            codes = campaign._outcome_codes(thresholds, u)
+            assert codes.dtype == np.int8
+            assert np.array_equal(codes, 1 + np.searchsorted(thresholds, u, side="right"))
 
 
 class TestAtomicWrite:

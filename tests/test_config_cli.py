@@ -5,11 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import pytest
 
 from mechlink import cli, protocol
+from mechlink.campaign import run_campaign
 from mechlink.config import ConfigError, parse_config
 
 
@@ -126,6 +128,44 @@ class TestCliRuns:
         tally = (out / "tally.json").read_bytes()
         assert json.loads(tally)["Cr1p1"] > 0
         assert (tmp_path / "re" / "tally.json").read_bytes() == tally
+
+    def test_witness_releases_its_log_before_the_report(self, tmp_path, monkeypatch):
+        refs, released = [], []
+
+        def campaign(*args, **kwargs):
+            log = run_campaign(*args, **kwargs)
+            refs.append(weakref.ref(log))
+            return log
+
+        def report(*args, **kwargs):
+            released.append([ref() is None for ref in refs])
+            return witness_report(*args, **kwargs)
+
+        witness_report = cli._witness_report
+        monkeypatch.setattr(cli, "run_campaign", campaign)
+        monkeypatch.setattr(cli, "_witness_report", report)
+        cfg = write_cfg(tmp_path, MINIMAL + "\n[output]\nsave_clicklog = on\n")
+        out = tmp_path / "out"
+        assert cli.main(["witness", "--config", str(cfg), "--out", str(out),
+                         "--trials", "20000"]) == 0
+        assert released == [[True]]
+        assert (out / "clicklog.csv").read_text().startswith("trial,detector,window\n")
+
+    def test_sweep_holds_one_log_at_a_time(self, tmp_path, monkeypatch):
+        refs, earlier_alive = [], []
+
+        def campaign(*args, **kwargs):
+            log = run_campaign(*args, **kwargs)
+            earlier_alive.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(log))
+            return log
+
+        monkeypatch.setattr(cli, "run_campaign", campaign)
+        text = MINIMAL + "\n[sweep]\ndelta_phi_pi_list = 0, 0.5, 1.0, 1.5, 1.9\n"
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["phase-sweep", "--config", str(cfg), "--out",
+                         str(tmp_path / "out"), "--trials", "50000"]) == 0
+        assert earlier_alive == [0] * 5
 
     def test_seed_required_for_simulation(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL.replace("seed = 7", ""))
