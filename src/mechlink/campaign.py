@@ -1,10 +1,16 @@
 """Monte Carlo campaigns over the exact per-trial outcome distribution.
 
-Per-trial outcomes are drawn from the 4x4 table computed once per
-setting by the protocol module, using a counter-based generator keyed by
-(master seed, stream, chunk): identical (config, trials, seed) produce
-byte-identical click logs regardless of worker count.  Only the trials
-with a click are drawn, so the cost scales with clicks, not trials.
+Trials are drawn in fixed chunks from the 4x4 table the protocol module
+computes once per setting, each chunk by a counter-based generator keyed
+by (master seed, stream, chunk).  A chunk's first draw is its trials per
+outcome code, one multinomial over the table, and a tally (`code_counts`)
+needs no more.  A click log (`run_campaign`) refines those counts: the
+same generator then places the clicked trials and their codes, so the
+log's tally equals the counts, and identical (config, trials, seed) give
+byte-identical logs at any worker count.  The commands sample positions
+only for a log they write.  The seed -> click-log mapping has changed
+twice: when only the clicked trials came to be drawn, and when the
+counts came first.
 """
 
 from __future__ import annotations
@@ -24,6 +30,10 @@ from .protocol import CODE_SLOTS, TrialModel, build_trial_model
 
 # fixed chunk size: results must not depend on worker count
 CHUNK_TRIALS = 1 << 20
+# the click yield above which numpy's ordered sample, not redraws, places
+# a chunk's clicks: redraws grow without bound as the yield nears 1, and
+# at 2^20 trials the two cost the same near 6 %
+REDRAW_MAX_YIELD = 1 / 16
 
 # click-log text, formatted the rows of CSV_BLOCK_TRIALS trials at a time
 # (a block's temporaries take about 70 bytes a row): a row is the trial's
@@ -34,6 +44,7 @@ _CODE_INCIDENCE = CODE_SLOTS.view(np.uint32).ravel()    # a code's slot flags
 _ROW_SUFFIX = np.frombuffer(b",1,pump\n,2,pump\n,1,read\n,2,read\n", "<u8")
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 _CSV_DTYPE = [("trial", np.int64), ("detector", np.int8), ("window", "S8")]
+_CLICK_CODES = np.arange(1, 16, dtype=np.uint32)
 
 
 class CampaignError(ValueError):
@@ -233,34 +244,58 @@ def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _code_cdf(model) -> np.ndarray:
-    """P(pump, read) in code order pump + 4 * read, cumulated over codes 1..15."""
-    return np.cumsum(model.joint.T.ravel()[1:])
+def _chunk_draws(model, n_trials, seed, stream):
+    """Yield each chunk's generator and its first draw: the chunk's trials
+    per outcome code 0..15, one multinomial over the joint table."""
+    if n_trials < 0:
+        raise CampaignError("trial count must be non-negative")
+    if not 0 <= stream < (1 << 32):
+        raise CampaignError("stream must fit in 32 bits")
+    p_codes = model.joint.T.ravel()[1:]
+    # the trials without a click go last, as the remainder 1 - P(click):
+    # the table's own no-click entry can round above 1
+    pvals = np.append(p_codes, 1.0 - p_codes.sum())
+    for c, start in enumerate(range(0, n_trials, CHUNK_TRIALS)):
+        rng = _chunk_rng(seed, stream, c)
+        yield rng, np.roll(rng.multinomial(min(CHUNK_TRIALS, n_trials - start), pvals), 1)
 
 
-def _sample_chunk(model, seed, stream, chunk_index, count):
-    """Sorted positions in [0, count) of the trials with a click, and their
-    outcome codes.  The empty trials are skipped (Devroye, Non-Uniform
-    Random Variate Generation, 1986, ch. X): the number of trials with a
-    click is binomial, their positions a uniform subset of that size, and
-    their codes follow the joint table given a click.
+def code_counts(model: TrialModel, n_trials: int, seed: int,
+                stream: int = 0) -> np.ndarray:
+    """Trials per outcome code 0..15 of the campaign (seed, stream): the
+    counts of the log `run_campaign` samples, drawn without it."""
+    total = np.zeros(16, np.int64)
+    for _, counts in _chunk_draws(model, n_trials, seed, stream):
+        total += counts
+    return total
+
+
+def _place_clicks(rng, counts) -> np.ndarray:
+    """The trials of a chunk with a click, as position << 4 | code, sorted:
+    `counts[1:]` trials of codes 1..15 placed uniformly at random, one code
+    a trial, in [0, counts.sum()).
+
+    Each code draws a uniform position; where several share a position the
+    lowest code keeps it and the others draw again.  The rule looks only at
+    which positions are equal, so the result is invariant under relabeling
+    the positions, and hence uniform over the arrangements with these
+    counts.  Above `REDRAW_MAX_YIELD` clicks a trial numpy's ordered sample
+    without replacement places them instead.
     """
-    code_cdf = _code_cdf(model)
-    p_click = code_cdf[-1]
-    rng = _chunk_rng(seed, stream, chunk_index)
-    k = int(rng.binomial(count, p_click))
-    positions = np.sort(rng.choice(count, k, replace=False, shuffle=False))
-    return positions, _outcome_codes(code_cdf[:-1], p_click * rng.random(k))
-
-
-def _outcome_codes(thresholds, u) -> np.ndarray:
-    """1 + the number of `thresholds` at or below each of `u`, as int8: the
-    same as 1 + searchsorted(thresholds, u, side="right"), ties and
-    repeated thresholds included, counted one threshold at a time."""
-    codes = np.ones(len(u), np.int8)
-    for threshold in thresholds:
-        codes += u >= threshold
-    return codes
+    size, clicks = counts.sum(), counts[1:].sum()
+    if clicks > REDRAW_MAX_YIELD * size:
+        placed = rng.choice(size, clicks, replace=False).astype(np.uint32) << 4
+        # the codes are repeated once the sample has freed its chunk index
+        return np.sort(placed | np.repeat(_CLICK_CODES, counts[1:]))
+    todo = np.repeat(_CLICK_CODES, counts[1:])
+    placed = np.empty(0, np.uint32)
+    while len(todo):
+        placed = np.sort(np.concatenate(
+            [placed, rng.integers(0, size, len(todo), dtype=np.uint32) << 4 | todo]))
+        first = np.ones(len(placed), bool)
+        first[1:] = placed[1:] >> 4 != placed[:-1] >> 4
+        todo, placed = placed[~first] & 15, placed[first]
+    return placed
 
 
 def run_campaign(cfg: ProtocolConfig, n_trials: int, seed: int,
@@ -271,34 +306,28 @@ def run_campaign(cfg: ProtocolConfig, n_trials: int, seed: int,
 
     The exact outcome table is computed once; trials are sampled in
     fixed-size chunks whose generators are keyed by chunk index, so any
-    worker count yields identical logs.
+    worker count yields identical logs.  The log's code counts are
+    `code_counts(model, n_trials, seed, stream)`.
     """
-    if n_trials < 0:
-        raise CampaignError("trial count must be non-negative")
-    if not 0 <= stream < (1 << 32):
-        raise CampaignError("stream must fit in 32 bits")
     if model is None:
         model = build_trial_model(cfg)
 
-    # each chunk's generator draws its click count first, so the counts
-    # place every chunk's clicks before any is sampled
-    p_click = _code_cdf(model)[-1]
-    sizes = np.diff(np.r_[0:n_trials:CHUNK_TRIALS, n_trials]).tolist()
-    bounds = np.zeros(len(sizes) + 1, np.int64)
-    for c, count in enumerate(sizes):
-        bounds[c + 1] = bounds[c] + _chunk_rng(seed, stream, c).binomial(count, p_click)
+    # each chunk's counts are its generator's first draw, so they place
+    # every chunk's clicks in the log before any is sampled
+    chunks = list(_chunk_draws(model, n_trials, seed, stream))
+    bounds = np.cumsum([0] + [counts[1:].sum() for _, counts in chunks])
     trial = np.empty(bounds[-1], trial_dtype(n_trials))
     code = np.empty(bounds[-1], np.int8)
 
     def work(c):
-        positions, codes = _sample_chunk(model, seed, stream, c, sizes[c])
+        placed = _place_clicks(*chunks[c])
         # every position is below n_trials, so the cast never wraps
-        np.add(positions, c * CHUNK_TRIALS, out=trial[bounds[c]:bounds[c + 1]],
+        np.add(placed >> 4, c * CHUNK_TRIALS, out=trial[bounds[c]:bounds[c + 1]],
                casting="unsafe")
-        code[bounds[c]:bounds[c + 1]] = codes
+        np.bitwise_and(placed, 15, out=code[bounds[c]:bounds[c + 1]], casting="unsafe")
 
     with ThreadPoolExecutor(max_workers=workers or worker_count()) as pool:
-        list(pool.map(work, range(len(sizes))))
+        list(pool.map(work, range(len(chunks))))
 
     return ClickLog(n_trials=n_trials, seed=seed, stream=stream,
                     trial=trial, code=code, config_snapshot=config_snapshot or {})

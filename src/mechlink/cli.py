@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__, noise, planner, protocol, stats
-from .campaign import ClickLog, atomic_write, run_campaign
+from .campaign import ClickLog, atomic_write, code_counts, run_campaign
 from .config import ConfigError, RunConfig, parse_config
 
 PI = math.pi
@@ -154,10 +154,9 @@ def _run_sweep(cfg: RunConfig, out_dir, subcommand, list_key, values,
     for i, v in enumerate(values):
         proto = at_value(cfg.protocol, v)
         models.append(protocol.build_trial_model(proto))
-        # a point's log is dropped once tallied, before the next is sampled
-        tallies.append(stats.tally(run_campaign(
-            proto, per_point, cfg.seed, stream=i, model=models[-1],
-            config_snapshot=cfg.snapshot())))
+        # a point needs only its counts: no click log is sampled
+        tallies.append(stats.tally_from_counts(
+            code_counts(models[-1], per_point, cfg.seed, stream=i), per_point))
     # every point's same- and cross-detector intervals in one solve
     estimates = stats.g2_estimates([(t, (1, 2), (1, 2)) for t in tallies]
                                    + [(t, (1, 2), (2, 1)) for t in tallies])
@@ -218,21 +217,22 @@ def cmd_time_sweep(cfg: RunConfig, out_dir, config_path) -> None:
     vis_rows = []
     for idx in windows:
         center = float(np.mean([taus[k] for k in idx]))
-        v_s = _window_visibility(
+        v_s, used_s = _window_visibility(
             [taus[k] for k in idx],
             [points[k][2].value for k in idx],
             [points[k][1].value for k in idx])
-        v_e = _window_visibility(
+        v_e, used_e = _window_visibility(
             [taus[k] for k in idx],
             [points[k][4] for k in idx],
             [points[k][3] for k in idx])
         proto = cfg.protocol.with_tau(center)
         v_bound_exact = protocol.exact_visibility_ceiling(proto)
         v_bound_formula = _formula_bound(cfg, center)
-        vis_rows.append([center / NS, v_s, v_e, v_bound_exact, v_bound_formula])
+        vis_rows.append([center / NS, v_s, v_e, v_bound_exact, v_bound_formula,
+                         used_s, used_e])
     write_csv(os.path.join(out_dir, "visibility.csv"),
               ["tau_ns", "v_sampled", "v_exact", "v_bound_exact",
-               "v_bound_formula"], vis_rows)
+               "v_bound_formula"], [row[:5] for row in vis_rows])
 
     first = windows[0]
     fit = stats.fit_fringe(
@@ -249,7 +249,8 @@ def cmd_time_sweep(cfg: RunConfig, out_dir, config_path) -> None:
         "windows": [[taus[k] / NS for k in idx] for idx in windows],
         "visibility": [
             {"tau_ns": row[0], "sampled": row[1], "exact": row[2],
-             "bound_exact": row[3], "bound_formula": row[4]}
+             "bound_exact": row[3], "bound_formula": row[4],
+             "sampled_estimator": row[5], "exact_estimator": row[6]}
             for row in vis_rows],
     }
     write_json(os.path.join(out_dir, "sweep_fit.json"), summary)
@@ -268,28 +269,33 @@ def _split_windows(taus, max_gap=6e-9):
     return windows
 
 
-def _window_visibility(taus, cross_vals, same_vals) -> float:
-    """Fringe contrast within one delay window.
+def _window_visibility(taus, cross_vals, same_vals) -> tuple:
+    """Fringe contrast within one delay window, and the estimator each
+    series used.
 
     Cross- and same-detector correlations oscillate half a fringe apart;
     a sinusoid fit per series recovers the amplitude wherever the window
-    samples the fringe, and the two estimates are averaged.
+    samples the fringe, and the two estimates are averaged.  A series of
+    fewer than five points, or whose fit fails or is flagged, takes
+    `stats.visibility` instead.
     """
     taus = np.asarray(taus, dtype=float)
-    out = []
-    for vals in (np.asarray(cross_vals), np.asarray(same_vals)):
-        if len(vals) >= 5:
-            try:
-                fit = stats.fit_fringe(taus, vals)
-                if not fit.flagged:
-                    top = fit.offset + abs(fit.amplitude)
-                    bot = max(fit.offset - abs(fit.amplitude), 0.0)
-                    out.append((top - bot) / (top + bot))
-                    continue
-            except stats.StatsError:
-                pass
-        out.append(stats.visibility(vals))
-    return float(np.mean(out))
+    out, used = [], {}
+    for series, vals in (("cross", np.asarray(cross_vals)),
+                         ("same", np.asarray(same_vals))):
+        try:
+            fit = stats.fit_fringe(taus, vals) if len(vals) >= 5 else None
+        except stats.StatsError:
+            fit = None
+        if fit is None or fit.flagged:
+            used[series] = "visibility"
+            out.append(stats.visibility(vals))
+            continue
+        used[series] = "fit_fringe"
+        top = fit.offset + abs(fit.amplitude)
+        bot = max(fit.offset - abs(fit.amplitude), 0.0)
+        out.append((top - bot) / (top + bot))
+    return float(np.mean(out)), used
 
 
 def _formula_bound(cfg: RunConfig, tau: float) -> float:
@@ -323,16 +329,17 @@ def cmd_witness(cfg: RunConfig, out_dir, config_path) -> None:
     if problems:
         raise ConfigError(problems)
     model = protocol.build_trial_model(cfg.protocol)
-    log = run_campaign(cfg.protocol, cfg.trials, cfg.seed, model=model,
-                       config_snapshot=cfg.snapshot())
-    tally = stats.tally(log)
+    counts = code_counts(model, cfg.trials, cfg.seed)
+    tally = stats.tally_from_counts(counts, cfg.trials)
     save = cfg.save_clicklog
     if save is None:
-        save = len(log) <= 5_000_000
+        save = counts @ protocol.CODE_SLOTS.sum(axis=1) <= 5_000_000
     if save:
-        log.save(os.path.join(out_dir, "clicklog.csv"),
-                 os.path.join(out_dir, "clicklog_meta.json"))
-    del log    # the report needs only the tally
+        # the log refines the same counts; it is dropped once written
+        run_campaign(cfg.protocol, cfg.trials, cfg.seed, model=model,
+                     config_snapshot=cfg.snapshot()).save(
+            os.path.join(out_dir, "clicklog.csv"),
+            os.path.join(out_dir, "clicklog_meta.json"))
     params = _analysis_params(cfg)
 
     exact = {}

@@ -105,8 +105,13 @@ class CoincidenceTally:
 
 def tally(log: ClickLog) -> CoincidenceTally:
     """Count singles and per-trial pump/read coincidences from a click log."""
-    singles, coincidences = click_totals(log.code_counts())
-    return CoincidenceTally(n_trials=log.n_trials,
+    return tally_from_counts(log.code_counts(), log.n_trials)
+
+
+def tally_from_counts(per_code, n_trials: int) -> CoincidenceTally:
+    """The tally of `n_trials` trials counted per outcome code 0..15."""
+    singles, coincidences = click_totals(per_code)
+    return CoincidenceTally(n_trials=n_trials,
                             pump_singles=tuple(singles[:2].tolist()),
                             read_singles=tuple(singles[2:].tolist()),
                             coincidences=tuple(map(tuple, coincidences.tolist())))

@@ -89,12 +89,23 @@ class TestDeterminism:
         log = run_campaign(cfg, 3 * CHUNK_TRIALS + 1234, seed=5, stream=0,
                            workers=workers)
         text = log.to_csv()
-        assert len(log) == text.count("\n") - 1 == 74_747
+        assert len(log) == text.count("\n") - 1 == 74_640
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "1a1a1755cdba0acdf5716917da1ed16488bb1ce83fb4c6d68cf52bc8d0e11403")
+            "3032fe6a2f3912a73414b7444a95757430f51952bd195dd1e7d47d518486c384")
         assert stats.tally(log).to_json_dict() == {
-            "N": 3_146_962, "Cp1": 23_008, "Cp2": 22_897, "Cr1": 14_479,
-            "Cr2": 14_363, "Cr1p1": 115, "Cr2p1": 854, "Cr1p2": 883, "Cr2p2": 106}
+            "N": 3_146_962, "Cp1": 23_017, "Cp2": 22_867, "Cr1": 14_370,
+            "Cr2": 14_386, "Cr1p1": 98, "Cr2p1": 859, "Cr1p2": 851, "Cr2p2": 110}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("fixture", ["small_model", "high_yield_model"])
+    def test_log_tally_equals_the_counts_draw(self, fixture, workers, request):
+        m = request.getfixturevalue(fixture)
+        n = 3 * CHUNK_TRIALS + 1234
+        counts = campaign.code_counts(m, n, seed=5, stream=3)
+        log = run_campaign(m.config, n, seed=5, stream=3, model=m, workers=workers)
+        assert counts.sum() == n
+        assert np.array_equal(log.code_counts()[1:], counts[1:])
+        assert stats.tally(log) == stats.tally_from_counts(counts, n)
 
     def test_different_seed_differs(self, small_config, small_model):
         a = run_campaign(small_config, 500_000, seed=1, model=small_model)
@@ -123,10 +134,26 @@ class TestMemory:
         log, peak = traced_peak(lambda: run_campaign(
             m.config, 3 * CHUNK_TRIALS + 1234, seed=5, model=m, workers=workers))
         held = log.trial.nbytes + log.code.nbytes
-        # a sampling worker holds numpy's 8-byte tail-shuffle index over its
-        # chunk and the chunk's positions
+        # above REDRAW_MAX_YIELD clicks a trial, as here, a worker places
+        # its chunk's clicks with numpy's ordered sample, which holds an
+        # 8-byte tail-shuffle index over the chunk and the chunk's positions
         most = np.bincount(log.trial // CHUNK_TRIALS).max()
         assert peak < held + workers * 8 * (CHUNK_TRIALS + most) + 250_000
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_redrawn_placement_holds_no_chunk_index(self, workers):
+        cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                        "entangle_stats.cfg")).protocol
+        m = protocol.build_trial_model(cfg)
+        log, peak = traced_peak(lambda: run_campaign(
+            cfg, 3 * CHUNK_TRIALS + 1234, seed=5, model=m, workers=workers))
+        held = log.trial.nbytes + log.code.nbytes
+        # below REDRAW_MAX_YIELD a worker holds a few 4-byte copies of its
+        # chunk's clicks (the codes to place, the draws, their concatenation
+        # and its sort), nothing the size of the chunk
+        most = np.bincount(log.trial // CHUNK_TRIALS).max()
+        assert most < campaign.REDRAW_MAX_YIELD * CHUNK_TRIALS
+        assert peak < held + workers * 24 * most + 100_000
 
     def test_csv_is_written_one_block_at_a_time(self, high_yield_model):
         m = high_yield_model
@@ -183,8 +210,8 @@ class TestAgreementWithExactModel:
     def test_rows_are_the_popcounts_of_the_sampled_codes(self, high_yield_model, n):
         m = high_yield_model
         log = run_campaign(m.config, n, seed=4, model=m)
-        codes = [campaign._sample_chunk(m, 4, 0, c, min(CHUNK_TRIALS, n - start))[1]
-                 for c, start in enumerate(range(0, n, CHUNK_TRIALS))]
+        codes = [campaign._place_clicks(*chunk) & 15
+                 for chunk in campaign._chunk_draws(m, n, 4, 0)]
         popcounts = [np.unpackbits(c.astype(np.uint8)).sum() for c in codes]
         assert log.n_trials == n
         assert np.array_equal(log.code, np.concatenate([np.zeros(0, int), *codes]))
@@ -359,16 +386,38 @@ class TestTrialColumn:
         assert len(log.trial) > 0
         assert log.trial.nbytes + log.code.nbytes == 5 * len(log.trial)
 
-    def test_outcome_codes_equal_the_right_side_search(self, small_model):
-        code_cdf = campaign._code_cdf(small_model)
-        repeated = np.array([0.1, 0.1, 0.25, 0.25, 0.25, 0.5, 0.7, 0.7])
-        for thresholds in (code_cdf[:-1], repeated):
-            u = np.concatenate([thresholds, np.nextafter(thresholds, 0),
-                                np.nextafter(thresholds, 1), [0.0],
-                                thresholds[-1] * np.random.default_rng(3).random(1000)])
-            codes = campaign._outcome_codes(thresholds, u)
-            assert codes.dtype == np.int8
-            assert np.array_equal(codes, 1 + np.searchsorted(thresholds, u, side="right"))
+
+
+class TestPlacement:
+    # trials per code 0..15 of a 5-trial chunk: one without a click, two of
+    # code 1, one each of codes 2 and 3, so 5! / 2! = 60 arrangements
+    COUNTS = np.array([1, 2, 1, 1] + [0] * 12)
+
+    @pytest.mark.parametrize("max_yield", [1.0, 0.0], ids=["redraw", "ordered-sample"])
+    def test_every_arrangement_is_equally_likely(self, max_yield, monkeypatch):
+        monkeypatch.setattr(campaign, "REDRAW_MAX_YIELD", max_yield)
+        rng = np.random.Generator(np.random.Philox(11))
+        draws = 12_000
+        seen = {}
+        for _ in range(draws):
+            placed = campaign._place_clicks(rng, self.COUNTS)
+            assert np.all(np.diff((placed >> 4).astype(int)) > 0)
+            assert np.array_equal(np.bincount(placed & 15, minlength=16)[1:],
+                                  self.COUNTS[1:])
+            row = np.zeros(5, int)
+            row[placed >> 4] = placed & 15
+            seen[tuple(row)] = seen.get(tuple(row), 0) + 1
+        assert len(seen) == 60
+        observed = np.array(list(seen.values()))
+        expected = draws / 60
+        chi2 = ((observed - expected) ** 2 / expected).sum()
+        # 59 degrees of freedom: P(chi2 > 130) < 1e-6
+        assert chi2 < 130
+
+    def test_zero_counts_place_nothing(self):
+        rng = np.random.Generator(np.random.Philox(1))
+        for counts in (np.zeros(16, int), np.r_[7, np.zeros(15, int)]):
+            assert len(campaign._place_clicks(rng, counts)) == 0
 
 
 class TestAtomicWrite:

@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 
 import pytest
 
 from mechlink import cli, protocol
-from mechlink.campaign import run_campaign
+from mechlink.campaign import CHUNK_TRIALS, code_counts, run_campaign
 from mechlink.config import ConfigError, parse_config
 
 
@@ -103,13 +104,13 @@ class TestCliRuns:
         cfg = write_cfg(tmp_path, MINIMAL + "\n[output]\nsave_clicklog = on\n")
         out = tmp_path / "out"
         rc = cli.main(["witness", "--config", str(cfg), "--out", str(out),
-                       "--trials", "20000"])
+                       "--trials", "300000"])
         assert rc == 0
         names = {p.name for p in out.iterdir()}
         assert {"witness.json", "tally.json", "manifest.json",
                 "clicklog.csv", "clicklog_meta.json"} <= names
         doc = json.loads((out / "witness.json").read_text())
-        assert doc["tally"]["N"] == 20000
+        assert doc["tally"]["N"] == 300000
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["subcommand"] == "witness"
         assert len(manifest["config_sha256"]) == 64
@@ -147,25 +148,46 @@ class TestCliRuns:
         cfg = write_cfg(tmp_path, MINIMAL + "\n[output]\nsave_clicklog = on\n")
         out = tmp_path / "out"
         assert cli.main(["witness", "--config", str(cfg), "--out", str(out),
-                         "--trials", "20000"]) == 0
+                         "--trials", "300000"]) == 0
         assert released == [[True]]
         assert (out / "clicklog.csv").read_text().startswith("trial,detector,window\n")
 
-    def test_sweep_holds_one_log_at_a_time(self, tmp_path, monkeypatch):
-        refs, earlier_alive = [], []
+    def test_sweeps_sample_no_log(self, tmp_path, monkeypatch):
+        def no_log(*args, **kwargs):
+            raise AssertionError("a sweep sampled a click log")
 
-        def campaign(*args, **kwargs):
-            log = run_campaign(*args, **kwargs)
-            earlier_alive.append(sum(ref() is not None for ref in refs))
-            refs.append(weakref.ref(log))
-            return log
-
-        monkeypatch.setattr(cli, "run_campaign", campaign)
-        text = MINIMAL + "\n[sweep]\ndelta_phi_pi_list = 0, 0.5, 1.0, 1.5, 1.9\n"
+        monkeypatch.setattr(cli, "run_campaign", no_log)
+        text = (MINIMAL + "\n[sweep]\ndelta_phi_pi_list = 0, 0.5, 1.0, 1.5, 1.9\n"
+                "tau_ns_list = 123, 124.5, 126, 127.5, 129\n")
         cfg = write_cfg(tmp_path, text)
-        assert cli.main(["phase-sweep", "--config", str(cfg), "--out",
-                         str(tmp_path / "out"), "--trials", "50000"]) == 0
-        assert earlier_alive == [0] * 5
+        n = 8 * CHUNK_TRIALS + 1234
+        for command in ("phase-sweep", "time-sweep"):
+            assert cli.main([command, "--config", str(cfg), "--out",
+                             str(tmp_path / command), "--trials", str(5 * n)]) == 0
+        # a point's counts draw holds a tenth of the log of its clicked
+        # trials, 5 bytes each, at most
+        model = protocol.build_trial_model(parse_config(str(cfg)).protocol)
+        tracemalloc.start()
+        try:
+            counts = code_counts(model, n, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * counts[1:].sum() / 10
+
+    def test_witness_without_a_log_writes_the_same_report(self, tmp_path, monkeypatch):
+        def report(save):
+            cfg = write_cfg(tmp_path, MINIMAL + f"\n[output]\nsave_clicklog = {save}\n")
+            assert cli.main(["witness", "--config", str(cfg), "--out",
+                             str(tmp_path / save), "--trials", "2200000"]) == 0
+            return {name: (tmp_path / save / name).read_bytes()
+                    for name in ("witness.json", "tally.json")}
+
+        with_log = report("on")
+        monkeypatch.setattr(cli, "run_campaign", None)    # the off run samples no log
+        assert report("off") == with_log
+        assert (tmp_path / "on" / "clicklog.csv").exists()
+        assert not (tmp_path / "off" / "clicklog.csv").exists()
 
     def test_seed_required_for_simulation(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL.replace("seed = 7", ""))
@@ -234,7 +256,7 @@ class TestCliRuns:
         for tag in ("a", "b"):
             out = tmp_path / tag
             rc = cli.main(["phase-sweep", "--config", str(cfg), "--out",
-                           str(out), "--trials", "50000"])
+                           str(out), "--trials", "5000000"])
             assert rc == 0
             outs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert outs[0] == outs[1]
@@ -272,7 +294,7 @@ class TestCliRuns:
         cfg = write_cfg(tmp_path, MINIMAL + "\n[sweep]\n"
                         "delta_phi_pi_list = 0, 0.4, 0.8, 1.2, 1.6\n"
                         "tau_ns_list = 1000, 1004.44, 1008.88, 1013.32, 1017.76\n")
-        runs = [["witness", "--config", str(cfg), "--trials", "20000"],
+        runs = [["witness", "--config", str(cfg), "--trials", "300000"],
                 ["plan-fiber", "--config", cfg_dir("plan_fiber.cfg")],
                 ["plan-yield", "--config", cfg_dir("plan_yield_pair.cfg")],
                 ["analyze", "--config", cfg_dir("analyze_example.cfg")],

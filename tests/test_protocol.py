@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import fock_oracle
 import twirl_oracle
-from mechlink import fock, protocol
+from mechlink import campaign, fock, protocol
 from mechlink.config import parse_config
 from mechlink.devices import (DetectorModel, DeviceParams, InterferometerConfig,
                               ProtocolConfig)
@@ -740,3 +740,18 @@ class TestRandomConfigs:
             assert joint.min() >= 0.0
             assert abs(joint.sum() - 1.0) <= 1e-12
         assert np.max(np.abs(tables[1].sum(axis=1) - tables[0].sum(axis=1))) <= 1e-14
+
+    @given(cfg=protocol_configs(), setting=setting_draws)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_sampled_counts_lie_within_binomial_bounds(self, cfg, setting):
+        model = protocol.build_trial_model(at_setting(cfg, *setting))
+        n = 3 * campaign.CHUNK_TRIALS + 1234
+        counts = campaign.code_counts(model, n, seed=1)
+        p = model.joint.T.ravel()
+        # Bernstein: P(|X - n p| >= t) <= 2 exp(-t^2 / (2 n p (1 - p) + 2 t / 3)),
+        # so over 150 examples of 16 codes a false failure has probability
+        # below 1e-6
+        log_term = math.log(2 * 150 * 16 / 1e-6)
+        t = log_term / 3 + np.sqrt((log_term / 3) ** 2 + 2 * n * p * (1 - p) * log_term)
+        assert counts.sum() == n
+        assert np.all(np.abs(counts - n * p) <= t)

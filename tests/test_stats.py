@@ -619,7 +619,20 @@ class TestFringeTools:
         rng = np.random.default_rng(8)
         x = np.linspace(0, 4 * math.pi, 40)
         y = 4.0 * (1 + 0.8 * np.cos(x - 0.3)) + rng.normal(0, 0.05, x.size)
-        assert cli._window_visibility(x, y, y) == pytest.approx(0.80, abs=0.01)
+        value, used = cli._window_visibility(x, y, y)
+        assert value == pytest.approx(0.80, abs=0.01)
+        assert used == {"cross": "fit_fringe", "same": "fit_fringe"}
+
+    def test_window_visibility_names_its_fallback(self):
+        # four points are too few to fit; a flat series is flagged
+        x = np.linspace(0, 2 * math.pi, 8)
+        flat = np.full(8, 3.0)
+        fringe = 4.0 * (1 + 0.8 * np.cos(x))
+        value, used = cli._window_visibility(x[:4], fringe[:4], fringe[:4])
+        assert used == {"cross": "visibility", "same": "visibility"}
+        assert value == pytest.approx(visibility(fringe[:4]))
+        value, used = cli._window_visibility(x, fringe, flat)
+        assert used == {"cross": "fit_fringe", "same": "visibility"}
 
     def test_phase_fringe_period_recovery(self):
         rng = np.random.default_rng(3)
