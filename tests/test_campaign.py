@@ -1,5 +1,6 @@
 """Sampling determinism, click-log integrity and serialization."""
 
+import collections
 import csv
 import hashlib
 import io
@@ -387,7 +388,6 @@ class TestTrialColumn:
         assert log.trial.nbytes + log.code.nbytes == 5 * len(log.trial)
 
 
-
 class TestPlacement:
     # trials per code 0..15 of a 5-trial chunk: one without a click, two of
     # code 1, one each of codes 2 and 3, so 5! / 2! = 60 arrangements
@@ -398,7 +398,7 @@ class TestPlacement:
         monkeypatch.setattr(campaign, "REDRAW_MAX_YIELD", max_yield)
         rng = np.random.Generator(np.random.Philox(11))
         draws = 12_000
-        seen = {}
+        seen = collections.Counter()
         for _ in range(draws):
             placed = campaign._place_clicks(rng, self.COUNTS)
             assert np.all(np.diff((placed >> 4).astype(int)) > 0)
@@ -406,7 +406,7 @@ class TestPlacement:
                                   self.COUNTS[1:])
             row = np.zeros(5, int)
             row[placed >> 4] = placed & 15
-            seen[tuple(row)] = seen.get(tuple(row), 0) + 1
+            seen[tuple(row)] += 1
         assert len(seen) == 60
         observed = np.array(list(seen.values()))
         expected = draws / 60

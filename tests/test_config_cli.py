@@ -393,6 +393,20 @@ class TestEmitFormats:
             "x,g2_same,g2_same_err_lo,g2_same_err_hi,g2_cross")
         assert len(lines) == 6
 
+    def test_sweep_fit_rows_name_their_estimators(self, tmp_path):
+        text = MINIMAL + "\n[sweep]\ntau_ns_list = 123, 124.5, 126, 127.5, 129\n"
+        out = tmp_path / "sweep"
+        assert cli.main(["time-sweep", "--config", str(write_cfg(tmp_path, text)),
+                         "--out", str(out), "--trials", "5000000"]) == 0
+        rows = json.loads((out / "sweep_fit.json").read_text())["visibility"]
+        assert len(rows) == 1
+        assert rows[0].keys() == {"tau_ns", "sampled", "exact", "bound_exact",
+                                  "bound_formula", "sampled_estimator",
+                                  "exact_estimator"}
+        for key in ("sampled_estimator", "exact_estimator"):
+            assert rows[0][key].keys() == {"cross", "same"}
+            assert set(rows[0][key].values()) <= {"fit_fringe", "visibility"}
+
     def test_pump_probe_outputs(self, tmp_path):
         out = tmp_path / "pp"
         rc = cli.main(["pump-probe", "--config", cfg_dir("pump_probe.cfg"),
