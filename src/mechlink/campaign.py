@@ -30,10 +30,6 @@ from .protocol import CODE_SLOTS, TrialModel, build_trial_model
 
 # fixed chunk size: results must not depend on worker count
 CHUNK_TRIALS = 1 << 20
-# the click yield above which numpy's ordered sample, not redraws, places
-# a chunk's clicks: redraws grow without bound as the yield nears 1, and
-# at 2^20 trials the two cost the same near 6 %
-REDRAW_MAX_YIELD = 1 / 16
 
 # click-log text, formatted the rows of CSV_BLOCK_TRIALS trials at a time
 # (a block's temporaries take about 70 bytes a row): a row is the trial's
@@ -244,9 +240,10 @@ def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunk_draws(model, n_trials, seed, stream):
+def chunk_draws(model, n_trials, seed, stream=0):
     """Yield each chunk's generator and its first draw: the chunk's trials
-    per outcome code 0..15, one multinomial over the joint table."""
+    per outcome code 0..15, one multinomial over the joint table.  A click
+    log of the same campaign goes on drawing from these generators."""
     if n_trials < 0:
         raise CampaignError("trial count must be non-negative")
     if not 0 <= stream < (1 << 32):
@@ -265,7 +262,7 @@ def code_counts(model: TrialModel, n_trials: int, seed: int,
     """Trials per outcome code 0..15 of the campaign (seed, stream): the
     counts of the log `run_campaign` samples, drawn without it."""
     total = np.zeros(16, np.int64)
-    for _, counts in _chunk_draws(model, n_trials, seed, stream):
+    for _, counts in chunk_draws(model, n_trials, seed, stream):
         total += counts
     return total
 
@@ -275,46 +272,38 @@ def _place_clicks(rng, counts) -> np.ndarray:
     `counts[1:]` trials of codes 1..15 placed uniformly at random, one code
     a trial, in [0, counts.sum()).
 
-    Each code draws a uniform position; where several share a position the
-    lowest code keeps it and the others draw again.  The rule looks only at
-    which positions are equal, so the result is invariant under relabeling
-    the positions, and hence uniform over the arrangements with these
-    counts.  Above `REDRAW_MAX_YIELD` clicks a trial numpy's ordered sample
-    without replacement places them instead.
+    The positions are a uniform subset and the codes a uniform permutation
+    of their multiset, so every arrangement is equally likely.  numpy's
+    unshuffled sample holds no index over the chunk up to a 1/20 click
+    yield; its shuffled sample would from 1/50.
     """
-    size, clicks = counts.sum(), counts[1:].sum()
-    if clicks > REDRAW_MAX_YIELD * size:
-        placed = rng.choice(size, clicks, replace=False).astype(np.uint32) << 4
-        # the codes are repeated once the sample has freed its chunk index
-        return np.sort(placed | np.repeat(_CLICK_CODES, counts[1:]))
-    todo = np.repeat(_CLICK_CODES, counts[1:])
-    placed = np.empty(0, np.uint32)
-    while len(todo):
-        placed = np.sort(np.concatenate(
-            [placed, rng.integers(0, size, len(todo), dtype=np.uint32) << 4 | todo]))
-        first = np.ones(len(placed), bool)
-        first[1:] = placed[1:] >> 4 != placed[:-1] >> 4
-        todo, placed = placed[~first] & 15, placed[first]
-    return placed
+    placed = rng.choice(counts.sum(), counts[1:].sum(), replace=False, shuffle=False)
+    codes = np.repeat(_CLICK_CODES, counts[1:])
+    rng.shuffle(codes)
+    return np.sort(placed.astype(np.uint32)) << 4 | codes
 
 
 def run_campaign(cfg: ProtocolConfig, n_trials: int, seed: int,
                  stream: int = 0, model: TrialModel | None = None,
                  workers: int | None = None,
-                 config_snapshot: dict | None = None) -> ClickLog:
+                 config_snapshot: dict | None = None,
+                 chunks: list | None = None) -> ClickLog:
     """Sample `n_trials` of the protocol; deterministic in (cfg, n, seed, stream).
 
     The exact outcome table is computed once; trials are sampled in
     fixed-size chunks whose generators are keyed by chunk index, so any
     worker count yields identical logs.  The log's code counts are
-    `code_counts(model, n_trials, seed, stream)`.
+    `code_counts(model, n_trials, seed, stream)`.  `chunks`, if given, is
+    the campaign's `chunk_draws` already drawn, whose generators this call
+    goes on using.
     """
     if model is None:
         model = build_trial_model(cfg)
 
     # each chunk's counts are its generator's first draw, so they place
     # every chunk's clicks in the log before any is sampled
-    chunks = list(_chunk_draws(model, n_trials, seed, stream))
+    if chunks is None:
+        chunks = list(chunk_draws(model, n_trials, seed, stream))
     bounds = np.cumsum([0] + [counts[1:].sum() for _, counts in chunks])
     trial = np.empty(bounds[-1], trial_dtype(n_trials))
     code = np.empty(bounds[-1], np.int8)

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__, noise, planner, protocol, stats
-from .campaign import ClickLog, atomic_write, code_counts, run_campaign
+from .campaign import ClickLog, atomic_write, chunk_draws, code_counts, run_campaign
 from .config import ConfigError, RunConfig, parse_config
 
 PI = math.pi
@@ -329,7 +329,8 @@ def cmd_witness(cfg: RunConfig, out_dir, config_path) -> None:
     if problems:
         raise ConfigError(problems)
     model = protocol.build_trial_model(cfg.protocol)
-    counts = code_counts(model, cfg.trials, cfg.seed)
+    chunks = list(chunk_draws(model, cfg.trials, cfg.seed))
+    counts = sum((counts for _, counts in chunks), np.zeros(16, np.int64))
     tally = stats.tally_from_counts(counts, cfg.trials)
     save = cfg.save_clicklog
     if save is None:
@@ -337,7 +338,7 @@ def cmd_witness(cfg: RunConfig, out_dir, config_path) -> None:
     if save:
         # the log refines the same counts; it is dropped once written
         run_campaign(cfg.protocol, cfg.trials, cfg.seed, model=model,
-                     config_snapshot=cfg.snapshot()).save(
+                     config_snapshot=cfg.snapshot(), chunks=chunks).save(
             os.path.join(out_dir, "clicklog.csv"),
             os.path.join(out_dir, "clicklog_meta.json"))
     params = _analysis_params(cfg)

@@ -92,7 +92,7 @@ class TestDeterminism:
         text = log.to_csv()
         assert len(log) == text.count("\n") - 1 == 74_640
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "3032fe6a2f3912a73414b7444a95757430f51952bd195dd1e7d47d518486c384")
+            "091fe996183380d35d86f35451142f69e392344fb4be21e2a35df31a59149f19")
         assert stats.tally(log).to_json_dict() == {
             "N": 3_146_962, "Cp1": 23_017, "Cp2": 22_867, "Cr1": 14_370,
             "Cr2": 14_386, "Cr1p1": 98, "Cr2p1": 859, "Cr1p2": 851, "Cr2p2": 110}
@@ -135,26 +135,12 @@ class TestMemory:
         log, peak = traced_peak(lambda: run_campaign(
             m.config, 3 * CHUNK_TRIALS + 1234, seed=5, model=m, workers=workers))
         held = log.trial.nbytes + log.code.nbytes
-        # above REDRAW_MAX_YIELD clicks a trial, as here, a worker places
-        # its chunk's clicks with numpy's ordered sample, which holds an
-        # 8-byte tail-shuffle index over the chunk and the chunk's positions
+        # a worker places its chunk's clicks with numpy's ordered sample,
+        # which at a click yield as high as this one holds an 8-byte
+        # tail-shuffle index over the chunk and the chunk's positions; only
+        # a sampled log pays it, never a counts draw
         most = np.bincount(log.trial // CHUNK_TRIALS).max()
         assert peak < held + workers * 8 * (CHUNK_TRIALS + most) + 250_000
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_redrawn_placement_holds_no_chunk_index(self, workers):
-        cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs",
-                                        "entangle_stats.cfg")).protocol
-        m = protocol.build_trial_model(cfg)
-        log, peak = traced_peak(lambda: run_campaign(
-            cfg, 3 * CHUNK_TRIALS + 1234, seed=5, model=m, workers=workers))
-        held = log.trial.nbytes + log.code.nbytes
-        # below REDRAW_MAX_YIELD a worker holds a few 4-byte copies of its
-        # chunk's clicks (the codes to place, the draws, their concatenation
-        # and its sort), nothing the size of the chunk
-        most = np.bincount(log.trial // CHUNK_TRIALS).max()
-        assert most < campaign.REDRAW_MAX_YIELD * CHUNK_TRIALS
-        assert peak < held + workers * 24 * most + 100_000
 
     def test_csv_is_written_one_block_at_a_time(self, high_yield_model):
         m = high_yield_model
@@ -212,7 +198,7 @@ class TestAgreementWithExactModel:
         m = high_yield_model
         log = run_campaign(m.config, n, seed=4, model=m)
         codes = [campaign._place_clicks(*chunk) & 15
-                 for chunk in campaign._chunk_draws(m, n, 4, 0)]
+                 for chunk in campaign.chunk_draws(m, n, 4, 0)]
         popcounts = [np.unpackbits(c.astype(np.uint8)).sum() for c in codes]
         assert log.n_trials == n
         assert np.array_equal(log.code, np.concatenate([np.zeros(0, int), *codes]))
@@ -393,9 +379,7 @@ class TestPlacement:
     # code 1, one each of codes 2 and 3, so 5! / 2! = 60 arrangements
     COUNTS = np.array([1, 2, 1, 1] + [0] * 12)
 
-    @pytest.mark.parametrize("max_yield", [1.0, 0.0], ids=["redraw", "ordered-sample"])
-    def test_every_arrangement_is_equally_likely(self, max_yield, monkeypatch):
-        monkeypatch.setattr(campaign, "REDRAW_MAX_YIELD", max_yield)
+    def test_every_arrangement_is_equally_likely(self):
         rng = np.random.Generator(np.random.Philox(11))
         draws = 12_000
         seen = collections.Counter()

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from mechlink import cli, protocol
+from mechlink import campaign, cli, protocol
 from mechlink.campaign import CHUNK_TRIALS, code_counts, run_campaign
 from mechlink.config import ConfigError, parse_config
 
@@ -133,7 +133,7 @@ class TestCliRuns:
     def test_witness_releases_its_log_before_the_report(self, tmp_path, monkeypatch):
         refs, released = [], []
 
-        def campaign(*args, **kwargs):
+        def sampled(*args, **kwargs):
             log = run_campaign(*args, **kwargs)
             refs.append(weakref.ref(log))
             return log
@@ -143,7 +143,7 @@ class TestCliRuns:
             return witness_report(*args, **kwargs)
 
         witness_report = cli._witness_report
-        monkeypatch.setattr(cli, "run_campaign", campaign)
+        monkeypatch.setattr(cli, "run_campaign", sampled)
         monkeypatch.setattr(cli, "_witness_report", report)
         cfg = write_cfg(tmp_path, MINIMAL + "\n[output]\nsave_clicklog = on\n")
         out = tmp_path / "out"
@@ -188,6 +188,48 @@ class TestCliRuns:
         assert report("off") == with_log
         assert (tmp_path / "on" / "clicklog.csv").exists()
         assert not (tmp_path / "off" / "clicklog.csv").exists()
+
+    def test_witness_draws_each_chunk_once(self, tmp_path, monkeypatch):
+        keys = []
+        chunk_rng = campaign._chunk_rng
+
+        def counted(*key):
+            keys.append(key)
+            return chunk_rng(*key)
+
+        monkeypatch.setattr(campaign, "_chunk_rng", counted)
+        cfg = write_cfg(tmp_path, MINIMAL + "\n[output]\nsave_clicklog = on\n")
+        assert cli.main(["witness", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                         "--trials", str(2 * CHUNK_TRIALS + 5)]) == 0
+        # the tally and the log it writes share one generator a chunk
+        assert keys == [(7, 0, 0), (7, 0, 1), (7, 0, 2)]
+        assert (tmp_path / "out" / "clicklog.csv").exists()
+
+    def test_witness_without_read_clicks_exits_3(self, tmp_path, capsys):
+        # g2 = N C_rp / (C_r C_p) has no value when a read detector saw no
+        # click, so the run stops before writing a report
+        cfg = write_cfg(tmp_path, MINIMAL)
+        model = protocol.build_trial_model(parse_config(str(cfg)).protocol)
+        read_singles = code_counts(model, 20_000, seed=7) @ protocol.CODE_SLOTS[:, 2:]
+        assert 0 in read_singles
+        out = tmp_path / "out"
+        assert cli.main(["witness", "--config", str(cfg), "--out", str(out),
+                         "--trials", "20000"]) == 3
+        assert "error: StatsError: zero read singles" in capsys.readouterr().err
+        assert not (out / "witness.json").exists()
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="stats.fit_fringe raises 'fringe fit did not converge' "
+                              "on a sweep of a few read clicks a point, where it "
+                              "could return a flagged fit; the run exits 3 after "
+                              "writing fringe.csv")
+    def test_sparse_phase_sweep_writes_its_report(self, tmp_path):
+        text = MINIMAL + "\n[sweep]\ndelta_phi_pi_list = 0, 0.5, 1.0, 1.5, 1.9\n"
+        out = tmp_path / "out"
+        assert cli.main(["phase-sweep", "--config", str(write_cfg(tmp_path, text)),
+                         "--out", str(out), "--trials", "50000"]) == 0
+        assert (out / "sweep_fit.json").exists()
 
     def test_seed_required_for_simulation(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL.replace("seed = 7", ""))
