@@ -7,10 +7,11 @@ outcome code, one multinomial over the table, and a tally (`code_counts`)
 needs no more.  A click log (`run_campaign`) refines those counts: the
 same generator then places the clicked trials and their codes, so the
 log's tally equals the counts, and identical (config, trials, seed) give
-byte-identical logs at any worker count.  The commands sample positions
-only for a log they write.  The seed -> click-log mapping has changed
-twice: when only the clicked trials came to be drawn, and when the
-counts came first.
+byte-identical logs.  The chunks are placed one after another, each by
+its own generator, so the chunk index, not the order of work, fixes the
+log.  The commands sample positions only for a log they write.  The
+seed -> click-log mapping has changed twice: when only the clicked
+trials came to be drawn, and when the counts came first.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import io
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +28,8 @@ import numpy as np
 from .devices import ProtocolConfig
 from .protocol import CODE_SLOTS, TrialModel, build_trial_model
 
-# fixed chunk size: results must not depend on worker count
+# fixed chunk size: the chunk index keys each chunk's generator, so the
+# chunking is part of the seed -> click-log mapping
 CHUNK_TRIALS = 1 << 20
 
 # click-log text, formatted the rows of CSV_BLOCK_TRIALS trials at a time
@@ -73,18 +74,6 @@ def atomic_write(path, text) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def worker_count() -> int:
-    env = os.environ.get("MECHLINK_THREADS", "")
-    try:
-        cap = int(env) if env else 0
-    except ValueError:
-        cap = 0
-    avail = os.cpu_count() or 1
-    if cap > 0:
-        return max(1, min(cap, avail))
-    return max(1, min(4, avail))
 
 
 @dataclass
@@ -285,14 +274,13 @@ def _place_clicks(rng, counts) -> np.ndarray:
 
 def run_campaign(cfg: ProtocolConfig, n_trials: int, seed: int,
                  stream: int = 0, model: TrialModel | None = None,
-                 workers: int | None = None,
                  config_snapshot: dict | None = None,
                  chunks: list | None = None) -> ClickLog:
     """Sample `n_trials` of the protocol; deterministic in (cfg, n, seed, stream).
 
     The exact outcome table is computed once; trials are sampled in
-    fixed-size chunks whose generators are keyed by chunk index, so any
-    worker count yields identical logs.  The log's code counts are
+    fixed-size chunks whose generators are keyed by chunk index, each
+    chunk's clicks placed in turn.  The log's code counts are
     `code_counts(model, n_trials, seed, stream)`.  `chunks`, if given, is
     the campaign's `chunk_draws` already drawn, whose generators this call
     goes on using.
@@ -308,15 +296,13 @@ def run_campaign(cfg: ProtocolConfig, n_trials: int, seed: int,
     trial = np.empty(bounds[-1], trial_dtype(n_trials))
     code = np.empty(bounds[-1], np.int8)
 
-    def work(c):
-        placed = _place_clicks(*chunks[c])
+    for c, draw in enumerate(chunks):
+        placed = _place_clicks(*draw)
         # every position is below n_trials, so the cast never wraps
         np.add(placed >> 4, c * CHUNK_TRIALS, out=trial[bounds[c]:bounds[c + 1]],
                casting="unsafe")
         np.bitwise_and(placed, 15, out=code[bounds[c]:bounds[c + 1]], casting="unsafe")
-
-    with ThreadPoolExecutor(max_workers=workers or worker_count()) as pool:
-        list(pool.map(work, range(len(chunks))))
+        del placed      # one chunk's placement is held at a time
 
     return ClickLog(n_trials=n_trials, seed=seed, stream=stream,
                     trial=trial, code=code, config_snapshot=config_snapshot or {})

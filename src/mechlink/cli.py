@@ -4,8 +4,7 @@
 
 Exit codes: 0 success, 2 config error, 3 runtime error.  Every run
 writes a manifest (config hash, seed, versions) next to its artifacts;
-identical (config, seed) runs produce byte-identical outputs regardless
-of worker count (cap workers with MECHLINK_THREADS).
+identical (config, seed) runs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -27,10 +26,6 @@ from .config import ConfigError, RunConfig, parse_config
 PI = math.pi
 US = 1e-6
 NS = 1e-9
-
-
-class RuntimeFailure(RuntimeError):
-    pass
 
 
 def _fmt(x) -> str:
@@ -276,17 +271,14 @@ def _window_visibility(taus, cross_vals, same_vals) -> tuple:
     Cross- and same-detector correlations oscillate half a fringe apart;
     a sinusoid fit per series recovers the amplitude wherever the window
     samples the fringe, and the two estimates are averaged.  A series of
-    fewer than five points, or whose fit fails or is flagged, takes
+    fewer than five points, or whose fit is flagged, takes
     `stats.visibility` instead.
     """
     taus = np.asarray(taus, dtype=float)
     out, used = [], {}
     for series, vals in (("cross", np.asarray(cross_vals)),
                          ("same", np.asarray(same_vals))):
-        try:
-            fit = stats.fit_fringe(taus, vals) if len(vals) >= 5 else None
-        except stats.StatsError:
-            fit = None
+        fit = stats.fit_fringe(taus, vals) if len(vals) >= 5 else None
         if fit is None or fit.flagged:
             used[series] = "visibility"
             out.append(stats.visibility(vals))
@@ -485,11 +477,13 @@ def cmd_plan_fiber(cfg: RunConfig, out_dir, config_path) -> None:
     floor = pf.get("g2_floor", 7.1)
     tau = link.tau
 
+    def combo(dil, dec):
+        return f"dilution={'on' if dil else 'off'},decay={'on' if dec else 'off'}"
+
     combos = {}
     for dil in (True, False):
         for dec in (True, False):
-            key = f"dilution={'on' if dil else 'off'},decay={'on' if dec else 'off'}"
-            combos[key] = {
+            combos[combo(dil, dec)] = {
                 "arm_a_db": planner.required_added_db(link.budget_a, floor, tau,
                                                       dil, dec),
                 "arm_b_db": planner.required_added_db(link.budget_b, floor, tau,
@@ -506,14 +500,8 @@ def cmd_plan_fiber(cfg: RunConfig, out_dir, config_path) -> None:
                                              link.include_decay),
         "g2_floor": floor,
         "required_db_combinations": combos,
-        "required_db_default": {
-            "arm_a_db": planner.required_added_db(link.budget_a, floor, tau,
-                                                  link.herald_dilution,
-                                                  link.include_decay),
-            "arm_b_db": planner.required_added_db(link.budget_b, floor, tau,
-                                                  link.herald_dilution,
-                                                  link.include_decay),
-        },
+        "required_db_default": combos[combo(link.herald_dilution,
+                                            link.include_decay)],
         "max_separation": dataclasses.asdict(sep),
         "separations": {},
     }

@@ -837,7 +837,9 @@ def fit_fringe(x, values, sigma=None) -> FringeFit:
     root of the exact profile slope, bracketed by the scan and closed to a
     few ulp by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971).
     `period_error` is the period's standard error in the linearized
-    four-parameter (amplitude, period, x0, offset) fit.
+    four-parameter (amplitude, period, x0, offset) fit.  A fringe the fit
+    cannot resolve (an amplitude consistent with zero, or no slope root
+    within the period bounds) comes back flagged, with no period.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -854,10 +856,11 @@ def fit_fringe(x, values, sigma=None) -> FringeFit:
             raise StatsError("uncertainties must be finite and positive")
 
     amp0 = 0.5 * (y.max() - y.min())
-    off0 = float(np.mean(y))
+    unresolved = FringeFit(amplitude=0.0, period=float("nan"), phase=0.0,
+                           offset=float(np.mean(y)), period_error=float("inf"),
+                           flagged=True)
     if amp0 <= 1e-12 or amp0 < 0.05 * np.mean(sigma):
-        return FringeFit(amplitude=0.0, period=float("nan"), phase=0.0,
-                         offset=off0, period_error=float("inf"), flagged=True)
+        return unresolved
 
     def profile(period):
         # the linear solve at one period, its weighted residual r, and the
@@ -901,7 +904,7 @@ def fit_fringe(x, values, sigma=None) -> FringeFit:
             hi = min(hi * ratio, 20 * span)
             g_hi = slope(hi)
         else:
-            raise StatsError("fringe fit did not converge")
+            return unresolved
     # Illinois regula falsi keeps the slope negative at lo and positive at
     # hi, so it closes on a minimum; an end kept twice in a row has its
     # slope halved
@@ -924,7 +927,7 @@ def fit_fringe(x, values, sigma=None) -> FringeFit:
         else:
             lo = hi = period
     else:
-        raise StatsError("fringe fit did not converge")
+        return unresolved
 
     period = float(0.5 * (lo + hi))
     coef, _, bw, d_period = profile(period)

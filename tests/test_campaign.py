@@ -77,18 +77,10 @@ class TestDeterminism:
         assert np.array_equal(a.trial, b.trial)
         assert np.array_equal(a.code, b.code)
 
-    def test_worker_count_does_not_change_log(self, small_config, small_model):
-        n = 3 * campaign.CHUNK_TRIALS + 1234
-        one = run_campaign(small_config, n, seed=5, model=small_model, workers=1)
-        four = run_campaign(small_config, n, seed=5, model=small_model, workers=4)
-        assert one.to_csv() == four.to_csv()
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_seed_to_log_mapping_is_pinned(self, workers):
+    def test_seed_to_log_mapping_is_pinned(self):
         cfg = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs",
                                         "entangle_stats.cfg")).protocol
-        log = run_campaign(cfg, 3 * CHUNK_TRIALS + 1234, seed=5, stream=0,
-                           workers=workers)
+        log = run_campaign(cfg, 3 * CHUNK_TRIALS + 1234, seed=5, stream=0)
         text = log.to_csv()
         assert len(log) == text.count("\n") - 1 == 74_640
         assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -97,13 +89,12 @@ class TestDeterminism:
             "N": 3_146_962, "Cp1": 23_017, "Cp2": 22_867, "Cr1": 14_370,
             "Cr2": 14_386, "Cr1p1": 98, "Cr2p1": 859, "Cr1p2": 851, "Cr2p2": 110}
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("fixture", ["small_model", "high_yield_model"])
-    def test_log_tally_equals_the_counts_draw(self, fixture, workers, request):
+    def test_log_tally_equals_the_counts_draw(self, fixture, request):
         m = request.getfixturevalue(fixture)
         n = 3 * CHUNK_TRIALS + 1234
         counts = campaign.code_counts(m, n, seed=5, stream=3)
-        log = run_campaign(m.config, n, seed=5, stream=3, model=m, workers=workers)
+        log = run_campaign(m.config, n, seed=5, stream=3, model=m)
         assert counts.sum() == n
         assert np.array_equal(log.code_counts()[1:], counts[1:])
         assert stats.tally(log) == stats.tally_from_counts(counts, n)
@@ -129,18 +120,17 @@ def traced_peak(run):
 
 
 class TestMemory:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_campaign_holds_its_log_once(self, high_yield_model, workers):
+    def test_campaign_holds_its_log_once(self, high_yield_model):
         m = high_yield_model
         log, peak = traced_peak(lambda: run_campaign(
-            m.config, 3 * CHUNK_TRIALS + 1234, seed=5, model=m, workers=workers))
+            m.config, 3 * CHUNK_TRIALS + 1234, seed=5, model=m))
         held = log.trial.nbytes + log.code.nbytes
-        # a worker places its chunk's clicks with numpy's ordered sample,
-        # which at a click yield as high as this one holds an 8-byte
-        # tail-shuffle index over the chunk and the chunk's positions; only
-        # a sampled log pays it, never a counts draw
+        # one chunk's clicks are placed at a time, with numpy's ordered
+        # sample, which at a click yield as high as this one holds an
+        # 8-byte tail-shuffle index over the chunk and the chunk's
+        # positions; only a sampled log pays it, never a counts draw
         most = np.bincount(log.trial // CHUNK_TRIALS).max()
-        assert peak < held + workers * 8 * (CHUNK_TRIALS + most) + 250_000
+        assert peak < held + 8 * (CHUNK_TRIALS + most) + 250_000
 
     def test_csv_is_written_one_block_at_a_time(self, high_yield_model):
         m = high_yield_model
