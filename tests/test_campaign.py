@@ -99,6 +99,39 @@ class TestDeterminism:
         assert np.array_equal(log.code_counts()[1:], counts[1:])
         assert stats.tally(log) == stats.tally_from_counts(counts, n)
 
+    def test_a_chunk_does_not_depend_on_the_campaign_length(self, small_config,
+                                                            small_model):
+        # the chunk index keys each generator, so a longer campaign of the
+        # same seed begins with the shorter one's chunks
+        short = run_campaign(small_config, CHUNK_TRIALS, seed=5, model=small_model)
+        long = run_campaign(small_config, 2 * CHUNK_TRIALS + 1234, seed=5,
+                            model=small_model)
+        first = long.trial < CHUNK_TRIALS
+        assert len(short) > 0
+        assert np.array_equal(short.trial, long.trial[first])
+        assert np.array_equal(short.code, long.code[first])
+
+    def test_given_chunk_draws_give_the_same_log(self, small_config, small_model):
+        n = 2 * CHUNK_TRIALS + 1234
+        chunks = list(campaign.chunk_draws(small_model, n, seed=5, stream=2))
+        given = run_campaign(small_config, n, seed=5, stream=2, model=small_model,
+                             chunks=chunks)
+        drawn = run_campaign(small_config, n, seed=5, stream=2, model=small_model)
+        assert given.to_csv() == drawn.to_csv()
+
+    def test_each_chunk_places_its_own_draw(self, high_yield_model):
+        m = high_yield_model
+        n = 3 * CHUNK_TRIALS + 1234
+        log = run_campaign(m.config, n, seed=5, stream=3, model=m)
+        assert np.all(np.diff(log.trial.astype(np.int64)) > 0)
+        chunk_of = log.trial // CHUNK_TRIALS
+        for c, (_, counts) in enumerate(campaign.chunk_draws(m, n, 5, 3)):
+            mine = chunk_of == c
+            assert np.array_equal(np.bincount(log.code[mine], minlength=16)[1:],
+                                  counts[1:])
+            assert log.trial[mine].max() < min((c + 1) * CHUNK_TRIALS, n)
+        assert chunk_of.max() == 3
+
     def test_different_seed_differs(self, small_config, small_model):
         a = run_campaign(small_config, 500_000, seed=1, model=small_model)
         b = run_campaign(small_config, 500_000, seed=2, model=small_model)

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from mechlink import campaign, cli, protocol
+from mechlink import campaign, cli, planner, protocol
 from mechlink.campaign import CHUNK_TRIALS, code_counts, run_campaign
 from mechlink.config import ConfigError, parse_config
 
@@ -487,3 +487,29 @@ class TestEmitFormats:
         assert all(0.0 <= s["witness_offgrid_mass"] < 0.01
                    for s in doc["separations"].values())
         assert (out / "fiber.txt").read_text().startswith("baseline")
+
+    @pytest.mark.parametrize("dilution", ["on", "off"])
+    @pytest.mark.parametrize("decay", ["on", "off"])
+    def test_plan_fiber_default_budget_follows_the_link_flags(self, tmp_path,
+                                                              dilution, decay):
+        with open(cfg_dir("plan_fiber.cfg")) as f:
+            text = f.read() + f"herald_dilution = {dilution}\ninclude_decay = {decay}\n"
+        out = tmp_path / "fiber"
+        rc = cli.main(["plan-fiber", "--config", str(write_cfg(tmp_path, text)),
+                       "--out", str(out)])
+        assert rc == 0
+        doc = json.loads((out / "fiber.json").read_text())
+        link = cli._link_from_config(parse_config(str(tmp_path / "run.cfg")).plan_fiber)
+        assert (link.herald_dilution, link.include_decay) == (dilution == "on",
+                                                              decay == "on")
+        expected = {
+            "arm_a_db": planner.required_added_db(link.budget_a, 7.1, link.tau,
+                                                  link.herald_dilution,
+                                                  link.include_decay),
+            "arm_b_db": planner.required_added_db(link.budget_b, 7.1, link.tau,
+                                                  link.herald_dilution,
+                                                  link.include_decay),
+        }
+        assert doc["required_db_default"] == expected
+        key = f"dilution={dilution},decay={decay}"
+        assert doc["required_db_combinations"][key] == expected

@@ -634,6 +634,16 @@ class TestFringeTools:
         value, used = cli._window_visibility(x, fringe, flat)
         assert used == {"cross": "fit_fringe", "same": "visibility"}
 
+    def test_window_visibility_falls_back_on_an_unresolved_period(self):
+        # a straight line has no slope root within the period bounds: its
+        # fit comes back flagged, and the window takes the extrema instead
+        x = np.arange(8.0)
+        line = 1.0 + 0.5 * x
+        assert fit_fringe(x, line).flagged
+        value, used = cli._window_visibility(x, line, line)
+        assert used == {"cross": "visibility", "same": "visibility"}
+        assert value == pytest.approx(visibility(line))
+
     def test_phase_fringe_period_recovery(self):
         rng = np.random.default_rng(3)
         x = np.linspace(0, 3.5 * math.pi, 24)
