@@ -35,7 +35,7 @@ def _fmt(x) -> str:
 
 
 def write_json(path, doc) -> None:
-    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True,
+    atomic_write(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
                                   default=_json_default) + "\n")
 
 
@@ -78,7 +78,6 @@ def _analysis_params(cfg: RunConfig) -> dict:
     return {
         "witness_step": a.get("witness_grid_step", stats.WITNESS_GRID_STEP),
         "threshold": a.get("classicality_threshold", 1.0),
-        "flux_imbalance": a.get("flux_imbalance", 0.075),
     }
 
 
@@ -90,7 +89,6 @@ def _witness_report(tally: stats.CoincidenceTally, params: dict,
             tally, det, witness_step=params["witness_step"])
     sym = stats.symmetrize(dists[1], dists[2])
     threshold = params["threshold"]
-    corr = stats.systematic_correction(sym.ml_value, params["flux_imbalance"])
     pairs = [(i, j) for i in (1, 2) for j in (1, 2)]
     g2 = {f"r{i}p{j}": {"value": est.value, "lower": est.lower,
                         "upper": est.upper, "coincidences": est.coincidences}
@@ -112,10 +110,6 @@ def _witness_report(tally: stats.CoincidenceTally, params: dict,
             "ml": sym.ml_value, "lower": sym.lower, "upper": sym.upper,
             "confidence_below_threshold": stats.confidence_below(sym, threshold),
             "threshold": threshold,
-            "corrected_threshold": corr.corrected_threshold,
-            "confidence_below_corrected":
-                stats.confidence_below(sym, corr.corrected_threshold),
-            "systematic_components": corr.components,
             "below": sym.below, "above": sym.above,
             "distribution": {"grid": sym.grid, "mass": sym.mass},
         },
@@ -167,6 +161,14 @@ def _run_sweep(cfg: RunConfig, out_dir, subcommand, list_key, values,
     return per_point, points
 
 
+def _period(fit: stats.FringeFit, unit: float) -> tuple:
+    """A fit's period and its error in `unit`; (None, None) when the fit is
+    flagged, whose period is unresolved."""
+    if fit.flagged:
+        return None, None
+    return fit.period / unit, fit.period_error / unit
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -189,12 +191,14 @@ def cmd_phase_sweep(cfg: RunConfig, out_dir, config_path) -> None:
     fit_exact = stats.fit_fringe(np.array(phases), exact_cross - exact_same)
     all_sampled = np.concatenate([cross_vals, same_vals])
     all_exact = np.concatenate([exact_cross, exact_same])
+    period, error = _period(fit, PI)
     summary = {
         "points": len(phases),
         "trials_per_point": per_point,
-        "period_pi": fit.period / PI,
-        "period_pi_exact": fit_exact.period / PI,
-        "period_error_pi": fit.period_error / PI,
+        "period_pi": period,
+        "period_pi_exact": _period(fit_exact, PI)[0],
+        "period_error_pi": error,
+        "flagged": fit.flagged or fit_exact.flagged,
         "visibility_sampled": stats.visibility(all_sampled),
         "visibility_exact": stats.visibility(all_exact),
         "herald_probability_exact": points[0][0].herald_prob(),
@@ -236,11 +240,13 @@ def cmd_time_sweep(cfg: RunConfig, out_dir, config_path) -> None:
         np.array([math.hypot(points[k][2].upper - points[k][2].lower,
                              points[k][1].upper - points[k][1].lower) * 0.5
                   for k in first]))
+    period, error = _period(fit, NS)
     summary = {
         "points": len(taus),
         "trials_per_point": per_point,
-        "period_ns": fit.period / NS,
-        "period_error_ns": fit.period_error / NS,
+        "period_ns": period,
+        "period_error_ns": error,
+        "flagged": fit.flagged,
         "windows": [[taus[k] / NS for k in idx] for idx in windows],
         "visibility": [
             {"tau_ns": row[0], "sampled": row[1], "exact": row[2],
@@ -316,6 +322,36 @@ def _formula_bound(cfg: RunConfig, tau: float) -> float:
     return noise.visibility_bound(tau, *budgets)
 
 
+def _bound(model: protocol.TrialModel, det: int) -> float | None:
+    """`witness_from_g2` of the model's exact g2 for heralds at `det`, or
+    None where it is undefined (no singles, or no fringe contrast)."""
+    try:
+        return stats.witness_from_g2(model.g2_exact(1, det), model.g2_exact(2, det))
+    except (stats.StatsError, protocol.ProtocolError):
+        return None
+
+
+def _separable_bounds(proto, threshold: float) -> dict:
+    """The smallest `_bound` per herald detector over the config's
+    separable twins, and whether either lies below `threshold`.
+
+    The twins are each arm alone and the dephased twin: a uniform twirl of
+    mech B's phase leaves the state block-diagonal in B's number basis, so
+    each twin is exactly separable.
+    """
+    dephased = dataclasses.replace(proto, interferometer=dataclasses.replace(
+        proto.interferometer, phase_jitter_sigma=math.inf))
+    twins = [protocol.build_trial_model(c) for c in (
+        protocol._blocked(proto, "B"), protocol._blocked(proto, "A"), dephased)]
+    doc, below = {}, False
+    for det in (1, 2):
+        bounds = [b for b in (_bound(twin, det) for twin in twins) if b is not None]
+        doc[f"separable_bound_det{det}"] = min(bounds, default=None)
+        below = below or min(bounds, default=math.inf) < threshold
+    doc["separable_below_threshold"] = below
+    return doc
+
+
 def cmd_witness(cfg: RunConfig, out_dir, config_path) -> None:
     problems = cfg.require_simulation()
     if problems:
@@ -341,13 +377,8 @@ def cmd_witness(cfg: RunConfig, out_dir, config_path) -> None:
             exact[f"moment_ratio_det{det}"] = model.exact_witness(det)
         except protocol.ProtocolError:
             exact[f"moment_ratio_det{det}"] = None
-    try:
-        exact["bound_from_exact_g2_det1"] = stats.witness_from_g2(
-            model.g2_exact(1, 1), model.g2_exact(2, 1))
-        exact["bound_from_exact_g2_det2"] = stats.witness_from_g2(
-            model.g2_exact(1, 2), model.g2_exact(2, 2))
-    except stats.StatsError:
-        pass
+        exact[f"bound_from_exact_g2_det{det}"] = _bound(model, det)
+    exact.update(_separable_bounds(cfg.protocol, params["threshold"]))
     extras = {
         "exact": exact,
         "herald_probability_exact": model.herald_prob(),

@@ -70,7 +70,6 @@ _SCHEMA = {
     "campaign": {"trials": int, "seed": int},
     "analysis": {
         "witness_grid_step": float, "classicality_threshold": float,
-        "flux_imbalance": float,
     },
     "sweep": {"delta_phi_pi_list": _parse_float_list,
               "tau_ns_list": _parse_float_list},

@@ -766,40 +766,6 @@ def confidence_below(dist: WitnessDistribution, threshold: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# systematic corrections
-
-
-@dataclass
-class SystematicCorrection:
-    corrected_witness: float
-    corrected_threshold: float
-    components: dict
-
-
-def systematic_correction(witness_value: float, flux_imbalance: float,
-                          splitter_deviation: float = 0.006,
-                          herald_imbalance: float = 0.02) -> SystematicCorrection:
-    """Imbalance corrections: the measurable bound inflates by (1 + d^2/2).
-
-    Returns the inflated witness, the equivalently deflated classicality
-    threshold, and the per-source ledger of relative corrections.
-    """
-    if not 0.0 <= flux_imbalance <= 0.2:
-        raise StatsError("flux imbalance outside the small-correction regime")
-    components = {
-        "combiner_splitting": 0.5 * splitter_deviation**2,
-        "herald_balance": 0.5 * herald_imbalance**2,
-        "readout_flux": 0.5 * flux_imbalance**2,
-    }
-    total = sum(components.values())
-    return SystematicCorrection(
-        corrected_witness=witness_value * (1.0 + 0.5 * flux_imbalance**2),
-        corrected_threshold=1.0 / (1.0 + total),
-        components=components,
-    )
-
-
-# ---------------------------------------------------------------------------
 # fringe analysis
 
 

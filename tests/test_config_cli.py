@@ -226,8 +226,17 @@ class TestCliRuns:
         out = tmp_path / "out"
         assert cli.main(["phase-sweep", "--config", str(write_cfg(tmp_path, text)),
                          "--out", str(out), "--trials", "50000"]) == 0
-        assert (out / "fringe_fit.json").exists()
-        assert (out / "manifest.json").exists()
+        # the report is standard JSON: the unresolved period is null, not NaN
+        def no_constant(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        docs = {p.name: json.loads(p.read_text(), parse_constant=no_constant)
+                for p in out.glob("*.json")}
+        assert set(docs) == {"fringe_fit.json", "manifest.json"}
+        fit = docs["fringe_fit.json"]
+        assert fit["flagged"] is True
+        assert fit["period_pi"] is None and fit["period_error_pi"] is None
+        assert fit["period_pi_exact"] > 0
 
     def test_seed_required_for_simulation(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL.replace("seed = 7", ""))
@@ -249,6 +258,25 @@ class TestCliRuns:
                        str(tmp_path / "o")])
         assert rc == 2
         assert "[protocol] heating_slices" in capsys.readouterr().err
+
+    def test_removed_flux_imbalance_key_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MINIMAL + "\n[analysis]\nflux_imbalance = 0.075\n")
+        rc = cli.main(["witness", "--config", str(cfg), "--out",
+                       str(tmp_path / "o")])
+        assert rc == 2
+        assert "[analysis] flux_imbalance" in capsys.readouterr().err
+
+    def test_shipped_config_has_no_separable_twin_below_threshold(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["witness", "--config", cfg_dir("entangle_stats.cfg"), "--out",
+                         str(out), "--trials", "10000000"]) == 0
+        doc = json.loads((out / "witness.json").read_text())
+        exact = doc["exact"]
+        for det in (1, 2):
+            assert exact[f"separable_bound_det{det}"] > 1e5
+            assert exact[f"bound_from_exact_g2_det{det}"] < 1.0
+        assert exact["separable_below_threshold"] is False
+        assert "corrected_threshold" not in doc["witness_symmetrized"]
 
     @pytest.mark.parametrize("key", ["cutoff", "mech_cutoff", "jitter_nodes"])
     def test_removed_cutoff_keys_rejected(self, key, tmp_path, capsys):

@@ -3,13 +3,14 @@
 import itertools
 import math
 import os
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import witness_oracle
-from mechlink import planner, stats
+from mechlink import cli, noise, planner, protocol, stats
 from mechlink.config import parse_config
 from mechlink.noise import NoiseBudget, NoiseModelError
 from mechlink.planner import (LinkBudget, PlannerError, YieldModel, degraded_g2,
@@ -276,6 +277,39 @@ class TestDegradedCorrelation:
         g = degraded_g2(BUDGET_B, db, 123e-9)
         back = required_added_db(BUDGET_B, g, 123e-9)
         assert back == pytest.approx(db, abs=0.01)
+
+
+class TestFormulaAgainstExactModel:
+    # formula over exact at 0, 6, 10 and 15 dB on entangle_stats.cfg was
+    # +3.1, +6.3, +12.7, +30.7 % (device A) and +1.6, +3.4, +7.7, +20.2 %
+    # (device B); each bound is that gap plus about a tenth
+    LOSSES_DB = (0.0, 6.0, 10.0, 15.0)
+    GAP_BOUNDS = {"A": (0.035, 0.07, 0.14, 0.34), "B": (0.018, 0.038, 0.085, 0.22)}
+
+    def test_formula_overstates_the_exact_correlation_more_with_loss(
+            self, monkeypatch):
+        # each device's budget as `cli._formula_bound` builds it; the loss
+        # goes into `eta_path` of the exact model
+        run = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                        "entangle_stats.cfg"))
+        proto = run.protocol
+        budgets = []
+        monkeypatch.setattr(noise, "visibility_bound",
+                            lambda t, a, b: budgets.extend((a, b)) or 0.0)
+        cli._formula_bound(run, proto.tau)
+        for budget, device in zip(budgets, "AB"):
+            key = f"device_{device.lower()}"
+            params = getattr(proto, key)
+            gaps = []
+            for db in self.LOSSES_DB:
+                lossy = replace(proto, **{key: replace(
+                    params, eta_path=params.eta_path * 10.0 ** (-db / 10.0))})
+                exact = protocol.single_device_g2_exact(lossy, device)
+                gaps.append(degraded_g2(budget, db, proto.tau) / exact - 1.0)
+            assert all(gap > 0.0 for gap in gaps), (device, gaps)
+            assert all(a < b for a, b in zip(gaps, gaps[1:])), (device, gaps)
+            assert all(gap < bound for gap, bound in
+                       zip(gaps, self.GAP_BOUNDS[device])), (device, gaps)
 
 
 class TestSeparationPlanning:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import fock_oracle
 import twirl_oracle
-from mechlink import campaign, fock, protocol
+from mechlink import campaign, cli, fock, protocol
 from mechlink.config import parse_config
 from mechlink.devices import (DetectorModel, DeviceParams, InterferometerConfig,
                               ProtocolConfig)
@@ -755,3 +755,35 @@ class TestRandomConfigs:
         t = log_term / 3 + np.sqrt((log_term / 3) ** 2 + 2 * n * p * (1 - p) * log_term)
         assert counts.sum() == n
         assert np.all(np.abs(counts - n * p) <= t)
+
+
+class TestSeparableTwins:
+    def test_unequal_read_darks_raise_the_flag(self):
+        # a protocol_configs() draw whose read detectors differ only in
+        # their darks: 1e-3 a window pull g2[r2, p] toward 1 while g2[r1, p]
+        # keeps the device correlation, so the bound of a separable twin
+        # reads far below 1, as does the config's own
+        dev = DeviceParams(p_pump=0.01, p_read=0.034, eta_path=1.0, n_init=0.0,
+                           n_leak=0.0)
+        cfg = ProtocolConfig(device_a=dev, device_b=dev,
+                             interferometer=InterferometerConfig(),
+                             detectors=DetectorModel(p_dark_read=(0.0, 1e-3)))
+        doc = cli._separable_bounds(cfg, 1.0)
+        assert doc["separable_bound_det1"] < 0.1
+        assert doc["separable_bound_det2"] < 0.1
+        assert doc["separable_below_threshold"] is True
+        assert cli._bound(protocol.build_trial_model(cfg), 2) < 1.0
+
+    @given(cfg=protocol_configs())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_dephased_twin_keeps_the_bound_or_raises_the_flag(self, cfg):
+        dephased = replace(cfg, interferometer=replace(cfg.interferometer,
+                                                       phase_jitter_sigma=math.inf))
+        doc = cli._separable_bounds(dephased, 1.0)
+        model = protocol.build_trial_model(dephased)
+        for det in (1, 2):
+            bound = cli._bound(model, det)
+            if bound is None:
+                continue
+            assert bound >= doc[f"separable_bound_det{det}"]
+            assert bound >= 1.0 or doc["separable_below_threshold"]

@@ -13,9 +13,8 @@ import witness_oracle
 from mechlink import cli, stats
 from mechlink.campaign import ClickLog
 from mechlink.stats import (CoincidenceTally, StatsError, confidence_below,
-                            fit_fringe, g2_from_counts, symmetrize,
-                            systematic_correction, tally, visibility,
-                            witness_distribution, witness_from_g2)
+                            fit_fringe, g2_from_counts, symmetrize, tally,
+                            visibility, witness_distribution, witness_from_g2)
 
 # the two published counting blocks used throughout
 WITNESS_TALLY = CoincidenceTally(
@@ -588,23 +587,6 @@ class TestWitnessDistribution:
         d = stats.WitnessDistribution(grid=grid, mass=mass, ml_value=0.505,
                                       lower=0.505, upper=0.505)
         assert confidence_below(d, 1.0) == pytest.approx(1.0)
-
-
-class TestSystematicCorrection:
-    def test_zero_imbalance_changes_nothing(self):
-        c = systematic_correction(0.74, 0.0, splitter_deviation=0.0,
-                                  herald_imbalance=0.0)
-        assert c.corrected_witness == 0.74
-        assert c.corrected_threshold == 1.0
-
-    def test_ten_percent_imbalance_gives_half_percent(self):
-        c = systematic_correction(0.74, 0.1)
-        assert c.components["readout_flux"] == pytest.approx(0.005)
-        assert c.corrected_witness == pytest.approx(0.74 * 1.005)
-
-    def test_small_splitter_deviation_component(self):
-        c = systematic_correction(0.74, 0.006, splitter_deviation=0.006)
-        assert c.components["combiner_splitting"] == pytest.approx(1.8e-5)
 
 
 class TestFringeTools:
