@@ -161,6 +161,20 @@ def _run_sweep(cfg: RunConfig, out_dir, subcommand, list_key, values,
     return per_point, points
 
 
+def _difference_fit(x, points) -> stats.FringeFit:
+    """Fringe fit of cross - same over the points, each weighted by half the
+    quadrature sum of the two interval widths.
+
+    The difference doubles the fringe amplitude and cancels the common
+    offset, which conditions the period fit best.
+    """
+    return stats.fit_fringe(
+        np.asarray(x, dtype=float),
+        np.array([cross.value - same.value for _, same, cross, *_ in points]),
+        np.array([0.5 * math.hypot(cross.upper - cross.lower, same.upper - same.lower)
+                  for _, same, cross, *_ in points]))
+
+
 def _period(fit: stats.FringeFit, unit: float) -> tuple:
     """A fit's period and its error in `unit`; (None, None) when the fit is
     flagged, whose period is unresolved."""
@@ -178,14 +192,9 @@ def cmd_phase_sweep(cfg: RunConfig, out_dir, config_path) -> None:
     per_point, points = _run_sweep(cfg, out_dir, "phase-sweep", "delta_phi_pi_list",
                                    phases, lambda p, phi: p.with_delta_phi(phi), PI)
 
-    # the cross/same difference doubles the fringe amplitude and cancels
-    # the common offset, which conditions the period fit best
+    fit = _difference_fit(phases, points)
     cross_vals = np.array([p[2].value for p in points])
     same_vals = np.array([p[1].value for p in points])
-    cross_sigma = np.array([0.5 * (p[2].upper - p[2].lower) for p in points])
-    same_sigma = np.array([0.5 * (p[1].upper - p[1].lower) for p in points])
-    fit = stats.fit_fringe(np.array(phases), cross_vals - same_vals,
-                           np.hypot(cross_sigma, same_sigma))
     exact_cross = np.array([p[4] for p in points])
     exact_same = np.array([p[3] for p in points])
     fit_exact = stats.fit_fringe(np.array(phases), exact_cross - exact_same)
@@ -224,22 +233,14 @@ def cmd_time_sweep(cfg: RunConfig, out_dir, config_path) -> None:
             [taus[k] for k in idx],
             [points[k][4] for k in idx],
             [points[k][3] for k in idx])
-        proto = cfg.protocol.with_tau(center)
-        v_bound_exact = protocol.exact_visibility_ceiling(proto)
-        v_bound_formula = _formula_bound(cfg, center)
-        vis_rows.append([center / NS, v_s, v_e, v_bound_exact, v_bound_formula,
-                         used_s, used_e])
+        v_bound = protocol.exact_visibility_ceiling(cfg.protocol.with_tau(center))
+        vis_rows.append([center / NS, v_s, v_e, v_bound, used_s, used_e])
     write_csv(os.path.join(out_dir, "visibility.csv"),
-              ["tau_ns", "v_sampled", "v_exact", "v_bound_exact",
-               "v_bound_formula"], [row[:5] for row in vis_rows])
+              ["tau_ns", "v_sampled", "v_exact", "v_bound_exact"],
+              [row[:4] for row in vis_rows])
 
     first = windows[0]
-    fit = stats.fit_fringe(
-        np.array([taus[k] for k in first]),
-        np.array([points[k][2].value - points[k][1].value for k in first]),
-        np.array([math.hypot(points[k][2].upper - points[k][2].lower,
-                             points[k][1].upper - points[k][1].lower) * 0.5
-                  for k in first]))
+    fit = _difference_fit([taus[k] for k in first], [points[k] for k in first])
     period, error = _period(fit, NS)
     summary = {
         "points": len(taus),
@@ -250,8 +251,8 @@ def cmd_time_sweep(cfg: RunConfig, out_dir, config_path) -> None:
         "windows": [[taus[k] / NS for k in idx] for idx in windows],
         "visibility": [
             {"tau_ns": row[0], "sampled": row[1], "exact": row[2],
-             "bound_exact": row[3], "bound_formula": row[4],
-             "sampled_estimator": row[5], "exact_estimator": row[6]}
+             "bound_exact": row[3],
+             "sampled_estimator": row[4], "exact_estimator": row[5]}
             for row in vis_rows],
     }
     write_json(os.path.join(out_dir, "sweep_fit.json"), summary)
@@ -294,32 +295,6 @@ def _window_visibility(taus, cross_vals, same_vals) -> tuple:
         bot = max(fit.offset - abs(fit.amplitude), 0.0)
         out.append((top - bot) / (top + bot))
     return float(np.mean(out)), used
-
-
-def _formula_bound(cfg: RunConfig, tau: float) -> float:
-    """Low-temperature closed-form visibility ceiling for the config.
-
-    Per-phonon background rates are referred to each device's detector-2
-    read-window detection scale, the convention of single-device runs.  A
-    background outside the formula's range fails (`noise.NoiseBudget`).
-    """
-    proto = cfg.protocol
-    budgets = []
-    for i, dev in enumerate(proto.devices()):
-        heat = noise.HeatingParams(decay=dev.gamma_decay,
-                                   bath_gamma=dev.bath_gamma,
-                                   bath_k=dev.bath_k, n_init=dev.n_init)
-        n0 = dev.start_occupation
-
-        def n_th(t, heat=heat, n0=n0):
-            return noise.occupation(t, heat, n0)
-
-        scale = protocol.read_detection_scale(proto, i, 1)
-        n_bg = proto.detectors.p_dark_read[1] / scale if scale > 0 else 0.0
-        budgets.append(noise.NoiseBudget(
-            n_th=n_th, p_pump=dev.p_pump, n_leak=dev.n_leak,
-            n_bg=n_bg, decay=dev.gamma_decay))
-    return noise.visibility_bound(tau, *budgets)
 
 
 def _bound(model: protocol.TrialModel, det: int) -> float | None:
@@ -485,16 +460,15 @@ def _link_from_config(pf: dict) -> planner.LinkBudget:
             n_leak=pf[f"{prefix}_n_leak"], n_bg=pf[f"{prefix}_n_bg"],
             decay=pf[f"{prefix}_gamma_per_us"] / US)
 
-    return planner.LinkBudget(
-        budget_a=budget("a"), budget_b=budget("b"),
-        tau=pf.get("tau_ns", 123.0) * NS,
-        attenuation_db_per_km=pf.get("attenuation_db_per_km", 0.17),
-        repetition_period=pf.get("repetition_us", 50.0) * US,
-        overhead_fraction=pf.get("overhead_fraction", 0.15),
-        herald_prob=pf.get("herald_prob", 2.7e-4),
-        read_prob=pf.get("read_prob", 2.48e-4),
-        herald_dilution=pf.get("herald_dilution", True),
-        include_decay=pf.get("include_decay", True))
+    # the section's link keys are LinkBudget's fields, two of them with a unit
+    # suffix; a key the section leaves out takes LinkBudget's default
+    link = {f.name: pf[f.name] for f in dataclasses.fields(planner.LinkBudget)
+            if f.name in pf}
+    for key, name, unit in (("tau_ns", "tau", NS),
+                            ("repetition_us", "repetition_period", US)):
+        if key in pf:
+            link[name] = pf[key] * unit
+    return planner.LinkBudget(budget_a=budget("a"), budget_b=budget("b"), **link)
 
 
 def cmd_plan_fiber(cfg: RunConfig, out_dir, config_path) -> None:

@@ -4,16 +4,16 @@ Occupation follows the linear rate equation
 
     dn/dt = -decay * n + bath_k * exp(-bath_gamma * t) + decay * n_init
 
-whose closed-form solution drives the delay evolution in the protocol,
-the pump-probe fit, the single-device cross-correlation prediction and
-the visibility upper bound.
+whose closed-form solution drives the delay evolution in the protocol
+and the pump-probe fit.  The closed-form single-device cross-correlation
+of a low-occupation noise budget serves the fiber planner; the
+visibility ceiling it implies is kept for library callers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -207,39 +207,33 @@ def read_pump_probe_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class NoiseBudget:
     """Noise terms entering the pump/read cross-correlation of one device.
 
-    n_th may be a constant or a callable of time (seconds).  All terms
-    are occupations referred to the detected-phonon scale and must stay
-    well below one for the formula to apply.
+    All terms are occupations referred to the detected-phonon scale, n_th
+    the thermal occupation at the delay the formula is evaluated at, and
+    must stay well below one for the formula to apply.
     """
 
-    n_th: float | Callable[[float], float]
+    n_th: float
     p_pump: float
     n_leak: float
     n_bg: float
     decay: float
 
-    def thermal_at(self, t: float) -> float:
-        n = self.n_th(t) if callable(self.n_th) else self.n_th
-        return float(n)
-
     def __post_init__(self):
-        for name in ("p_pump", "n_leak", "n_bg"):
+        for name in ("n_th", "p_pump", "n_leak", "n_bg"):
             v = getattr(self, name)
             if not 0 <= v < 0.5:
                 raise NoiseModelError(f"{name}={v} outside the validity range [0, 0.5)")
         if self.decay < 0:
             raise NoiseModelError("decay must be non-negative")
-        if not callable(self.n_th) and not 0 <= self.n_th < 0.5:
-            raise NoiseModelError("n_th outside the validity range [0, 0.5)")
 
 
 def g2_cross(t: float, budget: NoiseBudget) -> float:
     """Pump/read second-order coherence of a single device at delay t.
 
-    g2(t) = 1 + e^{-decay t} / (n_th(t) + p_pump e^{-decay t} + n_leak + n_bg)
+    g2(t) = 1 + e^{-decay t} / (n_th + p_pump e^{-decay t} + n_leak + n_bg)
     """
     e = math.exp(-budget.decay * t)
-    denom = budget.thermal_at(t) + budget.p_pump * e + budget.n_leak + budget.n_bg
+    denom = budget.n_th + budget.p_pump * e + budget.n_leak + budget.n_bg
     if denom < 1e-9:
         raise NoiseModelError("noise denominator vanishes; formula invalid")
     return 1.0 + e / denom
@@ -258,14 +252,10 @@ def invert_noise_budget(g2_value: float, t: float, p_pump: float,
     return e / (g2_value - 1.0) - p_pump * e - n_leak - n_bg
 
 
-def contrast_bound(t: float, budget_a: NoiseBudget, budget_b: NoiseBudget) -> float:
-    """Upper bound on the two-device interference contrast at delay t."""
-    return min(g2_cross(t, budget_a), g2_cross(t, budget_b)) - 1.0
-
-
 def visibility_bound(t: float, budget_a: NoiseBudget, budget_b: NoiseBudget) -> float:
-    """Visibility ceiling V_max = C / (C + 2) from single-device noise."""
-    c = contrast_bound(t, budget_a, budget_b)
+    """Visibility ceiling V_max = C / (C + 2) from single-device noise, with
+    C = min(g2_A, g2_B) - 1 the bound on the two-device contrast at delay t."""
+    c = min(g2_cross(t, budget_a), g2_cross(t, budget_b)) - 1.0
     if c <= 0:
         return 0.0
     return c / (c + 2.0)

@@ -211,7 +211,7 @@ def required_added_db(budget: NoiseBudget, g2_floor: float, t: float,
         raise PlannerError("floor not reachable by added loss")
     t_eff = t if include_decay else 0.0
     e = math.exp(-budget.decay * t_eff)
-    d0 = budget.thermal_at(t_eff) + budget.p_pump * e + budget.n_leak
+    d0 = budget.n_th + budget.p_pump * e + budget.n_leak
     excess = e / (g2_floor - 1.0) - d0
     x = (2.0 * excess / (1.0 + d0 + math.sqrt((1.0 + d0) ** 2 + 4.0 * excess))
          if herald_dilution else excess)

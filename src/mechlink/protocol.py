@@ -292,7 +292,6 @@ class PumpStageResult:
     state: GaussianState                       # [mA, mB, port1, port2], pre-measurement
     quantum_probs: np.ndarray                  # P of (c1, c2) outcomes, index outcome_index
     mech_given: list                           # per outcome, the unnormalized mech state
-    false_click: tuple                         # per-detector pump-window false prob
 
 
 def read_detection_scale(cfg: ProtocolConfig, device: int, detector: int) -> float:
@@ -351,9 +350,7 @@ def pump_stage(cfg: ProtocolConfig) -> PumpStageResult:
     state = _attenuate(state, OB, cfg.detectors.eta[1])
 
     probs, mech = _click_outcomes(state, OA, OB)
-    false_pump, _ = false_click_probs(cfg)
-    return PumpStageResult(state=state, quantum_probs=probs, mech_given=mech,
-                           false_click=false_pump)
+    return PumpStageResult(state=state, quantum_probs=probs, mech_given=mech)
 
 
 def _blocked(cfg: ProtocolConfig, arm: str) -> ProtocolConfig:
@@ -414,7 +411,6 @@ def evolve_delay(state: GaussianState, tau: float,
 @dataclass
 class ReadStageResult:
     quantum_probs: np.ndarray       # joint read-click outcomes, outcome_index order
-    false_click: tuple
 
 
 def readout_stage(mech_state: GaussianState, cfg: ProtocolConfig) -> ReadStageResult:
@@ -444,8 +440,7 @@ def readout_stage(mech_state: GaussianState, cfg: ProtocolConfig) -> ReadStageRe
     state = _attenuate(state, 1, cfg.detectors.read_eta(1))
 
     probs, _ = _click_outcomes(state, 0, 1)
-    _, false_read = false_click_probs(cfg)
-    return ReadStageResult(quantum_probs=probs, false_click=false_read)
+    return ReadStageResult(quantum_probs=probs)
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +549,12 @@ class TrialModel:
         return float(self.joint[1:, :].sum())
 
     def g2_exact(self, read_det: int, pump_det: int) -> float:
+        """Normalized read/pump coincidence; a singles probability within the
+        tables' rounding (`_TABLE_TOL`) of zero raises."""
         pc = self.coincidence_prob(read_det, pump_det)
         pp = self.pump_click_prob(pump_det)
         pr = self.read_click_prob(read_det)
-        if pp <= 0 or pr <= 0:
+        if pp <= _TABLE_TOL or pr <= _TABLE_TOL:
             raise ProtocolError("zero singles probability")
         return pc / (pp * pr)
 

@@ -124,21 +124,20 @@ def pump_stage(cfg, cutoff: int = 3, mech_cutoff: int = 3) -> PumpStageResult:
     state = fock.loss_channel(state, OA, cfg.detectors.eta[0])
     state = fock.loss_channel(state, OB, cfg.detectors.eta[1])
     probs, states = _joint_click_analysis(state, OA, OB)
-    false_pump, _ = false_click_probs(cfg)
-    return PumpStageResult(state=state, quantum_probs=probs, mech_given=states,
-                           false_click=false_pump)
+    return PumpStageResult(state=state, quantum_probs=probs, mech_given=states)
 
 
-def herald(pump: PumpStageResult, detector: int):
+def herald(pump: PumpStageResult, cfg, detector: int):
     """Condition on an observed click at `detector` (other port unconstrained).
 
     Returns (mechanical state over [mA, mB], observed herald probability);
-    a false herald leaves the no-click conditional mechanics behind.
+    a false herald, at `cfg`'s pump-window false-click probability, leaves
+    the no-click conditional mechanics behind.
     """
     if detector not in (1, 2):
         raise ProtocolError("detector must be 1 or 2")
     j = detector - 1
-    f = pump.false_click[j]
+    f = false_click_probs(cfg)[0][j]
     weighted = None
     total = 0.0
     for c1, c2 in _OUTCOMES:
@@ -220,8 +219,7 @@ def readout_stage(mech_state: fock.DensityMatrix, cfg,
     state = fock.loss_channel(state, ra, cfg.detectors.read_eta(0))
     state = fock.loss_channel(state, rb, cfg.detectors.read_eta(1))
     probs, _ = _joint_click_analysis(state, ra, rb)
-    _, false_read = false_click_probs(cfg)
-    return ReadStageResult(quantum_probs=probs, false_click=false_read)
+    return ReadStageResult(quantum_probs=probs)
 
 
 def witness_from_state(mech_state: fock.DensityMatrix) -> float:

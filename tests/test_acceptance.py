@@ -249,7 +249,7 @@ class TestCriterion4TimeSweep:
               and last["sampled"] < first["sampled"] / 2.0)
         bounds = ", ".join(
             f"tau={v['tau_ns']:.0f}ns V={v['sampled']:.3f}<=ceil "
-            f"{v['bound_exact']:.3f} (formula {v['bound_formula']:.3f})"
+            f"{v['bound_exact']:.3f}"
             for v in doc["visibility"])
         assert report(
             "4 time sweep",

@@ -14,6 +14,8 @@ import pytest
 from mechlink import campaign, cli, planner, protocol
 from mechlink.campaign import CHUNK_TRIALS, code_counts, run_campaign
 from mechlink.config import ConfigError, parse_config
+from mechlink.devices import (DetectorModel, DeviceParams, InterferometerConfig,
+                              ProtocolConfig)
 
 
 def cfg_dir(name):
@@ -278,6 +280,24 @@ class TestCliRuns:
         assert exact["separable_below_threshold"] is False
         assert "corrected_threshold" not in doc["witness_symmetrized"]
 
+    def test_singles_at_rounding_level_leave_the_separable_bounds_undefined(self):
+        # no light reaches either detector: the pump singles are rounding
+        # residue (2.2e-16), which a g2 would turn into a bound of -1e-13
+        dev = DeviceParams(p_pump=0.0, p_read=0.0, eta_path=0.0)
+        proto = ProtocolConfig(device_a=dev, device_b=dev,
+                               interferometer=InterferometerConfig(),
+                               detectors=DetectorModel(eta=(0.0, 0.0),
+                                                       p_dark_read=(0.0, 0.0078)))
+        model = protocol.build_trial_model(proto)
+        assert 0 < model.pump_click_prob(1) <= protocol._TABLE_TOL
+        for i in (1, 2):
+            for j in (1, 2):
+                with pytest.raises(protocol.ProtocolError, match="zero singles"):
+                    model.g2_exact(i, j)
+        assert cli._separable_bounds(proto, 1.0) == {
+            "separable_bound_det1": None, "separable_bound_det2": None,
+            "separable_below_threshold": False}
+
     @pytest.mark.parametrize("key", ["cutoff", "mech_cutoff", "jitter_nodes"])
     def test_removed_cutoff_keys_rejected(self, key, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL.replace("tau_ns = 123",
@@ -303,19 +323,25 @@ class TestCliRuns:
                        str(tmp_path / "o")])
         assert rc == 3
 
-    def test_read_background_outside_the_formula_range_fails(self, tmp_path,
-                                                               capsys):
-        # 1e-2 dark clicks per read window over a 5e-3 detection scale
+    def test_read_background_outside_the_formula_range_sweeps(self, tmp_path):
+        # 1e-2 dark clicks per read window over a 5e-3 detection scale, a
+        # per-phonon background of 2 that the closed-form ceiling cannot
+        # take: the window's ceiling is the exact one
         text = (MINIMAL.replace("p_pump = 0.005", "p_pump = 0.005\np_read = 0.01")
                 .replace("p_pump = 0.006", "p_pump = 0.006\np_read = 0.01")
                 .replace("eta_2 = 1.0", "eta_2 = 1.0\np_dark_read_2 = 0.01")
                 .replace("trials = 1000", "trials = 500000")
                 + "[sweep]\ntau_ns_list = 123, 124, 125, 126, 127\n")
-        rc = cli.main(["time-sweep", "--config", str(write_cfg(tmp_path, text)),
-                       "--out", str(tmp_path / "o")])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "NoiseModelError: n_bg=2.0 outside the validity range [0, 0.5)" in err
+        cfg = parse_config(str(write_cfg(tmp_path, text)))
+        scale = protocol.read_detection_scale(cfg.protocol, 0, 1)
+        assert 0.01 / scale == pytest.approx(2.0)
+        out = tmp_path / "o"
+        assert cli.main(["time-sweep", "--config", str(tmp_path / "run.cfg"),
+                         "--out", str(out)]) == 0
+        header, row = (out / "visibility.csv").read_text().splitlines()
+        assert header == "tau_ns,v_sampled,v_exact,v_bound_exact"
+        assert float(row.split(",")[3]) == pytest.approx(
+            protocol.exact_visibility_ceiling(cfg.protocol.with_tau(125e-9)), rel=1e-9)
 
     def test_byte_identical_reruns(self, tmp_path):
         runs = {
@@ -416,28 +442,18 @@ class TestAnalyzeRoundTrip:
         assert 0.71 <= doc["witness_symmetrized"]["ml"] <= 0.77
 
 
-class TestFormulaBound:
-    def test_background_is_referred_to_the_read_window_efficiency(self):
-        # a read-window throughput 1.35 times the pump window's divides the
-        # per-phonon background as dividing the read dark probability does
-        run = parse_config(cfg_dir("entangle_realistic.cfg"))
-        det = run.protocol.detectors
+class TestReadDetectionScale:
+    def test_scale_carries_the_read_window_efficiency(self):
+        # a read-window throughput 1.35 times the pump window's scales every
+        # device's single-phonon read detection probability by 1.35
+        proto = parse_config(cfg_dir("entangle_realistic.cfg")).protocol
+        det = proto.detectors
         assert det.read_eta_scale == 1.35
-
-        def with_detectors(**kw):
-            return replace(run, protocol=replace(run.protocol, detectors=replace(det, **kw)))
-
-        unit = with_detectors(read_eta_scale=1.0)
+        unit = replace(proto, detectors=replace(det, read_eta_scale=1.0))
         for i in range(2):
             for j in range(2):
-                assert protocol.read_detection_scale(run.protocol, i, j) == pytest.approx(
-                    1.35 * protocol.read_detection_scale(unit.protocol, i, j), rel=1e-15)
-        darker = with_detectors(read_eta_scale=1.0,
-                                p_dark_read=(det.p_dark_read[0], det.p_dark_read[1] / 1.35))
-        tau = run.protocol.tau
-        bound = cli._formula_bound(run, tau)
-        assert bound == pytest.approx(cli._formula_bound(darker, tau), rel=1e-12)
-        assert abs(bound - cli._formula_bound(unit, tau)) > 1e-4
+                assert protocol.read_detection_scale(proto, i, j) == pytest.approx(
+                    1.35 * protocol.read_detection_scale(unit, i, j), rel=1e-15)
 
 
 class TestEmitFormats:
@@ -461,8 +477,7 @@ class TestEmitFormats:
         rows = json.loads((out / "sweep_fit.json").read_text())["visibility"]
         assert len(rows) == 1
         assert rows[0].keys() == {"tau_ns", "sampled", "exact", "bound_exact",
-                                  "bound_formula", "sampled_estimator",
-                                  "exact_estimator"}
+                                  "sampled_estimator", "exact_estimator"}
         for key in ("sampled_estimator", "exact_estimator"):
             assert rows[0][key].keys() == {"cross", "same"}
             assert set(rows[0][key].values()) <= {"fit_fringe", "visibility"}
@@ -541,3 +556,13 @@ class TestEmitFormats:
         assert doc["required_db_default"] == expected
         key = f"dilution={dilution},decay={decay}"
         assert doc["required_db_combinations"][key] == expected
+
+    def test_link_keys_left_out_take_the_link_budget_defaults(self, tmp_path):
+        # only the ten required budget keys: every link field is LinkBudget's own
+        with open(cfg_dir("plan_fiber.cfg")) as f:
+            text = "".join(line for line in f if line.startswith(("[", "a_", "b_")))
+        pf = parse_config(str(write_cfg(tmp_path, text))).plan_fiber
+        assert len(pf) == 10
+        link = cli._link_from_config(pf)
+        assert link == planner.LinkBudget(budget_a=link.budget_a,
+                                          budget_b=link.budget_b)

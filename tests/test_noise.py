@@ -255,20 +255,24 @@ class TestVisibilityBound:
         assert visibility_bound(0.0, clean, clean) > 0.999
 
     def test_decay_along_fitted_dynamics(self):
-        # occupation rising on the bath timescale then decaying: the bound
-        # must fall with delay and drop below 0.4 by 3 us (strong-heating
-        # operating point, as in an elevated-bath-temperature sweep)
+        # occupation rising on the bath timescale then decaying, one budget
+        # per delay at the occupation there (strong-heating operating point,
+        # as in an elevated-bath-temperature sweep): the bound falls with
+        # delay and drops below 0.4 by 3 us, and the 1 us peak leaves the
+        # formula's range
         heat = HeatingParams(decay=1 / (4.0 * US), bath_gamma=1 / (0.5 * US),
                              bath_k=1.5e6, n_init=0.05)
 
-        def budget(dev_decay):
-            return NoiseBudget(
-                n_th=lambda t: occupation(t, heat, 0.09),
-                p_pump=0.006, n_leak=0.032, n_bg=0.003, decay=dev_decay)
+        def budget(t, dev_decay):
+            return NoiseBudget(n_th=occupation(t, heat, 0.09), p_pump=0.006,
+                               n_leak=0.032, n_bg=0.003, decay=dev_decay)
 
-        b_a = budget(1 / (4.0 * US))
-        b_b = budget(1 / (5.8 * US))
-        vs = [visibility_bound(t, b_a, b_b)
-              for t in (123e-9, 1.0 * US, 3.0 * US)]
-        assert vs[0] > vs[1] > vs[2] > 0
-        assert vs[2] < 0.4
+        def bound(t):
+            return visibility_bound(t, budget(t, 1 / (4.0 * US)),
+                                    budget(t, 1 / (5.8 * US)))
+
+        with pytest.raises(NoiseModelError, match="n_th=0.63"):
+            bound(1.0 * US)
+        vs = [bound(t) for t in (123e-9, 3.0 * US)]
+        assert vs[0] > vs[1] > 0
+        assert vs[1] < 0.4

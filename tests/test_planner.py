@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import witness_oracle
-from mechlink import cli, noise, planner, protocol, stats
+from mechlink import noise, planner, protocol, stats
 from mechlink.config import parse_config
 from mechlink.noise import NoiseBudget, NoiseModelError
 from mechlink.planner import (LinkBudget, PlannerError, YieldModel, degraded_g2,
@@ -286,18 +286,25 @@ class TestFormulaAgainstExactModel:
     LOSSES_DB = (0.0, 6.0, 10.0, 15.0)
     GAP_BOUNDS = {"A": (0.035, 0.07, 0.14, 0.34), "B": (0.018, 0.038, 0.085, 0.22)}
 
-    def test_formula_overstates_the_exact_correlation_more_with_loss(
-            self, monkeypatch):
-        # each device's budget as `cli._formula_bound` builds it; the loss
-        # goes into `eta_path` of the exact model
-        run = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs",
-                                        "entangle_stats.cfg"))
-        proto = run.protocol
-        budgets = []
-        monkeypatch.setattr(noise, "visibility_bound",
-                            lambda t, a, b: budgets.extend((a, b)) or 0.0)
-        cli._formula_bound(run, proto.tau)
-        for budget, device in zip(budgets, "AB"):
+    @staticmethod
+    def budget(proto, i):
+        """Device i's budget at the config's delay: its occupation there, and
+        the read darks of detector 2 per phonon its read window detects."""
+        dev = proto.devices()[i]
+        heat = noise.HeatingParams(decay=dev.gamma_decay, bath_gamma=dev.bath_gamma,
+                                   bath_k=dev.bath_k, n_init=dev.n_init)
+        scale = protocol.read_detection_scale(proto, i, 1)
+        return NoiseBudget(
+            n_th=noise.occupation(proto.tau, heat, dev.start_occupation),
+            p_pump=dev.p_pump, n_leak=dev.n_leak,
+            n_bg=proto.detectors.p_dark_read[1] / scale, decay=dev.gamma_decay)
+
+    def test_formula_overstates_the_exact_correlation_more_with_loss(self):
+        # the loss goes into `eta_path` of the exact model
+        proto = parse_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                          "entangle_stats.cfg")).protocol
+        for i, device in enumerate("AB"):
+            budget = self.budget(proto, i)
             key = f"device_{device.lower()}"
             params = getattr(proto, key)
             gaps = []

@@ -37,8 +37,12 @@ def detector_click_prob(quantum_probs, false_click, detector):
     return 1.0 - (1.0 - q) * (1.0 - f)
 
 
-def click_prob(stage, detector):
-    return detector_click_prob(stage.quantum_probs, stage.false_click, detector)
+def click_prob(stage, cfg, detector):
+    """`detector_click_prob` of a pump or read stage of `cfg`, with that
+    window's false-click probabilities from `protocol.false_click_probs`."""
+    window = 0 if isinstance(stage, protocol.PumpStageResult) else 1
+    return detector_click_prob(stage.quantum_probs,
+                               protocol.false_click_probs(cfg)[window], detector)
 
 
 def read_given_pump(model):
@@ -122,21 +126,22 @@ class TestSerrodyne:
 
 class TestPumpStageAndHerald:
     def test_symmetric_config_clicks_equally(self):
-        pump = protocol.pump_stage(ideal_config())
-        assert click_prob(pump, 1) == pytest.approx(
-            click_prob(pump, 2), abs=1e-10)
+        cfg = ideal_config()
+        pump = protocol.pump_stage(cfg)
+        assert click_prob(pump, cfg, 1) == pytest.approx(
+            click_prob(pump, cfg, 2), abs=1e-10)
 
     def test_herald_projects_shared_excitation(self):
         cfg = ideal_config(p_pump=0.004, phi0=0.37)
         pump = fock_oracle.pump_stage(cfg)
-        st, _ = fock_oracle.herald(pump, 1)
+        st, _ = fock_oracle.herald(pump, cfg, 1)
         target = shared_excitation_vector(st.register, 0.37, +1)
         assert fock.fidelity_pure(st, target) > 0.99
 
     def test_opposite_detector_flips_sign(self):
         cfg = ideal_config(p_pump=0.004, phi0=0.37)
         pump = fock_oracle.pump_stage(cfg)
-        st, _ = fock_oracle.herald(pump, 2)
+        st, _ = fock_oracle.herald(pump, cfg, 2)
         target = shared_excitation_vector(st.register, 0.37, -1)
         assert fock.fidelity_pure(st, target) > 0.99
 
@@ -152,7 +157,7 @@ class TestPumpStageAndHerald:
                              interferometer=InterferometerConfig(),
                              detectors=DetectorModel(), tau=0.0)
         pump = fock_oracle.pump_stage(cfg)
-        st, _ = fock_oracle.herald(pump, 1)
+        st, _ = fock_oracle.herald(pump, cfg, 1)
         target = np.zeros(st.register.dim, dtype=complex)
         target[st.register.basis_index([1, 0])] = 1.0
         assert fock.fidelity_pure(st, target) > 0.98
@@ -161,8 +166,9 @@ class TestPumpStageAndHerald:
         cfg = replace(ideal_config(),
                       detectors=DetectorModel(p_dark_pump=(1e-3, 1e-3)))
         pump = protocol.pump_stage(cfg)
-        quantum_only = click_prob(protocol.pump_stage(ideal_config()), 1)
-        assert click_prob(pump, 1) > quantum_only
+        quiet = ideal_config()
+        quantum_only = click_prob(protocol.pump_stage(quiet), quiet, 1)
+        assert click_prob(pump, cfg, 1) > quantum_only
 
     def test_zero_probability_herald_rejected(self):
         dev = DeviceParams(p_pump=0.0, n_init=0.0, bath_k=0.0)
@@ -171,7 +177,7 @@ class TestPumpStageAndHerald:
                              detectors=DetectorModel(), tau=0.0)
         pump = fock_oracle.pump_stage(cfg)
         with pytest.raises(protocol.ProtocolError):
-            fock_oracle.herald(pump, 1)
+            fock_oracle.herald(pump, cfg, 1)
 
 
 class TestEvolveDelay:
@@ -233,7 +239,7 @@ class TestEvolveDelay:
     def test_full_cycle_restores_relative_phase(self):
         cfg = ideal_config(p_pump=0.004)
         pump = fock_oracle.pump_stage(cfg)
-        st, _ = fock_oracle.herald(pump, 1)
+        st, _ = fock_oracle.herald(pump, cfg, 1)
         period = 2 * math.pi / cfg.interferometer.delta_omega_m
         coh0 = fock.mode_moment(st, [(0, True), (1, False)])
         evolved = fock_oracle.evolve_delay(st, period, cfg)
@@ -247,22 +253,23 @@ class TestReadoutFringe:
         cfg = ideal_config(p_pump=0.004, phi0=0.3)
         st = heralded(protocol.pump_stage(cfg), 1)
         rd = protocol.readout_stage(st, cfg.with_delta_phi(-0.6))
-        assert click_prob(rd, 1) > 100 * click_prob(rd, 2)
+        assert click_prob(rd, cfg, 1) > 100 * click_prob(rd, cfg, 2)
 
     def test_fringe_period_is_two_pi(self):
         cfg = ideal_config(p_pump=0.004, phi0=0.3)
         st = heralded(protocol.pump_stage(cfg), 1)
         base = protocol.readout_stage(st, cfg.with_delta_phi(0.4))
         wrapped = protocol.readout_stage(st, cfg.with_delta_phi(0.4 + 2 * math.pi))
-        assert click_prob(base, 1) == pytest.approx(
-            click_prob(wrapped, 1), rel=1e-9)
+        assert click_prob(base, cfg, 1) == pytest.approx(
+            click_prob(wrapped, cfg, 1), rel=1e-9)
 
     def test_fringe_is_sinusoidal_with_high_visibility(self):
         cfg = ideal_config(p_pump=0.004)
         st = heralded(protocol.pump_stage(cfg), 1)
         phis = np.linspace(0, 2 * math.pi, 12, endpoint=False)
-        rates = np.array([click_prob(protocol.readout_stage(st, cfg.with_delta_phi(p)), 1)
-                          for p in phis])
+        rates = np.array([
+            click_prob(protocol.readout_stage(st, cfg.with_delta_phi(p)), cfg, 1)
+            for p in phis])
         mean = rates.mean()
         vis = (rates.max() - rates.min()) / (rates.max() + rates.min())
         assert vis > 0.97
@@ -279,10 +286,10 @@ class TestReadoutFringe:
         plus, minus = heralded(pump, 1), heralded(pump, 2)
         rd_plus = protocol.readout_stage(plus, cfg.with_delta_phi(-0.6))
         rd_minus = protocol.readout_stage(minus, cfg.with_delta_phi(-0.6))
-        assert click_prob(rd_plus, 1) == pytest.approx(
-            click_prob(rd_minus, 2), rel=1e-9)
-        assert click_prob(rd_plus, 2) == pytest.approx(
-            click_prob(rd_minus, 1), rel=1e-9)
+        assert click_prob(rd_plus, cfg, 1) == pytest.approx(
+            click_prob(rd_minus, cfg, 2), rel=1e-9)
+        assert click_prob(rd_plus, cfg, 2) == pytest.approx(
+            click_prob(rd_minus, cfg, 1), rel=1e-9)
 
     def test_delay_fringe_period_matches_frequency_difference(self):
         cfg = ideal_config(p_pump=0.004)
@@ -290,8 +297,8 @@ class TestReadoutFringe:
         period = 2 * math.pi / cfg.interferometer.delta_omega_m
         r0 = protocol.readout_stage(protocol.evolve_delay(st, 123e-9, cfg), cfg)
         r1 = protocol.readout_stage(protocol.evolve_delay(st, 123e-9 + period, cfg), cfg)
-        assert click_prob(r0, 1) == pytest.approx(
-            click_prob(r1, 1), rel=2e-2)
+        assert click_prob(r0, cfg, 1) == pytest.approx(
+            click_prob(r1, cfg, 1), rel=2e-2)
         assert period == pytest.approx(22.22e-9, abs=0.01e-9)
 
 

@@ -43,9 +43,7 @@ def pump_stage(cfg) -> protocol.PumpStageResult:
     state = protocol._attenuate(state, OA, cfg.detectors.eta[0])
     state = protocol._attenuate(state, OB, cfg.detectors.eta[1])
     probs, mech = protocol._click_outcomes(state, OA, OB)
-    false_pump, _ = protocol.false_click_probs(cfg)
-    return protocol.PumpStageResult(state=state, quantum_probs=probs, mech_given=mech,
-                                    false_click=false_pump)
+    return protocol.PumpStageResult(state=state, quantum_probs=probs, mech_given=mech)
 
 
 def read_probs(mech_state, cfg) -> np.ndarray:
