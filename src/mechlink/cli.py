@@ -418,20 +418,19 @@ def cmd_plan_yield(cfg: RunConfig, out_dir, config_path) -> None:
     if not py:
         raise ConfigError(["[plan.yield] section is required"])
     chips = py.get("chips", 2)
-    sigma = py.get("sigma_nm_list", (2.0,))
-    offsets = py.get("offsets_nm_list", (0.0,))
-    if len(sigma) == 1:
-        sigma = sigma * chips
-    if len(offsets) == 1:
-        offsets = offsets * chips
+    per_chip = {}
+    for key, name, default in (("sigma_nm_list", "sigma_nm", 2.0),
+                               ("offsets_nm_list", "offsets_nm", 0.0)):
+        values = py.get(key, (default,))
+        if len(values) not in (1, chips):
+            raise ConfigError([f"[plan.yield] {key} needs 1 or {chips} entries"])
+        per_chip[name] = values * chips if len(values) == 1 else values
+    # a key the section leaves out takes the planner's default
     model = planner.YieldModel(
-        chips=chips, devices_per_chip=py.get("devices_per_chip", 234),
-        sigma_nm=tuple(sigma), offsets_nm=tuple(offsets),
-        window_mhz=py.get("window_mhz", 100.0),
-        carrier_nm=py.get("carrier_nm", 1550.0))
-    reps = py.get("mc_reps", 20000)
-    seed = py.get("seed", 1)
-    est = planner.multi_chip_yield(model, mc_reps=reps, seed=seed)
+        chips=chips, devices_per_chip=py.get("devices_per_chip", 234), **per_chip,
+        **{k: py[k] for k in ("window_mhz", "carrier_nm") if k in py})
+    est = planner.multi_chip_yield(
+        model, **{k: py[k] for k in ("mc_reps", "seed") if k in py})
     doc = {
         "chips": chips,
         "devices_per_chip": model.devices_per_chip,
@@ -440,7 +439,7 @@ def cmd_plan_yield(cfg: RunConfig, out_dir, config_path) -> None:
         "monte_carlo": est.monte_carlo,
         "monte_carlo_se": est.monte_carlo_se,
         "tuple_match_probability": est.pair_probability,
-        "mc_reps": reps,
+        "mc_reps": est.mc_reps,
     }
     write_json(os.path.join(out_dir, "yield.json"), doc)
     lines = [
@@ -460,8 +459,8 @@ def _link_from_config(pf: dict) -> planner.LinkBudget:
             n_leak=pf[f"{prefix}_n_leak"], n_bg=pf[f"{prefix}_n_bg"],
             decay=pf[f"{prefix}_gamma_per_us"] / US)
 
-    # the section's link keys are LinkBudget's fields, two of them with a unit
-    # suffix; a key the section leaves out takes LinkBudget's default
+    # the section's link and target keys are LinkBudget's fields, two of them
+    # with a unit suffix; a key the section leaves out takes LinkBudget's default
     link = {f.name: pf[f.name] for f in dataclasses.fields(planner.LinkBudget)
             if f.name in pf}
     for key, name, unit in (("tau_ns", "tau", NS),
@@ -494,8 +493,7 @@ def cmd_plan_fiber(cfg: RunConfig, out_dir, config_path) -> None:
                 "arm_b_db": planner.required_added_db(link.budget_b, floor, tau,
                                                       dil, dec),
             }
-    retention = pf.get("contrast_retention", 0.95)
-    sep = planner.max_separation(link, retention)
+    sep = planner.max_separation(link)
     doc = {
         "g2_baseline_a": planner.degraded_g2(link.budget_a, 0.0, tau,
                                              link.herald_dilution,
@@ -511,9 +509,8 @@ def cmd_plan_fiber(cfg: RunConfig, out_dir, config_path) -> None:
         "separations": {},
     }
     for km in pf.get("separation_km_list", ()):
-        split = planner.split_separation(link, km, retention)
-        it = planner.integration_time(link, km,
-                                      pf.get("sigma_clearance", 3.0), retention)
+        split = planner.split_separation(link, km)
+        it = planner.integration_time(link, km)
         doc["separations"][f"{km:g}"] = {
             "split": dataclasses.asdict(split),
             "integration_days": it.days,

@@ -42,31 +42,58 @@ def _parse_float_list(text: str) -> tuple:
     return tuple(float(s) for s in items)
 
 
-_DEVICE_KEYS = {
-    "omega_m_ghz": float, "gamma_per_us": float, "bath_k_per_us": float,
-    "bath_gamma_per_us": float, "n_init": float, "n_start": float,
-    "p_pump": float, "p_read": float, "eta_path": float, "n_leak": float,
-    "wavelength_nm": float, "q_factor": float, "g0_khz": float,
+def _per_us(v: float) -> float:
+    return v / US
+
+
+# key -> (caster, field, unit) per simulation section: the field of the
+# section's dataclass that the key sets, and the conversion from the key's
+# unit to the field's (None: the same unit).  A conversion keeps its own
+# arithmetic: 0.172414 / US and 0.172414 * 1e6 differ in the last bit.
+_DEVICE = {
+    "gamma_per_us": (float, "gamma_decay", _per_us),
+    "bath_k_per_us": (float, "bath_k", _per_us),
+    "bath_gamma_per_us": (float, "bath_gamma", _per_us),
+    "n_init": (float, "n_init", None),
+    "n_start": (float, "n_start", None),
+    "p_pump": (float, "p_pump", None),
+    "p_read": (float, "p_read", None),
+    "eta_path": (float, "eta_path", None),
+    "n_leak": (float, "n_leak", None),
 }
+_INTERFEROMETER = {
+    "phi0_rad": (float, "phi0", None),
+    "delta_phi_pi": (float, "delta_phi", lambda v: v * PI),
+    # the one source of the devices' frequency difference
+    "mech_freq_diff_mhz": (float, "delta_omega_m", lambda v: 2 * PI * v * 1e6),
+    "splitter_deviation": (float, "splitter_deviation", None),
+    "balance_attenuation": (float, "balance_attenuation", None),
+    "balance_arm": (str, "balance_arm", None),
+    "phase_jitter_sigma_rad": (float, "phase_jitter_sigma", None),
+    "serrodyne": (_parse_bool, "serrodyne", None),
+    "envelope_sigma_ns": (float, "envelope_sigma_ns", None),
+}
+_DETECTORS = {
+    "leak_pump_scale": (float, "leak_pump_scale", None),
+    "read_eta_scale": (float, "read_eta_scale", None),
+}
+# DetectorModel's per-detector pairs: `eta_1` and `eta_2` set `eta`, and so on
+_DETECTOR_PAIRS = ("eta", "p_dark_pump", "p_dark_read")
+_PROTOCOL = {"tau_ns": (float, "tau", lambda v: v * NS)}
+
+
+def _casters(table: dict) -> dict:
+    return {key: caster for key, (caster, _, _) in table.items()}
+
 
 _SCHEMA = {
-    "device.A": _DEVICE_KEYS,
-    "device.B": _DEVICE_KEYS,
-    "interferometer": {
-        "phi0_rad": float, "delta_phi_pi": float, "mech_freq_diff_mhz": float,
-        "splitter_deviation": float, "balance_attenuation": float,
-        "balance_arm": str, "phase_jitter_sigma_rad": float,
-        "serrodyne": _parse_bool, "envelope_sigma_ns": float,
-    },
-    "detectors": {
-        "eta_1": float, "eta_2": float,
-        "p_dark_pump_1": float, "p_dark_pump_2": float,
-        "p_dark_read_1": float, "p_dark_read_2": float,
-        "leak_pump_scale": float, "read_eta_scale": float,
-    },
-    "protocol": {
-        "tau_ns": float,
-    },
+    "device.A": _casters(_DEVICE),
+    "device.B": _casters(_DEVICE),
+    "interferometer": _casters(_INTERFEROMETER),
+    "detectors": {**_casters(_DETECTORS),
+                  **{f"{name}_{i}": float for name in _DETECTOR_PAIRS
+                     for i in (1, 2)}},
+    "protocol": _casters(_PROTOCOL),
     "campaign": {"trials": int, "seed": int},
     "analysis": {
         "witness_grid_step": float, "classicality_threshold": float,
@@ -144,63 +171,17 @@ def _typed(section: str, key: str, text: str, caster, problems: list):
         return None
 
 
-def _build_device(values: dict, problems: list, label: str):
-    kwargs = {}
-    mapping = {
-        "omega_m_ghz": ("omega_m", lambda v: 2 * PI * v * 1e9),
-        "gamma_per_us": ("gamma_decay", lambda v: v / US),
-        "bath_k_per_us": ("bath_k", lambda v: v / US),
-        "bath_gamma_per_us": ("bath_gamma", lambda v: v / US),
-        "n_init": ("n_init", float), "n_start": ("n_start", float),
-        "p_pump": ("p_pump", float), "p_read": ("p_read", float),
-        "eta_path": ("eta_path", float), "n_leak": ("n_leak", float),
-        "wavelength_nm": ("wavelength_nm", float),
-        "q_factor": ("q_factor", float),
-        "g0_khz": ("g0", lambda v: 2 * PI * v * 1e3),
-    }
+def _build(cls, table: dict, values: dict, problems: list, section: str,
+           **kwargs):
+    """`cls` from a section's parsed values through its key table, or None
+    with the section's invariant violations added to `problems`."""
     for key, value in values.items():
-        name, conv = mapping[key]
-        kwargs[name] = conv(value)
+        _, name, unit = table[key]
+        kwargs[name] = value if unit is None else unit(value)
     try:
-        return DeviceParams(**kwargs)
+        return cls(**kwargs)
     except ConfigInvariantError as exc:
-        problems.extend(f"[device.{label}] {v}" for v in str(exc).split("; "))
-        return None
-
-
-def _build_interferometer(values: dict, problems: list):
-    kwargs = {}
-    for key, value in values.items():
-        if key == "phi0_rad":
-            kwargs["phi0"] = value
-        elif key == "delta_phi_pi":
-            kwargs["delta_phi"] = value * PI
-        elif key == "mech_freq_diff_mhz":
-            kwargs["delta_omega_m"] = 2 * PI * value * 1e6
-        elif key == "phase_jitter_sigma_rad":
-            kwargs["phase_jitter_sigma"] = value
-        else:
-            kwargs[key] = value
-    try:
-        return InterferometerConfig(**kwargs)
-    except ConfigInvariantError as exc:
-        problems.extend(f"[interferometer] {v}" for v in str(exc).split("; "))
-        return None
-
-
-def _build_detectors(values: dict, problems: list):
-    kwargs = {
-        "eta": (values.pop("eta_1", 1.0), values.pop("eta_2", 1.0)),
-        "p_dark_pump": (values.pop("p_dark_pump_1", 0.0),
-                        values.pop("p_dark_pump_2", 0.0)),
-        "p_dark_read": (values.pop("p_dark_read_1", 0.0),
-                        values.pop("p_dark_read_2", 0.0)),
-    }
-    kwargs.update(values)
-    try:
-        return DetectorModel(**kwargs)
-    except ConfigInvariantError as exc:
-        problems.extend(f"[detectors] {v}" for v in str(exc).split("; "))
+        problems.extend(f"[{section}] {v}" for v in str(exc).split("; "))
         return None
 
 
@@ -235,21 +216,22 @@ def parse_config(path) -> RunConfig:
 
     sim_present = any(s in values for s in _SIM_SECTIONS)
     if sim_present:
-        dev_a = _build_device(values.get("device.A", {}), problems, "A")
-        dev_b = _build_device(values.get("device.B", {}), problems, "B")
-        intf = _build_interferometer(dict(values.get("interferometer", {})), problems)
-        dets = _build_detectors(dict(values.get("detectors", {})), problems)
-        proto = values.get("protocol", {})
+        dev_a = _build(DeviceParams, _DEVICE, values.get("device.A", {}),
+                       problems, "device.A")
+        dev_b = _build(DeviceParams, _DEVICE, values.get("device.B", {}),
+                       problems, "device.B")
+        intf = _build(InterferometerConfig, _INTERFEROMETER,
+                      values.get("interferometer", {}), problems, "interferometer")
+        det = dict(values.get("detectors", {}))
+        defaults = DetectorModel()
+        pairs = {name: tuple(det.pop(f"{name}_{i}", getattr(defaults, name)[i - 1])
+                             for i in (1, 2)) for name in _DETECTOR_PAIRS}
+        dets = _build(DetectorModel, _DETECTORS, det, problems, "detectors", **pairs)
         if None not in (dev_a, dev_b, intf, dets):
-            kwargs = {}
-            if "tau_ns" in proto:
-                kwargs["tau"] = proto["tau_ns"] * NS
-            try:
-                cfg.protocol = ProtocolConfig(device_a=dev_a, device_b=dev_b,
-                                              interferometer=intf, detectors=dets,
-                                              **kwargs)
-            except ConfigInvariantError as exc:
-                problems.extend(str(exc).split("; "))
+            cfg.protocol = _build(ProtocolConfig, _PROTOCOL,
+                                  values.get("protocol", {}), problems, "protocol",
+                                  device_a=dev_a, device_b=dev_b,
+                                  interferometer=intf, detectors=dets)
 
     camp = values.get("campaign", {})
     cfg.trials = camp.get("trials")
@@ -275,13 +257,6 @@ def parse_config(path) -> RunConfig:
         block = getattr(cfg, section.replace(".", "_"))
         if key in block and not os.path.isabs(block[key]):
             block[key] = os.path.normpath(os.path.join(base, block[key]))
-
-    if "plan.yield" in values:
-        py = values["plan.yield"]
-        chips = py.get("chips", 2)
-        for key in ("sigma_nm_list", "offsets_nm_list"):
-            if key in py and len(py[key]) not in (1, chips):
-                problems.append(f"[plan.yield] {key} needs 1 or {chips} entries")
 
     if problems:
         raise ConfigError(problems)

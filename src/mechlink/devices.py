@@ -26,10 +26,11 @@ class DeviceParams:
 
     Rates are per second, occupations are phonon numbers.  `n_leak` is
     the leaked-drive count rate per detected phonon, the normalization
-    used throughout the counting analysis.
+    used throughout the counting analysis.  A device carries no
+    mechanical frequency of its own: only the two devices' difference
+    enters the model, as `InterferometerConfig.delta_omega_m`.
     """
 
-    omega_m: float = 2 * 3.141592653589793 * 5.1e9   # mechanical frequency, rad/s
     gamma_decay: float = 1 / 4.0e-6                  # energy decay rate, 1/s
     bath_k: float = 0.0                              # transient-bath coupling, phonons/s
     bath_gamma: float = 1 / 0.5e-6                   # transient-bath decay, 1/s
@@ -39,10 +40,6 @@ class DeviceParams:
     eta_path: float = 1.0                            # device-to-combiner efficiency
     n_leak: float = 0.0                              # leaked-pump counts per detected phonon
     n_start: float | None = None                     # occupation at pump time (default n_init)
-    # descriptive only
-    wavelength_nm: float = 1550.0
-    q_factor: float = 0.0
-    g0: float = 0.0
 
     def __post_init__(self):
         _check(self)

@@ -285,12 +285,6 @@ def _crop_axes(mat: np.ndarray, dims: Sequence[int], modes: Sequence[int],
 # state constructors
 
 
-def vacuum_state(register: ModeRegister) -> DensityMatrix:
-    mat = np.zeros((register.dim, register.dim), dtype=np.complex128)
-    mat[0, 0] = 1.0
-    return DensityMatrix(register, mat)
-
-
 def basis_state(register: ModeRegister, occupations: Sequence[int]) -> DensityMatrix:
     idx = register.basis_index(occupations)
     mat = np.zeros((register.dim, register.dim), dtype=np.complex128)
@@ -324,21 +318,14 @@ def thermal_probabilities(n_mean: float, levels: int) -> tuple[np.ndarray, float
     return p / p.sum(), tail
 
 
-def thermal_state(n_mean: float, register: ModeRegister, mode: int,
-                  tol: float = TRUNCATION_TOL) -> DensityMatrix:
-    """Thermal occupation on one mode, vacuum on the rest.
-
-    Rejects the construction when the truncated tail mass exceeds `tol`;
-    callers that accept a larger, tracked truncation budget may pass a
-    looser tolerance.
-    """
-    n_means = [0.0] * register.n_modes
-    n_means[mode] = n_mean
-    return product_thermal_state(register, n_means, tol=tol)
-
-
 def product_thermal_state(register: ModeRegister, n_means: Sequence[float],
                           tol: float = TRUNCATION_TOL) -> DensityMatrix:
+    """Thermal occupation `n_means[m]` on each mode m (0 for vacuum).
+
+    Rejects the construction when a mode's truncated tail mass exceeds
+    `tol`; callers that accept a larger, tracked truncation budget may
+    pass a looser tolerance.
+    """
     if len(n_means) != register.n_modes:
         raise FockError("need one mean occupation per mode")
     diag = np.ones(1)
@@ -637,20 +624,6 @@ def phase_noise_twirl(state: DensityMatrix, mode: int,
     damp = np.exp(-0.5 * sigma**2 * (ket - bra) ** 2)
     t = state.tensor() * damp
     return state._replace(t.reshape(reg.dim, reg.dim))
-
-
-def partial_trace(state: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    keep = tuple(keep)
-    if not keep:
-        raise FockError("must keep at least one mode")
-    if sorted(set(keep)) != sorted(keep) or any(
-            not 0 <= m < state.register.n_modes for m in keep):
-        raise FockError("invalid mode list for partial trace")
-    if tuple(sorted(keep)) != keep:
-        raise FockError("keep modes must be listed in increasing order")
-    mat = _partial_trace_mat(state.mat, state.register.mode_dims, keep)
-    reg = state.register.subset(keep)
-    return DensityMatrix(reg, 0.5 * (mat + mat.conj().T), state.truncation_budget)
 
 
 def number_expectation(state: DensityMatrix, mode: int) -> float:

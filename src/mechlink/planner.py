@@ -62,6 +62,7 @@ class YieldEstimate:
     monte_carlo: float
     monte_carlo_se: float
     pair_probability: float
+    mc_reps: int                    # Monte Carlo repetitions drawn
 
 
 def _pair_match_probability(model: YieldModel, chip_a: int = 0,
@@ -119,7 +120,7 @@ def multi_chip_yield(model: YieldModel, mc_reps: int = 100_000,
     mc = hits / mc_reps
     se = _binomial_se(mc, mc_reps)
     return YieldEstimate(analytic=analytic, monte_carlo=mc, monte_carlo_se=se,
-                         pair_probability=p_tuple)
+                         pair_probability=p_tuple, mc_reps=mc_reps)
 
 
 def _matched_repetitions(lam: np.ndarray, window: float) -> np.ndarray:
@@ -162,6 +163,8 @@ class LinkBudget:
     read_prob: float = 2.48e-4              # read-window click probability per trial
     herald_dilution: bool = True            # background also dilutes heralds
     include_decay: bool = True              # keep the e^{-decay tau} factor
+    contrast_retention: float = 0.95        # kept share of the weaker contrast
+    sigma_clearance: float = 3.0            # witness clearance to plan for
 
     def __post_init__(self):
         if self.attenuation_db_per_km <= 0:
@@ -172,6 +175,8 @@ class LinkBudget:
             raise PlannerError("overhead fraction outside [0, 1)")
         if self.herald_prob <= 0 or self.read_prob <= 0:
             raise PlannerError("baseline rates must be positive")
+        if not 0 < self.contrast_retention <= 1:
+            raise PlannerError("retention target must lie in (0, 1]")
 
 
 def degraded_g2(budget: NoiseBudget, added_db: float, t: float,
@@ -231,23 +236,21 @@ class SeparationPlan:
     g2_floor: float
 
 
-def max_separation(link: LinkBudget, contrast_retention: float = 0.95) -> SeparationPlan:
+def max_separation(link: LinkBudget) -> SeparationPlan:
     """Longest insertable fiber keeping the interference contrast target.
 
-    The retention target fixes a common correlation floor relative to the
-    limiting device (`1 + retention * (min baseline - 1)`); each arm then
+    The link's retention target fixes a common correlation floor relative
+    to the limiting device (`1 + retention * (min baseline - 1)`); each arm then
     absorbs its own loss budget down to that floor.  An asymmetric pair
     therefore allows some fiber on the better arm even at full retention;
     a symmetric pair allows none.
     """
-    if not 0 < contrast_retention <= 1:
-        raise PlannerError("retention target must lie in (0, 1]")
     base_contrast = min(
         degraded_g2(link.budget_a, 0.0, link.tau, link.herald_dilution,
                     link.include_decay),
         degraded_g2(link.budget_b, 0.0, link.tau, link.herald_dilution,
                     link.include_decay)) - 1.0
-    floor = 1.0 + contrast_retention * base_contrast
+    floor = 1.0 + link.contrast_retention * base_contrast
     db_a = required_added_db(link.budget_a, floor, link.tau,
                              link.herald_dilution, link.include_decay)
     db_b = required_added_db(link.budget_b, floor, link.tau,
@@ -260,8 +263,7 @@ def max_separation(link: LinkBudget, contrast_retention: float = 0.95) -> Separa
                           arm_a_db=db_a, arm_b_db=db_b, g2_floor=floor)
 
 
-def split_separation(link: LinkBudget, separation_km: float,
-                     contrast_retention: float = 0.95) -> SeparationPlan:
+def split_separation(link: LinkBudget, separation_km: float) -> SeparationPlan:
     """Allocate a given separation across the two arms.
 
     Minimizes the larger per-arm loss (which sets the coincidence rate)
@@ -269,7 +271,7 @@ def split_separation(link: LinkBudget, separation_km: float,
     split when possible, otherwise the tighter arm is capped at its
     budget and the remainder goes to the other.
     """
-    plan = max_separation(link, contrast_retention)
+    plan = max_separation(link)
     total_db = separation_km * link.attenuation_db_per_km
     if total_db > plan.arm_a_db + plan.arm_b_db + 1e-9:
         raise PlannerError(
@@ -354,10 +356,9 @@ def _clearance(link: LinkBudget, g2_floor: float, rate_scale: float,
     return (1.0 - median) / (sym.upper - median), sym, t
 
 
-def integration_time(link: LinkBudget, separation_km: float,
-                     sigma_clearance: float = 3.0,
-                     contrast_retention: float = 0.95) -> IntegrationPlan:
-    """Measurement time for the witness to clear classicality by `sigma_clearance`.
+def integration_time(link: LinkBudget, separation_km: float) -> IntegrationPlan:
+    """Measurement time for the witness to clear classicality by the link's
+    `sigma_clearance`.
 
     Both arms are matched to the worse transmission, so singles scale
     with it and coincidences with its square.  The trial count N solves
@@ -367,13 +368,13 @@ def integration_time(link: LinkBudget, separation_km: float,
     START_COINCIDENCES coincidences and takes one log-log secant step of
     slope 1/2 (clearance ~ sqrt N); while the sign does not change, the
     step doubles, within MAX_LOG_REACH of the start.  Illinois regula
-    falsi (Dowell & Jarratt, BIT 11, 1971) then closes the bracket to
+    falsi (`stats.regula_falsi`) then closes the bracket to
     LOG_N_TOLERANCE, and the plan is read at its cleared end.
     """
-    plan = split_separation(link, separation_km, contrast_retention)
+    plan = split_separation(link, separation_km)
     worst_db = max(plan.arm_a_db, plan.arm_b_db)
     rate_scale = 10.0 ** (-worst_db / 10.0)
-    target = math.log(sigma_clearance)
+    target = math.log(link.sigma_clearance)
 
     def probe(log_n):
         c, sym, t = _clearance(link, plan.g2_floor, rate_scale, math.exp(log_n))
@@ -389,35 +390,20 @@ def integration_time(link: LinkBudget, separation_km: float,
                     start + MAX_LOG_REACH)
         if log_n == near[0]:
             raise PlannerError(
-                f"{sigma_clearance} sigma clearance lies outside the searched "
+                f"{link.sigma_clearance} sigma clearance lies outside the searched "
                 f"{math.exp(start - MAX_LOG_REACH):.3g}-"
                 f"{math.exp(start + MAX_LOG_REACH):.3g} trials")
         far = probe(log_n)
         if (far[1] < 0.0) != (near[1] < 0.0):
             break
         near, step = far, 2.0 * step
-    # the clearance rises with N: below the target at lo, cleared at hi.
-    # Illinois keeps that order; an end kept twice in a row has its value
-    # halved
-    lo, hi = sorted((near, far), key=lambda p: p[0])
-    del near, far               # only the bracket ends' posteriors stay alive
-    f_lo, f_hi = lo[1], hi[1]
-    kept = 0
-    while hi[0] - lo[0] > LOG_N_TOLERANCE:
-        log_n = lo[0] - f_lo * (hi[0] - lo[0]) / (f_hi - f_lo)
-        if not lo[0] < log_n < hi[0]:
-            log_n = 0.5 * (lo[0] + hi[0])
-        p = probe(log_n)
-        if p[1] < 0.0:
-            if kept > 0:
-                f_hi *= 0.5
-            lo, f_lo, kept = p, p[1], 1
-        else:
-            if kept < 0:
-                f_lo *= 0.5
-            hi, f_hi, kept = p, p[1], -1
-
-    _, _, sym, t = hi
+    # the clearance rises with N: below the target at the lower end, cleared
+    # at the upper.  The ends are popped into the call, so only the current
+    # bracket's posteriors stay alive
+    ends = sorted((near, far), key=lambda p: p[0])
+    del near, far
+    _, (_, _, sym, t) = counting.regula_falsi(
+        probe, ends.pop(0), ends.pop(), lambda lo, hi: hi - lo <= LOG_N_TOLERANCE)
     coinc = sum(t.coincidences[i][j] for i in (0, 1) for j in (0, 1))
     seconds = t.n_trials * link.repetition_period / (1.0 - link.overhead_fraction)
     return IntegrationPlan(days=seconds / 86400.0, trials=t.n_trials,

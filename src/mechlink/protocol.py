@@ -408,17 +408,13 @@ def evolve_delay(state: GaussianState, tau: float,
 # read stage
 
 
-@dataclass
-class ReadStageResult:
-    quantum_probs: np.ndarray       # joint read-click outcomes, outcome_index order
-
-
-def readout_stage(mech_state: GaussianState, cfg: ProtocolConfig) -> ReadStageResult:
+def readout_stage(mech_state: GaussianState, cfg: ProtocolConfig) -> np.ndarray:
     """Partial state swap, interference and detection of the read window.
 
-    The click probabilities carry the trace of `mech_state`.  Photon
-    distinguishability and lock noise enter as the relative-phase twirl
-    that `build_trial_model` applies to `mech_state`.
+    Returns the joint read-click outcome probabilities, in outcome_index
+    order and without false clicks; they carry the trace of `mech_state`.
+    Photon distinguishability and lock noise enter as the relative-phase
+    twirl that `build_trial_model` applies to `mech_state`.
     """
     intf = cfg.interferometer
     theta_r = intf.phi0 + intf.delta_phi
@@ -440,7 +436,7 @@ def readout_stage(mech_state: GaussianState, cfg: ProtocolConfig) -> ReadStageRe
     state = _attenuate(state, 1, cfg.detectors.read_eta(1))
 
     probs, _ = _click_outcomes(state, 0, 1)
-    return ReadStageResult(quantum_probs=probs)
+    return probs
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +671,7 @@ def build_trial_model(cfg: ProtocolConfig) -> TrialModel:
         if twirl_sigma > 0:
             mech = _rotation_twirl(mech, MB, twirl_sigma)
         mech = evolve_delay(mech, cfg.tau, cfg)
-        quantum[q_idx] = readout_stage(mech, cfg).quantum_probs
+        quantum[q_idx] = readout_stage(mech, cfg)
     false_pump, false_read = false_click_probs(cfg)
     joint = _false_click_matrix(false_pump).T @ quantum @ _false_click_matrix(false_read)
 

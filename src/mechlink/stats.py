@@ -43,6 +43,11 @@ class StatsError(ValueError):
     pass
 
 
+# a tally document's keys: the trial count, the pump and read singles, and
+# the coincidences C(r_i p_j) row by row
+_TALLY_KEYS = ("N", "Cp1", "Cp2", "Cr1", "Cr2", "Cr1p1", "Cr1p2", "Cr2p1", "Cr2p2")
+
+
 @dataclass(frozen=True)
 class CoincidenceTally:
     """Singles and two-fold coincidences of one campaign.
@@ -73,27 +78,18 @@ class CoincidenceTally:
         return self.coincidences[read_det - 1][pump_det - 1]
 
     def to_json_dict(self) -> dict:
-        return {
-            "N": self.n_trials,
-            "Cp1": self.pump_singles[0], "Cp2": self.pump_singles[1],
-            "Cr1": self.read_singles[0], "Cr2": self.read_singles[1],
-            "Cr1p1": self.coincidences[0][0], "Cr2p1": self.coincidences[1][0],
-            "Cr1p2": self.coincidences[0][1], "Cr2p2": self.coincidences[1][1],
-        }
+        return dict(zip(_TALLY_KEYS, (self.n_trials, *self.pump_singles,
+                                     *self.read_singles, *self.coincidences[0],
+                                     *self.coincidences[1])))
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CoincidenceTally":
-        missing = {"N", "Cp1", "Cp2", "Cr1", "Cr2",
-                   "Cr1p1", "Cr2p1", "Cr1p2", "Cr2p2"} - doc.keys()
+        missing = set(_TALLY_KEYS) - doc.keys()
         if missing:
             raise StatsError(f"tally document missing keys: {sorted(missing)}")
-        return cls(
-            n_trials=int(doc["N"]),
-            pump_singles=(int(doc["Cp1"]), int(doc["Cp2"])),
-            read_singles=(int(doc["Cr1"]), int(doc["Cr2"])),
-            coincidences=((int(doc["Cr1p1"]), int(doc["Cr1p2"])),
-                          (int(doc["Cr2p1"]), int(doc["Cr2p2"]))),
-        )
+        n, p1, p2, r1, r2, c11, c12, c21, c22 = (int(doc[k]) for k in _TALLY_KEYS)
+        return cls(n_trials=n, pump_singles=(p1, p2), read_singles=(r1, r2),
+                   coincidences=((c11, c12), (c21, c22)))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
@@ -780,6 +776,40 @@ def visibility(values) -> float:
     return (top - bot) / (top + bot)
 
 
+def regula_falsi(probe, lo: tuple, hi: tuple, closed, max_steps=None):
+    """Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on a bracket.
+
+    `lo` and `hi` are points (x, f(x), ...) with f < 0 at lo and f >= 0 at
+    hi, and `probe(x)` returns the point at x.  Each step probes the secant
+    root, or the midpoint when the secant leaves the bracket, and the probe
+    replaces the end of its sign; an end kept twice in a row has its value
+    halved.  A probe at which f is exactly zero ends the solve with both
+    ends at it.  Returns the ends once `closed(x_lo, x_hi)` holds, or None
+    when `max_steps` probes did not close them.
+    """
+    f_lo, f_hi, kept = lo[1], hi[1], 0
+    steps = 0
+    while not closed(lo[0], hi[0]):
+        if steps == max_steps:
+            return None
+        steps += 1
+        x = lo[0] - f_lo * (hi[0] - lo[0]) / (f_hi - f_lo)
+        if not lo[0] < x < hi[0]:
+            x = 0.5 * (lo[0] + hi[0])
+        point = probe(x)
+        if point[1] == 0.0:
+            return point, point
+        if point[1] < 0.0:
+            if kept > 0:
+                f_hi *= 0.5
+            lo, f_lo, kept = point, point[1], 1
+        else:
+            if kept < 0:
+                f_lo *= 0.5
+            hi, f_hi, kept = point, point[1], -1
+    return lo, hi
+
+
 @dataclass
 class FringeFit:
     amplitude: float
@@ -871,29 +901,13 @@ def fit_fringe(x, values, sigma=None) -> FringeFit:
             g_hi = slope(hi)
         else:
             return unresolved
-    # Illinois regula falsi keeps the slope negative at lo and positive at
-    # hi, so it closes on a minimum; an end kept twice in a row has its
-    # slope halved
-    kept = 0
-    for _ in range(200):
-        if hi - lo <= 4 * np.spacing(hi):
-            break
-        period = lo - g_lo * (hi - lo) / (g_hi - g_lo)
-        if not lo < period < hi:
-            period = 0.5 * (lo + hi)
-        g = slope(period)
-        if g < 0.0:
-            if kept > 0:
-                g_hi *= 0.5
-            lo, g_lo, kept = period, g, 1
-        elif g > 0.0:
-            if kept < 0:
-                g_lo *= 0.5
-            hi, g_hi, kept = period, g, -1
-        else:
-            lo = hi = period
-    else:
+    # the slope is negative at lo and positive at hi, so the root is a minimum
+    ends = regula_falsi(lambda period: (period, slope(period)), (lo, g_lo),
+                        (hi, g_hi), lambda lo, hi: hi - lo <= 4 * np.spacing(hi),
+                        max_steps=200)
+    if ends is None:
         return unresolved
+    (lo, _), (hi, _) = ends
 
     period = float(0.5 * (lo + hi))
     coef, _, bw, d_period = profile(period)

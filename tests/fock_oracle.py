@@ -18,8 +18,7 @@ import numpy as np
 from mechlink import fock, protocol
 from mechlink.noise import HeatingParams, driven_occupation
 from mechlink.protocol import (MA, MB, OA, OB, ProtocolError, PumpStageResult,
-                               ReadStageResult, envelope_overlap, false_click_probs,
-                               outcome_index)
+                               envelope_overlap, false_click_probs, outcome_index)
 
 # truncation tolerance for channels inside the pipeline
 PIPELINE_TOL = 1e-3
@@ -202,8 +201,9 @@ def evolve_delay(state: fock.DensityMatrix, tau: float, cfg,
 
 
 def readout_stage(mech_state: fock.DensityMatrix, cfg,
-                  cutoff: int = 3) -> ReadStageResult:
-    """Read window on [mA, mB, read A, read B]."""
+                  cutoff: int = 3) -> np.ndarray:
+    """Read window on [mA, mB, read A, read B]: the joint read-click outcome
+    probabilities, without false clicks."""
     intf = cfg.interferometer
     theta_r = intf.phi0 + intf.delta_phi
     dev_a, dev_b = cfg.devices()
@@ -219,7 +219,7 @@ def readout_stage(mech_state: fock.DensityMatrix, cfg,
     state = fock.loss_channel(state, ra, cfg.detectors.read_eta(0))
     state = fock.loss_channel(state, rb, cfg.detectors.read_eta(1))
     probs, _ = _joint_click_analysis(state, ra, rb)
-    return ReadStageResult(quantum_probs=probs)
+    return probs
 
 
 def witness_from_state(mech_state: fock.DensityMatrix) -> float:
@@ -251,8 +251,8 @@ def trial_model(cfg, cutoff: int = 3, mech_cutoff: int = 3) -> protocol.TrialMod
             continue
         if twirl_sigma > 0:
             mech = fock.phase_noise_twirl(mech, MB, twirl_sigma)
-        rd = readout_stage(evolve_delay(mech, cfg.tau, cfg), cfg, cutoff)
-        quantum[q_idx] = p_q * rd.quantum_probs
+        quantum[q_idx] = p_q * readout_stage(evolve_delay(mech, cfg.tau, cfg),
+                                             cfg, cutoff)
     joint = (protocol._false_click_matrix(false_pump).T @ quantum
              @ protocol._false_click_matrix(false_read))
     joint = np.clip(joint, 0.0, None)

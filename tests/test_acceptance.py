@@ -338,7 +338,7 @@ class TestCriterion7Fiber:
         link = planner.LinkBudget(budget_a=budget_a, budget_b=budget_b)
         db_a = planner.required_added_db(budget_a, 7.1, 123e-9)
         db_b = planner.required_added_db(budget_b, 7.1, 123e-9)
-        sep = planner.max_separation(link, contrast_retention=0.95)
+        sep = planner.max_separation(link)
         split = planner.split_separation(link, 75.0)
         days_94 = planner.integration_time(link, 94.0).days
         days_75 = planner.integration_time(link, 75.0).days

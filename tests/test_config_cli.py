@@ -9,9 +9,10 @@ import tracemalloc
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from mechlink import campaign, cli, planner, protocol
+from mechlink import campaign, cli, config, planner, protocol
 from mechlink.campaign import CHUNK_TRIALS, code_counts, run_campaign
 from mechlink.config import ConfigError, parse_config
 from mechlink.devices import (DetectorModel, DeviceParams, InterferometerConfig,
@@ -89,6 +90,37 @@ delta_phi_pi_list = 0, 0.5, 1.0
         cfg = parse_config(write_cfg(tmp_path, text))
         assert cfg.delta_phi_sweep == pytest.approx(
             (0.0, 0.5 * math.pi, math.pi))
+
+    # every knob live: a bath to decay, a leak to scale, an attenuation to
+    # place, and the serrodyne off with envelopes short enough to keep
+    # some of the fringe
+    LIVE = {
+        "device.A": {"bath_k_per_us": "0.8", "n_leak": "0.037"},
+        "device.B": {"bath_k_per_us": "0.4", "n_leak": "0.037"},
+        "interferometer": {"balance_attenuation": "0.9", "serrodyne": "off",
+                           "envelope_sigma_ns": "1.0"},
+        "detectors": {"p_dark_pump_1": "5e-5", "p_dark_read_2": "5e-5"},
+        "protocol": {"tau_ns": "123"},
+    }
+    SIM_KEYS = [(section, key) for section in LIVE
+                for key in config._SCHEMA[section]]
+
+    @pytest.mark.parametrize("section,key", SIM_KEYS)
+    def test_every_simulation_key_reaches_the_model(self, section, key, tmp_path):
+        # a key that sets nothing, or sets a field no model reads, fails here
+        def build(sections):
+            text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                           for s, kv in sections.items())
+            return parse_config(write_cfg(tmp_path, text)).protocol
+
+        caster = config._SCHEMA[section][key]
+        value = {float: "0.003", str: "A", config._parse_bool: "on"}[caster]
+        assert self.LIVE.get(section, {}).get(key) != value
+        base = build(self.LIVE)
+        changed = build({**self.LIVE, section: {**self.LIVE[section], key: value}})
+        assert changed != base
+        assert not np.array_equal(protocol.build_trial_model(changed).joint,
+                                  protocol.build_trial_model(base).joint)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -307,6 +339,18 @@ class TestCliRuns:
         assert rc == 2
         assert f"[protocol] {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["omega_m_ghz", "wavelength_nm", "q_factor",
+                                     "g0_khz"])
+    def test_removed_device_keys_rejected(self, key, tmp_path, capsys):
+        # no model reads a device's own frequency, wavelength, Q or g0: only
+        # [interferometer] mech_freq_diff_mhz enters
+        cfg = write_cfg(tmp_path, MINIMAL.replace("p_pump = 0.006",
+                                                  f"p_pump = 0.006\n{key} = 5.1"))
+        rc = cli.main(["witness", "--config", str(cfg), "--out",
+                       str(tmp_path / "o")])
+        assert rc == 2
+        assert f"[device.B] {key}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["g2_grid_step", "g2_max"])
     def test_removed_g2_grid_keys_rejected(self, key, tmp_path, capsys):
         tally_json = os.path.abspath(cfg_dir("witness_run_tally.json"))
@@ -501,8 +545,23 @@ class TestEmitFormats:
         doc = json.loads((out / "yield.json").read_text())
         assert doc["analytic"] == pytest.approx(0.999996, abs=1e-5)
 
+    def test_yield_keys_left_out_take_the_planner_defaults(self, tmp_path):
+        # window, carrier, repetitions and seed come from YieldModel and
+        # multi_chip_yield alone
+        cfg = write_cfg(tmp_path, "[plan.yield]\nchips = 2\ndevices_per_chip = 10\n"
+                                  "sigma_nm_list = 2.0\noffsets_nm_list = 0.0\n")
+        out = tmp_path / "py"
+        assert cli.main(["plan-yield", "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads((out / "yield.json").read_text())
+        model = planner.YieldModel(chips=2, devices_per_chip=10,
+                                   sigma_nm=(2.0, 2.0), offsets_nm=(0.0, 0.0))
+        est = planner.multi_chip_yield(model)
+        assert doc["window_nm"] == model.window_nm
+        assert doc["mc_reps"] == est.mc_reps == 100_000
+        assert (doc["analytic"], doc["monte_carlo"]) == (est.analytic,
+                                                         est.monte_carlo)
+
     def test_pump_probe_csv_ingestion(self, tmp_path):
-        import numpy as np
         from mechlink.noise import pump_probe_model
         t_ns = np.concatenate([np.linspace(30, 2000, 40),
                                np.linspace(2300, 20000, 40)])

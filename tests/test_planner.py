@@ -321,19 +321,20 @@ class TestFormulaAgainstExactModel:
 
 class TestSeparationPlanning:
     def test_maximum_insertable_fiber(self):
-        sep = max_separation(reference_link(), contrast_retention=0.95)
+        sep = max_separation(reference_link(contrast_retention=0.95))
         assert sep.total_km == pytest.approx(94.0, abs=15.0)
 
     def test_full_retention_means_zero_fiber(self):
         # symmetric devices: full retention leaves no loss budget anywhere
-        link = LinkBudget(budget_a=BUDGET_A, budget_b=BUDGET_A)
-        sep = max_separation(link, contrast_retention=1.0)
+        link = LinkBudget(budget_a=BUDGET_A, budget_b=BUDGET_A,
+                          contrast_retention=1.0)
+        sep = max_separation(link)
         assert sep.total_km == 0.0
 
     def test_full_retention_asymmetric_credits_better_arm(self):
         # the limiting device already sets the contrast; the better arm can
         # absorb its pre-existing margin without moving the floor
-        sep = max_separation(reference_link(), contrast_retention=1.0)
+        sep = max_separation(reference_link(contrast_retention=1.0))
         assert sep.arm_a_km == 0.0
         assert sep.arm_b_km > 0.0
 

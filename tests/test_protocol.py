@@ -38,11 +38,15 @@ def detector_click_prob(quantum_probs, false_click, detector):
 
 
 def click_prob(stage, cfg, detector):
-    """`detector_click_prob` of a pump or read stage of `cfg`, with that
-    window's false-click probabilities from `protocol.false_click_probs`."""
-    window = 0 if isinstance(stage, protocol.PumpStageResult) else 1
-    return detector_click_prob(stage.quantum_probs,
-                               protocol.false_click_probs(cfg)[window], detector)
+    """`detector_click_prob` of a pump stage of `cfg`, or of a read stage's
+    outcome probabilities, with that window's false-click probabilities
+    from `protocol.false_click_probs`."""
+    if isinstance(stage, protocol.PumpStageResult):
+        probs, window = stage.quantum_probs, 0
+    else:
+        probs, window = stage, 1
+    return detector_click_prob(probs, protocol.false_click_probs(cfg)[window],
+                               detector)
 
 
 def read_given_pump(model):

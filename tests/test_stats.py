@@ -745,3 +745,43 @@ class TestFringeTools:
         fit = fit_fringe(x, 0.5 * x, np.full(8, 0.01))
         assert fit.flagged
         assert math.isnan(fit.period) and fit.period_error == math.inf
+
+
+class TestRegulaFalsi:
+    def test_halving_closes_a_one_sided_bracket(self):
+        # plain false position keeps x = 2 for good and never closes this
+        # bracket; halving the kept end's value closes it in ten probes
+        probes = []
+
+        def probe(x):
+            probes.append(x)
+            return x, x**3 - 2.0
+
+        lo, hi = stats.regula_falsi(probe, (0.0, -2.0), (2.0, 6.0),
+                                    lambda a, b: b - a <= 1e-12)
+        assert lo[0] <= 2.0 ** (1 / 3) <= hi[0]
+        assert lo[1] < 0.0 <= hi[1] and hi[0] - lo[0] <= 1e-12
+        assert len(probes) == 10
+
+    def test_an_exact_zero_ends_the_solve_at_both_ends(self):
+        # the first secant of a line lands on its root exactly
+        probes = []
+
+        def probe(x):
+            probes.append(x)
+            return x, x - 1.0
+
+        ends = stats.regula_falsi(probe, (0.0, -1.0), (4.0, 3.0),
+                                  lambda a, b: b - a <= 1e-12)
+        assert ends == ((1.0, 0.0), (1.0, 0.0)) and probes == [1.0]
+
+    def test_a_bracket_left_open_after_max_steps_gives_none(self):
+        probes = []
+
+        def probe(x):
+            probes.append(x)
+            return x, x**3 - 2.0
+
+        assert stats.regula_falsi(probe, (0.0, -2.0), (2.0, 6.0),
+                                  lambda a, b: False, max_steps=3) is None
+        assert len(probes) == 3
