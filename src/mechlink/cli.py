@@ -480,31 +480,15 @@ def cmd_plan_fiber(cfg: RunConfig, out_dir, config_path) -> None:
     link = _link_from_config(pf)
     floor = pf.get("g2_floor", 7.1)
     tau = link.tau
-
-    def combo(dil, dec):
-        return f"dilution={'on' if dil else 'off'},decay={'on' if dec else 'off'}"
-
-    combos = {}
-    for dil in (True, False):
-        for dec in (True, False):
-            combos[combo(dil, dec)] = {
-                "arm_a_db": planner.required_added_db(link.budget_a, floor, tau,
-                                                      dil, dec),
-                "arm_b_db": planner.required_added_db(link.budget_b, floor, tau,
-                                                      dil, dec),
-            }
     sep = planner.max_separation(link)
     doc = {
-        "g2_baseline_a": planner.degraded_g2(link.budget_a, 0.0, tau,
-                                             link.herald_dilution,
-                                             link.include_decay),
-        "g2_baseline_b": planner.degraded_g2(link.budget_b, 0.0, tau,
-                                             link.herald_dilution,
-                                             link.include_decay),
+        "g2_baseline_a": planner.degraded_g2(link.budget_a, 0.0, tau),
+        "g2_baseline_b": planner.degraded_g2(link.budget_b, 0.0, tau),
         "g2_floor": floor,
-        "required_db_combinations": combos,
-        "required_db_default": combos[combo(link.herald_dilution,
-                                            link.include_decay)],
+        "required_db": {
+            "arm_a_db": planner.required_added_db(link.budget_a, floor, tau),
+            "arm_b_db": planner.required_added_db(link.budget_b, floor, tau),
+        },
         "max_separation": dataclasses.asdict(sep),
         "separations": {},
     }
@@ -524,8 +508,8 @@ def cmd_plan_fiber(cfg: RunConfig, out_dir, config_path) -> None:
     lines = [
         f"baseline correlations: A {doc['g2_baseline_a']:.2f}, "
         f"B {doc['g2_baseline_b']:.2f}; floor {floor:.2f}",
-        f"added loss to floor:   A {doc['required_db_default']['arm_a_db']:.2f} dB, "
-        f"B {doc['required_db_default']['arm_b_db']:.2f} dB",
+        f"added loss to floor:   A {doc['required_db']['arm_a_db']:.2f} dB, "
+        f"B {doc['required_db']['arm_b_db']:.2f} dB",
         f"max insertable fiber:  {sep.total_km:.0f} km "
         f"(A {sep.arm_a_km:.0f} km, B {sep.arm_b_km:.0f} km)",
     ]

@@ -119,8 +119,7 @@ _SCHEMA = {
         "tau_ns": float, "attenuation_db_per_km": float, "repetition_us": float,
         "overhead_fraction": float, "herald_prob": float, "read_prob": float,
         "contrast_retention": float, "separation_km_list": _parse_float_list,
-        "sigma_clearance": float, "herald_dilution": _parse_bool,
-        "include_decay": _parse_bool, "g2_floor": float,
+        "sigma_clearance": float, "g2_floor": float,
     },
     "analyze": {"tally_json": str, "clicklog_csv": str, "clicklog_meta": str},
     "output": {"save_clicklog": _parse_bool},

@@ -161,8 +161,6 @@ class LinkBudget:
     overhead_fraction: float = 0.15
     herald_prob: float = 2.7e-4             # pump-window click probability per trial
     read_prob: float = 2.48e-4              # read-window click probability per trial
-    herald_dilution: bool = True            # background also dilutes heralds
-    include_decay: bool = True              # keep the e^{-decay tau} factor
     contrast_retention: float = 0.95        # kept share of the weaker contrast
     sigma_clearance: float = 3.0            # witness clearance to plan for
 
@@ -179,47 +177,36 @@ class LinkBudget:
             raise PlannerError("retention target must lie in (0, 1]")
 
 
-def degraded_g2(budget: NoiseBudget, added_db: float, t: float,
-                herald_dilution: bool = True,
-                include_decay: bool = True) -> float:
+def degraded_g2(budget: NoiseBudget, added_db: float, t: float) -> float:
     """Cross-correlation after inserting loss in the device-to-combiner path.
 
     Signal and co-propagating leak scale with the transmission while the
     constant background does not, so the effective background per
-    detected phonon grows by the inverse transmission; with
-    `herald_dilution` the same ratio dilutes the heralds (false heralds
-    carry no phonon correlation).
+    detected phonon grows by the inverse transmission, and the same ratio
+    dilutes the heralds (false heralds carry no phonon correlation).
     """
     if added_db < 0:
         raise PlannerError("added loss must be non-negative")
     trans = 10.0 ** (-added_db / 10.0)
-    t_eff = t if include_decay else 0.0
     scaled = replace(budget, n_bg=budget.n_bg / trans)
-    g = g2_cross(t_eff, scaled)
-    if herald_dilution:
-        f_true = 1.0 / (1.0 + budget.n_bg / trans)
-        g = 1.0 + (g - 1.0) * f_true
-    return g
+    f_true = 1.0 / (1.0 + budget.n_bg / trans)
+    return 1.0 + (g2_cross(t, scaled) - 1.0) * f_true
 
 
-def required_added_db(budget: NoiseBudget, g2_floor: float, t: float,
-                      herald_dilution: bool = True,
-                      include_decay: bool = True) -> float:
+def required_added_db(budget: NoiseBudget, g2_floor: float, t: float) -> float:
     """Loss that degrades the correlation exactly to `g2_floor`: the scaled
-    background x = n_bg / T at which D0 + x, times 1 + x with herald dilution,
-    is e^{-decay t} / (g2_floor - 1), D0 = n_th + p_pump e^{-decay t} + n_leak
+    background x = n_bg / T at which (D0 + x)(1 + x) is
+    e^{-decay t} / (g2_floor - 1), D0 = n_th + p_pump e^{-decay t} + n_leak
     (the quadratic's root in the form that does not cancel).  x >= 0.5 raises.
     """
-    if degraded_g2(budget, 0.0, t, herald_dilution, include_decay) <= g2_floor:
+    if degraded_g2(budget, 0.0, t) <= g2_floor:
         return 0.0
     if budget.n_bg == 0.0 or g2_floor <= 1.0:
         raise PlannerError("floor not reachable by added loss")
-    t_eff = t if include_decay else 0.0
-    e = math.exp(-budget.decay * t_eff)
+    e = math.exp(-budget.decay * t)
     d0 = budget.n_th + budget.p_pump * e + budget.n_leak
     excess = e / (g2_floor - 1.0) - d0
-    x = (2.0 * excess / (1.0 + d0 + math.sqrt((1.0 + d0) ** 2 + 4.0 * excess))
-         if herald_dilution else excess)
+    x = 2.0 * excess / (1.0 + d0 + math.sqrt((1.0 + d0) ** 2 + 4.0 * excess))
     if not x < 0.5:
         raise PlannerError(f"floor {g2_floor:.6g} needs n_bg/T = {x:.3g}, "
                            f"outside the validity range [0, 0.5)")
@@ -245,16 +232,11 @@ def max_separation(link: LinkBudget) -> SeparationPlan:
     therefore allows some fiber on the better arm even at full retention;
     a symmetric pair allows none.
     """
-    base_contrast = min(
-        degraded_g2(link.budget_a, 0.0, link.tau, link.herald_dilution,
-                    link.include_decay),
-        degraded_g2(link.budget_b, 0.0, link.tau, link.herald_dilution,
-                    link.include_decay)) - 1.0
+    base_contrast = min(degraded_g2(link.budget_a, 0.0, link.tau),
+                        degraded_g2(link.budget_b, 0.0, link.tau)) - 1.0
     floor = 1.0 + link.contrast_retention * base_contrast
-    db_a = required_added_db(link.budget_a, floor, link.tau,
-                             link.herald_dilution, link.include_decay)
-    db_b = required_added_db(link.budget_b, floor, link.tau,
-                             link.herald_dilution, link.include_decay)
+    db_a = required_added_db(link.budget_a, floor, link.tau)
+    db_b = required_added_db(link.budget_b, floor, link.tau)
     if db_a == 0.0 and db_b == 0.0:
         return SeparationPlan(0.0, 0.0, 0.0, 0.0, 0.0, floor)
     per_km = link.attenuation_db_per_km

@@ -359,14 +359,6 @@ def _blocked(cfg: ProtocolConfig, arm: str) -> ProtocolConfig:
     return replace(cfg, **{key: replace(getattr(cfg, key), eta_path=0.0)})
 
 
-def _per_device_flux(cfg: ProtocolConfig) -> tuple:
-    """Quantum herald flux of each device, the other arm blocked: its
-    expected number of pump-window detector clicks."""
-    clicks = CODE_SLOTS[:4, :2].sum(axis=1)
-    return tuple(float(pump_stage(_blocked(cfg, other)).quantum_probs @ clicks)
-                 for other in "BA")
-
-
 # ---------------------------------------------------------------------------
 # delay evolution
 
@@ -473,47 +465,6 @@ def exact_visibility_ceiling(cfg: ProtocolConfig) -> float:
     if c <= 0:
         return 0.0
     return c / (c + 2.0)
-
-
-# ---------------------------------------------------------------------------
-# flux balancing
-
-
-def balance(cfg: ProtocolConfig, target: float = 0.02) -> tuple:
-    """Attenuation on the brighter arm equalizing per-device herald flux.
-
-    Returns (arm, attenuation); bisection on the pump-stage flux until
-    the relative difference is far below `target` (guard: both arms must
-    produce flux above the click tables' rounding).
-    """
-    base = replace(cfg, interferometer=replace(
-        cfg.interferometer, balance_attenuation=1.0, balance_arm="none"))
-    flux_a, flux_b = _per_device_flux(base)
-    if min(flux_a, flux_b) <= _TABLE_TOL:
-        raise ProtocolError("unreachable balance: one arm produces no herald flux")
-    if abs(flux_a - flux_b) / max(flux_a, flux_b) <= 1e-12:
-        return ("none", 1.0)
-    arm = "A" if flux_a > flux_b else "B"
-
-    def imbalance(att):
-        fa, fb = _per_device_flux(replace(base, interferometer=replace(
-            base.interferometer, balance_attenuation=att, balance_arm=arm)))
-        return fa - fb
-
-    lo, hi = 0.0, 1.0
-    f_hi = imbalance(1.0)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        f_mid = imbalance(mid)
-        if (f_mid > 0) == (f_hi > 0):
-            hi, f_hi = mid, f_mid
-        else:
-            lo = mid
-    att = 0.5 * (lo + hi)
-    residual = abs(imbalance(att)) / max(flux_a, flux_b)
-    if residual > target:
-        raise ProtocolError(f"balance residual {residual:.3%} above target")
-    return (arm, att)
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,17 @@ class TestCliRuns:
         assert rc == 2
         assert f"[device.B] {key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["herald_dilution", "include_decay"])
+    def test_removed_fiber_formula_keys_rejected(self, key, tmp_path, capsys):
+        # plan-fiber evaluates one loss formula: herald dilution and the
+        # e^{-decay tau} factor always apply
+        with open(cfg_dir("plan_fiber.cfg")) as f:
+            cfg = write_cfg(tmp_path, f.read() + f"{key} = off\n")
+        rc = cli.main(["plan-fiber", "--config", str(cfg), "--out",
+                       str(tmp_path / "o")])
+        assert rc == 2
+        assert f"[plan.fiber] {key}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["g2_grid_step", "g2_max"])
     def test_removed_g2_grid_keys_rejected(self, key, tmp_path, capsys):
         tally_json = os.path.abspath(cfg_dir("witness_run_tally.json"))
@@ -584,37 +595,51 @@ class TestEmitFormats:
                        "--out", str(out)])
         assert rc == 0
         doc = json.loads((out / "fiber.json").read_text())
-        assert len(doc["required_db_combinations"]) == 4
+        link = cli._link_from_config(parse_config(cfg_dir("plan_fiber.cfg")).plan_fiber)
+        assert doc["required_db"] == {
+            "arm_a_db": planner.required_added_db(link.budget_a, 7.1, link.tau),
+            "arm_b_db": planner.required_added_db(link.budget_b, 7.1, link.tau),
+        }
+        assert "required_db_combinations" not in doc
         assert "75" in doc["separations"]
         assert all(0.0 <= s["witness_offgrid_mass"] < 0.01
                    for s in doc["separations"].values())
         assert (out / "fiber.txt").read_text().startswith("baseline")
 
-    @pytest.mark.parametrize("dilution", ["on", "off"])
-    @pytest.mark.parametrize("decay", ["on", "off"])
-    def test_plan_fiber_default_budget_follows_the_link_flags(self, tmp_path,
-                                                              dilution, decay):
-        with open(cfg_dir("plan_fiber.cfg")) as f:
-            text = f.read() + f"herald_dilution = {dilution}\ninclude_decay = {decay}\n"
-        out = tmp_path / "fiber"
-        rc = cli.main(["plan-fiber", "--config", str(write_cfg(tmp_path, text)),
-                       "--out", str(out)])
-        assert rc == 0
-        doc = json.loads((out / "fiber.json").read_text())
-        link = cli._link_from_config(parse_config(str(tmp_path / "run.cfg")).plan_fiber)
-        assert (link.herald_dilution, link.include_decay) == (dilution == "on",
-                                                              decay == "on")
-        expected = {
-            "arm_a_db": planner.required_added_db(link.budget_a, 7.1, link.tau,
-                                                  link.herald_dilution,
-                                                  link.include_decay),
-            "arm_b_db": planner.required_added_db(link.budget_b, 7.1, link.tau,
-                                                  link.herald_dilution,
-                                                  link.include_decay),
-        }
-        assert doc["required_db_default"] == expected
-        key = f"dilution={dilution},decay={decay}"
-        assert doc["required_db_combinations"][key] == expected
+    # plan_fiber.cfg sets every [plan.fiber] key; one separation keeps a
+    # plan to a fraction of a second
+    FIBER_BASE = dict(parse_config(cfg_dir("plan_fiber.cfg")).raw["plan.fiber"],
+                      separation_km_list="75")
+    # the keys the plan reads past the link budget
+    FIBER_PLAN_KEYS = ("g2_floor", "separation_km_list")
+
+    @staticmethod
+    def plan_fiber(section, tmp_path):
+        """The parsed [plan.fiber] block of `section` and its fiber.json."""
+        text = "[plan.fiber]\n" + "".join(f"{k} = {v}\n" for k, v in section.items())
+        path = str(write_cfg(tmp_path, text))
+        assert cli.main(["plan-fiber", "--config", path,
+                         "--out", str(tmp_path / "out")]) == 0
+        return (parse_config(path).plan_fiber,
+                (tmp_path / "out" / "fiber.json").read_bytes())
+
+    @pytest.fixture(scope="class")
+    def fiber_base_plan(self, tmp_path_factory):
+        assert set(self.FIBER_BASE) == set(config._SCHEMA["plan.fiber"])
+        return self.plan_fiber(self.FIBER_BASE, tmp_path_factory.mktemp("base"))
+
+    @pytest.mark.parametrize("key", sorted(config._SCHEMA["plan.fiber"]))
+    def test_every_plan_fiber_key_reaches_the_plan(self, key, fiber_base_plan,
+                                                   tmp_path):
+        # a key that feeds nothing, or feeds only a link field or a report
+        # nobody asks for, fails here
+        base_pf, base_doc = fiber_base_plan
+        value = "60" if key == "separation_km_list" else repr(
+            0.9 * float(self.FIBER_BASE[key]))
+        pf, doc = self.plan_fiber({**self.FIBER_BASE, key: value}, tmp_path)
+        assert doc != base_doc
+        if key not in self.FIBER_PLAN_KEYS:
+            assert cli._link_from_config(pf) != cli._link_from_config(base_pf)
 
     def test_link_keys_left_out_take_the_link_budget_defaults(self, tmp_path):
         # only the ten required budget keys: every link field is LinkBudget's own

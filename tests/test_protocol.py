@@ -381,43 +381,6 @@ class TestCalibratedBudget:
         assert joint / herald == pytest.approx(2.8e-7 / 2.7e-4, rel=0.20)
 
 
-class TestBalance:
-    def test_symmetric_needs_no_attenuation(self):
-        arm, att = protocol.balance(ideal_config())
-        assert arm == "none" and att == 1.0
-
-    def test_path_asymmetry_attenuates_brighter_arm(self):
-        dev = DeviceParams(p_pump=0.007, n_init=0.0, bath_k=0.0, eta_path=1.0)
-        dim = replace(dev, eta_path=0.8)
-        cfg = ProtocolConfig(device_a=dim, device_b=dev,
-                             interferometer=InterferometerConfig(),
-                             detectors=DetectorModel(), tau=0.0)
-        arm, att = protocol.balance(cfg)
-        assert arm == "B"
-        assert att == pytest.approx(0.8, abs=0.01)
-
-    def test_post_balance_flux_within_two_percent(self):
-        dev_a = DeviceParams(p_pump=0.0056, n_init=0.0, bath_k=0.0, eta_path=0.61)
-        dev_b = DeviceParams(p_pump=0.0080, n_init=0.0, bath_k=0.0, eta_path=0.52)
-        cfg = ProtocolConfig(device_a=dev_a, device_b=dev_b,
-                             interferometer=InterferometerConfig(),
-                             detectors=DetectorModel(), tau=0.0)
-        arm, att = protocol.balance(cfg)
-        intf = replace(cfg.interferometer, balance_arm=arm,
-                       balance_attenuation=att)
-        fa, fb = protocol._per_device_flux(replace(cfg, interferometer=intf))
-        assert abs(fa - fb) / max(fa, fb) < 0.02
-
-    def test_dead_arm_is_rejected(self):
-        dev = DeviceParams(p_pump=0.007, n_init=0.0, bath_k=0.0)
-        dead = replace(dev, eta_path=0.0)
-        cfg = ProtocolConfig(device_a=dev, device_b=dead,
-                             interferometer=InterferometerConfig(),
-                             detectors=DetectorModel(), tau=0.0)
-        with pytest.raises(protocol.ProtocolError, match="unreachable balance"):
-            protocol.balance(cfg)
-
-
 class TestTrialModel:
     def test_click_marginals_sum_their_joint_cells(self):
         # outcome_index 1 and 3 click detector 1, 2 and 3 detector 2
