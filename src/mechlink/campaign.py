@@ -176,9 +176,11 @@ class ClickLog:
         later, same = trial[1:] > trial[:-1], trial[1:] == trial[:-1]
         if not np.all(later | same & (slot[1:] > slot[:-1])):
             raise CampaignError("rows must be strictly ordered by (trial, window, detector)")
+        if "n_trials" not in meta:
+            raise CampaignError("click log without metadata: its trial count is "
+                                "unknown, since trials without a click leave no row")
         first = np.flatnonzero(np.diff(trial, prepend=trial[:1] - 1))
-        n_trials = meta.get("n_trials", int(trial.max()) + 1 if len(trial) else 0)
-        return cls(n_trials=n_trials, seed=meta.get("seed", 0),
+        return cls(n_trials=meta["n_trials"], seed=meta.get("seed", 0),
                    stream=meta.get("stream", 0), trial=trial[first],
                    code=np.bitwise_or.reduceat(1 << slot, first),
                    config_snapshot=meta.get("config", {}))

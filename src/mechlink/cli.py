@@ -73,22 +73,10 @@ def _manifest(out_dir, subcommand, config_path, cfg: RunConfig,
 # shared analysis helpers
 
 
-def _analysis_params(cfg: RunConfig) -> dict:
-    a = cfg.analysis
-    return {
-        "witness_step": a.get("witness_grid_step", stats.WITNESS_GRID_STEP),
-        "threshold": a.get("classicality_threshold", 1.0),
-    }
-
-
-def _witness_report(tally: stats.CoincidenceTally, params: dict,
-                    extras: dict | None = None) -> dict:
-    dists = {}
-    for det in (1, 2):
-        dists[det] = stats.witness_distribution(
-            tally, det, witness_step=params["witness_step"])
+def _witness_report(tally: stats.CoincidenceTally, extras: dict | None = None) -> dict:
+    dists = {det: stats.witness_distribution(tally, det) for det in (1, 2)}
     sym = stats.symmetrize(dists[1], dists[2])
-    threshold = params["threshold"]
+    threshold = stats.CLASSICALITY_THRESHOLD
     pairs = [(i, j) for i in (1, 2) for j in (1, 2)]
     g2 = {f"r{i}p{j}": {"value": est.value, "lower": est.lower,
                         "upper": est.upper, "coincidences": est.coincidences}
@@ -306,9 +294,10 @@ def _bound(model: protocol.TrialModel, det: int) -> float | None:
         return None
 
 
-def _separable_bounds(proto, threshold: float) -> dict:
+def _separable_bounds(proto) -> dict:
     """The smallest `_bound` per herald detector over the config's
-    separable twins, and whether either lies below `threshold`.
+    separable twins, and whether either lies below
+    `stats.CLASSICALITY_THRESHOLD`.
 
     The twins are each arm alone and the dephased twin: a uniform twirl of
     mech B's phase leaves the state block-diagonal in B's number basis, so
@@ -322,7 +311,7 @@ def _separable_bounds(proto, threshold: float) -> dict:
     for det in (1, 2):
         bounds = [b for b in (_bound(twin, det) for twin in twins) if b is not None]
         doc[f"separable_bound_det{det}"] = min(bounds, default=None)
-        below = below or min(bounds, default=math.inf) < threshold
+        below = below or min(bounds, default=math.inf) < stats.CLASSICALITY_THRESHOLD
     doc["separable_below_threshold"] = below
     return doc
 
@@ -344,7 +333,6 @@ def cmd_witness(cfg: RunConfig, out_dir, config_path) -> None:
                      config_snapshot=cfg.snapshot(), chunks=chunks).save(
             os.path.join(out_dir, "clicklog.csv"),
             os.path.join(out_dir, "clicklog_meta.json"))
-    params = _analysis_params(cfg)
 
     exact = {}
     for det in (1, 2):
@@ -353,14 +341,14 @@ def cmd_witness(cfg: RunConfig, out_dir, config_path) -> None:
         except protocol.ProtocolError:
             exact[f"moment_ratio_det{det}"] = None
         exact[f"bound_from_exact_g2_det{det}"] = _bound(model, det)
-    exact.update(_separable_bounds(cfg.protocol, params["threshold"]))
+    exact.update(_separable_bounds(cfg.protocol))
     extras = {
         "exact": exact,
         "herald_probability_exact": model.herald_prob(),
         "trials": cfg.trials,
         "seed": cfg.seed,
     }
-    doc = _witness_report(tally, params, extras)
+    doc = _witness_report(tally, extras)
     write_json(os.path.join(out_dir, "witness.json"), doc)
     atomic_write(os.path.join(out_dir, "tally.json"), tally.dumps())
     _manifest(out_dir, "witness", config_path, cfg, cfg.seed, cfg.trials)
@@ -478,17 +466,10 @@ def cmd_plan_fiber(cfg: RunConfig, out_dir, config_path) -> None:
     if missing:
         raise ConfigError([f"[plan.fiber] missing {k}" for k in missing])
     link = _link_from_config(pf)
-    floor = pf.get("g2_floor", 7.1)
-    tau = link.tau
     sep = planner.max_separation(link)
     doc = {
-        "g2_baseline_a": planner.degraded_g2(link.budget_a, 0.0, tau),
-        "g2_baseline_b": planner.degraded_g2(link.budget_b, 0.0, tau),
-        "g2_floor": floor,
-        "required_db": {
-            "arm_a_db": planner.required_added_db(link.budget_a, floor, tau),
-            "arm_b_db": planner.required_added_db(link.budget_b, floor, tau),
-        },
+        "g2_baseline_a": planner.degraded_g2(link.budget_a, 0.0, link.tau),
+        "g2_baseline_b": planner.degraded_g2(link.budget_b, 0.0, link.tau),
         "max_separation": dataclasses.asdict(sep),
         "separations": {},
     }
@@ -507,9 +488,8 @@ def cmd_plan_fiber(cfg: RunConfig, out_dir, config_path) -> None:
 
     lines = [
         f"baseline correlations: A {doc['g2_baseline_a']:.2f}, "
-        f"B {doc['g2_baseline_b']:.2f}; floor {floor:.2f}",
-        f"added loss to floor:   A {doc['required_db']['arm_a_db']:.2f} dB, "
-        f"B {doc['required_db']['arm_b_db']:.2f} dB",
+        f"B {doc['g2_baseline_b']:.2f}; floor {sep.g2_floor:.2f}",
+        f"added loss to floor:   A {sep.arm_a_db:.2f} dB, B {sep.arm_b_db:.2f} dB",
         f"max insertable fiber:  {sep.total_km:.0f} km "
         f"(A {sep.arm_a_km:.0f} km, B {sep.arm_b_km:.0f} km)",
     ]
@@ -534,7 +514,7 @@ def cmd_analyze(cfg: RunConfig, out_dir, config_path) -> None:
         tally = stats.tally(log)
     else:
         raise ConfigError(["[analyze] needs tally_json or clicklog_csv"])
-    doc = _witness_report(tally, _analysis_params(cfg))
+    doc = _witness_report(tally)
     write_json(os.path.join(out_dir, "witness.json"), doc)
     atomic_write(os.path.join(out_dir, "tally.json"), tally.dumps())
     _manifest(out_dir, "analyze", config_path, cfg)

@@ -95,9 +95,6 @@ _SCHEMA = {
                      for i in (1, 2)}},
     "protocol": _casters(_PROTOCOL),
     "campaign": {"trials": int, "seed": int},
-    "analysis": {
-        "witness_grid_step": float, "classicality_threshold": float,
-    },
     "sweep": {"delta_phi_pi_list": _parse_float_list,
               "tau_ns_list": _parse_float_list},
     "pump_probe": {
@@ -119,7 +116,7 @@ _SCHEMA = {
         "tau_ns": float, "attenuation_db_per_km": float, "repetition_us": float,
         "overhead_fraction": float, "herald_prob": float, "read_prob": float,
         "contrast_retention": float, "separation_km_list": _parse_float_list,
-        "sigma_clearance": float, "g2_floor": float,
+        "sigma_clearance": float,
     },
     "analyze": {"tally_json": str, "clicklog_csv": str, "clicklog_meta": str},
     "output": {"save_clicklog": _parse_bool},
@@ -139,7 +136,6 @@ class RunConfig:
     seed: int | None = None
     delta_phi_sweep: tuple = ()
     tau_sweep: tuple = ()
-    analysis: dict = field(default_factory=dict)
     pump_probe: dict = field(default_factory=dict)
     plan_yield: dict = field(default_factory=dict)
     plan_fiber: dict = field(default_factory=dict)
@@ -159,6 +155,8 @@ class RunConfig:
             problems.append("campaign.seed is required for simulation runs")
         if self.trials is None:
             problems.append("campaign.trials is required for simulation runs")
+        elif self.trials < 1:
+            problems.append("[campaign] trials must be at least 1")
         return problems
 
 
@@ -235,14 +233,11 @@ def parse_config(path) -> RunConfig:
     camp = values.get("campaign", {})
     cfg.trials = camp.get("trials")
     cfg.seed = camp.get("seed")
-    if cfg.trials is not None and cfg.trials < 1:
-        problems.append("[campaign] trials must be at least 1")
 
     sweep = values.get("sweep", {})
     cfg.delta_phi_sweep = tuple(v * PI for v in sweep.get("delta_phi_pi_list", ()))
     cfg.tau_sweep = tuple(v * NS for v in sweep.get("tau_ns_list", ()))
 
-    cfg.analysis = dict(values.get("analysis", {}))
     cfg.pump_probe = dict(values.get("pump_probe", {}))
     cfg.plan_yield = dict(values.get("plan.yield", {}))
     cfg.plan_fiber = dict(values.get("plan.fiber", {}))

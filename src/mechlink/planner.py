@@ -237,8 +237,6 @@ def max_separation(link: LinkBudget) -> SeparationPlan:
     floor = 1.0 + link.contrast_retention * base_contrast
     db_a = required_added_db(link.budget_a, floor, link.tau)
     db_b = required_added_db(link.budget_b, floor, link.tau)
-    if db_a == 0.0 and db_b == 0.0:
-        return SeparationPlan(0.0, 0.0, 0.0, 0.0, 0.0, floor)
     per_km = link.attenuation_db_per_km
     return SeparationPlan(total_km=(db_a + db_b) / per_km,
                           arm_a_km=db_a / per_km, arm_b_km=db_b / per_km,
@@ -325,7 +323,8 @@ def _projected_tally(link: LinkBudget, g2_floor: float, rate_scale: float,
 
 def _clearance(link: LinkBudget, g2_floor: float, rate_scale: float,
                n_trials: float) -> tuple:
-    """(1 - median) / (84th percentile - median) of the projected witness.
+    """(CLASSICALITY_THRESHOLD - median) / (84th percentile - median) of the
+    projected witness.
 
     Returns the clearance with the symmetrized posterior and the tally.
     """
@@ -335,7 +334,7 @@ def _clearance(link: LinkBudget, g2_floor: float, rate_scale: float,
     d = counting.witness_distribution(t, 1)
     sym = counting.symmetrize(d, d)
     median = sym.median
-    return (1.0 - median) / (sym.upper - median), sym, t
+    return (counting.CLASSICALITY_THRESHOLD - median) / (sym.upper - median), sym, t
 
 
 def integration_time(link: LinkBudget, separation_km: float) -> IntegrationPlan:

@@ -28,6 +28,8 @@ import numpy as np
 from .campaign import ClickLog
 from .protocol import click_totals
 
+# the witness bound every separable mechanical state obeys (W >= 1)
+CLASSICALITY_THRESHOLD = 1.0
 WITNESS_GRID_STEP = 0.005
 WITNESS_MIN, WITNESS_MAX = -2.0, 20.0
 # Gauss-Legendre nodes of the witness CDF.  Against 1024 nodes, 64 put

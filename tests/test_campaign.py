@@ -350,6 +350,15 @@ class TestClickLog:
         with pytest.raises(campaign.CampaignError, match=match):
             ClickLog.from_csv(path)
 
+    def test_trial_count_is_never_guessed(self, tmp_path):
+        # the last row is trial 5, yet the campaign may have run any N > 5
+        path = tmp_path / "log.csv"
+        path.write_text("trial,detector,window\n5,1,pump\n")
+        (tmp_path / "log.json").write_text(json.dumps({"seed": 3}))
+        for meta in (None, tmp_path / "log.json"):
+            with pytest.raises(campaign.CampaignError, match="trial count is unknown"):
+                ClickLog.from_csv(path, meta)
+
     def test_unexpected_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("trial,window,detector\n5,pump,1\n")

@@ -164,6 +164,18 @@ class TestCliRuns:
         assert json.loads(tally)["Cr1p1"] > 0
         assert (tmp_path / "re" / "tally.json").read_bytes() == tally
 
+    def test_analyze_click_log_without_metadata_fails(self, tmp_path, capsys):
+        # trials without a click leave no row: the log alone cannot give N
+        cfg = write_cfg(tmp_path, MINIMAL + "\n[output]\nsave_clicklog = on\n")
+        assert cli.main(["witness", "--config", str(cfg), "--out",
+                         str(tmp_path / "out"), "--trials", "300000"]) == 0
+        analyze = write_cfg(tmp_path, "[analyze]\nclicklog_csv = out/clicklog.csv\n",
+                            "analyze.cfg")
+        out = tmp_path / "re"
+        assert cli.main(["analyze", "--config", str(analyze), "--out", str(out)]) == 3
+        assert "click log without metadata" in capsys.readouterr().err
+        assert not (out / "witness.json").exists()
+
     def test_witness_releases_its_log_before_the_report(self, tmp_path, monkeypatch):
         refs, released = [], []
 
@@ -272,6 +284,20 @@ class TestCliRuns:
         assert fit["period_pi"] is None and fit["period_error_pi"] is None
         assert fit["period_pi_exact"] > 0
 
+    @pytest.mark.parametrize("cfg_trials, cli_trials", [
+        ("1000", ["--trials", "0"]), ("1000", ["--trials", "-5"]), ("0", [])])
+    def test_trials_below_one_is_a_config_error(self, cfg_trials, cli_trials,
+                                                tmp_path, capsys):
+        # checked on the count the run uses, after the command line overrides
+        cfg = write_cfg(tmp_path, MINIMAL.replace("trials = 1000", f"trials = {cfg_trials}")
+                        + "[sweep]\ndelta_phi_pi_list = 0, 1\n")
+        for command in ("witness", "phase-sweep"):
+            rc = cli.main([command, "--config", str(cfg), "--out",
+                           str(tmp_path / "o"), *cli_trials])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                "config error: [campaign] trials must be at least 1\n")
+
     def test_seed_required_for_simulation(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL.replace("seed = 7", ""))
         rc = cli.main(["witness", "--config", str(cfg), "--out",
@@ -298,7 +324,7 @@ class TestCliRuns:
         rc = cli.main(["witness", "--config", str(cfg), "--out",
                        str(tmp_path / "o")])
         assert rc == 2
-        assert "[analysis] flux_imbalance" in capsys.readouterr().err
+        assert "unknown section [analysis]" in capsys.readouterr().err
 
     def test_shipped_config_has_no_separable_twin_below_threshold(self, tmp_path):
         out = tmp_path / "out"
@@ -326,7 +352,7 @@ class TestCliRuns:
             for j in (1, 2):
                 with pytest.raises(protocol.ProtocolError, match="zero singles"):
                     model.g2_exact(i, j)
-        assert cli._separable_bounds(proto, 1.0) == {
+        assert cli._separable_bounds(proto) == {
             "separable_bound_det1": None, "separable_bound_det2": None,
             "separable_below_threshold": False}
 
@@ -351,10 +377,11 @@ class TestCliRuns:
         assert rc == 2
         assert f"[device.B] {key}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["herald_dilution", "include_decay"])
+    @pytest.mark.parametrize("key", ["herald_dilution", "include_decay", "g2_floor"])
     def test_removed_fiber_formula_keys_rejected(self, key, tmp_path, capsys):
         # plan-fiber evaluates one loss formula: herald dilution and the
-        # e^{-decay tau} factor always apply
+        # e^{-decay tau} factor always apply, and its one floor is the
+        # plan's own, set by contrast_retention
         with open(cfg_dir("plan_fiber.cfg")) as f:
             cfg = write_cfg(tmp_path, f.read() + f"{key} = off\n")
         rc = cli.main(["plan-fiber", "--config", str(cfg), "--out",
@@ -362,15 +389,18 @@ class TestCliRuns:
         assert rc == 2
         assert f"[plan.fiber] {key}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["g2_grid_step", "g2_max"])
+    @pytest.mark.parametrize("key", ["g2_grid_step", "g2_max", "witness_grid_step",
+                                     "classicality_threshold"])
     def test_removed_g2_grid_keys_rejected(self, key, tmp_path, capsys):
+        # the witness grid step and the classicality threshold are fixed:
+        # no [analysis] section is left
         tally_json = os.path.abspath(cfg_dir("witness_run_tally.json"))
         cfg = write_cfg(tmp_path, f"[analyze]\ntally_json = {tally_json}\n"
                                   f"[analysis]\n{key} = 0.01\n")
         rc = cli.main(["analyze", "--config", str(cfg), "--out",
                        str(tmp_path / "o")])
         assert rc == 2
-        assert f"[analysis] {key}" in capsys.readouterr().err
+        assert "unknown section [analysis]" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, "[analyze]\ntally_json = /nonexistent.json\n")
@@ -596,22 +626,33 @@ class TestEmitFormats:
         assert rc == 0
         doc = json.loads((out / "fiber.json").read_text())
         link = cli._link_from_config(parse_config(cfg_dir("plan_fiber.cfg")).plan_fiber)
-        assert doc["required_db"] == {
-            "arm_a_db": planner.required_added_db(link.budget_a, 7.1, link.tau),
-            "arm_b_db": planner.required_added_db(link.budget_b, 7.1, link.tau),
-        }
-        assert "required_db_combinations" not in doc
+        sep = doc["max_separation"]
+        assert sep["arm_a_db"] == planner.required_added_db(link.budget_a,
+                                                            sep["g2_floor"], link.tau)
+        assert sep["arm_b_db"] == planner.required_added_db(link.budget_b,
+                                                            sep["g2_floor"], link.tau)
+        assert not {"g2_floor", "required_db", "required_db_combinations"} & doc.keys()
         assert "75" in doc["separations"]
         assert all(0.0 <= s["witness_offgrid_mass"] < 0.01
                    for s in doc["separations"].values())
         assert (out / "fiber.txt").read_text().startswith("baseline")
+
+    def test_fiber_txt_reports_the_plans_floor(self, tmp_path):
+        out = tmp_path / "fiber"
+        assert cli.main(["plan-fiber", "--config", cfg_dir("plan_fiber.cfg"),
+                         "--out", str(out)]) == 0
+        sep = json.loads((out / "fiber.json").read_text())["max_separation"]
+        first, second = (out / "fiber.txt").read_text().splitlines()[:2]
+        assert first.endswith(f"; floor {sep['g2_floor']:.2f}")
+        assert second == (f"added loss to floor:   A {sep['arm_a_db']:.2f} dB, "
+                          f"B {sep['arm_b_db']:.2f} dB")
 
     # plan_fiber.cfg sets every [plan.fiber] key; one separation keeps a
     # plan to a fraction of a second
     FIBER_BASE = dict(parse_config(cfg_dir("plan_fiber.cfg")).raw["plan.fiber"],
                       separation_km_list="75")
     # the keys the plan reads past the link budget
-    FIBER_PLAN_KEYS = ("g2_floor", "separation_km_list")
+    FIBER_PLAN_KEYS = ("separation_km_list",)
 
     @staticmethod
     def plan_fiber(section, tmp_path):

@@ -742,7 +742,7 @@ class TestSeparableTwins:
         cfg = ProtocolConfig(device_a=dev, device_b=dev,
                              interferometer=InterferometerConfig(),
                              detectors=DetectorModel(p_dark_read=(0.0, 1e-3)))
-        doc = cli._separable_bounds(cfg, 1.0)
+        doc = cli._separable_bounds(cfg)
         assert doc["separable_bound_det1"] < 0.1
         assert doc["separable_bound_det2"] < 0.1
         assert doc["separable_below_threshold"] is True
@@ -753,7 +753,7 @@ class TestSeparableTwins:
     def test_dephased_twin_keeps_the_bound_or_raises_the_flag(self, cfg):
         dephased = replace(cfg, interferometer=replace(cfg.interferometer,
                                                        phase_jitter_sigma=math.inf))
-        doc = cli._separable_bounds(dephased, 1.0)
+        doc = cli._separable_bounds(dephased)
         model = protocol.build_trial_model(dephased)
         for det in (1, 2):
             bound = cli._bound(model, det)
