@@ -67,8 +67,6 @@ _INTERFEROMETER = {
     # the one source of the devices' frequency difference
     "mech_freq_diff_mhz": (float, "delta_omega_m", lambda v: 2 * PI * v * 1e6),
     "splitter_deviation": (float, "splitter_deviation", None),
-    "balance_attenuation": (float, "balance_attenuation", None),
-    "balance_arm": (str, "balance_arm", None),
     "phase_jitter_sigma_rad": (float, "phase_jitter_sigma", None),
     "serrodyne": (_parse_bool, "serrodyne", None),
     "envelope_sigma_ns": (float, "envelope_sigma_ns", None),

@@ -70,8 +70,6 @@ class InterferometerConfig:
     delta_phi: float = 0.0               # read-pulse phase offset, rad
     delta_omega_m: float = 2 * 3.141592653589793 * 45e6  # mech frequency difference, rad/s
     splitter_deviation: float = 0.0      # combiner imbalance, fraction of 50/50
-    balance_attenuation: float = 1.0     # extra attenuation on `balance_arm`
-    balance_arm: str = "B"
     phase_jitter_sigma: float = 0.0      # residual lock noise per trial, rad
     serrodyne: bool = True               # drive-frequency compensation on/off
     envelope_sigma_ns: float = 40.0      # rms photon envelope, for the overlap penalty
@@ -83,10 +81,6 @@ class InterferometerConfig:
         out = []
         if not 0.0 <= self.splitter_deviation <= 0.1:
             out.append(f"splitter_deviation={self.splitter_deviation} outside [0, 0.1]")
-        if not 0.0 <= self.balance_attenuation <= 1.0:
-            out.append("balance_attenuation outside [0, 1]")
-        if self.balance_arm not in ("A", "B", "none"):
-            out.append("balance_arm must be A, B or none")
         if self.phase_jitter_sigma < 0:
             out.append("phase_jitter_sigma must be non-negative")
         if self.envelope_sigma_ns <= 0:
@@ -96,9 +90,6 @@ class InterferometerConfig:
     @property
     def combiner_transmittance(self) -> float:
         return 0.5 * (1.0 + self.splitter_deviation)
-
-    def arm_attenuation(self, arm: str) -> float:
-        return self.balance_attenuation if self.balance_arm == arm else 1.0
 
 
 @dataclass(frozen=True)

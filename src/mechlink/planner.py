@@ -279,7 +279,7 @@ class IntegrationPlan:
     trials: float
     coincidences: float             # expected, summed over the four cells
     witness_median: float
-    witness_offgrid: float          # symmetrized witness mass off its grid
+    witness_offgrid: float          # symmetrized witness mass off its band
 
 
 # The integration-time solve starts where the weakest (same-detector) cell

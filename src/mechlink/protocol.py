@@ -301,8 +301,7 @@ def read_detection_scale(cfg: ProtocolConfig, device: int, detector: int) -> flo
     intf, dev = cfg.interferometer, cfg.devices()[device]
     t_comb = intf.combiner_transmittance
     port = t_comb if device == detector else 1.0 - t_comb
-    path = dev.eta_path * intf.arm_attenuation("AB"[device])
-    return dev.p_read * path * port * cfg.detectors.read_eta(detector)
+    return dev.p_read * dev.eta_path * port * cfg.detectors.read_eta(detector)
 
 
 def _leak_means(cfg: ProtocolConfig) -> tuple:
@@ -343,8 +342,8 @@ def pump_stage(cfg: ProtocolConfig) -> PumpStageResult:
     state = _two_mode_squeeze(state, MA, OA, dev_a.p_pump)
     state = _two_mode_squeeze(state, MB, OB, dev_b.p_pump,
                               phase=intf.phi0)
-    state = _attenuate(state, OA, dev_a.eta_path * intf.arm_attenuation("A"))
-    state = _attenuate(state, OB, dev_b.eta_path * intf.arm_attenuation("B"))
+    state = _attenuate(state, OA, dev_a.eta_path)
+    state = _attenuate(state, OB, dev_b.eta_path)
     state = _beamsplitter(state, OA, OB, intf.combiner_transmittance)
     state = _attenuate(state, OA, cfg.detectors.eta[0])
     state = _attenuate(state, OB, cfg.detectors.eta[1])
@@ -421,8 +420,8 @@ def readout_stage(mech_state: GaussianState, cfg: ProtocolConfig) -> np.ndarray:
                           phase=math.pi - theta_r)
     # only the read photons are measured: continue on [ra, rb] as modes 0, 1
     state = _vacuum_projection(state, (), (ra, rb))
-    state = _attenuate(state, 0, dev_a.eta_path * intf.arm_attenuation("A"))
-    state = _attenuate(state, 1, dev_b.eta_path * intf.arm_attenuation("B"))
+    state = _attenuate(state, 0, dev_a.eta_path)
+    state = _attenuate(state, 1, dev_b.eta_path)
     state = _beamsplitter(state, 0, 1, intf.combiner_transmittance)
     state = _attenuate(state, 0, cfg.detectors.read_eta(0))
     state = _attenuate(state, 1, cfg.detectors.read_eta(1))

@@ -9,9 +9,9 @@ separable mechanical state obeys W >= 1 in a balanced setup.  Estimator
 uncertainty is dominated by the few two-fold coincidences, so each g2
 has the flat-prior beta posterior of its coincidence count given the
 heralds.  The witness posterior is exact up to quadrature: its CDF at
-the edges of a fixed witness grid is a one-dimensional integral of beta
-CDFs, and the mass off the grid is reported, not folded into it.  The
-beta CDF and quantile are evaluated here in numpy (`beta_cdf`,
+the edges of bins laid over its own band is a one-dimensional integral
+of beta CDFs, and the mass off the band is reported, not folded into
+it.  The beta CDF and quantile are evaluated here in numpy (`beta_cdf`,
 `beta_quantile`).
 """
 
@@ -22,23 +22,33 @@ import json
 import math
 import statistics
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .campaign import ClickLog
 from .protocol import click_totals
+
+if TYPE_CHECKING:
+    from .campaign import ClickLog
 
 # the witness bound every separable mechanical state obeys (W >= 1)
 CLASSICALITY_THRESHOLD = 1.0
-WITNESS_GRID_STEP = 0.005
-WITNESS_MIN, WITNESS_MAX = -2.0, 20.0
+# Each witness posterior is binned on its own band (`_witness_band`): a
+# power-of-two step of at most 1/(2 WITNESS_BINS) of its 68% width, out to
+# WITNESS_REACH half widths past each end.  Against a band ten times finer,
+# every percentile is within 1.7e-4 of the width and the confidence under 1
+# within 6.4e-5 (at 12 bins, 1.3e-4 on a plan-fiber tally).
+WITNESS_BINS = 16
+WITNESS_REACH = 10
 # Gauss-Legendre nodes of the witness CDF.  Against 1024 nodes, 64 put
 # every bin within 9e-7 on the published tallies and on the widest
 # planner tally (1 and 10 coincidences); that tally's `above` is within
 # 1.2e-5, slowed by the square-root edge where the roots turn complex.
 WITNESS_NODES = 64
-# edges of node bands evaluated together by `witness_distribution`
-WITNESS_BLOCK = 4096
+# (edge, node) CDF elements per `_conditional_cdf` call, a bound on memory;
+# each call runs `_fraction`'s loop once: 8192 takes 0.06 s on the two 1e8
+# entangle_stats posteriors, 4096 0.1 s
+WITNESS_BLOCK = 8192
 
 
 class StatsError(ValueError):
@@ -552,7 +562,7 @@ def witness_from_g2(g2_r1: float, g2_r2: float) -> float:
 
 @dataclass
 class WitnessDistribution:
-    """Witness posterior on a grid, with the mass the grid cannot hold."""
+    """Witness posterior binned on its band, with the mass off the band."""
 
     grid: np.ndarray            # bin centers
     mass: np.ndarray            # in-grid bin masses
@@ -617,11 +627,9 @@ def _conditional_cdf(a: np.ndarray, w: np.ndarray, c: int, n: int,
     np.clip(x, 0.0, 1.0, out=x)
     f1, f2 = beta_cdf(c + 1, n - c + 1, x)
     del x
-    # 1 - P(r1 < b < r2) is exactly 1 once that mass rounds away, which
-    # lets `witness_distribution` skip saturated edges.  The difference
-    # cancels to exactly 0 only where f2 is 1; there the CDF is f1, the
-    # tail that f1 - f2 keeps at w < 0, so the exact 0s of each node's CDF
-    # are a leading run in w and its exact 1s a trailing one
+    # 1 - P(r1 < b < r2) cancels to exactly 0 only where f2 is 1; there the
+    # CDF is f1, the tail that f1 - f2 keeps at w < 0, so the tails on both
+    # sides of w = 0 join
     outside = 1.0 - (np.where(w > 0.0, f2, 1.0) - f1)
     outside = np.where(outside > 0.0, outside, f1)
     return np.where(w < 0.0, np.where(real, f1 - f2, 0.0),
@@ -650,63 +658,51 @@ def _witness_nodes(tally_: CoincidenceTally, pump_det: int) -> tuple:
     return a, weights, post_b
 
 
-def witness_distribution(tally_: CoincidenceTally, pump_det: int,
-                         witness_step: float = WITNESS_GRID_STEP) -> WitnessDistribution:
-    """Exact witness posterior for heralds at `pump_det`, binned on edges.
+def _witness_band(a: np.ndarray, weights: np.ndarray, post_b: tuple) -> tuple:
+    """(step, first, last): the band's bin edges are step * (first ... last).
+
+    The band is placed by the weighted 16/50/84% points of W(a_k, b_p), over
+    the quadrature nodes a_k and b's own 16/50/84% points b_p.  The step is
+    a power of two, so the steps of any two posteriors nest.
+    """
+    c, n, scale = post_b
+    b = scale * beta_quantile(c + 1, n - c + 1, [0.16, 0.5, 0.84])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (4.0 * (a[:, None] + b - 1.0) / (a[:, None] - b) ** 2).ravel()
+    order = np.argsort(w)
+    cum = np.cumsum(np.repeat(weights, len(b))[order]) / len(b)
+    q16, q50, q84 = w[order][np.searchsorted(cum, [0.16, 0.5, 0.84])]
+    if not 0.0 < q84 - q16 < math.inf:
+        raise StatsError(f"witness band [{q16:g}, {q84:g}] has no finite width")
+    step = 2.0 ** math.floor(math.log2((q84 - q16) / (2 * WITNESS_BINS)))
+    return (step, math.floor((q16 - WITNESS_REACH * (q50 - q16)) / step),
+            math.ceil((q84 + WITNESS_REACH * (q84 - q50)) / step))
+
+
+def witness_distribution(tally_: CoincidenceTally, pump_det: int) -> WitnessDistribution:
+    """Exact witness posterior for heralds at `pump_det`, binned on its band.
 
     The CDF of W(a, b) over the two g2[r_i, p] at each bin edge is the
     mean, over a's posterior, of b's beta-CDF mass on {W <= w}
-    (`_conditional_cdf`), by Gauss-Legendre in a's quantile.  Each node's
-    CDF is evaluated only on its own band of edges, bracketed by a coarse
-    probe; below the band it is exactly 0 and above it exactly 1.  Bands
-    are evaluated together, WITNESS_BLOCK edges at a time, and their
-    weighted CDF differences are added into the bin masses node by node.
-    The mass under WITNESS_MIN and over WITNESS_MAX is reported as `below`
-    and `above`, never folded into a bin.
+    (`_conditional_cdf`), by Gauss-Legendre in a's quantile.  Every node's
+    CDF is evaluated at every edge of the band (`_witness_band`), as many
+    nodes at a time as keep a call within WITNESS_BLOCK elements.  The
+    mass under and over the band is reported as `below` and `above`,
+    never folded into a bin.
     """
-    n_bins = int(round((WITNESS_MAX - WITNESS_MIN) / witness_step))
-    edges = WITNESS_MIN + witness_step * np.arange(n_bins + 1)
     a, weights, post_b = _witness_nodes(tally_, pump_det)
-    # each node's exact 0s and 1s are a leading and a trailing run of the
-    # edges (`_conditional_cdf`), so every 40th edge brackets its band: the
-    # column is exactly 0 up to its last 0 probe, exactly 1 from its first
-    # 1 probe, and is evaluated in between; its CDF differences vanish
-    # outside the band, and its first and last values are its band's ends
-    coarse = np.r_[0:n_bins:40, n_bins]
-    # as many nodes per call as keep it within WITNESS_BLOCK edges
-    per_call = max(1, WITNESS_BLOCK // len(coarse))
-    probe = np.hstack([_conditional_cdf(a[k:k + per_call], edges[coarse, None],
-                                        *post_b)
-                       for k in range(0, len(a), per_call)])
-    lo = np.where(probe == 0.0, coarse[:, None], 0).max(axis=0)
-    hi = np.where(probe == 1.0, coarse[:, None], n_bins).min(axis=0)
-    width = hi - lo + 1
-
-    mass = np.zeros(n_bins)
+    step, first, last = _witness_band(a, weights, post_b)
+    edges = step * np.arange(first, last + 1.0)
+    mass = np.zeros(len(edges) - 1)
     ends = np.empty((2, len(a)))
-    first = 0
-    while first < len(a):
-        # whole bands, in node order, up to WITNESS_BLOCK edges (at least one)
-        last = first + max(1, int(np.searchsorted(
-            np.cumsum(width[first:]), WITNESS_BLOCK, side="right")))
-        widths = width[first:last]
-        nodes = np.repeat(np.arange(first, last), widths)
-        start = np.cumsum(widths) - widths        # each band's first point
-        stop = start + widths - 1                 # and its last
-        edge = lo[nodes] + np.arange(len(nodes)) - start.repeat(widths)
-        cdf = _conditional_cdf(a[nodes], edges[edge], *post_b)
-        # differences within a band, weighted by the band's node, added
-        # into the masses in node order
-        inner = np.ones(len(nodes) - 1, dtype=bool)
-        inner[stop[:-1]] = False
-        step = np.diff(cdf)[inner] * weights[nodes[1:][inner]]
-        np.add.at(mass, edge[:-1][inner], step)
-        ends[:, first:last] = cdf[start], cdf[stop]
-        first = last
-
+    per_call = max(1, WITNESS_BLOCK // len(edges))
+    for k in range(0, len(a), per_call):
+        cdf = _conditional_cdf(a[k:k + per_call], edges[:, None], *post_b)
+        mass += np.diff(cdf, axis=0) @ weights[k:k + per_call]
+        ends[:, k:k + per_call] = cdf[[0, -1]]
     below = float(ends[0] @ weights)
     above = float((1.0 - ends[1]) @ weights)
-    grid = WITNESS_MIN + (np.arange(n_bins) + 0.5) * witness_step
+    grid = edges[:-1] + 0.5 * step
     ml, lower, upper = _mode_and_interval(grid, mass, below)
     return WitnessDistribution(grid=grid, mass=mass, ml_value=ml, lower=lower,
                                upper=upper, below=below, above=above)
@@ -716,28 +712,33 @@ def symmetrize(dist_1: WitnessDistribution,
                dist_2: WitnessDistribution) -> WitnessDistribution:
     """Distribution of the mean of two independent witness measurements.
 
-    Pairs of in-grid bins land on the half-step grid of the mean.  Pairs
-    with a component off the grid are kept apart: both under it go to
-    `below`, all others to `above`, whose mean lies over the grid's
-    midpoint or is unknown (one component under the grid); counting them
-    over every threshold is conservative.
+    The finer grid's bins are summed, whole, onto the bins of the coarser
+    grid's step (band steps are powers of two, so they nest), and pairs of
+    in-grid bins land on the half-step grid of the mean.  Pairs with a
+    component off the grid are kept apart: both under it go to `below`,
+    all others to `above`, whose mean lies over the grid's midpoint or is
+    unknown (one component under the grid); counting them over every
+    threshold is conservative.
     """
-    step1 = dist_1.grid[1] - dist_1.grid[0]
-    step2 = dist_2.grid[1] - dist_2.grid[0]
-    if abs(step1 - step2) > 1e-12 or len(dist_1.grid) != len(dist_2.grid):
-        raise StatsError("witness distributions live on incompatible grids")
-    # only the nonzero spans are convolved; the sum grid keeps full length
-    mass = np.zeros(len(dist_1.mass) + len(dist_2.mass) - 1)
-    spans = [np.flatnonzero(d.mass)[[0, -1]] if d.mass.any() else None
-             for d in (dist_1, dist_2)]
-    if spans[0] is not None and spans[1] is not None:
-        (lo1, hi1), (lo2, hi2) = spans
-        mass[lo1 + lo2:hi1 + hi2 + 1] = np.convolve(dist_1.mass[lo1:hi1 + 1],
-                                                    dist_2.mass[lo2:hi2 + 1])
-    # sum grid starts at grid1[0] + grid2[0]; the mean halves everything
-    start = 0.5 * (dist_1.grid[0] + dist_2.grid[0])
-    grid = start + 0.5 * step1 * np.arange(len(mass))
-    in_1, in_2 = dist_1.mass.sum(), dist_2.mass.sum()
+    coarse = max((dist_1, dist_2), key=lambda d: d.grid[1] - d.grid[0])
+    step = coarse.grid[1] - coarse.grid[0]
+    starts, masses = [], []
+    for d in (dist_1, dist_2):
+        fine = d.grid[1] - d.grid[0]
+        ratio = round(step / fine)
+        # d's first edge, in its own bins from a coarse edge
+        offset = (d.grid[0] - coarse.grid[0]) / fine + 0.5 * (ratio - 1)
+        if (abs(ratio * fine - step) > 1e-9 * step
+                or abs(offset - round(offset)) > 1e-6):
+            raise StatsError("witness distributions live on incompatible grids")
+        pad = round(offset) % ratio
+        mass = np.pad(d.mass, (pad, -(pad + len(d.mass)) % ratio))
+        masses.append(mass.reshape(-1, ratio).sum(axis=1))
+        starts.append(d.grid[0] + (0.5 * (ratio - 1) - pad) * fine)
+    mass = np.convolve(*masses)
+    # the sum grid starts at start1 + start2; the mean halves everything
+    grid = 0.5 * (starts[0] + starts[1]) + 0.5 * step * np.arange(len(mass))
+    in_1, in_2 = (m.sum() for m in masses)
     below = dist_1.below * dist_2.below
     above = (dist_1.above * (dist_2.below + in_2 + dist_2.above)
              + (dist_1.below + in_1) * dist_2.above
@@ -750,14 +751,18 @@ def symmetrize(dist_1: WitnessDistribution,
 def confidence_below(dist: WitnessDistribution, threshold: float) -> float:
     """Witness mass below `threshold`: one minus `above` and the bins over it.
 
-    The complement keeps a confidence near 1 from passing 1 when the
-    in-grid masses (CDF differences) sum past 1 by rounding.
+    A threshold under the grid's first edge counts `below` over it too, as
+    the grid does not say where under it that mass lies.  The complement
+    keeps a confidence near 1 from passing 1 when the in-grid masses (CDF
+    differences) sum past 1 by rounding.
     """
     if threshold <= 0:
         raise StatsError("threshold must be positive")
     step = dist.grid[1] - dist.grid[0]
     over = np.clip(((dist.grid + 0.5 * step) - threshold) / step, 0.0, 1.0)
     conf = 1.0 - dist.above - float(over @ dist.mass)
+    if threshold < dist.grid[0] - 0.5 * step:
+        conf -= dist.below
     if not -1e-12 <= conf <= 1.0 + 1e-12:
         raise StatsError(f"confidence {conf!r} outside [0, 1]")
     return conf

@@ -116,8 +116,8 @@ def pump_stage(cfg, cutoff: int = 3, mech_cutoff: int = 3) -> PumpStageResult:
                                   tol=PIPELINE_TOL)
     state = fock.two_mode_squeeze(state, MB, OB, dev_b.p_pump,
                                   phase=intf.phi0, tol=PIPELINE_TOL)
-    state = fock.loss_channel(state, OA, dev_a.eta_path * intf.arm_attenuation("A"))
-    state = fock.loss_channel(state, OB, dev_b.eta_path * intf.arm_attenuation("B"))
+    state = fock.loss_channel(state, OA, dev_a.eta_path)
+    state = fock.loss_channel(state, OB, dev_b.eta_path)
     state = distinguishability_twirl(state, OA, OB, photon_overlap(intf))
     state = fock.beamsplitter(state, OA, OB, intf.combiner_transmittance)
     state = fock.loss_channel(state, OA, cfg.detectors.eta[0])
@@ -212,8 +212,8 @@ def readout_stage(mech_state: fock.DensityMatrix, cfg,
     state = fock.beamsplitter(state, MA, ra, 1.0 - dev_a.p_read, phase=math.pi)
     state = fock.beamsplitter(state, MB, rb, 1.0 - dev_b.p_read,
                               phase=math.pi - theta_r)
-    state = fock.loss_channel(state, ra, dev_a.eta_path * intf.arm_attenuation("A"))
-    state = fock.loss_channel(state, rb, dev_b.eta_path * intf.arm_attenuation("B"))
+    state = fock.loss_channel(state, ra, dev_a.eta_path)
+    state = fock.loss_channel(state, rb, dev_b.eta_path)
     state = distinguishability_twirl(state, ra, rb, photon_overlap(intf))
     state = fock.beamsplitter(state, ra, rb, intf.combiner_transmittance)
     state = fock.loss_channel(state, ra, cfg.detectors.read_eta(0))

@@ -91,14 +91,13 @@ delta_phi_pi_list = 0, 0.5, 1.0
         assert cfg.delta_phi_sweep == pytest.approx(
             (0.0, 0.5 * math.pi, math.pi))
 
-    # every knob live: a bath to decay, a leak to scale, an attenuation to
-    # place, and the serrodyne off with envelopes short enough to keep
+    # every knob live: a bath to decay, a leak to scale, a path loss on
+    # one arm, and the serrodyne off with envelopes short enough to keep
     # some of the fringe
     LIVE = {
         "device.A": {"bath_k_per_us": "0.8", "n_leak": "0.037"},
-        "device.B": {"bath_k_per_us": "0.4", "n_leak": "0.037"},
-        "interferometer": {"balance_attenuation": "0.9", "serrodyne": "off",
-                           "envelope_sigma_ns": "1.0"},
+        "device.B": {"bath_k_per_us": "0.4", "n_leak": "0.037", "eta_path": "0.9"},
+        "interferometer": {"serrodyne": "off", "envelope_sigma_ns": "1.0"},
         "detectors": {"p_dark_pump_1": "5e-5", "p_dark_read_2": "5e-5"},
         "protocol": {"tau_ns": "123"},
     }
@@ -319,6 +318,17 @@ class TestCliRuns:
         assert rc == 2
         assert "[protocol] heating_slices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("balance_attenuation", "0.9"),
+                                            ("balance_arm", "A")])
+    def test_removed_balance_keys_rejected(self, key, value, tmp_path, capsys):
+        # a loss on one arm is that device's eta_path
+        cfg = write_cfg(tmp_path, MINIMAL.replace("phi0_rad = 0.0",
+                                                  f"phi0_rad = 0.0\n{key} = {value}"))
+        rc = cli.main(["witness", "--config", str(cfg), "--out",
+                       str(tmp_path / "o")])
+        assert rc == 2
+        assert f"[interferometer] {key}" in capsys.readouterr().err
+
     def test_removed_flux_imbalance_key_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, MINIMAL + "\n[analysis]\nflux_imbalance = 0.075\n")
         rc = cli.main(["witness", "--config", str(cfg), "--out",
@@ -483,6 +493,16 @@ class TestCliRuns:
         assert loaded == {"import": [], "witness": [], "plan-fiber": [],
                           "plan-yield": [], "analyze": [], "phase-sweep": [],
                           "time-sweep": [], "pump-probe": []}
+
+    def test_planner_loads_no_campaign(self):
+        # stats names the click log only in an annotation
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, mechlink.planner\n"
+             "print('mechlink.campaign' in sys.modules)"],
+            capture_output=True, text=True,
+            cwd=os.path.join(os.path.dirname(__file__), ".."))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL)

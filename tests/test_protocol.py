@@ -687,8 +687,6 @@ def protocol_configs(draw):
                               read_eta_scale=scale)
     intf = InterferometerConfig(phi0=draw(st.floats(0.0, 2 * math.pi)),
                                 splitter_deviation=draw(st.floats(0.0, 0.1)),
-                                balance_arm=draw(st.sampled_from(["A", "B", "none"])),
-                                balance_attenuation=draw(unit),
                                 serrodyne=draw(st.booleans()))
     return ProtocolConfig(device_a=device(), device_b=device(), interferometer=intf,
                           detectors=detectors)

@@ -1,5 +1,6 @@
 """Counting statistics: tallies, correlation estimates, witness pipeline."""
 
+import functools
 import json
 import math
 import os
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import witness_oracle
-from mechlink import cli, stats
+from mechlink import campaign, cli, protocol, stats
 from mechlink.campaign import ClickLog
+from mechlink.config import parse_config
 from mechlink.stats import (CoincidenceTally, StatsError, confidence_below,
                             fit_fringe, g2_from_counts, symmetrize, tally,
                             visibility, witness_distribution, witness_from_g2)
@@ -42,6 +44,18 @@ WIDE_TALLY = CoincidenceTally(
 def config_tally(name) -> CoincidenceTally:
     with open(os.path.join(os.path.dirname(__file__), "..", "configs", name)) as fh:
         return CoincidenceTally.loads(fh.read())
+
+
+@functools.cache
+def entangle_stats_model():
+    return protocol.build_trial_model(parse_config(os.path.join(
+        os.path.dirname(__file__), "..", "configs", "entangle_stats.cfg")).protocol)
+
+
+def entangle_stats_tally(n_trials, seed) -> CoincidenceTally:
+    """A tally of `n_trials` drawn from entangle_stats.cfg's exact joint table."""
+    counts = campaign.code_counts(entangle_stats_model(), n_trials, seed)
+    return stats.tally_from_counts(counts, n_trials)
 
 
 PUMP, READ = 0, 1
@@ -277,12 +291,14 @@ class TestBetaKernel:
 
     def test_workload_posteriors_against_scipy(self):
         # the two g2 posteriors of the published tally's heralds at p_1 and
-        # a plan-fiber posterior, on every edge the witness CDF reads
+        # a plan-fiber posterior, on every edge of the band the witness CDF
+        # reads
         from scipy.special import betainc
         for tally_, det in ((WITNESS_TALLY, 1), (WITNESS_TALLY, 2),
                             (WIDE_TALLY, 1)):
-            a, _, (c, n, scale) = stats._witness_nodes(tally_, det)
-            edges = stats.WITNESS_MIN + stats.WITNESS_GRID_STEP * np.arange(4401)
+            a, weights, (c, n, scale) = stats._witness_nodes(tally_, det)
+            step, first, last = stats._witness_band(a, weights, (c, n, scale))
+            edges = step * np.arange(first, last + 1.0)
             s = 2.0 * a - 1.0
             root = np.sqrt(np.clip(1.0 + edges[:, None] * s, 0.0, None))
             x = np.clip((a - 2.0 * s / (1.0 + root)) / scale, 0.0, 1.0)
@@ -394,7 +410,7 @@ class TestWitnessDistribution:
     @pytest.mark.parametrize("tally_, det", [(WITNESS_TALLY, 1), (WITNESS_TALLY, 2),
                                              (WIDE_TALLY, 1), (WIDE_TALLY, 2)])
     def test_masses_match_monte_carlo(self, tally_, det):
-        d = witness_distribution(tally_, det, witness_step=0.05)
+        d = witness_distribution(tally_, det)
         rng = np.random.default_rng(2017)
         n = 10**6
         a, b = (rng.beta(tally_.coincidence(i, det) + 1,
@@ -402,7 +418,8 @@ class TestWitnessDistribution:
                          n) * tally_.n_trials / tally_.read_singles[i - 1]
                 for i in (1, 2))
         w = 4.0 * (a + b - 1.0) / (a - b) ** 2
-        edges = stats.WITNESS_MIN + 0.05 * np.arange(len(d.mass) + 1)
+        step = d.grid[1] - d.grid[0]
+        edges = np.append(d.grid - 0.5 * step, d.grid[-1] + 0.5 * step)
         # slot 0 is under the grid, slot len(edges) over it
         slots = np.searchsorted(edges, w, side="right")
         observed = np.bincount(slots, minlength=len(edges) + 1) / n
@@ -416,6 +433,9 @@ class TestWitnessDistribution:
         (EXTENDED_TALLY, 1, 1e-5), (EXTENDED_TALLY, 2, 1e-5),
         (WIDE_TALLY, 1, 5e-5), (WIDE_TALLY, 2, 5e-5)])
     def test_doubling_quadrature_nodes(self, tally_, det, tol, monkeypatch):
+        # on one fixed band: the band itself is placed from the nodes
+        band = stats._witness_band(*stats._witness_nodes(tally_, det))
+        monkeypatch.setattr(stats, "_witness_band", lambda *nodes: band)
         base = witness_distribution(tally_, det)
         monkeypatch.setattr(stats, "WITNESS_NODES", 2 * stats.WITNESS_NODES)
         fine = witness_distribution(tally_, det)
@@ -425,37 +445,6 @@ class TestWitnessDistribution:
         assert fine.ml_value == base.ml_value
         assert fine.lower == pytest.approx(base.lower, abs=5e-5)
         assert fine.upper == pytest.approx(base.upper, abs=5e-5)
-
-    @pytest.mark.parametrize("tally_", [
-        config_tally("witness_run_tally.json"),
-        config_tally("extended_phase_tally.json"),
-        # planner tallies of plan_fiber.cfg: a 94 km projection with no
-        # same-detector coincidence, the first probe at 94 km and at 75 km
-        CoincidenceTally(n_trials=4_105_000_000, pump_singles=(46760, 46760),
-                         read_singles=(42950, 42950),
-                         coincidences=((0, 4), (4, 0))),
-        WIDE_TALLY,
-        CoincidenceTally(n_trials=5_633_379_961, pump_singles=(135000, 135000),
-                         read_singles=(124000, 124000),
-                         coincidences=((3, 21), (21, 3))),
-    ], ids=["published", "extended", "0-4", "1-10", "3-21"])
-    @pytest.mark.parametrize("det", [1, 2])
-    def test_bands_skip_only_exact_zeros_and_ones(self, tally_, det):
-        cdf, _ = witness_oracle.full_grid_cdf(tally_, det)
-        # what the coarse probe relies on: each node's exact 0s are a
-        # leading run of the edges and its exact 1s a trailing one
-        zero, one = cdf == 0.0, cdf == 1.0
-        assert np.array_equal(zero, np.logical_and.accumulate(zero, axis=0))
-        assert np.array_equal(one, np.logical_and.accumulate(one[::-1],
-                                                             axis=0)[::-1])
-        d = witness_distribution(tally_, det)
-        ref = witness_oracle.full_grid_distribution(tally_, det)
-        assert np.array_equal(d.mass, ref.mass)
-        assert (d.below, d.above) == (ref.below, ref.above)
-        assert ((d.ml_value, d.lower, d.upper)
-                == (ref.ml_value, ref.lower, ref.upper))
-        # the tails on both sides of w = 0 join, so no bin there goes negative
-        assert d.mass.min() >= 0.0
 
     @pytest.mark.parametrize("tally_", [WITNESS_TALLY, EXTENDED_TALLY,
                                         WIDE_TALLY],
@@ -475,28 +464,31 @@ class TestWitnessDistribution:
                 == (ref.ml_value, ref.lower, ref.upper, ref.below, ref.above))
 
     def test_widest_planner_tally_keeps_its_mode_and_tail(self):
+        # the band reaches 10 upper half widths past the 84th percentile,
+        # 1.66; the mass over it is about 0.02
         for det in (1, 2):
             d = witness_distribution(WIDE_TALLY, det)
             assert 0 < int(np.argmax(d.mass)) < len(d.mass) - 1
-            assert d.ml_value == pytest.approx(0.5375)
-            assert 0.011 <= d.above <= 0.012
+            assert d.ml_value == pytest.approx(0.546875)
+            assert 0.020 <= d.above <= 0.022
             assert d.below + d.mass.sum() + d.above == pytest.approx(1.0, abs=1e-12)
             assert np.all(d.mass >= 0)
 
-    def test_posterior_holds_only_its_band_differences(self):
-        # the (bins x nodes) CDF differences and one band's temporaries,
-        # not the (edges x nodes) CDF beside its np.diff
-        n_bins = int(round((stats.WITNESS_MAX - stats.WITNESS_MIN)
-                           / stats.WITNESS_GRID_STEP))
-        allowed = 8 * n_bins * stats.WITNESS_NODES + 500_000
+    def test_posterior_holds_only_one_chunk_of_its_band(self):
+        # one (band edges x nodes) CDF table, one WITNESS_BLOCK chunk's
+        # temporaries and the beta kernel's tables, built afresh (2.5 MB in
+        # all), not the temporaries of the whole table: evaluated in one
+        # call, the band of this tally peaked at 6.8 MB with the tables built
         for det in (1, 2):
+            stats._FRACTIONS.clear()
             tracemalloc.start()
             try:
                 d = witness_distribution(WIDE_TALLY, det)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak - d.grid.nbytes - d.mass.nbytes < allowed
+            table = 8 * (len(d.mass) + 1) * stats.WITNESS_NODES
+            assert peak - d.grid.nbytes - d.mass.nbytes < table + 3_000_000
 
     def test_percentiles_read_at_bin_edges(self):
         # uniform on [0, 1] between 10 % under and 10 % over the grid; the
@@ -587,6 +579,173 @@ class TestWitnessDistribution:
         d = stats.WitnessDistribution(grid=grid, mass=mass, ml_value=0.505,
                                       lower=0.505, upper=0.505)
         assert confidence_below(d, 1.0) == pytest.approx(1.0)
+
+
+def coarsened(d, ratio) -> stats.WitnessDistribution:
+    """`d` with each `ratio` of its bins summed, on a lattice whose edges are
+    multiples of the coarse step, as band grids' edges are."""
+    step = d.grid[1] - d.grid[0]
+    first = round(d.grid[0] / step - 0.5)
+    pad = first % ratio
+    mass = np.r_[np.zeros(pad), d.mass, np.zeros(-(pad + len(d.mass)) % ratio)]
+    mass = mass.reshape(-1, ratio).sum(axis=1)
+    grid = (first - pad) * step + ratio * step * (np.arange(len(mass)) + 0.5)
+    return stats.WitnessDistribution(grid=grid, mass=mass, ml_value=d.ml_value,
+                                     lower=d.lower, upper=d.upper,
+                                     below=d.below, above=d.above)
+
+
+class TestWitnessBand:
+    """Each posterior is binned on its own band, at a power-of-two step."""
+
+    @pytest.mark.parametrize("tally_", [
+        WITNESS_TALLY, EXTENDED_TALLY, WIDE_TALLY,
+        # planner tallies of plan_fiber.cfg: a 94 km projection with no
+        # same-detector coincidence, and the first probe at 75 km
+        CoincidenceTally(n_trials=4_105_000_000, pump_singles=(46760, 46760),
+                         read_singles=(42950, 42950),
+                         coincidences=((0, 4), (4, 0))),
+        CoincidenceTally(n_trials=5_633_379_961, pump_singles=(135000, 135000),
+                         read_singles=(124000, 124000),
+                         coincidences=((3, 21), (21, 3))),
+        # the 68% interval of detector 1 here is 0.0145 wide
+        entangle_stats_tally(10**8, 7),
+    ], ids=["published", "extended", "1-10", "0-4", "3-21", "entangle_stats-1e8"])
+    def test_matches_a_band_ten_times_finer(self, tally_):
+        # every percentile within 1e-3 of its 68% width, the confidence
+        # within 1e-4; on a fixed 0.005 grid the 1e8 interval was about 3 %
+        # of its width wide at each end
+        dists, refs = ([f(tally_, det) for det in (1, 2)] for f in (
+            witness_distribution, witness_oracle.band_distribution))
+        dists.append(symmetrize(*dists))
+        refs.append(symmetrize(*refs))
+        for d, ref in zip(dists, refs):
+            width = ref.upper - ref.lower
+            for got, want in ((d.lower, ref.lower), (d.median, ref.median),
+                              (d.upper, ref.upper)):
+                assert abs(got - want) <= 1e-3 * width
+            assert d.mass.min() >= 0.0
+        assert abs(confidence_below(dists[2], 1.0)
+                   - confidence_below(refs[2], 1.0)) <= 1e-4
+
+    @pytest.mark.parametrize("tally_", [WITNESS_TALLY, WIDE_TALLY],
+                             ids=["published", "1-10"])
+    def test_chunks_add_up_to_one_pass(self, tally_):
+        # the band's CDF chunk by chunk, against each node on its own
+        d = witness_distribution(tally_, 1)
+        ref = witness_oracle.band_distribution(tally_, 1, refine=1)
+        assert np.array_equal(d.grid, ref.grid)
+        assert np.abs(d.mass - ref.mass).max() <= 1e-15
+        assert d.below == pytest.approx(ref.below, rel=1e-12, abs=1e-300)
+        assert d.above == pytest.approx(ref.above, rel=1e-12, abs=1e-300)
+
+    def test_steps_are_powers_of_two_near_a_32nd_to_64th_of_the_width(self):
+        # the step is set from the nodes' own 68% width, which lies near
+        # the posterior's: 37 to 60 bins span it on these tallies
+        for tally_ in (WITNESS_TALLY, EXTENDED_TALLY, WIDE_TALLY):
+            for det in (1, 2):
+                d = witness_distribution(tally_, det)
+                step = d.grid[1] - d.grid[0]
+                assert math.log2(step) == round(math.log2(step))
+                assert 28 < (d.upper - d.lower) / step < 80
+                # the edges are multiples of the step
+                assert (d.grid[0] - 0.5 * step) / step == round(
+                    (d.grid[0] - 0.5 * step) / step)
+
+    @pytest.mark.parametrize("fine_post, coarse_post, ratio", [
+        ((EXTENDED_TALLY, 1), (WITNESS_TALLY, 2), 2),
+        ((WITNESS_TALLY, 2), (WIDE_TALLY, 1), 4)])
+    def test_nested_steps_merge_whole_bins(self, fine_post, coarse_post, ratio):
+        fine = witness_distribution(*fine_post)
+        coarse = witness_distribution(*coarse_post)
+        assert (coarse.grid[1] - coarse.grid[0]
+                == ratio * (fine.grid[1] - fine.grid[0]))
+        for sym in (symmetrize(fine, coarse), symmetrize(coarse, fine)):
+            # no in-band mass is lost or made
+            assert abs(sym.mass.sum() - fine.mass.sum() * coarse.mass.sum()) <= 1e-15
+            ref = symmetrize(coarsened(fine, ratio), coarse)
+            assert np.abs(sym.mass - ref.mass).max() <= 1e-15
+            assert np.allclose(sym.grid, ref.grid, rtol=0.0, atol=1e-12)
+            assert (sym.below, sym.above) == pytest.approx((ref.below, ref.above),
+                                                           rel=1e-12, abs=1e-300)
+            assert ((sym.ml_value, sym.lower, sym.upper)
+                    == pytest.approx((ref.ml_value, ref.lower, ref.upper),
+                                     abs=1e-12))
+
+    def test_nested_grids_centred_on_step_multiples(self):
+        # a delta at 0.57 on bins centred on multiples of 0.01, and one at
+        # 0.405 on bins of 0.02 whose edges sit at 0.005 + 0.02 k - 0.01:
+        # the first is summed into the coarse bin [0.555, 0.575]
+        fine_grid = np.arange(200) * 0.01
+        coarse_grid = 0.005 + np.arange(100) * 0.02
+        fine_mass, coarse_mass = np.zeros(200), np.zeros(100)
+        fine_mass[57] = coarse_mass[20] = 1.0
+        fine = stats.WitnessDistribution(grid=fine_grid, mass=fine_mass,
+                                         ml_value=0.57, lower=0.57, upper=0.57)
+        coarse = stats.WitnessDistribution(grid=coarse_grid, mass=coarse_mass,
+                                           ml_value=0.405, lower=0.405,
+                                           upper=0.405)
+        for sym in (symmetrize(fine, coarse), symmetrize(coarse, fine)):
+            assert sym.mass.sum() == 1.0
+            assert sym.ml_value == pytest.approx(0.5 * (0.565 + 0.405), abs=1e-9)
+            assert sym.grid[1] - sym.grid[0] == pytest.approx(0.01)
+
+    def test_grids_that_do_not_nest_raise(self):
+        grid = np.arange(200) * 0.01
+        mass = np.full(200, 0.005)
+        d = stats.WitnessDistribution(grid=grid, mass=mass, ml_value=1.0,
+                                      lower=0.3, upper=1.7)
+        for other in (grid * 2.5, 0.02 * np.arange(100)):
+            # a step ratio of 2.5, and edges half a fine bin off the coarse ones
+            e = stats.WitnessDistribution(grid=other, mass=mass[:len(other)],
+                                          ml_value=1.0, lower=0.3, upper=1.7)
+            with pytest.raises(StatsError, match="incompatible"):
+                symmetrize(d, e)
+
+    def test_confidence_counts_mass_under_the_grid_over_a_threshold_under_it(self):
+        grid = 4.0 + (np.arange(100) + 0.5) * 0.01
+        mass = np.full(100, 0.009)
+        d = stats.WitnessDistribution(grid=grid, mass=mass, ml_value=4.5,
+                                      lower=4.1, upper=4.9, below=0.05,
+                                      above=0.05)
+        assert confidence_below(d, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert confidence_below(d, 4.5) == pytest.approx(0.5)
+
+
+class TestWitnessCoverage:
+    """The posterior's PIT at the exact witness, over tallies drawn from
+    entangle_stats.cfg's exact joint table: the share inside [0.16, 0.84]
+    and the ten decile counts, each two-sided at a family-wise level of
+    1e-3 over the 22 checks of both trial counts."""
+
+    LEVEL = 1e-3 / 22
+    SEEDS = 1000
+
+    @pytest.mark.parametrize("n_trials, first_seed", [(10**7, 30000),
+                                                      (10**8, 20000)])
+    def test_pit_is_uniform(self, n_trials, first_seed):
+        from scipy.stats import binom
+        model = entangle_stats_model()
+        truth = witness_from_g2(model.g2_exact(1, 1), model.g2_exact(2, 1))
+        p_codes = model.joint.T.ravel()[1:]
+        pvals = np.append(p_codes, 1.0 - p_codes.sum())
+        pits = np.empty(self.SEEDS)
+        for k in range(self.SEEDS):
+            rng = np.random.default_rng(first_seed + k)
+            counts = np.roll(rng.multinomial(n_trials, pvals), 1)
+            a, weights, post_b = stats._witness_nodes(
+                stats.tally_from_counts(counts, n_trials), 1)
+            pits[k] = weights @ stats._conditional_cdf(a, truth, *post_b)
+
+        def within(count, p):
+            lo, hi = binom.ppf(0.5 * self.LEVEL, self.SEEDS, p), binom.isf(
+                0.5 * self.LEVEL, self.SEEDS, p)
+            return lo <= count <= hi
+
+        inside = int(((pits >= 0.16) & (pits <= 0.84)).sum())
+        assert within(inside, 0.68), inside
+        deciles = np.histogram(pits, bins=np.linspace(0.0, 1.0, 11))[0]
+        assert all(within(c, 0.1) for c in deciles), deciles
 
 
 class TestFringeTools:

@@ -36,8 +36,8 @@ def pump_stage(cfg) -> protocol.PumpStageResult:
     state = protocol._thermal([dev_a.start_occupation, dev_b.start_occupation, 0.0, 0.0])
     state = protocol._two_mode_squeeze(state, MA, OA, dev_a.p_pump)
     state = protocol._two_mode_squeeze(state, MB, OB, dev_b.p_pump, phase=intf.phi0)
-    state = protocol._attenuate(state, OA, dev_a.eta_path * intf.arm_attenuation("A"))
-    state = protocol._attenuate(state, OB, dev_b.eta_path * intf.arm_attenuation("B"))
+    state = protocol._attenuate(state, OA, dev_a.eta_path)
+    state = protocol._attenuate(state, OB, dev_b.eta_path)
     state = _twirl(state, OA, _distinguishability_sigma(cfg))
     state = protocol._beamsplitter(state, OA, OB, intf.combiner_transmittance)
     state = protocol._attenuate(state, OA, cfg.detectors.eta[0])
@@ -55,8 +55,8 @@ def read_probs(mech_state, cfg) -> np.ndarray:
     state = protocol._beamsplitter(state, MB, 3, 1.0 - dev_b.p_read,
                                    phase=math.pi - intf.phi0 - intf.delta_phi)
     state = protocol._vacuum_projection(state, (), (2, 3))
-    state = protocol._attenuate(state, 0, dev_a.eta_path * intf.arm_attenuation("A"))
-    state = protocol._attenuate(state, 1, dev_b.eta_path * intf.arm_attenuation("B"))
+    state = protocol._attenuate(state, 0, dev_a.eta_path)
+    state = protocol._attenuate(state, 1, dev_b.eta_path)
     state = _twirl(state, 0, _distinguishability_sigma(cfg))
     state = protocol._beamsplitter(state, 0, 1, intf.combiner_transmittance)
     state = protocol._attenuate(state, 0, cfg.detectors.read_eta(0))
