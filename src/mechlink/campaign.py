@@ -41,7 +41,8 @@ _CODE_INCIDENCE = CODE_SLOTS.view(np.uint32).ravel()    # a code's slot flags
 _ROW_SUFFIX = np.frombuffer(b",1,pump\n,2,pump\n,1,read\n,2,read\n", "<u8")
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 _CSV_DTYPE = [("trial", np.int64), ("detector", np.int8), ("window", "S8")]
-_CLICK_CODES = np.arange(1, 16, dtype=np.uint32)
+# intp: numpy shuffles pointer-sized items on its fastest path
+_CLICK_CODES = np.arange(1, 16, dtype=np.intp)
 
 
 class CampaignError(ValueError):
@@ -150,11 +151,12 @@ class ClickLog:
                                            sort_keys=True) + "\n")
 
     @classmethod
-    def from_csv(cls, csv_path, meta_path=None) -> "ClickLog":
-        meta = {}
-        if meta_path is not None:
-            with open(meta_path) as fh:
-                meta = json.load(fh)
+    def from_csv(cls, csv_path, meta_path) -> "ClickLog":
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        if "n_trials" not in meta:
+            raise CampaignError("click-log metadata without n_trials: the trial count "
+                                "is unknown, since trials without a click leave no row")
         with open(csv_path, "rb") as fh:
             header, _, body = fh.read().partition(b"\n")
         if header.rstrip(b"\r") != b"trial,detector,window":
@@ -176,9 +178,6 @@ class ClickLog:
         later, same = trial[1:] > trial[:-1], trial[1:] == trial[:-1]
         if not np.all(later | same & (slot[1:] > slot[:-1])):
             raise CampaignError("rows must be strictly ordered by (trial, window, detector)")
-        if "n_trials" not in meta:
-            raise CampaignError("click log without metadata: its trial count is "
-                                "unknown, since trials without a click leave no row")
         first = np.flatnonzero(np.diff(trial, prepend=trial[:1] - 1))
         return cls(n_trials=meta["n_trials"], seed=meta.get("seed", 0),
                    stream=meta.get("stream", 0), trial=trial[first],
@@ -268,10 +267,12 @@ def _place_clicks(rng, counts) -> np.ndarray:
     unshuffled sample holds no index over the chunk up to a 1/20 click
     yield; its shuffled sample would from 1/50.
     """
-    placed = rng.choice(counts.sum(), counts[1:].sum(), replace=False, shuffle=False)
+    placed = np.sort(rng.choice(counts.sum(), counts[1:].sum(), replace=False,
+                                shuffle=False).astype(np.uint32))
     codes = np.repeat(_CLICK_CODES, counts[1:])
     rng.shuffle(codes)
-    return np.sort(placed.astype(np.uint32)) << 4 | codes
+    placed <<= 4
+    return np.bitwise_or(placed, codes, out=placed, casting="unsafe")
 
 
 def run_campaign(cfg: ProtocolConfig, n_trials: int, seed: int,

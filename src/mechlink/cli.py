@@ -181,13 +181,8 @@ def cmd_phase_sweep(cfg: RunConfig, out_dir, config_path) -> None:
                                    phases, lambda p, phi: p.with_delta_phi(phi), PI)
 
     fit = _difference_fit(phases, points)
-    cross_vals = np.array([p[2].value for p in points])
-    same_vals = np.array([p[1].value for p in points])
-    exact_cross = np.array([p[4] for p in points])
-    exact_same = np.array([p[3] for p in points])
-    fit_exact = stats.fit_fringe(np.array(phases), exact_cross - exact_same)
-    all_sampled = np.concatenate([cross_vals, same_vals])
-    all_exact = np.concatenate([exact_cross, exact_same])
+    fit_exact = stats.fit_fringe(np.array(phases), np.array([p[4] - p[3] for p in points]))
+    vis = _window_visibility(phases, points)
     period, error = _period(fit, PI)
     summary = {
         "points": len(phases),
@@ -196,8 +191,10 @@ def cmd_phase_sweep(cfg: RunConfig, out_dir, config_path) -> None:
         "period_pi_exact": _period(fit_exact, PI)[0],
         "period_error_pi": error,
         "flagged": fit.flagged or fit_exact.flagged,
-        "visibility_sampled": stats.visibility(all_sampled),
-        "visibility_exact": stats.visibility(all_exact),
+        "visibility_sampled": vis["sampled"],
+        "visibility_exact": vis["exact"],
+        "sampled_estimator": vis["sampled_estimator"],
+        "exact_estimator": vis["exact_estimator"],
         "herald_probability_exact": points[0][0].herald_prob(),
     }
     write_json(os.path.join(out_dir, "fringe_fit.json"), summary)
@@ -213,19 +210,14 @@ def cmd_time_sweep(cfg: RunConfig, out_dir, config_path) -> None:
     vis_rows = []
     for idx in windows:
         center = float(np.mean([taus[k] for k in idx]))
-        v_s, used_s = _window_visibility(
-            [taus[k] for k in idx],
-            [points[k][2].value for k in idx],
-            [points[k][1].value for k in idx])
-        v_e, used_e = _window_visibility(
-            [taus[k] for k in idx],
-            [points[k][4] for k in idx],
-            [points[k][3] for k in idx])
-        v_bound = protocol.exact_visibility_ceiling(cfg.protocol.with_tau(center))
-        vis_rows.append([center / NS, v_s, v_e, v_bound, used_s, used_e])
+        vis_rows.append({
+            "tau_ns": center / NS,
+            **_window_visibility([taus[k] for k in idx], [points[k] for k in idx]),
+            "bound_exact": protocol.exact_visibility_ceiling(cfg.protocol.with_tau(center))})
     write_csv(os.path.join(out_dir, "visibility.csv"),
               ["tau_ns", "v_sampled", "v_exact", "v_bound_exact"],
-              [row[:4] for row in vis_rows])
+              [[row[k] for k in ("tau_ns", "sampled", "exact", "bound_exact")]
+               for row in vis_rows])
 
     first = windows[0]
     fit = _difference_fit([taus[k] for k in first], [points[k] for k in first])
@@ -237,11 +229,7 @@ def cmd_time_sweep(cfg: RunConfig, out_dir, config_path) -> None:
         "period_error_ns": error,
         "flagged": fit.flagged,
         "windows": [[taus[k] / NS for k in idx] for idx in windows],
-        "visibility": [
-            {"tau_ns": row[0], "sampled": row[1], "exact": row[2],
-             "bound_exact": row[3],
-             "sampled_estimator": row[4], "exact_estimator": row[5]}
-            for row in vis_rows],
+        "visibility": vis_rows,
     }
     write_json(os.path.join(out_dir, "sweep_fit.json"), summary)
     _manifest(out_dir, "time-sweep", config_path, cfg, cfg.seed, cfg.trials)
@@ -259,9 +247,10 @@ def _split_windows(taus, max_gap=6e-9):
     return windows
 
 
-def _window_visibility(taus, cross_vals, same_vals) -> tuple:
-    """Fringe contrast within one delay window, and the estimator each
-    series used.
+def _window_visibility(x, points) -> dict:
+    """`sampled` and `exact` fringe contrast within one window of
+    `_run_sweep` points, and the estimator each series used
+    (`sampled_estimator`, `exact_estimator`).
 
     Cross- and same-detector correlations oscillate half a fringe apart;
     a sinusoid fit per series recovers the amplitude wherever the window
@@ -269,20 +258,24 @@ def _window_visibility(taus, cross_vals, same_vals) -> tuple:
     fewer than five points, or whose fit is flagged, takes
     `stats.visibility` instead.
     """
-    taus = np.asarray(taus, dtype=float)
-    out, used = [], {}
-    for series, vals in (("cross", np.asarray(cross_vals)),
-                         ("same", np.asarray(same_vals))):
-        fit = stats.fit_fringe(taus, vals) if len(vals) >= 5 else None
-        if fit is None or fit.flagged:
-            used[series] = "visibility"
-            out.append(stats.visibility(vals))
-            continue
-        used[series] = "fit_fringe"
-        top = fit.offset + abs(fit.amplitude)
-        bot = max(fit.offset - abs(fit.amplitude), 0.0)
-        out.append((top - bot) / (top + bot))
-    return float(np.mean(out)), used
+    x = np.asarray(x, dtype=float)
+    _, same, cross, exact_same, exact_cross = zip(*points)
+    doc = {}
+    for name, pair in (("sampled", ([c.value for c in cross], [s.value for s in same])),
+                       ("exact", (exact_cross, exact_same))):
+        out, used = [], {}
+        for series, vals in zip(("cross", "same"), map(np.asarray, pair)):
+            fit = stats.fit_fringe(x, vals) if len(vals) >= 5 else None
+            if fit is None or fit.flagged:
+                used[series] = "visibility"
+                out.append(stats.visibility(vals))
+                continue
+            used[series] = "fit_fringe"
+            top = fit.offset + abs(fit.amplitude)
+            bot = max(fit.offset - abs(fit.amplitude), 0.0)
+            out.append((top - bot) / (top + bot))
+        doc[name], doc[f"{name}_estimator"] = float(np.mean(out)), used
+    return doc
 
 
 def _bound(model: protocol.TrialModel, det: int) -> float | None:
@@ -510,7 +503,7 @@ def cmd_analyze(cfg: RunConfig, out_dir, config_path) -> None:
         with open(a["tally_json"]) as fh:
             tally = stats.CoincidenceTally.loads(fh.read())
     elif "clicklog_csv" in a:
-        log = ClickLog.from_csv(a["clicklog_csv"], a.get("clicklog_meta"))
+        log = ClickLog.from_csv(a["clicklog_csv"], a["clicklog_meta"])
         tally = stats.tally(log)
     else:
         raise ConfigError(["[analyze] needs tally_json or clicklog_csv"])

@@ -240,6 +240,8 @@ def parse_config(path) -> RunConfig:
     cfg.plan_yield = dict(values.get("plan.yield", {}))
     cfg.plan_fiber = dict(values.get("plan.fiber", {}))
     cfg.analyze = dict(values.get("analyze", {}))
+    if "clicklog_csv" in cfg.analyze and "clicklog_meta" not in cfg.analyze:
+        problems.append("[analyze] clicklog_csv needs clicklog_meta (its trial count)")
     cfg.save_clicklog = values.get("output", {}).get("save_clicklog")
 
     # path-valued keys resolve relative to the config file itself

@@ -476,8 +476,6 @@ class TrialModel:
 
     joint: np.ndarray            # P(pump outcome, read outcome), 4x4
     config: ProtocolConfig
-    witness_moments: dict        # detector -> (<nA nB>, |<a_A+ a_B>|^2) of the
-                                 # intensity-weighted mech state after the delay
 
     # nothing is truncated; perfbench/tracer.py reads this Fock-era field
     truncation_budget = 0.0
@@ -508,9 +506,10 @@ class TrialModel:
         """Moment-ratio witness <nA nB> / |<a_A+ a_B>|^2 of the
         intensity-weighted herald after the delay; values below 1 certify
         non-separability for Gaussian-input protocols."""
-        if detector not in self.witness_moments:
+        moments = witness_moments(self.config)
+        if detector not in moments:
             raise ProtocolError("zero-intensity herald mode")
-        num, coh2 = self.witness_moments[detector]
+        num, coh2 = moments[detector]
         if coh2 <= 1e-12:
             raise ProtocolError("witness undefined (no coherence)")
         return float(num / coh2)
@@ -607,9 +606,7 @@ def build_trial_model(cfg: ProtocolConfig) -> TrialModel:
     sigma_d^2 + (2 sigma)^2 + sigma_d^2 on each click-conditioned
     mechanical state.  Each twirled state goes through the delay and the
     read stage unnormalized, so the read table row it yields is already
-    P(pump outcome, read outcome).  The witness moments of the
-    intensity-weighted herald follow from the delay's closed-form
-    Heisenberg action (`_delayed_witness_moments`).
+    P(pump outcome, read outcome).
     """
     intf = cfg.interferometer
     twirl_sigma = math.sqrt(2.0 * distinguishability_variance(intf)
@@ -624,10 +621,15 @@ def build_trial_model(cfg: ProtocolConfig) -> TrialModel:
         quantum[q_idx] = readout_stage(mech, cfg)
     false_pump, false_read = false_click_probs(cfg)
     joint = _false_click_matrix(false_pump).T @ quantum @ _false_click_matrix(false_read)
-
-    moments = {det: _witness_moments(pump, det) for det in (1, 2)}
-    witness_moments = {
-        det: _delayed_witness_moments(m, cfg)
-        for det, m in moments.items() if m[0].real > 1e-15}
     return TrialModel(joint=_checked_table(joint, 1.0, "joint outcome table"),
-                      config=cfg, witness_moments=witness_moments)
+                      config=cfg)
+
+
+def witness_moments(cfg: ProtocolConfig) -> dict:
+    """Detector -> (<nA nB>, |<a_A+ a_B>|^2) of the intensity-weighted
+    herald after the delay (`_delayed_witness_moments`), which
+    `TrialModel.exact_witness` divides; a zero-intensity herald has none."""
+    pump = pump_stage(cfg)
+    moments = {det: _witness_moments(pump, det) for det in (1, 2)}
+    return {det: _delayed_witness_moments(m, cfg)
+            for det, m in moments.items() if m[0].real > 1e-15}

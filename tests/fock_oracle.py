@@ -256,4 +256,4 @@ def trial_model(cfg, cutoff: int = 3, mech_cutoff: int = 3) -> protocol.TrialMod
     joint = (protocol._false_click_matrix(false_pump).T @ quantum
              @ protocol._false_click_matrix(false_read))
     joint = np.clip(joint, 0.0, None)
-    return protocol.TrialModel(joint=joint / joint.sum(), config=cfg, witness_moments={})
+    return protocol.TrialModel(joint=joint / joint.sum(), config=cfg)

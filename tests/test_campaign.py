@@ -228,6 +228,15 @@ class TestAgreementWithExactModel:
         assert len(log) == sum(popcounts) == log.to_csv().count("\n") - 1
 
 
+def read_csv_body(path, body, n_trials=10):
+    """`ClickLog.from_csv` of a log with `body` under the CSV header and
+    metadata of `n_trials` trials."""
+    path.write_text("trial,detector,window\n" + body)
+    meta = path.with_suffix(".json")
+    meta.write_text(json.dumps({"n_trials": n_trials}))
+    return ClickLog.from_csv(path, meta)
+
+
 class TestClickLog:
     def test_row_ordering_enforced(self, tmp_path):
         for trial in ([5, 3], [3, 3]):
@@ -236,16 +245,14 @@ class TestClickLog:
         path = tmp_path / "log.csv"
         for body in ("5,1,read\n5,1,pump\n", "5,2,pump\n5,1,pump\n",
                      "6,1,pump\n5,1,pump\n", "5,1,pump\n5,1,pump\n"):
-            path.write_text("trial,detector,window\n" + body)
             with pytest.raises(campaign.CampaignError, match="strictly ordered"):
-                ClickLog.from_csv(path)
+                read_csv_body(path, body)
 
     def test_detector_validation(self, tmp_path):
         path = tmp_path / "log.csv"
         for detector in (0, 3):
-            path.write_text(f"trial,detector,window\n5,{detector},pump\n")
             with pytest.raises(campaign.CampaignError, match="detector must be 1 or 2"):
-                ClickLog.from_csv(path)
+                read_csv_body(path, f"5,{detector},pump\n")
 
     @pytest.mark.parametrize("code", [0, 16, -1])
     def test_code_validation(self, code):
@@ -345,25 +352,26 @@ class TestClickLog:
         ("5,3,read\n", "detector must be 1 or 2"),
     ])
     def test_malformed_rows_raise_campaign_error(self, tmp_path, body, match):
-        path = tmp_path / "bad.csv"
-        path.write_text("trial,detector,window\n" + body)
         with pytest.raises(campaign.CampaignError, match=match):
-            ClickLog.from_csv(path)
+            read_csv_body(tmp_path / "bad.csv", body)
 
     def test_trial_count_is_never_guessed(self, tmp_path):
         # the last row is trial 5, yet the campaign may have run any N > 5
         path = tmp_path / "log.csv"
         path.write_text("trial,detector,window\n5,1,pump\n")
         (tmp_path / "log.json").write_text(json.dumps({"seed": 3}))
-        for meta in (None, tmp_path / "log.json"):
-            with pytest.raises(campaign.CampaignError, match="trial count is unknown"):
-                ClickLog.from_csv(path, meta)
+        with pytest.raises(campaign.CampaignError, match="trial count is unknown"):
+            ClickLog.from_csv(path, tmp_path / "log.json")
+        # the metadata is checked before the log is opened
+        with pytest.raises(campaign.CampaignError, match="trial count is unknown"):
+            ClickLog.from_csv(tmp_path / "absent.csv", tmp_path / "log.json")
 
     def test_unexpected_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("trial,window,detector\n5,pump,1\n")
+        (tmp_path / "bad.json").write_text(json.dumps({"n_trials": 10}))
         with pytest.raises(campaign.CampaignError, match="header"):
-            ClickLog.from_csv(path)
+            ClickLog.from_csv(path, tmp_path / "bad.json")
 
 
 class TestTrialColumn:

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mechlink import campaign, cli, config, planner, protocol
+from mechlink import campaign, cli, config, planner, protocol, stats
 from mechlink.campaign import CHUNK_TRIALS, code_counts, run_campaign
 from mechlink.config import ConfigError, parse_config
 from mechlink.devices import (DetectorModel, DeviceParams, InterferometerConfig,
@@ -164,15 +164,19 @@ class TestCliRuns:
         assert (tmp_path / "re" / "tally.json").read_bytes() == tally
 
     def test_analyze_click_log_without_metadata_fails(self, tmp_path, capsys):
-        # trials without a click leave no row: the log alone cannot give N
+        # trials without a click leave no row: the log alone cannot give N,
+        # so the config is refused, with its other violations, before the
+        # log is read
         cfg = write_cfg(tmp_path, MINIMAL + "\n[output]\nsave_clicklog = on\n")
         assert cli.main(["witness", "--config", str(cfg), "--out",
                          str(tmp_path / "out"), "--trials", "300000"]) == 0
-        analyze = write_cfg(tmp_path, "[analyze]\nclicklog_csv = out/clicklog.csv\n",
-                            "analyze.cfg")
+        analyze = write_cfg(tmp_path, "[analyze]\nclicklog_csv = out/clicklog.csv\n"
+                            "clicklog = out/clicklog_meta.json\n", "analyze.cfg")
         out = tmp_path / "re"
-        assert cli.main(["analyze", "--config", str(analyze), "--out", str(out)]) == 3
-        assert "click log without metadata" in capsys.readouterr().err
+        assert cli.main(["analyze", "--config", str(analyze), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key [analyze] clicklog" in err
+        assert "[analyze] clicklog_csv needs clicklog_meta" in err
         assert not (out / "witness.json").exists()
 
     def test_witness_releases_its_log_before_the_report(self, tmp_path, monkeypatch):
@@ -504,6 +508,19 @@ class TestCliRuns:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_sweeps_evaluate_no_witness_moments(self, tmp_path, monkeypatch):
+        # only the witness command reads the moment-ratio witness
+        def no_moments(*args):
+            raise AssertionError("a sweep evaluated witness moments")
+
+        monkeypatch.setattr(protocol, "_witness_moments", no_moments)
+        cfg = write_cfg(tmp_path, MINIMAL + "\n[sweep]\n"
+                        "delta_phi_pi_list = 0, 0.4, 0.8, 1.2, 1.6\n"
+                        "tau_ns_list = 123, 124.5, 126, 127.5, 129\n")
+        for command in ("phase-sweep", "time-sweep"):
+            assert cli.main([command, "--config", str(cfg), "--out",
+                             str(tmp_path / command), "--trials", "1000000"]) == 0
+
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL)
         docs = []
@@ -575,17 +592,40 @@ class TestEmitFormats:
         assert len(lines) == 6
 
     def test_sweep_fit_rows_name_their_estimators(self, tmp_path):
-        text = MINIMAL + "\n[sweep]\ntau_ns_list = 123, 124.5, 126, 127.5, 129\n"
-        out = tmp_path / "sweep"
-        assert cli.main(["time-sweep", "--config", str(write_cfg(tmp_path, text)),
-                         "--out", str(out), "--trials", "5000000"]) == 0
-        rows = json.loads((out / "sweep_fit.json").read_text())["visibility"]
+        text = MINIMAL + ("\n[sweep]\ntau_ns_list = 123, 124.5, 126, 127.5, 129\n"
+                          "delta_phi_pi_list = 0, 0.4, 0.8, 1.2, 1.6\n")
+        cfg = write_cfg(tmp_path, text)
+        for command in ("time-sweep", "phase-sweep"):
+            assert cli.main([command, "--config", str(cfg), "--out",
+                             str(tmp_path / command), "--trials", "5000000"]) == 0
+        rows = json.loads((tmp_path / "time-sweep" / "sweep_fit.json").read_text())[
+            "visibility"]
         assert len(rows) == 1
         assert rows[0].keys() == {"tau_ns", "sampled", "exact", "bound_exact",
                                   "sampled_estimator", "exact_estimator"}
-        for key in ("sampled_estimator", "exact_estimator"):
-            assert rows[0][key].keys() == {"cross", "same"}
-            assert set(rows[0][key].values()) <= {"fit_fringe", "visibility"}
+        # the phase sweep is one window, reported at the top level
+        rows.append(json.loads((tmp_path / "phase-sweep" / "fringe_fit.json").read_text()))
+        for row in rows:
+            for key in ("sampled_estimator", "exact_estimator"):
+                assert row[key].keys() == {"cross", "same"}
+                assert set(row[key].values()) <= {"fit_fringe", "visibility"}
+
+    def test_phase_sweep_visibility_matches_the_dense_exact_fringe(self, tmp_path):
+        # reference: the extrema contrast of the exact same- and
+        # cross-detector fringes on 240 phases over one period
+        cfg = parse_config(cfg_dir("entangle_stats.cfg"))
+        exact = []
+        for phi in np.linspace(0.0, 2 * math.pi, 240, endpoint=False):
+            model = protocol.build_trial_model(cfg.protocol.with_delta_phi(phi))
+            exact += [0.5 * (model.g2_exact(1, 1) + model.g2_exact(2, 2)),
+                      0.5 * (model.g2_exact(1, 2) + model.g2_exact(2, 1))]
+        reference = stats.visibility(np.array(exact))
+        out = tmp_path / "sweep"
+        assert cli.main(["phase-sweep", "--config", cfg_dir("entangle_stats.cfg"),
+                         "--out", str(out), "--seed", "7"]) == 0
+        fit = json.loads((out / "fringe_fit.json").read_text())
+        assert fit["visibility_exact"] == pytest.approx(reference, abs=1e-3)
+        assert fit["exact_estimator"] == {"cross": "fit_fringe", "same": "fit_fringe"}
 
     def test_pump_probe_outputs(self, tmp_path):
         out = tmp_path / "pp"

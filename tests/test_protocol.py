@@ -5,6 +5,7 @@ reference pipeline in `fock_oracle`; the rest exercise the Gaussian
 runtime, and TestFockOracleConvergence ties the two together.
 """
 
+import dataclasses
 import math
 import os
 from dataclasses import replace
@@ -350,6 +351,24 @@ class TestWitnessFromState:
                 assert r_exact <= bound + 1e-9, (
                     f"witness inequality violated at {(n_init, p_pump, n_leak, p_dark)}")
 
+    def test_trial_model_holds_only_its_table(self, monkeypatch):
+        # the witness moments are evaluated when the witness asks for them,
+        # from the same pump stage the table is built on
+        cfg = shipped("entangle_stats.cfg")
+        pump = protocol.pump_stage(cfg)
+        expected = [np.divide(*protocol._delayed_witness_moments(
+            protocol._witness_moments(pump, det), cfg)) for det in (1, 2)]
+
+        def no_moments(*args):
+            raise AssertionError("build_trial_model evaluated witness moments")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "_witness_moments", no_moments)
+            model = protocol.build_trial_model(cfg)
+        assert [f.name for f in dataclasses.fields(model)] == ["joint", "config"]
+        assert [model.exact_witness(det) for det in (1, 2)] == expected
+        assert expected == pytest.approx([0.44398731630781, 0.44680925109139], rel=1e-12)
+
     def test_closed_form_witness_matches_fock_delay(self):
         # oracle: the intensity-weighted herald taken through the Fock
         # delay, then the moment ratio of the evolved state
@@ -579,17 +598,18 @@ class TestGaussianTables:
                "partial overlap, jitter 0.6": photon_case(
                    shipped("time_sweep.cfg").with_tau(1000e-9), "off, 4 MHz", 0.6)}[case]
         base = protocol.build_trial_model(cfg)
+        base_moments = protocol.witness_moments(cfg)
         monkeypatch.setattr(protocol, "ROTATION_NODES", 2 * protocol.ROTATION_NODES)
         doubled = protocol.build_trial_model(cfg)
+        doubled_moments = protocol.witness_moments(cfg)
         assert np.max(np.abs(doubled.joint - base.joint)) <= 1e-12
         # conditional rows divide by the pump marginal, which magnifies the
         # rounding of rare heralds; compare the well-populated ones
         rows = base.joint.sum(axis=1) > 1e-3
         assert np.max(np.abs(read_given_pump(doubled)[rows]
                              - read_given_pump(base)[rows])) <= 1e-12
-        for det in base.witness_moments:
-            assert doubled.witness_moments[det] == pytest.approx(
-                base.witness_moments[det], rel=1e-12)
+        for det in base_moments:
+            assert doubled_moments[det] == pytest.approx(base_moments[det], rel=1e-12)
 
     def test_click_table_deficits_fail_loudly(self):
         # rounding-level negatives are exact zeros; nothing is renormalized
@@ -647,24 +667,27 @@ class TestOneRelativePhaseTwirl:
 
     @pytest.mark.parametrize("sigma", [0.0, 0.19, 0.6])
     @pytest.mark.parametrize("case", list(PHOTON_CASES))
-    def test_pump_overlap_factor_matches_isserlis_sums(self, case, sigma):
+    def test_pump_overlap_factor_matches_isserlis_sums(self, case, sigma, monkeypatch):
         # reference: the moments of the pump state twirled on optical A;
         # at 45 MHz the exact coherence is ~1e-57 and the twirled sums
         # read ~5e-34 of trapezoid rounding, both below the witness floor
         for cfg in self.configs(case, sigma):
             model = protocol.build_trial_model(cfg)
+            exact = protocol.witness_moments(cfg)
             reference = twirl_oracle.witness_moments(cfg)
-            assert reference.keys() == model.witness_moments.keys() == {1, 2}
+            assert reference.keys() == exact.keys() == {1, 2}
             for det in (1, 2):
-                (num, coh2), (num_ref, coh2_ref) = model.witness_moments[det], reference[det]
+                (num, coh2), (num_ref, coh2_ref) = exact[det], reference[det]
                 assert num == pytest.approx(num_ref, rel=1e-12)
                 if max(coh2, coh2_ref) > 1e-12:
                     assert coh2 == pytest.approx(coh2_ref, rel=1e-12)
                     continue
                 assert case == "off, 45 MHz"
-                for moments in (model.witness_moments, reference):
-                    with pytest.raises(protocol.ProtocolError, match="no coherence"):
-                        protocol.TrialModel(model.joint, cfg, moments).exact_witness(det)
+                for moments in (exact, reference):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(protocol, "witness_moments", lambda _: moments)
+                        with pytest.raises(protocol.ProtocolError, match="no coherence"):
+                            model.exact_witness(det)
 
 
 @st.composite

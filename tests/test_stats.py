@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -748,6 +749,17 @@ class TestWitnessCoverage:
         assert all(within(c, 0.1) for c in deciles), deciles
 
 
+def window_visibility(x, cross, same):
+    """`cli._window_visibility` of a window whose sampled and exact series
+    are both (cross, same): the contrast and the estimators."""
+    points = [(None, types.SimpleNamespace(value=b), types.SimpleNamespace(value=a), b, a)
+              for a, b in zip(cross, same)]
+    doc = cli._window_visibility(x, points)
+    assert doc["sampled"] == doc["exact"]
+    assert doc["sampled_estimator"] == doc["exact_estimator"]
+    return doc["exact"], doc["exact_estimator"]
+
+
 class TestFringeTools:
     def test_visibility_from_extrema(self):
         assert visibility([7.783, 0.830]) == pytest.approx(0.807, abs=0.001)
@@ -756,11 +768,11 @@ class TestFringeTools:
         assert visibility([3.0, 3.0, 3.0]) == 0.0
 
     def test_fitted_mode_recovers_known_visibility(self):
-        # the sinusoid-fit contrast the time sweep reports per window
+        # the sinusoid-fit contrast the sweeps report per window
         rng = np.random.default_rng(8)
         x = np.linspace(0, 4 * math.pi, 40)
         y = 4.0 * (1 + 0.8 * np.cos(x - 0.3)) + rng.normal(0, 0.05, x.size)
-        value, used = cli._window_visibility(x, y, y)
+        value, used = window_visibility(x, y, y)
         assert value == pytest.approx(0.80, abs=0.01)
         assert used == {"cross": "fit_fringe", "same": "fit_fringe"}
 
@@ -769,10 +781,10 @@ class TestFringeTools:
         x = np.linspace(0, 2 * math.pi, 8)
         flat = np.full(8, 3.0)
         fringe = 4.0 * (1 + 0.8 * np.cos(x))
-        value, used = cli._window_visibility(x[:4], fringe[:4], fringe[:4])
+        value, used = window_visibility(x[:4], fringe[:4], fringe[:4])
         assert used == {"cross": "visibility", "same": "visibility"}
         assert value == pytest.approx(visibility(fringe[:4]))
-        value, used = cli._window_visibility(x, fringe, flat)
+        value, used = window_visibility(x, fringe, flat)
         assert used == {"cross": "fit_fringe", "same": "visibility"}
 
     def test_window_visibility_falls_back_on_an_unresolved_period(self):
@@ -781,7 +793,7 @@ class TestFringeTools:
         x = np.arange(8.0)
         line = 1.0 + 0.5 * x
         assert fit_fringe(x, line).flagged
-        value, used = cli._window_visibility(x, line, line)
+        value, used = window_visibility(x, line, line)
         assert used == {"cross": "visibility", "same": "visibility"}
         assert value == pytest.approx(visibility(line))
 
