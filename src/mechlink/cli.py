@@ -466,9 +466,11 @@ def cmd_plan_fiber(cfg: RunConfig, out_dir, config_path) -> None:
         "max_separation": dataclasses.asdict(sep),
         "separations": {},
     }
+    # each separation's solve starts from the previous one's root
+    it = None
     for km in pf.get("separation_km_list", ()):
         split = planner.split_separation(link, km)
-        it = planner.integration_time(link, km)
+        it = planner.integration_time(link, km, it)
         doc["separations"][f"{km:g}"] = {
             "split": dataclasses.asdict(split),
             "integration_days": it.days,

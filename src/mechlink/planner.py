@@ -280,6 +280,8 @@ class IntegrationPlan:
     coincidences: float             # expected, summed over the four cells
     witness_median: float
     witness_offgrid: float          # symmetrized witness mass off its band
+    same_detector: float            # expected coincidences per same-detector cell
+    log_slope: float                # final secant slope of the log clearance in log N
 
 
 # The integration-time solve starts where the weakest (same-detector) cell
@@ -337,7 +339,8 @@ def _clearance(link: LinkBudget, g2_floor: float, rate_scale: float,
     return (counting.CLASSICALITY_THRESHOLD - median) / (sym.upper - median), sym, t
 
 
-def integration_time(link: LinkBudget, separation_km: float) -> IntegrationPlan:
+def integration_time(link: LinkBudget, separation_km: float,
+                     start: IntegrationPlan | None = None) -> IntegrationPlan:
     """Measurement time for the witness to clear classicality by the link's
     `sigma_clearance`.
 
@@ -347,9 +350,13 @@ def integration_time(link: LinkBudget, separation_km: float) -> IntegrationPlan:
     counting statistics, with the witness located by its posterior
     median.  The solve starts where the same-detector cell expects
     START_COINCIDENCES coincidences and takes one log-log secant step of
-    slope 1/2 (clearance ~ sqrt N); while the sign does not change, the
-    step doubles, within MAX_LOG_REACH of the start.  Illinois regula
-    falsi (`stats.regula_falsi`) then closes the bracket to
+    slope 1/2 (clearance ~ sqrt N).  Given the plan of another separation
+    of the same link as `start`, it starts instead where the cell expects
+    that plan's same-detector coincidences, at which the posterior is
+    nearly that plan's, and steps by that plan's final secant slope, half
+    a LOG_N_TOLERANCE past the root it predicts.  While the sign does not
+    change, the step doubles, within MAX_LOG_REACH of the start.  Illinois
+    regula falsi (`stats.regula_falsi`) then closes the bracket to
     LOG_N_TOLERANCE, and the plan is read at its cleared end.
     """
     plan = split_separation(link, separation_km)
@@ -361,19 +368,24 @@ def integration_time(link: LinkBudget, separation_km: float) -> IntegrationPlan:
         c, sym, t = _clearance(link, plan.g2_floor, rate_scale, math.exp(log_n))
         return log_n, math.log(c) - target if c > 0.0 else -math.inf, sym, t
 
+    warm = start is not None and 0.0 < start.log_slope < math.inf
     # the same-detector cell expects g_min cr cp / N = h r s^2 N / 4
-    start = math.log(4.0 * START_COINCIDENCES
-                     / (link.herald_prob * link.read_prob * rate_scale**2))
-    near = probe(start)
-    step = math.copysign(max(2.0 * abs(near[1]), LOG_N_TOLERANCE), -near[1])
+    origin = math.log(4.0 * (start.same_detector if warm else START_COINCIDENCES)
+                      / (link.herald_prob * link.read_prob * rate_scale**2))
+    near = probe(origin)
+    if warm:
+        step = (-near[1] / start.log_slope
+                + math.copysign(0.5 * LOG_N_TOLERANCE, -near[1]))
+    else:
+        step = math.copysign(max(2.0 * abs(near[1]), LOG_N_TOLERANCE), -near[1])
     while True:
-        log_n = min(max(near[0] + step, start - MAX_LOG_REACH),
-                    start + MAX_LOG_REACH)
+        log_n = min(max(near[0] + step, origin - MAX_LOG_REACH),
+                    origin + MAX_LOG_REACH)
         if log_n == near[0]:
             raise PlannerError(
                 f"{link.sigma_clearance} sigma clearance lies outside the searched "
-                f"{math.exp(start - MAX_LOG_REACH):.3g}-"
-                f"{math.exp(start + MAX_LOG_REACH):.3g} trials")
+                f"{math.exp(origin - MAX_LOG_REACH):.3g}-"
+                f"{math.exp(origin + MAX_LOG_REACH):.3g} trials")
         far = probe(log_n)
         if (far[1] < 0.0) != (near[1] < 0.0):
             break
@@ -383,10 +395,14 @@ def integration_time(link: LinkBudget, separation_km: float) -> IntegrationPlan:
     # bracket's posteriors stay alive
     ends = sorted((near, far), key=lambda p: p[0])
     del near, far
-    _, (_, _, sym, t) = counting.regula_falsi(
+    lo, (log_hi, f_hi, sym, t) = counting.regula_falsi(
         probe, ends.pop(0), ends.pop(), lambda lo, hi: hi - lo <= LOG_N_TOLERANCE)
+    # a probe that hit the root exactly leaves no secant
+    slope = ((f_hi - lo[1]) / (log_hi - lo[0]) if log_hi > lo[0] else math.nan)
+    del lo
     coinc = sum(t.coincidences[i][j] for i in (0, 1) for j in (0, 1))
     seconds = t.n_trials * link.repetition_period / (1.0 - link.overhead_fraction)
     return IntegrationPlan(days=seconds / 86400.0, trials=t.n_trials,
                            coincidences=coinc, witness_median=sym.median,
-                           witness_offgrid=sym.below + sym.above)
+                           witness_offgrid=sym.below + sym.above,
+                           same_detector=t.coincidences[0][0], log_slope=slope)

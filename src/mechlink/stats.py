@@ -46,8 +46,8 @@ WITNESS_REACH = 10
 # 1.2e-5, slowed by the square-root edge where the roots turn complex.
 WITNESS_NODES = 64
 # (edge, node) CDF elements per `_conditional_cdf` call, a bound on memory;
-# each call runs `_fraction`'s loop once: 8192 takes 0.06 s on the two 1e8
-# entangle_stats posteriors, 4096 0.1 s
+# each call runs `_fraction`'s loop once per root: 8192 takes 0.06 s on the
+# two 1e8 entangle_stats posteriors, 4096 0.1 s
 WITNESS_BLOCK = 8192
 
 
@@ -155,15 +155,32 @@ def _stirlerr(z: float) -> float:
     return (1/12 - (1/360 - (1/1260 - (1/1680 - 1/(1188 * zz)) / zz) / zz) / zz) / z
 
 
-def _bd0(m: float, big_m: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Loader's deviance m log(m / M) + M - m, d = M - m.
+def _bd0(m, big_m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Loader's deviance m log(m / M) + M - m, d = M - m; m is a scalar or
+    one value per element.
 
     For |v| < 0.1, v = -d / (m + M), it is d^2 / (m + M) plus the odd
     series 2m sum_j v^(2j+1) / (2j + 1), without cancellation; elsewhere
     it is m log(m / M) + d, which loses about eps m |v| to cancellation
-    just past |v| = 0.1.
+    just past |v| = 0.1.  Each form is evaluated on its own elements only.
     """
     v = -d / (m + big_m)
+    near = v * v < 0.01
+    if near.all():
+        return _bd0_series(m, v, d)
+    far = ~near
+    m_far = m if np.ndim(m) == 0 else m[far]
+    out = np.empty_like(v)
+    with np.errstate(divide="ignore"):
+        out[far] = m_far * np.log(m_far / big_m[far]) + d[far]
+    if near.any():
+        out[near] = _bd0_series(m if np.ndim(m) == 0 else m[near], v[near],
+                                d[near])
+    return out
+
+
+def _bd0_series(m, v: np.ndarray, d: np.ndarray) -> np.ndarray:
+    # d^2 / (m + M) + 2m sum_j v^(2j+1) / (2j + 1), Horner's rule in v^2
     v2 = v * v
     series = np.full_like(v, _BD0_SERIES[-1])
     for coef in _BD0_SERIES[-2::-1]:
@@ -171,12 +188,7 @@ def _bd0(m: float, big_m: np.ndarray, d: np.ndarray) -> np.ndarray:
         series += coef
     series *= 2.0 * m * v * v2
     series -= v * d
-    near = v2 < 0.01
-    if near.all():
-        return series
-    with np.errstate(divide="ignore"):
-        far = m * np.log(m / big_m) + d
-    return np.where(near, series, far)
+    return series
 
 
 def _oriented_terms(a: float, b: float, orientation: int, depth: int) -> tuple:
@@ -377,12 +389,10 @@ def _fraction(posts: list, which, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return f
 
 
-def _beta_tail(posts: list, which, x: np.ndarray) -> tuple:
-    """(w, prefactor, lambda) at 0 < x < 1, element i in Beta(posts[which[i]]).
+def _prefactor(posts: list, which, x: np.ndarray) -> tuple:
+    """(prefactor, lambda) at 0 < x < 1, element i in Beta(posts[which[i]]).
 
-    The prefactor is x^a (1-x)^b / B(a, b) and lambda = a - (a+b) x; w is
-    the oriented tail, I_x(a, b) where lambda >= 0 and 1 - I_x(a, b)
-    where lambda < 0.
+    The prefactor is x^a (1-x)^b / B(a, b) and lambda = a - (a+b) x.
     """
     a, b = (np.array(v)[which] for v in zip(*posts))
     ab = a + b
@@ -409,25 +419,59 @@ def _beta_tail(posts: list, which, x: np.ndarray) -> tuple:
     pre -= _bd0(b, my, lam)
     del my
     np.exp(pre, out=pre)
+    return pre, lam
+
+
+def _oriented_tail(posts: list, which, x: np.ndarray, pre: np.ndarray,
+                   lam: np.ndarray, run: np.ndarray) -> np.ndarray:
+    """The oriented tail, prefactor times BFRAC, where `run` holds; 0
+    elsewhere.  It is I_x(a, b) where lambda >= 0 and 1 - I_x(a, b) where
+    lambda < 0."""
     w = np.zeros_like(x)
-    live = np.flatnonzero(pre > 0.0)
+    live = np.flatnonzero(run)
     if len(live):
         which_live = which if np.ndim(which) == 0 else which[live]
         w[live] = pre[live] * _fraction(posts, which_live, x[live], lam[live])
-    return w, pre, lam
+    return w
 
 
-def beta_cdf(a: float, b: float, x) -> np.ndarray:
+def _beta_tail(posts: list, which, x: np.ndarray) -> tuple:
+    """(w, prefactor, lambda) at 0 < x < 1, element i in Beta(posts[which[i]]),
+    with w the oriented tail (`_oriented_tail`) wherever the prefactor is
+    not 0."""
+    pre, lam = _prefactor(posts, which, x)
+    return _oriented_tail(posts, which, x, pre, lam, pre > 0.0), pre, lam
+
+
+def beta_cdf(a: float, b: float, x, negligible=0.0) -> np.ndarray:
     """Regularized incomplete beta function I_x(a, b), over an array of x.
 
-    Exactly 0 for x <= 0 and exactly 1 for x >= 1.
+    Exactly 0 for x <= 0 and exactly 1 for x >= 1.  For a, b >= 1 the
+    oriented tail w obeys w <= pre (a0 + 1) / (a0 (1 + |lambda|)) <= 2 pre
+    (DLMF 8.17.8; a0 is the fraction's first parameter), so BFRAC is run
+    only where it can change the value: an upper tail 1 - w with
+    2 pre <= 2^-54 rounds to exactly 1 and is returned as 1, and a lower
+    tail with 2 pre under `negligible` (broadcast with x) is returned as 0,
+    for a caller that has shown so small a value cannot move its result.
     """
     x = np.asarray(x, dtype=float)
     out = (x >= 1.0).astype(float)
     inner = np.flatnonzero((x > 0.0) & (x < 1.0))
     if len(inner):
-        w, _, lam = _beta_tail([(float(a), float(b))], 0, x.ravel()[inner])
-        out.ravel()[inner] = np.where(lam < 0.0, 1.0 - w, w)
+        post = [(float(a), float(b))]
+        xi = x.ravel()[inner]
+        pre, lam = _prefactor(post, 0, xi)
+        upper = lam < 0.0
+        run = pre > 0.0
+        if min(a, b) >= 1.0:
+            # the bound is tight only at lambda = 0, where the prefactor is
+            # near its peak (over 0.2), so these tails leave room for w's
+            # rounding
+            bound = 2.0 * pre
+            floor = np.broadcast_to(negligible, x.shape).ravel()[inner]
+            run &= ~np.where(upper, bound <= 2.0**-54, bound < floor)
+        w = _oriented_tail(post, 0, xi, pre, lam, run)
+        out.ravel()[inner] = np.where(upper, 1.0 - w, w)
     return out
 
 
@@ -612,6 +656,11 @@ def _conditional_cdf(a: np.ndarray, w: np.ndarray, c: int, n: int,
     W <= w holds for b outside [r1, r2] when w >= 0 (r2 = inf at w = 0),
     and for b in [r2, r1] when w < 0; with D < 0 it holds for every b
     when w > 0 and for none when w < 0.
+
+    Only the beta CDFs that can change a bit of the result are evaluated
+    in full: none where D < 0, and at w > 0 not f1 = I(r1) where it is a
+    lower tail bounded (`beta_cdf`) under a quarter ulp of f2 = I(r2) < 1,
+    as f2 - f1 then rounds to f2.  So f2 is evaluated first.
     """
     s = 2.0 * a - 1.0
     d = 1.0 + w * s
@@ -620,13 +669,18 @@ def _conditional_cdf(a: np.ndarray, w: np.ndarray, c: int, n: int,
     with np.errstate(divide="ignore"):
         x = np.stack((a - 2.0 * s / (1.0 + root),        # r1
                       a + 2.0 * (1.0 + root) / w))       # r2
-    # both roots' beta CDFs in one kernel call, with the roots' own
-    # temporaries freed first
+    # the roots' own temporaries are freed first
     del s, d, root
     x /= scale
     np.clip(x, 0.0, 1.0, out=x)
-    f1, f2 = beta_cdf(c + 1, n - c + 1, x)
-    del x
+    # with D < 0 neither CDF is read: take them at 0 and 1, where they are
+    # exact without the kernel
+    x[0][~real], x[1][~real] = 0.0, 1.0
+    f2 = beta_cdf(c + 1, n - c + 1, x[1])
+    # a quarter ulp of f2, 0 where f2 is subnormal
+    spare = np.where((w > 0.0) & (f2 < 1.0), 0.25 * np.spacing(f2), 0.0)
+    f1 = beta_cdf(c + 1, n - c + 1, x[0], negligible=spare)
+    del x, spare
     # 1 - P(r1 < b < r2) cancels to exactly 0 only where f2 is 1; there the
     # CDF is f1, the tail that f1 - f2 keeps at w < 0, so the tails on both
     # sides of w = 0 join
@@ -644,29 +698,33 @@ def _legendre(nodes: int) -> tuple:
 
 
 def _witness_nodes(tally_: CoincidenceTally, pump_det: int) -> tuple:
-    """(a at the quadrature nodes, node weights, b's posterior (c, n, scale)).
+    """(a at the quadrature nodes, node weights, b's posterior (c, n, scale),
+    b at its own 16/50/84% points).
 
     W is symmetric in a and b.  The quadrature runs over the smaller g2:
     W near 0 needs the other one large, and its beta CDF resolves that
-    tail exactly, where quadrature nodes would be too sparse.
+    tail exactly, where quadrature nodes would be too sparse.  The nodes
+    and b's three points are solved in one `beta_quantile` call, and each
+    comes out as it would alone.
     """
     (c, n, scale), post_b = sorted(
         (_g2_posterior(tally_, i, pump_det) for i in (1, 2)),
         key=lambda post: post[0] * post[2])
     x, weights = _legendre(WITNESS_NODES)
-    a = scale * beta_quantile(c + 1, n - c + 1, 0.5 * (x + 1.0))
-    return a, weights, post_b
+    c_b, n_b, scale_b = post_b
+    q = beta_quantile([c + 1] * len(x) + [c_b + 1] * 3,
+                      [n - c + 1] * len(x) + [n_b - c_b + 1] * 3,
+                      np.r_[0.5 * (x + 1.0), 0.16, 0.5, 0.84])
+    return scale * q[:len(x)], weights, post_b, scale_b * q[len(x):]
 
 
-def _witness_band(a: np.ndarray, weights: np.ndarray, post_b: tuple) -> tuple:
+def _witness_band(a: np.ndarray, weights: np.ndarray, b: np.ndarray) -> tuple:
     """(step, first, last): the band's bin edges are step * (first ... last).
 
     The band is placed by the weighted 16/50/84% points of W(a_k, b_p), over
     the quadrature nodes a_k and b's own 16/50/84% points b_p.  The step is
     a power of two, so the steps of any two posteriors nest.
     """
-    c, n, scale = post_b
-    b = scale * beta_quantile(c + 1, n - c + 1, [0.16, 0.5, 0.84])
     with np.errstate(divide="ignore", invalid="ignore"):
         w = (4.0 * (a[:, None] + b - 1.0) / (a[:, None] - b) ** 2).ravel()
     order = np.argsort(w)
@@ -690,8 +748,8 @@ def witness_distribution(tally_: CoincidenceTally, pump_det: int) -> WitnessDist
     mass under and over the band is reported as `below` and `above`,
     never folded into a bin.
     """
-    a, weights, post_b = _witness_nodes(tally_, pump_det)
-    step, first, last = _witness_band(a, weights, post_b)
+    a, weights, post_b, b = _witness_nodes(tally_, pump_det)
+    step, first, last = _witness_band(a, weights, b)
     edges = step * np.arange(first, last + 1.0)
     mass = np.zeros(len(edges) - 1)
     ends = np.empty((2, len(a)))

@@ -693,6 +693,11 @@ class TestEmitFormats:
                                                             sep["g2_floor"], link.tau)
         assert not {"g2_floor", "required_db", "required_db_combinations"} & doc.keys()
         assert "75" in doc["separations"]
+        # each separation's solve starts from the root of the one before
+        first = planner.integration_time(link, 75.0)
+        assert doc["separations"]["75"]["trials"] == first.trials
+        assert (doc["separations"]["94"]["trials"]
+                == planner.integration_time(link, 94.0, first).trials)
         assert all(0.0 <= s["witness_offgrid_mass"] < 0.01
                    for s in doc["separations"].values())
         assert (out / "fiber.txt").read_text().startswith("baseline")

@@ -1,10 +1,12 @@
 """Yield statistics and fiber-budget planning checks."""
 
+import functools
 import itertools
 import math
 import os
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -481,6 +483,14 @@ class TestIntegrationTime:
         # MAX_LOG_REACH from the start
         assert len(probes) == 3
 
+    def test_zero_hit_leaves_no_slope_and_a_cold_next_start(self):
+        # a probe at the exact root ends the solve with both ends at it: no
+        # secant is left, so a solve starting from that plan starts cold
+        plan = integration_time(reference_link(), 75.0)
+        hit = replace(plan, log_slope=math.nan)
+        assert integration_time(reference_link(), 94.0, hit) == integration_time(
+            reference_link(), 94.0)
+
     @staticmethod
     def _clearances(km, n_trials):
         link = reference_link()
@@ -511,3 +521,76 @@ class TestIntegrationTime:
         c = self._clearances(km, start * np.geomspace(0.01, 10.0, 7))
         assert c[0] < 0.0 < 3.0 < c[-1]
         assert np.all(np.diff(c) > 0)
+
+
+# separations solved in this order, each warm solve from the one before
+WARM_KMS = (0.0, 40.0, 75.0, 94.0)
+
+
+def counted_plan(km, start=None):
+    """(plan, witness_distribution calls) of one integration-time solve on
+    reference_link(), and the trial counts it probed."""
+    probed = []
+    solve = stats.witness_distribution
+
+    def counted(t, det):
+        probed.append(t.n_trials)
+        return solve(t, det)
+
+    with mock.patch.object(stats, "witness_distribution", counted):
+        plan = integration_time(reference_link(), km, start)
+    return plan, probed
+
+
+@functools.cache
+def warm_and_cold_plans():
+    cold = [counted_plan(km) for km in WARM_KMS]
+    warm = []
+    for km in WARM_KMS:
+        warm.append(counted_plan(km, warm[-1][0] if warm else None))
+    return warm, cold
+
+
+class TestWarmStartedIntegrationTime:
+    """`integration_time` from the plan of the previous separation: it
+    probes first where the same-detector cell expects that plan's
+    coincidences and steps by that plan's final secant slope."""
+
+    def test_first_plan_is_its_cold_solve(self):
+        warm, cold = warm_and_cold_plans()
+        assert warm[0] == cold[0]
+
+    def test_later_plans_lie_within_the_tolerance_of_their_cold_solves(self):
+        warm, cold = warm_and_cold_plans()
+        for (w, _), (c, _) in zip(warm[1:], cold[1:]):
+            assert abs(math.log(w.trials) - math.log(c.trials)) <= planner.LOG_N_TOLERANCE
+            assert w.days == pytest.approx(c.days, rel=2 * planner.LOG_N_TOLERANCE)
+
+    def test_later_solves_probe_fewer_posteriors(self):
+        # 3 against 7 measured: the start, one step past the root and the
+        # Illinois step that closes the bracket
+        warm, cold = warm_and_cold_plans()
+        for (_, w), (_, c) in zip(warm[1:], cold[1:]):
+            assert len(w) < len(c)
+            assert len(w) <= 4
+
+    def test_a_start_whose_first_step_does_not_bracket_widens(self):
+        # from a start at a quarter of the 75 km root's coincidences, with
+        # four times its slope, the first step covers about a quarter of
+        # the way to the root; the step doubles until it brackets
+        warm, cold = warm_and_cold_plans()
+        prev = warm[2][0]
+        start = replace(prev, same_detector=0.25 * prev.same_detector,
+                        log_slope=4.0 * prev.log_slope)
+        plan, probed = counted_plan(94.0, start)
+        root = cold[3][0].trials
+        assert probed[0] < probed[1] < root
+        assert abs(math.log(plan.trials) - math.log(root)) <= planner.LOG_N_TOLERANCE
+
+    def test_a_separation_past_the_maximum_raises_the_same_error(self):
+        warm, _ = warm_and_cold_plans()
+        with pytest.raises(PlannerError, match="exceeds") as cold_error:
+            integration_time(reference_link(), 500.0)
+        with pytest.raises(PlannerError, match="exceeds") as warm_error:
+            integration_time(reference_link(), 500.0, warm[-1][0])
+        assert str(warm_error.value) == str(cold_error.value)

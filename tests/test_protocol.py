@@ -524,6 +524,37 @@ class TestFockOracleConvergence:
                         < abs(coarse[pump_idx, read_idx] - e)), (pump_idx, read_idx)
                 assert fine[pump_idx, read_idx] < e    # truncation crops mass
 
+    @given(p_pump=st.tuples(st.floats(4e-3, 2e-2), st.floats(4e-3, 2e-2)),
+           p_read=st.floats(0.01, 0.1), eta_path=st.floats(0.2, 1.0),
+           phi0=st.floats(0.0, 2 * math.pi), deviation=st.floats(0.0, 0.1),
+           serrodyne=st.booleans(), dark=st.floats(0.0, 1e-2),
+           cutoff=st.sampled_from([2, 3]))
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_small_cutoffs_approach_the_gaussian_tables_as_the_pump_shrinks(
+            self, p_pump, p_read, eta_path, phi0, deviation, serrodyne, dark,
+            cutoff):
+        # with cold devices, a cutoff of c levels per mode crops terms of
+        # order p_pump^(c + 1): a quarter of the pump shrinks the largest
+        # joint-table error about 4^(c + 1) times (1.00 to 1.03 times that
+        # on these draws)
+        errors = []
+        for shrink in (1.0, 0.25):
+            devices = [DeviceParams(p_pump=p * shrink, p_read=p_read,
+                                    eta_path=eta_path, n_init=0.0, bath_k=0.0)
+                       for p in p_pump]
+            cfg = ProtocolConfig(
+                device_a=devices[0], device_b=devices[1],
+                interferometer=InterferometerConfig(
+                    phi0=phi0, splitter_deviation=deviation, serrodyne=serrodyne),
+                detectors=DetectorModel(p_dark_pump=(dark, dark),
+                                        p_dark_read=(dark, dark)), tau=0.0)
+            truncated = fock_oracle.trial_model(cfg, cutoff=cutoff,
+                                                mech_cutoff=cutoff)
+            errors.append(np.abs(truncated.joint
+                                 - protocol.build_trial_model(cfg).joint).max())
+        assert errors[0] > 1e-12           # well above rounding
+        assert errors[1] <= 2.0 * 4.0 ** -(cutoff + 1) * errors[0]
+
 
 def _separable_configs():
     base = dict(p_read=0.034, gamma_decay=1 / (4.0 * US),

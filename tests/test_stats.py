@@ -6,13 +6,14 @@ import math
 import os
 import tracemalloc
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import witness_oracle
-from mechlink import campaign, cli, protocol, stats
+from mechlink import campaign, cli, planner, protocol, stats
 from mechlink.campaign import ClickLog
 from mechlink.config import parse_config
 from mechlink.stats import (CoincidenceTally, StatsError, confidence_below,
@@ -297,8 +298,8 @@ class TestBetaKernel:
         from scipy.special import betainc
         for tally_, det in ((WITNESS_TALLY, 1), (WITNESS_TALLY, 2),
                             (WIDE_TALLY, 1)):
-            a, weights, (c, n, scale) = stats._witness_nodes(tally_, det)
-            step, first, last = stats._witness_band(a, weights, (c, n, scale))
+            a, weights, (c, n, scale), b = stats._witness_nodes(tally_, det)
+            step, first, last = stats._witness_band(a, weights, b)
             edges = step * np.arange(first, last + 1.0)
             s = 2.0 * a - 1.0
             root = np.sqrt(np.clip(1.0 + edges[:, None] * s, 0.0, None))
@@ -336,6 +337,64 @@ class TestBetaKernel:
     def test_quantile_rejects_levels_outside_zero_one(self):
         with pytest.raises(StatsError):
             stats.beta_quantile(3.0, 5.0, [0.0, 0.5])
+
+    @staticmethod
+    def tail_bound_holds(a, b, x) -> int:
+        """Check w <= pre (a0 + 1) / (a0 (1 + |lambda|)) where w and pre are
+        normal, to the rounding of the bound's four operations; return how
+        many elements were checked.  At the underflow edge w / pre is
+        meaningless (5e-324 over 1.9e-321)."""
+        w, pre, lam = stats._beta_tail([(float(a), float(b))], 0, x)
+        a0 = np.where(lam >= 0.0, a, b)
+        bound = pre * (a0 + 1.0) / (a0 * (1.0 + np.abs(lam)))
+        normal = (w >= np.finfo(float).tiny) & (pre >= np.finfo(float).tiny)
+        assert (w[normal] <= bound[normal] * (1.0 + 4 * np.finfo(float).eps)).all()
+        return int(normal.sum())
+
+    @pytest.mark.parametrize("b", B)
+    @pytest.mark.parametrize("a", A)
+    def test_tail_is_bounded_by_its_prefactor_on_the_grid(self, a, b):
+        # what the pruned CDFs rely on; at b0 = 1 the fraction stops after
+        # its head and the bound is an equality
+        x = self.grid(a, b)
+        assert self.tail_bound_holds(a, b, x[(x > 0.0) & (x < 1.0)]) > 0
+
+    @given(a=st.floats(1.0, 3e4), b=st.floats(1.0, 5e6),
+           z=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_tail_is_bounded_by_its_prefactor_on_draws(self, a, b, z):
+        mean = a / (a + b)
+        sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
+        x = mean + sd * np.array(z)
+        self.tail_bound_holds(a, b, x[(x > 0.0) & (x < 1.0)])
+
+    @staticmethod
+    def bd0_everywhere(m, big_m, d):
+        # the series and the logarithm on every element, then picked
+        v = -d / (m + big_m)
+        v2 = v * v
+        series = np.full_like(v, stats._BD0_SERIES[-1])
+        for coef in stats._BD0_SERIES[-2::-1]:
+            series *= v2
+            series += coef
+        series *= 2.0 * m * v * v2
+        series -= v * d
+        with np.errstate(divide="ignore"):
+            far = m * np.log(m / big_m) + d
+        return np.where(v2 < 0.01, series, far)
+
+    @given(m=st.lists(st.floats(1.0, 1e7), min_size=1, max_size=30),
+           ratio=st.lists(st.floats(1e-6, 3.0), min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_deviance_series_only_where_near(self, m, ratio):
+        # M = m r; r within 0.1 / 1.1 ... 1.1 / 0.9 of 1 takes the series
+        k = min(len(m), len(ratio))
+        m, ratio = np.array(m[:k]), np.array(ratio[:k])
+        big_m = m * ratio
+        for mm in (m[0], m):            # one posterior's a, or one per element
+            d = big_m - mm
+            got, want = stats._bd0(mm, big_m, d), self.bd0_everywhere(mm, big_m, d)
+            assert np.array_equal(got, want)
 
 
 class TestWitnessFormula:
@@ -435,7 +494,8 @@ class TestWitnessDistribution:
         (WIDE_TALLY, 1, 5e-5), (WIDE_TALLY, 2, 5e-5)])
     def test_doubling_quadrature_nodes(self, tally_, det, tol, monkeypatch):
         # on one fixed band: the band itself is placed from the nodes
-        band = stats._witness_band(*stats._witness_nodes(tally_, det))
+        a, weights, _, b = stats._witness_nodes(tally_, det)
+        band = stats._witness_band(a, weights, b)
         monkeypatch.setattr(stats, "_witness_band", lambda *nodes: band)
         base = witness_distribution(tally_, det)
         monkeypatch.setattr(stats, "WITNESS_NODES", 2 * stats.WITNESS_NODES)
@@ -713,6 +773,98 @@ class TestWitnessBand:
         assert confidence_below(d, 4.5) == pytest.approx(0.5)
 
 
+@st.composite
+def integer_tallies(draw):
+    """Integer tallies whose cells expect g C_r C_p / N coincidences, g up
+    to 12, from under one to thousands."""
+    n = draw(st.integers(10**8, 2 * 10**11))
+    cp = [draw(st.integers(1000, 400_000)) for _ in (1, 2)]
+    cr = [draw(st.integers(1000, 400_000)) for _ in (1, 2)]
+    coinc = tuple(tuple(min(round(draw(st.floats(0.0, 12.0)) * cr[i] * cp[j] / n),
+                            cr[i], cp[j]) for j in (0, 1)) for i in (0, 1))
+    return CoincidenceTally(n_trials=n, pump_singles=tuple(cp),
+                            read_singles=tuple(cr), coincidences=coinc)
+
+
+@functools.cache
+def plan_fiber_link():
+    return cli._link_from_config(parse_config(os.path.join(
+        os.path.dirname(__file__), "..", "configs", "plan_fiber.cfg")).plan_fiber)
+
+
+class TestPrunedWitnessKernel:
+    """`witness_distribution` equals, bit for bit, the same chunked
+    accumulation of the unpruned kernel (`witness_oracle.conditional_cdf`),
+    where every root's beta CDF runs its continued fraction."""
+
+    @staticmethod
+    def outcome(tally_, det):
+        try:
+            return witness_distribution(tally_, det)
+        except StatsError as exc:
+            return str(exc)
+
+    def assert_unpruned_result(self, tally_, det):
+        got = self.outcome(tally_, det)
+        with mock.patch.object(stats, "_conditional_cdf",
+                               witness_oracle.conditional_cdf):
+            want = self.outcome(tally_, det)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert np.array_equal(got.grid, want.grid)
+        assert np.array_equal(got.mass, want.mass)
+        assert ((got.ml_value, got.lower, got.upper, got.below, got.above)
+                == (want.ml_value, want.lower, want.upper, want.below, want.above))
+
+    @given(tally_=integer_tallies(), det=st.sampled_from([1, 2]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_integer_tallies(self, tally_, det):
+        self.assert_unpruned_result(tally_, det)
+
+    @given(km=st.floats(0.0, 94.0), log_scale=st.floats(math.log(0.01),
+                                                       math.log(10.0)))
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_mirrored_planner_tallies(self, km, log_scale):
+        # plan_fiber.cfg's projections from one expected same-detector
+        # coincidence to ten times the solve's start; the heralds mirror
+        link = plan_fiber_link()
+        split = planner.split_separation(link, km)
+        rate_scale = 10.0 ** (-max(split.arm_a_db, split.arm_b_db) / 10.0)
+        start = (4.0 * planner.START_COINCIDENCES
+                 / (link.herald_prob * link.read_prob * rate_scale**2))
+        t = planner._projected_tally(link, split.g2_floor, rate_scale,
+                                     start * math.exp(log_scale))
+        self.assert_unpruned_result(t, 1)
+
+    @pytest.mark.parametrize("tally_", [
+        WIDE_TALLY,
+        CoincidenceTally(n_trials=4_105_000_000, pump_singles=(46760, 46760),
+                         read_singles=(42950, 42950),
+                         coincidences=((0, 4), (4, 0)))], ids=["1-10", "0-4"])
+    def test_bands_through_zero_and_complex_roots(self, tally_):
+        # the band reaches w <= 0, some (edge, node) pairs have D < 0, and
+        # the pruned kernel runs fewer fractions for the same numbers
+        a, weights, post_b, b = stats._witness_nodes(tally_, 1)
+        step, first, last = stats._witness_band(a, weights, b)
+        edges = step * np.arange(first, last + 1.0)
+        assert edges[0] < 0.0
+        assert (1.0 + edges[:, None] * (2.0 * a - 1.0) < 0.0).any()
+        run = []
+        fraction = stats._fraction
+
+        def counted(posts, which, x, lam):
+            run[-1] += len(x)
+            return fraction(posts, which, x, lam)
+
+        with mock.patch.object(stats, "_fraction", counted):
+            for kernel in (stats._conditional_cdf, witness_oracle.conditional_cdf):
+                run.append(0)
+                kernel(a, edges[:, None], *post_b)
+        assert run[0] < run[1]
+        self.assert_unpruned_result(tally_, 1)
+
+
 class TestWitnessCoverage:
     """The posterior's PIT at the exact witness, over tallies drawn from
     entangle_stats.cfg's exact joint table: the share inside [0.16, 0.84]
@@ -734,7 +886,7 @@ class TestWitnessCoverage:
         for k in range(self.SEEDS):
             rng = np.random.default_rng(first_seed + k)
             counts = np.roll(rng.multinomial(n_trials, pvals), 1)
-            a, weights, post_b = stats._witness_nodes(
+            a, weights, post_b, _ = stats._witness_nodes(
                 stats.tally_from_counts(counts, n_trials), 1)
             pits[k] = weights @ stats._conditional_cdf(a, truth, *post_b)
 
