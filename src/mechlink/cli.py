@@ -112,55 +112,54 @@ _FRINGE_HEADER = ["x", "g2_same", "g2_same_err_lo", "g2_same_err_hi",
                   "g2_same_exact", "g2_cross_exact"]
 
 
-def _run_sweep(cfg: RunConfig, out_dir, subcommand, list_key, values,
-               at_value, x_unit):
+def _run_sweep(cfg: RunConfig, out_dir, values, at_value, x_unit):
     """Simulate one campaign per sweep value and write fringe.csv.
 
     `at_value(protocol, v)` sets the swept parameter; the trials are split
-    evenly over the points.  Returns (trials per point, points), each
-    point (model, same-detector estimate, cross-detector estimate,
-    exact same, exact cross).
+    evenly over the points.  Returns (trials per point, the points'
+    models, the sweep table): a record array of one row per point with
+    the fields of fringe.csv, its `x` the swept value itself.
     """
-    problems = cfg.require_simulation()
-    if not values:
-        problems.append(f"[sweep] {list_key} is required for {subcommand}")
-    if problems:
-        raise ConfigError(problems)
-    per_point = max(1, cfg.trials // len(values))
+    per_point, n = max(1, cfg.trials // len(values)), len(values)
     models, tallies = [], []
     for i, v in enumerate(values):
-        proto = at_value(cfg.protocol, v)
-        models.append(protocol.build_trial_model(proto))
+        models.append(protocol.build_trial_model(at_value(cfg.protocol, v)))
         # a point needs only its counts: no click log is sampled
         tallies.append(stats.tally_from_counts(
             code_counts(models[-1], per_point, cfg.seed, stream=i), per_point))
     # every point's same- and cross-detector intervals in one solve
     estimates = stats.g2_estimates([(t, (1, 2), (1, 2)) for t in tallies]
                                    + [(t, (1, 2), (2, 1)) for t in tallies])
-    points, rows = [], []
-    for v, model, same, cross in zip(values, models, estimates[:len(values)],
-                                     estimates[len(values):]):
-        exact_same = 0.5 * (model.g2_exact(1, 1) + model.g2_exact(2, 2))
-        exact_cross = 0.5 * (model.g2_exact(1, 2) + model.g2_exact(2, 1))
-        points.append((model, same, cross, exact_same, exact_cross))
-        rows.append([v / x_unit, same.value, same.lower, same.upper,
-                     cross.value, cross.lower, cross.upper, exact_same, exact_cross])
-    write_csv(os.path.join(out_dir, "fringe.csv"), _FRINGE_HEADER, rows)
-    return per_point, points
+    rows = [(v, same.value, same.lower, same.upper, cross.value, cross.lower, cross.upper,
+             0.5 * (m.g2_exact(1, 1) + m.g2_exact(2, 2)),
+             0.5 * (m.g2_exact(1, 2) + m.g2_exact(2, 1)))
+            for v, m, same, cross in zip(values, models, estimates[:n], estimates[n:])]
+    write_csv(os.path.join(out_dir, "fringe.csv"), _FRINGE_HEADER,
+              [(v / x_unit, *rest) for v, *rest in rows])
+    return per_point, models, np.rec.array(rows, names=_FRINGE_HEADER)
 
 
-def _difference_fit(x, points) -> stats.FringeFit:
-    """Fringe fit of cross - same over the points, each weighted by half the
-    quadrature sum of the two interval widths.
-
-    The difference doubles the fringe amplitude and cancels the common
-    offset, which conditions the period fit best.
-    """
+def _difference_fit(table) -> stats.FringeFit:
+    """Fringe fit of cross - same over the sweep table's rows, each weighted
+    by half the quadrature sum of the two interval widths: the difference
+    doubles the fringe amplitude and cancels the common offset, which
+    conditions the period fit best."""
     return stats.fit_fringe(
-        np.asarray(x, dtype=float),
-        np.array([cross.value - same.value for _, same, cross, *_ in points]),
-        np.array([0.5 * math.hypot(cross.upper - cross.lower, same.upper - same.lower)
-                  for _, same, cross, *_ in points]))
+        table.x, table.g2_cross - table.g2_same,
+        [0.5 * math.hypot(c, s) for c, s in zip(
+            table.g2_cross_err_hi - table.g2_cross_err_lo,
+            table.g2_same_err_hi - table.g2_same_err_lo)])
+
+
+def _window_visibility(table, period) -> dict:
+    """`sampled` and `exact` fringe contrast over the rows of a sweep table
+    at the sweep's known period: cross- and same-detector correlations
+    oscillate half a fringe apart, and each column averages the two."""
+    contrast = stats.fringe_contrast(
+        table.x, [table.g2_cross, table.g2_same,
+                  table.g2_cross_exact, table.g2_same_exact], period)
+    return {"sampled": float(np.mean(contrast[:2])),
+            "exact": float(np.mean(contrast[2:]))}
 
 
 def _period(fit: stats.FringeFit, unit: float) -> tuple:
@@ -177,12 +176,18 @@ def _period(fit: stats.FringeFit, unit: float) -> tuple:
 
 def cmd_phase_sweep(cfg: RunConfig, out_dir, config_path) -> None:
     phases = cfg.delta_phi_sweep
-    per_point, points = _run_sweep(cfg, out_dir, "phase-sweep", "delta_phi_pi_list",
-                                   phases, lambda p, phi: p.with_delta_phi(phi), PI)
+    problems = cfg.require_simulation()
+    if len(phases) < 5:
+        problems.append(f"[sweep] phase-sweep needs at least 5 delta_phi_pi_list "
+                        f"phases for its period fit, got {len(phases)}")
+    if problems:
+        raise ConfigError(problems)
+    per_point, models, table = _run_sweep(
+        cfg, out_dir, phases, lambda p, phi: p.with_delta_phi(phi), PI)
 
-    fit = _difference_fit(phases, points)
-    fit_exact = stats.fit_fringe(np.array(phases), np.array([p[4] - p[3] for p in points]))
-    vis = _window_visibility(phases, points)
+    fit = _difference_fit(table)
+    fit_exact = stats.fit_fringe(table.x, table.g2_cross_exact - table.g2_same_exact)
+    vis = _window_visibility(table, 2 * PI)
     period, error = _period(fit, PI)
     summary = {
         "points": len(phases),
@@ -193,34 +198,47 @@ def cmd_phase_sweep(cfg: RunConfig, out_dir, config_path) -> None:
         "flagged": fit.flagged or fit_exact.flagged,
         "visibility_sampled": vis["sampled"],
         "visibility_exact": vis["exact"],
-        "sampled_estimator": vis["sampled_estimator"],
-        "exact_estimator": vis["exact_estimator"],
-        "herald_probability_exact": points[0][0].herald_prob(),
+        "herald_probability_exact": models[0].herald_prob(),
     }
     write_json(os.path.join(out_dir, "fringe_fit.json"), summary)
     _manifest(out_dir, "phase-sweep", config_path, cfg, cfg.seed, cfg.trials)
 
 
 def cmd_time_sweep(cfg: RunConfig, out_dir, config_path) -> None:
-    taus = cfg.tau_sweep
-    per_point, points = _run_sweep(cfg, out_dir, "time-sweep", "tau_ns_list",
-                                   taus, lambda p, tau: p.with_tau(tau), NS)
+    taus = np.array(cfg.tau_sweep)
+    # a window is a run of delays at most 6 ns apart
+    windows = np.split(np.arange(taus.size), np.flatnonzero(np.diff(taus) > 6e-9) + 1)
+    problems = cfg.require_simulation()
+    if (taus < 0).any() or (np.diff(taus) <= 0).any():
+        problems.append("[sweep] tau_ns_list must be non-negative and strictly increasing")
+    else:
+        if len(windows[0]) < 5:
+            problems.append(f"[sweep] time-sweep needs at least 5 points in its first "
+                            f"tau_ns_list window for the period fit, got {len(windows[0])}")
+        problems += [f"[sweep] the tau_ns_list window at {taus[idx[0]] / NS:g} ns "
+                     f"needs at least 3 points, got {len(idx)}"
+                     for idx in windows[1:] if len(idx) < 3]
+    if cfg.protocol is not None and cfg.protocol.interferometer.delta_omega_m == 0:
+        problems.append("[interferometer] time-sweep needs a non-zero "
+                        "mech_freq_diff_mhz: the delay fringe has no period")
+    if problems:
+        raise ConfigError(problems)
+    per_point, _, table = _run_sweep(cfg, out_dir, cfg.tau_sweep,
+                                     lambda p, tau: p.with_tau(tau), NS)
 
-    windows = _split_windows(taus)
+    period_tau = 2 * PI / cfg.protocol.interferometer.delta_omega_m
     vis_rows = []
     for idx in windows:
-        center = float(np.mean([taus[k] for k in idx]))
+        center = float(np.mean(taus[idx]))
         vis_rows.append({
             "tau_ns": center / NS,
-            **_window_visibility([taus[k] for k in idx], [points[k] for k in idx]),
+            **_window_visibility(table[idx], period_tau),
             "bound_exact": protocol.exact_visibility_ceiling(cfg.protocol.with_tau(center))})
     write_csv(os.path.join(out_dir, "visibility.csv"),
               ["tau_ns", "v_sampled", "v_exact", "v_bound_exact"],
-              [[row[k] for k in ("tau_ns", "sampled", "exact", "bound_exact")]
-               for row in vis_rows])
+              [list(row.values()) for row in vis_rows])
 
-    first = windows[0]
-    fit = _difference_fit([taus[k] for k in first], [points[k] for k in first])
+    fit = _difference_fit(table[windows[0]])
     period, error = _period(fit, NS)
     summary = {
         "points": len(taus),
@@ -228,54 +246,11 @@ def cmd_time_sweep(cfg: RunConfig, out_dir, config_path) -> None:
         "period_ns": period,
         "period_error_ns": error,
         "flagged": fit.flagged,
-        "windows": [[taus[k] / NS for k in idx] for idx in windows],
+        "windows": [(taus[idx] / NS).tolist() for idx in windows],
         "visibility": vis_rows,
     }
     write_json(os.path.join(out_dir, "sweep_fit.json"), summary)
     _manifest(out_dir, "time-sweep", config_path, cfg, cfg.seed, cfg.trials)
-
-
-def _split_windows(taus, max_gap=6e-9):
-    windows, current = [], [0]
-    for k in range(1, len(taus)):
-        if taus[k] - taus[k - 1] <= max_gap:
-            current.append(k)
-        else:
-            windows.append(current)
-            current = [k]
-    windows.append(current)
-    return windows
-
-
-def _window_visibility(x, points) -> dict:
-    """`sampled` and `exact` fringe contrast within one window of
-    `_run_sweep` points, and the estimator each series used
-    (`sampled_estimator`, `exact_estimator`).
-
-    Cross- and same-detector correlations oscillate half a fringe apart;
-    a sinusoid fit per series recovers the amplitude wherever the window
-    samples the fringe, and the two estimates are averaged.  A series of
-    fewer than five points, or whose fit is flagged, takes
-    `stats.visibility` instead.
-    """
-    x = np.asarray(x, dtype=float)
-    _, same, cross, exact_same, exact_cross = zip(*points)
-    doc = {}
-    for name, pair in (("sampled", ([c.value for c in cross], [s.value for s in same])),
-                       ("exact", (exact_cross, exact_same))):
-        out, used = [], {}
-        for series, vals in zip(("cross", "same"), map(np.asarray, pair)):
-            fit = stats.fit_fringe(x, vals) if len(vals) >= 5 else None
-            if fit is None or fit.flagged:
-                used[series] = "visibility"
-                out.append(stats.visibility(vals))
-                continue
-            used[series] = "fit_fringe"
-            top = fit.offset + abs(fit.amplitude)
-            bot = max(fit.offset - abs(fit.amplitude), 0.0)
-            out.append((top - bot) / (top + bot))
-        doc[name], doc[f"{name}_estimator"] = float(np.mean(out)), used
-    return doc
 
 
 def _bound(model: protocol.TrialModel, det: int) -> float | None:

@@ -841,6 +841,28 @@ def visibility(values) -> float:
     return (top - bot) / (top + bot)
 
 
+def _sinusoid_basis(x: np.ndarray, period: float) -> np.ndarray:
+    """Columns 1, cos(2 pi x / period), sin(2 pi x / period) at the samples x."""
+    w = 2 * math.pi / period
+    return np.stack([np.ones_like(x), np.cos(w * x), np.sin(w * x)], axis=1)
+
+
+def fringe_contrast(x, series, period: float) -> np.ndarray:
+    """Contrast (top - bot) / (top + bot) of each row of `series` at a known
+    period: one least-squares solve fits offset + c cos(2 pi x / period) +
+    s sin(2 pi x / period) to every row, with top the offset plus
+    hypot(c, s) and the trough the offset less it, floored at 0."""
+    coef, _, rank, _ = np.linalg.lstsq(_sinusoid_basis(np.asarray(x, dtype=float), period),
+                                       np.asarray(series, dtype=float).T, rcond=None)
+    if rank < 3:
+        raise StatsError("need 3 samples at distinct fringe phases")
+    amp = np.hypot(coef[1], coef[2])
+    top, bot = coef[0] + amp, np.maximum(coef[0] - amp, 0.0)
+    if not (top > 0).all():
+        raise StatsError("degenerate fringe: fitted top not positive")
+    return (top - bot) / (top + bot)
+
+
 def regula_falsi(probe, lo: tuple, hi: tuple, closed, max_steps=None):
     """Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on a bracket.
 
@@ -928,8 +950,9 @@ def fit_fringe(x, values, sigma=None) -> FringeFit:
         # residual's period derivative (dB/dP) c; r is orthogonal to the
         # basis B, so the profile slope d chi2 / dP is exactly 2 r . (dB/dP) c
         w = 2 * math.pi / period
-        cos, sin = np.cos(w * x), np.sin(w * x)
-        bw = np.stack([np.ones_like(x), cos, sin], axis=1) / sigma[:, None]
+        basis = _sinusoid_basis(x, period)
+        cos, sin = basis[:, 1], basis[:, 2]
+        bw = basis / sigma[:, None]
         coef, *_ = np.linalg.lstsq(bw, y / sigma, rcond=None)
         resid = bw @ coef - y / sigma
         d_period = w / period * x * (coef[1] * sin - coef[2] * cos) / sigma

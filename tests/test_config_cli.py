@@ -287,13 +287,46 @@ class TestCliRuns:
         assert fit["period_pi"] is None and fit["period_error_pi"] is None
         assert fit["period_pi_exact"] > 0
 
+    @pytest.mark.parametrize("command, sweep, violations", [
+        # an unsorted list once mixed 123 and 1000 ns in one window
+        ("time-sweep", "tau_ns_list = 1000, 123, 1004.44, 1008.88, 1013.32, 1017.76",
+         ["[sweep] tau_ns_list must be non-negative and strictly increasing"]),
+        ("time-sweep", "tau_ns_list = -4, 0, 4, 8, 12",
+         ["[sweep] tau_ns_list must be non-negative and strictly increasing"]),
+        ("time-sweep", "tau_ns_list = 123, 124, 125, 126, 1000, 1001",
+         ["[sweep] time-sweep needs at least 5 points in its first tau_ns_list "
+          "window for the period fit, got 4",
+          "[sweep] the tau_ns_list window at 1000 ns needs at least 3 points, got 2"]),
+        ("phase-sweep", "delta_phi_pi_list = 0, 0.5, 1.0, 1.5",
+         ["[sweep] phase-sweep needs at least 5 delta_phi_pi_list phases for its "
+          "period fit, got 4"]),
+    ])
+    def test_bad_sweep_is_a_config_error(self, command, sweep, violations,
+                                         tmp_path, capsys):
+        # every violation is listed, and nothing is sampled or written
+        cfg = write_cfg(tmp_path, MINIMAL + f"[sweep]\n{sweep}\n")
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {v}" for v in violations]
+        assert list(out.iterdir()) == []
+
+    def test_time_sweep_needs_a_frequency_difference(self, tmp_path, capsys):
+        # with equal mechanical frequencies the delay fringe has no period
+        cfg = write_cfg(tmp_path, MINIMAL.replace("phi0_rad = 0.0", "mech_freq_diff_mhz = 0")
+                        + "[sweep]\ntau_ns_list = 123, 124, 125, 126, 127\n")
+        out = tmp_path / "o"
+        assert cli.main(["time-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "non-zero mech_freq_diff_mhz" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("cfg_trials, cli_trials", [
         ("1000", ["--trials", "0"]), ("1000", ["--trials", "-5"]), ("0", [])])
     def test_trials_below_one_is_a_config_error(self, cfg_trials, cli_trials,
                                                 tmp_path, capsys):
         # checked on the count the run uses, after the command line overrides
         cfg = write_cfg(tmp_path, MINIMAL.replace("trials = 1000", f"trials = {cfg_trials}")
-                        + "[sweep]\ndelta_phi_pi_list = 0, 1\n")
+                        + "[sweep]\ndelta_phi_pi_list = 0, 0.4, 0.8, 1.2, 1.6\n")
         for command in ("witness", "phase-sweep"):
             rc = cli.main([command, "--config", str(cfg), "--out",
                            str(tmp_path / "o"), *cli_trials])
@@ -446,6 +479,10 @@ class TestCliRuns:
         runs = {
             "phase-sweep": (MINIMAL + "\n[sweep]\ndelta_phi_pi_list = "
                             "0, 0.5, 1.0, 1.5, 1.9\n", "5000000"),
+            # two windows, each with its own contrast row
+            "time-sweep": (MINIMAL + "\n[sweep]\ntau_ns_list = "
+                           "123, 127.44, 131.88, 136.32, 140.76, 1000, 1004.44, "
+                           "1008.88\n", "8000000"),
             # a log of three chunks, the last one short
             "witness": (MINIMAL + "\n[output]\nsave_clicklog = on\n",
                         str(2 * CHUNK_TRIALS + 1234)),
@@ -521,6 +558,27 @@ class TestCliRuns:
             assert cli.main([command, "--config", str(cfg), "--out",
                              str(tmp_path / command), "--trials", "1000000"]) == 0
 
+    def test_sweeps_fit_the_period_once_a_difference(self, tmp_path, monkeypatch):
+        # a phase sweep fits the sampled and the exact difference; a time
+        # sweep the sampled difference of its first window; contrasts are
+        # read at the known period with no fit of their own
+        calls = []
+        fit_fringe = stats.fit_fringe
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit_fringe(*args, **kwargs)
+
+        monkeypatch.setattr(stats, "fit_fringe", counted)
+        cfg = write_cfg(tmp_path, MINIMAL + "\n[sweep]\n"
+                        "delta_phi_pi_list = 0, 0.4, 0.8, 1.2, 1.6\n"
+                        "tau_ns_list = 123, 124.5, 126, 127.5, 129, 1000, 1001.5, 1003\n")
+        for command, expected in (("phase-sweep", 2), ("time-sweep", 1)):
+            calls.clear()
+            assert cli.main([command, "--config", str(cfg), "--out",
+                             str(tmp_path / command), "--trials", "1000000"]) == 0
+            assert len(calls) == expected, command
+
     def test_seed_override_changes_results(self, tmp_path):
         cfg = write_cfg(tmp_path, MINIMAL)
         docs = []
@@ -591,7 +649,7 @@ class TestEmitFormats:
             "x,g2_same,g2_same_err_lo,g2_same_err_hi,g2_cross")
         assert len(lines) == 6
 
-    def test_sweep_fit_rows_name_their_estimators(self, tmp_path):
+    def test_sweep_fit_rows_carry_no_estimator_fields(self, tmp_path):
         text = MINIMAL + ("\n[sweep]\ntau_ns_list = 123, 124.5, 126, 127.5, 129\n"
                           "delta_phi_pi_list = 0, 0.4, 0.8, 1.2, 1.6\n")
         cfg = write_cfg(tmp_path, text)
@@ -601,14 +659,13 @@ class TestEmitFormats:
         rows = json.loads((tmp_path / "time-sweep" / "sweep_fit.json").read_text())[
             "visibility"]
         assert len(rows) == 1
-        assert rows[0].keys() == {"tau_ns", "sampled", "exact", "bound_exact",
-                                  "sampled_estimator", "exact_estimator"}
+        assert rows[0].keys() == {"tau_ns", "sampled", "exact", "bound_exact"}
         # the phase sweep is one window, reported at the top level
-        rows.append(json.loads((tmp_path / "phase-sweep" / "fringe_fit.json").read_text()))
-        for row in rows:
-            for key in ("sampled_estimator", "exact_estimator"):
-                assert row[key].keys() == {"cross", "same"}
-                assert set(row[key].values()) <= {"fit_fringe", "visibility"}
+        fit = json.loads((tmp_path / "phase-sweep" / "fringe_fit.json").read_text())
+        assert fit.keys() == {"points", "trials_per_point", "period_pi",
+                              "period_pi_exact", "period_error_pi", "flagged",
+                              "visibility_sampled", "visibility_exact",
+                              "herald_probability_exact"}
 
     def test_phase_sweep_visibility_matches_the_dense_exact_fringe(self, tmp_path):
         # reference: the extrema contrast of the exact same- and
@@ -625,7 +682,27 @@ class TestEmitFormats:
                          "--out", str(out), "--seed", "7"]) == 0
         fit = json.loads((out / "fringe_fit.json").read_text())
         assert fit["visibility_exact"] == pytest.approx(reference, abs=1e-3)
-        assert fit["exact_estimator"] == {"cross": "fit_fringe", "same": "fit_fringe"}
+
+    def test_time_sweep_visibility_matches_the_dense_exact_fringe(self, tmp_path):
+        # reference per window: the extrema contrast of the exact same- and
+        # cross-detector fringes on 120 read phases at the window's center
+        # delay, averaged over the two series
+        out = tmp_path / "sweep"
+        assert cli.main(["time-sweep", "--config", cfg_dir("time_sweep.cfg"),
+                         "--out", str(out), "--seed", "7"]) == 0
+        rows = json.loads((out / "sweep_fit.json").read_text())["visibility"]
+        assert len(rows) == 3
+        proto = parse_config(cfg_dir("time_sweep.cfg")).protocol
+        for row in rows:
+            at_center = proto.with_tau(row["tau_ns"] * 1e-9)
+            same, cross = [], []
+            for phi in np.linspace(0.0, 2 * math.pi, 120, endpoint=False):
+                model = protocol.build_trial_model(at_center.with_delta_phi(phi))
+                same.append(0.5 * (model.g2_exact(1, 1) + model.g2_exact(2, 2)))
+                cross.append(0.5 * (model.g2_exact(1, 2) + model.g2_exact(2, 1)))
+            reference = 0.5 * (stats.visibility(same) + stats.visibility(cross))
+            assert row["exact"] == pytest.approx(reference, abs=2e-3), row["tau_ns"]
+            assert row["exact"] <= row["bound_exact"]
 
     def test_pump_probe_outputs(self, tmp_path):
         out = tmp_path / "pp"

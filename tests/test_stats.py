@@ -5,7 +5,6 @@ import json
 import math
 import os
 import tracemalloc
-import types
 from unittest import mock
 
 import numpy as np
@@ -17,8 +16,9 @@ from mechlink import campaign, cli, planner, protocol, stats
 from mechlink.campaign import ClickLog
 from mechlink.config import parse_config
 from mechlink.stats import (CoincidenceTally, StatsError, confidence_below,
-                            fit_fringe, g2_from_counts, symmetrize, tally,
-                            visibility, witness_distribution, witness_from_g2)
+                            fit_fringe, fringe_contrast, g2_from_counts,
+                            symmetrize, tally, visibility, witness_distribution,
+                            witness_from_g2)
 
 # the two published counting blocks used throughout
 WITNESS_TALLY = CoincidenceTally(
@@ -901,17 +901,6 @@ class TestWitnessCoverage:
         assert all(within(c, 0.1) for c in deciles), deciles
 
 
-def window_visibility(x, cross, same):
-    """`cli._window_visibility` of a window whose sampled and exact series
-    are both (cross, same): the contrast and the estimators."""
-    points = [(None, types.SimpleNamespace(value=b), types.SimpleNamespace(value=a), b, a)
-              for a, b in zip(cross, same)]
-    doc = cli._window_visibility(x, points)
-    assert doc["sampled"] == doc["exact"]
-    assert doc["sampled_estimator"] == doc["exact_estimator"]
-    return doc["exact"], doc["exact_estimator"]
-
-
 class TestFringeTools:
     def test_visibility_from_extrema(self):
         assert visibility([7.783, 0.830]) == pytest.approx(0.807, abs=0.001)
@@ -920,34 +909,48 @@ class TestFringeTools:
         assert visibility([3.0, 3.0, 3.0]) == 0.0
 
     def test_fitted_mode_recovers_known_visibility(self):
-        # the sinusoid-fit contrast the sweeps report per window
+        # the known-period contrast the sweeps report per window
         rng = np.random.default_rng(8)
         x = np.linspace(0, 4 * math.pi, 40)
         y = 4.0 * (1 + 0.8 * np.cos(x - 0.3)) + rng.normal(0, 0.05, x.size)
-        value, used = window_visibility(x, y, y)
+        value, = fringe_contrast(x, [y], 2 * math.pi)
         assert value == pytest.approx(0.80, abs=0.01)
-        assert used == {"cross": "fit_fringe", "same": "fit_fringe"}
 
-    def test_window_visibility_names_its_fallback(self):
-        # four points are too few to fit; a flat series is flagged
-        x = np.linspace(0, 2 * math.pi, 8)
-        flat = np.full(8, 3.0)
+    def test_fringe_contrast_fits_each_series_on_its_own(self):
+        # one solve over the stacked series equals a solve per series; a
+        # flat series has no contrast, and a trough below zero is floored
+        x = np.linspace(0.0, 2e-8, 5)
+        period = 1 / 45e6
+        rows = [3.0 + 2.0 * np.cos(2 * math.pi * x / period - 0.4),
+                np.full(5, 3.0),
+                0.5 + 2.0 * np.sin(2 * math.pi * x / period)]
+        stacked = fringe_contrast(x, rows, period)
+        assert stacked == pytest.approx([2.0 / 3.0, 0.0, 1.0], abs=1e-12)
+        for row, value in zip(rows, stacked):
+            assert fringe_contrast(x, [row], period)[0] == pytest.approx(value, abs=1e-15)
+
+    def test_fringe_contrast_rejects_what_it_cannot_fit(self):
+        x = np.linspace(0, 2 * math.pi, 8, endpoint=False)
         fringe = 4.0 * (1 + 0.8 * np.cos(x))
-        value, used = window_visibility(x[:4], fringe[:4], fringe[:4])
-        assert used == {"cross": "visibility", "same": "visibility"}
-        assert value == pytest.approx(visibility(fringe[:4]))
-        value, used = window_visibility(x, fringe, flat)
-        assert used == {"cross": "fit_fringe", "same": "visibility"}
+        with pytest.raises(StatsError, match="need 3 samples"):
+            fringe_contrast(x[:2], [fringe[:2]], 2 * math.pi)
+        # samples a whole period apart see one phase of the fringe
+        with pytest.raises(StatsError, match="need 3 samples at distinct fringe phases"):
+            fringe_contrast(2 * math.pi * np.arange(5), [np.arange(5.0)], 2 * math.pi)
+        # a fitted top at or below zero has no contrast
+        with pytest.raises(StatsError, match="top not positive"):
+            fringe_contrast(x, [fringe, -fringe], 2 * math.pi)
 
-    def test_window_visibility_falls_back_on_an_unresolved_period(self):
-        # a straight line has no slope root within the period bounds: its
-        # fit comes back flagged, and the window takes the extrema instead
-        x = np.arange(8.0)
-        line = 1.0 + 0.5 * x
-        assert fit_fringe(x, line).flagged
-        value, used = window_visibility(x, line, line)
-        assert used == {"cross": "visibility", "same": "visibility"}
-        assert value == pytest.approx(visibility(line))
+    def test_period_fit_and_contrast_share_one_basis(self):
+        # the fixed-period solve inside fit_fringe builds the same columns:
+        # at the fitted period its offset and amplitude give the contrast
+        rng = np.random.default_rng(5)
+        x = np.linspace(0, 3.5 * math.pi, 24)
+        y = 3.0 + 2.0 * np.cos(x - 0.7) + rng.normal(0, 0.02, x.size)
+        fit = fit_fringe(x, y)
+        top, bot = fit.offset + fit.amplitude, fit.offset - fit.amplitude
+        assert fringe_contrast(x, [y], fit.period)[0] == pytest.approx(
+            (top - bot) / (top + bot), rel=1e-12)
 
     def test_phase_fringe_period_recovery(self):
         rng = np.random.default_rng(3)
