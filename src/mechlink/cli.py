@@ -162,6 +162,16 @@ def _window_visibility(table, period) -> dict:
             "exact": float(np.mean(contrast[2:]))}
 
 
+_NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
+
+
+def _out_of_range(section: str, block: dict, rules: dict) -> list:
+    """A violation for each key of `block` that breaks its rule: key ->
+    (test, what the key must be)."""
+    return [f"[{section}] {key} must be {what}, got {_fmt(block[key])}"
+            for key, (ok, what) in rules.items() if key in block and not ok(block[key])]
+
+
 def _period(fit: stats.FringeFit, unit: float) -> tuple:
     """A fit's period and its error in `unit`; (None, None) when the fit is
     flagged, whose period is unresolved."""
@@ -327,12 +337,17 @@ def cmd_pump_probe(cfg: RunConfig, out_dir, config_path) -> None:
     if "data_csv" in pp:
         t, d, sigma = noise.read_pump_probe_csv(pp["data_csv"])
     else:
-        required = ("gamma_per_us", "bath_gamma_per_us")
-        missing = [k for k in required if k not in pp]
-        if missing:
-            raise ConfigError([f"[pump_probe] missing {k}" for k in missing])
+        problems = [f"[pump_probe] missing {k}"
+                    for k in ("gamma_per_us", "bath_gamma_per_us") if k not in pp]
         if "seed" not in pp:
-            raise ConfigError(["[pump_probe] seed is required for synthesis"])
+            problems.append("[pump_probe] seed is required for synthesis")
+        # the time grid rises from 0.03 us through t_max / 3 to t_max
+        problems += _out_of_range("pump_probe", pp, {
+            "t_max_us": (lambda v: v > 0.09, "above 0.09, three times the first sample"),
+            "samples": (lambda v: v >= 6, "at least 6, the fit's minimum"),
+            "noise_fraction": _NON_NEGATIVE, "seed": _NON_NEGATIVE})
+        if problems:
+            raise ConfigError(problems)
         decay = pp["gamma_per_us"] / US
         bath_gamma = pp["bath_gamma_per_us"] / US
         t_max = pp.get("t_max_us", 20.0) * US
@@ -373,14 +388,18 @@ def cmd_plan_yield(cfg: RunConfig, out_dir, config_path) -> None:
     py = cfg.plan_yield
     if not py:
         raise ConfigError(["[plan.yield] section is required"])
+    problems = _out_of_range("plan.yield", py, {
+        "mc_reps": (lambda v: v >= 1, "at least 1"), "seed": _NON_NEGATIVE})
     chips = py.get("chips", 2)
     per_chip = {}
     for key, name, default in (("sigma_nm_list", "sigma_nm", 2.0),
                                ("offsets_nm_list", "offsets_nm", 0.0)):
         values = py.get(key, (default,))
         if len(values) not in (1, chips):
-            raise ConfigError([f"[plan.yield] {key} needs 1 or {chips} entries"])
+            problems.append(f"[plan.yield] {key} needs 1 or {chips} entries")
         per_chip[name] = values * chips if len(values) == 1 else values
+    if problems:
+        raise ConfigError(problems)
     # a key the section leaves out takes the planner's default
     model = planner.YieldModel(
         chips=chips, devices_per_chip=py.get("devices_per_chip", 234), **per_chip,
@@ -430,9 +449,12 @@ def cmd_plan_fiber(cfg: RunConfig, out_dir, config_path) -> None:
     pf = cfg.plan_fiber
     required = [f"{p}_{k}" for p in "ab"
                 for k in ("n_th", "p_pump", "n_leak", "n_bg", "gamma_per_us")]
-    missing = [k for k in required if k not in pf]
-    if missing:
-        raise ConfigError([f"[plan.fiber] missing {k}" for k in missing])
+    problems = [f"[plan.fiber] missing {k}" for k in required if k not in pf]
+    problems += _out_of_range("plan.fiber", pf, {
+        "separation_km_list": (lambda km: min(km, default=0.0) >= 0, "non-negative"),
+        "sigma_clearance": (lambda v: v > 0, "positive")})
+    if problems:
+        raise ConfigError(problems)
     link = _link_from_config(pf)
     sep = planner.max_separation(link)
     doc = {

@@ -151,6 +151,8 @@ class RunConfig:
                             "detectors/protocol)")
         if self.seed is None:
             problems.append("campaign.seed is required for simulation runs")
+        elif self.seed < 0:
+            problems.append("[campaign] seed must be non-negative")
         if self.trials is None:
             problems.append("campaign.trials is required for simulation runs")
         elif self.trials < 1:

@@ -362,36 +362,25 @@ def _blocked(cfg: ProtocolConfig, arm: str) -> ProtocolConfig:
 # delay evolution
 
 
-def _thermal_attenuators(cfg: ProtocolConfig, tau: float) -> list:
-    """The delay of each mechanical mode as one thermal attenuator.
-
-    Returns per device (eta, N): eta = exp(-gamma tau) and N the
-    occupation the transient bath adds from zero, so that a mean
-    occupation n goes to eta n + N, the closed-form rate-equation value.
-    """
-    out = []
-    for dev in cfg.devices():
-        heat = HeatingParams(decay=dev.gamma_decay, bath_gamma=dev.bath_gamma,
-                             bath_k=dev.bath_k, n_init=dev.n_init)
-        out.append((math.exp(-dev.gamma_decay * tau),
-                    float(driven_occupation(tau, heat))))
-    return out
-
-
 def evolve_delay(state: GaussianState, tau: float,
                  cfg: ProtocolConfig) -> GaussianState:
     """Decay, transient-bath heating and relative phase over the delay.
 
-    Each mechanical mode goes through its exact thermal attenuator
-    (`_thermal_attenuators`); the relative phase delta_omega_m * tau is
+    Each mechanical mode goes through its exact thermal attenuator: eta =
+    exp(-gamma tau) and N the occupation the transient bath adds from
+    zero, so that a mean occupation n goes to eta n + N, the closed-form
+    rate-equation value.  The relative phase delta_omega_m * tau is
     applied to mechanical mode B.
     """
     if tau < 0:
         raise ProtocolError("delay must be non-negative")
     if tau == 0:
         return state
-    for mode, (eta, added) in zip((MA, MB), _thermal_attenuators(cfg, tau)):
-        state = _attenuate(state, mode, eta, added)
+    for mode, dev in zip((MA, MB), cfg.devices()):
+        heat = HeatingParams(decay=dev.gamma_decay, bath_gamma=dev.bath_gamma,
+                             bath_k=dev.bath_k, n_init=dev.n_init)
+        state = _attenuate(state, mode, math.exp(-dev.gamma_decay * tau),
+                           float(driven_occupation(tau, heat)))
     return _rotate(state, MB, cfg.interferometer.delta_omega_m * tau)
 
 
@@ -547,42 +536,6 @@ def _moment(state: GaussianState, ops) -> complex:
     return complex(state.weight @ wick(tuple(ops)))
 
 
-def _witness_moments(pump: PumpStageResult, detector: int) -> np.ndarray:
-    """Unnormalized moments of Tr_opt[n_j rho] before the delay.
-
-    Order: (<n_j>, <nA nB>, <nA>, <nB>, <a_A+ a_B>), each weighted by the
-    herald intensity <n_j>: Tr[n_j X rho] for each X on the
-    pre-measurement pump state.
-    """
-    port = OA if detector == 1 else OB
-    n_j = ((port, True), (port, False))
-    n_a, n_b = ((MA, True), (MA, False)), ((MB, True), (MB, False))
-    ops = ((), n_a + n_b, n_a, n_b, ((MA, True), (MB, False)))
-    return np.array([_moment(pump.state, n_j + op) for op in ops])
-
-
-def _delayed_witness_moments(moments: np.ndarray, cfg: ProtocolConfig) -> tuple:
-    """(<nA nB>, |<a_A+ a_B>|^2) after the delay, from `_witness_moments`.
-
-    Per mode the delay is a thermal attenuator (eta, N): in the
-    Heisenberg picture n -> eta n + N and a -> sqrt(eta) e^{i phi} a, so
-    nA nB -> (etaA nA + NA)(etaB nB + NB) and the coherence shrinks by
-    sqrt(etaA etaB).  The pump's share of the relative-phase twirl, the
-    pump photons' distinguishability variance and the lock offset theta
-    of the pump imprint, rotates mech A against mech B and leaves the
-    number moments alone; it damps |<a_A+ a_B>|^2 by
-    exp(-(sigma_d^2 + sigma^2)).
-    """
-    (eta_a, n_a), (eta_b, n_b) = _thermal_attenuators(cfg, cfg.tau)
-    _, nn, na, nb, coh = moments / moments[0].real
-    num = (eta_a * eta_b * nn + eta_a * n_b * na + n_a * eta_b * nb).real
-    num += n_a * n_b
-    pump_variance = (distinguishability_variance(cfg.interferometer)
-                     + cfg.interferometer.phase_jitter_sigma ** 2)
-    coh2 = eta_a * eta_b * abs(coh) ** 2 * math.exp(-pump_variance)
-    return float(num), float(coh2)
-
-
 def build_trial_model(cfg: ProtocolConfig) -> TrialModel:
     """Assemble the exact 4x4 observed-outcome table for one setting.
 
@@ -627,9 +580,27 @@ def build_trial_model(cfg: ProtocolConfig) -> TrialModel:
 
 def witness_moments(cfg: ProtocolConfig) -> dict:
     """Detector -> (<nA nB>, |<a_A+ a_B>|^2) of the intensity-weighted
-    herald after the delay (`_delayed_witness_moments`), which
-    `TrialModel.exact_witness` divides; a zero-intensity herald has none."""
-    pump = pump_stage(cfg)
-    moments = {det: _witness_moments(pump, det) for det in (1, 2)}
-    return {det: _delayed_witness_moments(m, cfg)
-            for det, m in moments.items() if m[0].real > 1e-15}
+    herald after the delay, which `TrialModel.exact_witness` divides; a
+    zero-intensity herald has none.
+
+    Each moment is Tr[n_j X rho] / Tr[n_j rho] on the pre-measurement
+    pump state taken through the pump's share of the relative-phase
+    twirl and the delay.  That share is the pump photons'
+    distinguishability and the lock offset of the pump imprint, variance
+    sigma_d^2 + sigma^2 (see `build_trial_model`).
+    """
+    intf = cfg.interferometer
+    sigma = math.sqrt(distinguishability_variance(intf) + intf.phase_jitter_sigma ** 2)
+    state = pump_stage(cfg).state
+    if sigma > 0:
+        state = _rotation_twirl(state, MB, sigma)
+    state = evolve_delay(state, cfg.tau, cfg)
+    n_ab = ((MA, True), (MA, False), (MB, True), (MB, False))
+    out = {}
+    for det, port in ((1, OA), (2, OB)):
+        n_j = ((port, True), (port, False))
+        intensity = _moment(state, n_j).real
+        if intensity > 1e-15:
+            coh = _moment(state, n_j + ((MA, True), (MB, False))) / intensity
+            out[det] = (_moment(state, n_j + n_ab).real / intensity, abs(coh) ** 2)
+    return out

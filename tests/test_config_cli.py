@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -311,6 +312,55 @@ class TestCliRuns:
             f"config error: {v}" for v in violations]
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command, shipped, key, value, args", [
+        ("plan-fiber", "plan_fiber.cfg", "separation_km_list", "-10", []),
+        ("plan-fiber", "plan_fiber.cfg", "sigma_clearance", "0", []),
+        ("plan-fiber", "plan_fiber.cfg", "sigma_clearance", "-3", []),
+        ("pump-probe", "pump_probe.cfg", "t_max_us", "-1", []),
+        ("pump-probe", "pump_probe.cfg", "samples", "4", []),
+        ("pump-probe", "pump_probe.cfg", "noise_fraction", "-0.02", []),
+        ("pump-probe", "pump_probe.cfg", "seed", "-1", []),
+        ("plan-yield", "plan_yield_pair.cfg", "mc_reps", "0", []),
+        ("plan-yield", "plan_yield_pair.cfg", "seed", "-1", []),
+        ("witness", None, "seed", "-1", []),
+        ("witness", None, "seed", "7", ["--seed", "-1"]),
+    ])
+    def test_out_of_range_input_is_a_config_error(self, command, shipped, key, value,
+                                                  args, tmp_path, capsys):
+        # each once ran on (a negative separation, a descending time grid,
+        # noise read as none) or failed mid-run with exit 3
+        if shipped is None:
+            text = MINIMAL
+        else:
+            with open(cfg_dir(shipped)) as f:
+                text = f.read()
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(write_cfg(tmp_path, text)),
+                         "--out", str(out), *args]) == 2
+        assert f"] {key} must be" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_out_of_range_checks_keep_the_valid_edges(self, tmp_path):
+        # a zero separation is a plan; a measured trace ignores the
+        # synthesis keys
+        with open(cfg_dir("plan_fiber.cfg")) as f:
+            text = f.read().replace("separation_km_list = 75, 94", "separation_km_list = 0")
+        assert cli.main(["plan-fiber", "--config", str(write_cfg(tmp_path, text)),
+                         "--out", str(tmp_path / "fiber")]) == 0
+        assert "separation 0 km: split A 0 / B 0 km" in (
+            tmp_path / "fiber" / "fiber.txt").read_text()
+        from mechlink.noise import pump_probe_model
+        t_ns = np.linspace(30, 20000, 12)
+        sig = pump_probe_model(t_ns * 1e-9, 0.9, 0.7, 1 / 4.0e-6, 1 / 0.5e-6, 0.08)
+        data = tmp_path / "scan.csv"
+        data.write_text("t_ns,signal,sigma\n" + "".join(
+            f"{a:.6g},{b:.8g},0.005\n" for a, b in zip(t_ns, sig)))
+        cfg = write_cfg(tmp_path, f"[pump_probe]\ndata_csv = {data}\nsamples = 4\n"
+                                  "t_max_us = -1\nnoise_fraction = -0.02\n", name="pp.cfg")
+        assert cli.main(["pump-probe", "--config", str(cfg),
+                         "--out", str(tmp_path / "pp")]) == 0
+
     def test_time_sweep_needs_a_frequency_difference(self, tmp_path, capsys):
         # with equal mechanical frequencies the delay fringe has no period
         cfg = write_cfg(tmp_path, MINIMAL.replace("phi0_rad = 0.0", "mech_freq_diff_mhz = 0")
@@ -550,7 +600,7 @@ class TestCliRuns:
         def no_moments(*args):
             raise AssertionError("a sweep evaluated witness moments")
 
-        monkeypatch.setattr(protocol, "_witness_moments", no_moments)
+        monkeypatch.setattr(protocol, "witness_moments", no_moments)
         cfg = write_cfg(tmp_path, MINIMAL + "\n[sweep]\n"
                         "delta_phi_pi_list = 0, 0.4, 0.8, 1.2, 1.6\n"
                         "tau_ns_list = 123, 124.5, 126, 127.5, 129\n")

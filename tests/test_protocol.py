@@ -352,22 +352,18 @@ class TestWitnessFromState:
                     f"witness inequality violated at {(n_init, p_pump, n_leak, p_dark)}")
 
     def test_trial_model_holds_only_its_table(self, monkeypatch):
-        # the witness moments are evaluated when the witness asks for them,
-        # from the same pump stage the table is built on
+        # the witness moments are evaluated when the witness asks for them
         cfg = shipped("entangle_stats.cfg")
-        pump = protocol.pump_stage(cfg)
-        expected = [np.divide(*protocol._delayed_witness_moments(
-            protocol._witness_moments(pump, det), cfg)) for det in (1, 2)]
 
         def no_moments(*args):
             raise AssertionError("build_trial_model evaluated witness moments")
 
         with monkeypatch.context() as patch:
-            patch.setattr(protocol, "_witness_moments", no_moments)
+            patch.setattr(protocol, "_moment", no_moments)
             model = protocol.build_trial_model(cfg)
         assert [f.name for f in dataclasses.fields(model)] == ["joint", "config"]
-        assert [model.exact_witness(det) for det in (1, 2)] == expected
-        assert expected == pytest.approx([0.44398731630781, 0.44680925109139], rel=1e-12)
+        assert [model.exact_witness(det) for det in (1, 2)] == pytest.approx(
+            [0.44398731630781, 0.44680925109139], rel=1e-12)
 
     def test_closed_form_witness_matches_fock_delay(self):
         # oracle: the intensity-weighted herald taken through the Fock
@@ -781,6 +777,22 @@ class TestRandomConfigs:
         t = log_term / 3 + np.sqrt((log_term / 3) ** 2 + 2 * n * p * (1 - p) * log_term)
         assert counts.sum() == n
         assert np.all(np.abs(counts - n * p) <= t)
+
+
+    @given(cfg=protocol_configs(), setting=setting_draws)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_witness_moments_match_the_closed_form_delay(self, cfg, setting):
+        # reference: the Heisenberg action of the delay and the pump's
+        # twirl on moments of the undelayed pump state (`twirl_oracle`)
+        cfg = at_setting(cfg, *setting)
+        exact = protocol.witness_moments(cfg)
+        reference = twirl_oracle.closed_form_witness_moments(cfg)
+        assert exact.keys() == reference.keys()
+        for det, (num, coh2) in exact.items():
+            num_ref, coh2_ref = reference[det]
+            assert num == pytest.approx(num_ref, rel=1e-12)
+            if max(coh2, coh2_ref) > 1e-12:
+                assert coh2 == pytest.approx(coh2_ref, rel=1e-12)
 
 
 class TestSeparableTwins:

@@ -8,16 +8,21 @@ before the read combiner.  With ROTATION_NODES nodes per twirl a state
 carries the cube of that many terms per pump outcome, so the tests
 build `joint` at a reduced node count; the runtime applies one twirl of
 the summed variance, which must reproduce it.
+
+`closed_form_witness_moments` is an independent reference for the
+delay's action on the witness moments: the Heisenberg-picture algebra
+of the thermal attenuators and of the pump's twirl on moments of the
+undelayed pump state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from mechlink import protocol
+from mechlink.noise import HeatingParams, driven_occupation
 from mechlink.protocol import MA, MB, OA, OB
 
 
@@ -76,15 +81,52 @@ def joint(cfg) -> np.ndarray:
             @ protocol._false_click_matrix(false_read))
 
 
-def witness_moments(cfg) -> dict:
-    """Delayed witness moments from Isserlis sums on the twirled pump state.
+def _herald_moments(state) -> dict:
+    """Detector -> (<nA nB>, <nA>, <nB>, <a_A+ a_B>) of the herald weighted
+    by its intensity <n_j>, Tr[n_j X rho] / Tr[n_j rho]; a zero-intensity
+    herald has none."""
+    n_a, n_b = ((MA, True), (MA, False)), ((MB, True), (MB, False))
+    ops = (n_a + n_b, n_a, n_b, ((MA, True), (MB, False)))
+    out = {}
+    for det, port in ((1, OA), (2, OB)):
+        n_j = ((port, True), (port, False))
+        intensity = protocol._moment(state, n_j).real
+        if intensity > 1e-15:
+            out[det] = [protocol._moment(state, n_j + op) / intensity for op in ops]
+    return out
 
-    The pump photons' twirl is in the state; only the lock noise's pump
-    share is a closed-form factor, which `_delayed_witness_moments`
-    applies alone when the config it reads has serrodyne compensation on.
+
+def witness_moments(cfg) -> dict:
+    """Delayed witness moments from Isserlis sums on the stacked-twirl pump
+    state, taken through the lock noise's pump share (a twirl of mech B of
+    width sigma) and `protocol.evolve_delay`."""
+    state = _twirl(pump_stage(cfg).state, MB, cfg.interferometer.phase_jitter_sigma)
+    state = protocol.evolve_delay(state, cfg.tau, cfg)
+    return {det: (nn.real, abs(coh) ** 2)
+            for det, (nn, _, _, coh) in _herald_moments(state).items()}
+
+
+def closed_form_witness_moments(cfg) -> dict:
+    """Delayed witness moments by the Heisenberg action of the delay.
+
+    Per mode the delay is a thermal attenuator (eta, N) with eta =
+    exp(-gamma tau) and N the occupation the transient bath adds from
+    zero: n -> eta n + N and a -> sqrt(eta) e^{i phi} a, so nA nB ->
+    (etaA nA + NA)(etaB nB + NB) and the coherence shrinks by
+    sqrt(etaA etaB).  The pump's share of the relative-phase twirl
+    leaves the number moments alone and damps |<a_A+ a_B>|^2 by
+    exp(-(sigma_d^2 + sigma^2)).
     """
-    pump = pump_stage(cfg)
-    lock_only = replace(cfg, interferometer=replace(cfg.interferometer, serrodyne=True))
-    moments = {det: protocol._witness_moments(pump, det) for det in (1, 2)}
-    return {det: protocol._delayed_witness_moments(m, lock_only)
-            for det, m in moments.items() if m[0].real > 1e-15}
+    (eta_a, n_a), (eta_b, n_b) = [
+        (math.exp(-dev.gamma_decay * cfg.tau),
+         float(driven_occupation(cfg.tau, HeatingParams(
+             decay=dev.gamma_decay, bath_gamma=dev.bath_gamma,
+             bath_k=dev.bath_k, n_init=dev.n_init))))
+        for dev in cfg.devices()]
+    variance = (protocol.distinguishability_variance(cfg.interferometer)
+                + cfg.interferometer.phase_jitter_sigma ** 2)
+    out = {}
+    for det, (nn, na, nb, coh) in _herald_moments(protocol.pump_stage(cfg).state).items():
+        num = (eta_a * eta_b * nn + eta_a * n_b * na + n_a * eta_b * nb).real + n_a * n_b
+        out[det] = (float(num), eta_a * eta_b * abs(coh) ** 2 * math.exp(-variance))
+    return out
