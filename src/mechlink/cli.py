@@ -172,6 +172,24 @@ def _out_of_range(section: str, block: dict, rules: dict) -> list:
             for key, (ok, what) in rules.items() if key in block and not ok(block[key])]
 
 
+# config key of each planner field whose key has another name
+_PLANNER_KEYS = {"sigma_nm": "sigma_nm_list", "offsets_nm": "offsets_nm_list",
+                 "tau": "tau_ns", "repetition_period": "repetition_us",
+                 "decay": "gamma_per_us"}
+
+
+def _planner_input(section: str, build, prefix: str = ""):
+    """`build()`, with an input that `YieldModel`, `LinkBudget` or
+    `NoiseBudget` refuses as a config error on its key: their messages
+    name the refused field first."""
+    try:
+        return build()
+    except (planner.PlannerError, noise.NoiseModelError) as exc:
+        field, _, rule = str(exc).partition(" ")
+        raise ConfigError([f"[{section}] {prefix}{_PLANNER_KEYS.get(field, field)} "
+                           f"{rule}"]) from None
+
+
 def _period(fit: stats.FringeFit, unit: float) -> tuple:
     """A fit's period and its error in `unit`; (None, None) when the fit is
     flagged, whose period is unresolved."""
@@ -390,20 +408,17 @@ def cmd_plan_yield(cfg: RunConfig, out_dir, config_path) -> None:
         raise ConfigError(["[plan.yield] section is required"])
     problems = _out_of_range("plan.yield", py, {
         "mc_reps": (lambda v: v >= 1, "at least 1"), "seed": _NON_NEGATIVE})
-    chips = py.get("chips", 2)
-    per_chip = {}
-    for key, name, default in (("sigma_nm_list", "sigma_nm", 2.0),
-                               ("offsets_nm_list", "offsets_nm", 0.0)):
-        values = py.get(key, (default,))
-        if len(values) not in (1, chips):
-            problems.append(f"[plan.yield] {key} needs 1 or {chips} entries")
-        per_chip[name] = values * chips if len(values) == 1 else values
     if problems:
         raise ConfigError(problems)
-    # a key the section leaves out takes the planner's default
-    model = planner.YieldModel(
+    chips = py.get("chips", 2)
+    # a one-entry list holds every chip's value; a key the section leaves
+    # out takes the planner's default
+    per_chip = {name: values * chips if len(values) == 1 else values
+                for name, values in (("sigma_nm", py.get("sigma_nm_list", (2.0,))),
+                                     ("offsets_nm", py.get("offsets_nm_list", (0.0,))))}
+    model = _planner_input("plan.yield", lambda: planner.YieldModel(
         chips=chips, devices_per_chip=py.get("devices_per_chip", 234), **per_chip,
-        **{k: py[k] for k in ("window_mhz", "carrier_nm") if k in py})
+        **{k: py[k] for k in ("window_mhz", "carrier_nm") if k in py}))
     est = planner.multi_chip_yield(
         model, **{k: py[k] for k in ("mc_reps", "seed") if k in py})
     doc = {
@@ -429,20 +444,20 @@ def cmd_plan_yield(cfg: RunConfig, out_dir, config_path) -> None:
 
 def _link_from_config(pf: dict) -> planner.LinkBudget:
     def budget(prefix):
-        return noise.NoiseBudget(
+        return _planner_input("plan.fiber", lambda: noise.NoiseBudget(
             n_th=pf[f"{prefix}_n_th"], p_pump=pf[f"{prefix}_p_pump"],
             n_leak=pf[f"{prefix}_n_leak"], n_bg=pf[f"{prefix}_n_bg"],
-            decay=pf[f"{prefix}_gamma_per_us"] / US)
+            decay=pf[f"{prefix}_gamma_per_us"] / US), f"{prefix}_")
 
     # the section's link and target keys are LinkBudget's fields, two of them
     # with a unit suffix; a key the section leaves out takes LinkBudget's default
     link = {f.name: pf[f.name] for f in dataclasses.fields(planner.LinkBudget)
             if f.name in pf}
-    for key, name, unit in (("tau_ns", "tau", NS),
-                            ("repetition_us", "repetition_period", US)):
-        if key in pf:
-            link[name] = pf[key] * unit
-    return planner.LinkBudget(budget_a=budget("a"), budget_b=budget("b"), **link)
+    for name, unit in (("tau", NS), ("repetition_period", US)):
+        if _PLANNER_KEYS[name] in pf:
+            link[name] = pf[_PLANNER_KEYS[name]] * unit
+    return _planner_input("plan.fiber", lambda: planner.LinkBudget(
+        budget_a=budget("a"), budget_b=budget("b"), **link))
 
 
 def cmd_plan_fiber(cfg: RunConfig, out_dir, config_path) -> None:

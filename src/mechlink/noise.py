@@ -222,7 +222,8 @@ class NoiseBudget:
         for name in ("n_th", "p_pump", "n_leak", "n_bg"):
             v = getattr(self, name)
             if not 0 <= v < 0.5:
-                raise NoiseModelError(f"{name}={v} outside the validity range [0, 0.5)")
+                raise NoiseModelError(f"{name} must be in the validity range [0, 0.5), "
+                                      f"not {name}={v}")
         if self.decay < 0:
             raise NoiseModelError("decay must be non-negative")
 

@@ -39,15 +39,16 @@ class YieldModel:
 
     def __post_init__(self):
         if self.chips < 2:
-            raise PlannerError("need at least two chips")
+            raise PlannerError("chips must be at least 2")
         if self.devices_per_chip < 1:
-            raise PlannerError("need at least one device per chip")
-        if len(self.sigma_nm) != self.chips or len(self.offsets_nm) != self.chips:
-            raise PlannerError("need one sigma and offset per chip")
+            raise PlannerError("devices_per_chip must be at least 1")
+        for name in ("sigma_nm", "offsets_nm"):
+            if len(getattr(self, name)) != self.chips:
+                raise PlannerError(f"{name} must be one value per chip")
         if any(s <= 0 for s in self.sigma_nm):
-            raise PlannerError("sigma must be positive")
+            raise PlannerError("sigma_nm must be positive")
         if self.window_mhz <= 0:
-            raise PlannerError("match window must be positive")
+            raise PlannerError("window_mhz must be positive")
 
     @property
     def window_nm(self) -> float:
@@ -165,16 +166,14 @@ class LinkBudget:
     sigma_clearance: float = 3.0            # witness clearance to plan for
 
     def __post_init__(self):
-        if self.attenuation_db_per_km <= 0:
-            raise PlannerError("attenuation must be positive")
-        if self.repetition_period <= 0:
-            raise PlannerError("repetition period must be positive")
+        for name in ("attenuation_db_per_km", "repetition_period", "herald_prob",
+                     "read_prob"):
+            if getattr(self, name) <= 0:
+                raise PlannerError(f"{name} must be positive")
         if not 0 <= self.overhead_fraction < 1:
-            raise PlannerError("overhead fraction outside [0, 1)")
-        if self.herald_prob <= 0 or self.read_prob <= 0:
-            raise PlannerError("baseline rates must be positive")
+            raise PlannerError("overhead_fraction must be in [0, 1)")
         if not 0 < self.contrast_retention <= 1:
-            raise PlannerError("retention target must lie in (0, 1]")
+            raise PlannerError("contrast_retention must be in (0, 1]")
 
 
 def degraded_g2(budget: NoiseBudget, added_db: float, t: float) -> float:

@@ -10,7 +10,10 @@ accumulated by the frequency difference of the two oscillators.  Per
 mode this is one thermal attenuator.
 
 Read stage: a partial state swap converts phonons into anti-Stokes
-photons, which interfere on the same combiner and are detected.
+photons, which interfere on the same combiner and are detected.  A swap
+with a vacuum read mode, traced over the mechanics, is exactly a pure
+loss of the phonon mode, and arm B's read photon carries the drive phase
+phi0 + delta_phi: a rotation of mech B, then the pump's detection chain.
 
 Every channel above is Gaussian and a threshold click is "1 - vacuum
 projection", so states are short signed sums of zero-mean Gaussian
@@ -30,9 +33,11 @@ periodic trapezoid rule of ROTATION_NODES nodes.
 
 Mode layout inside a stage: [mech A, mech B, optical A/port 1,
 optical B/port 2].  After the combiner the optical slots hold the
-detector port modes.  False positives (leaked drive light, stray
-background, electrical darks) are modeled as independent per-window
-Bernoulli processes layered onto the exact quantum click probabilities.
+detector port modes.  In the read stage the mechanical slots carry the
+read photons, and after its combiner the port modes.  False positives
+(leaked drive light, stray background, electrical darks) are modeled as
+independent per-window Bernoulli processes layered onto the exact
+quantum click probabilities.
 """
 
 from __future__ import annotations
@@ -115,15 +120,6 @@ def _thermal(occupations) -> GaussianState:
     return GaussianState(np.ones(1), np.diag(diag)[None])
 
 
-def _with_vacuum(state: GaussianState, extra: int) -> GaussianState:
-    """Append `extra` vacuum modes after the existing ones."""
-    n = 2 * state.n_modes
-    cov = np.zeros((len(state.weight), n + 2 * extra, n + 2 * extra))
-    cov[:, :n, :n] = state.cov
-    cov[:, n:, n:] = np.eye(2 * extra)
-    return GaussianState(state.weight, cov)
-
-
 def _linear(state: GaussianState, modes, a, b=None) -> GaussianState:
     """Heisenberg map a_k -> sum_l A_kl a_l + B_kl a_l^dag on `modes`."""
     a = np.asarray(a, dtype=complex)
@@ -148,11 +144,10 @@ def _two_mode_squeeze(state, mode_a, mode_b, p_excite, phase=0.0):
                    [[0.0, s], [s, 0.0]])
 
 
-def _beamsplitter(state, mode_a, mode_b, transmittance, phase=0.0):
-    """a -> sqrt(T) a + e^{i phase} sqrt(1-T) b, b -> sqrt(T) b - e^{-i phase} sqrt(1-T) a."""
+def _beamsplitter(state, mode_a, mode_b, transmittance):
+    """a -> sqrt(T) a + sqrt(1-T) b, b -> sqrt(T) b - sqrt(1-T) a."""
     t, r = math.sqrt(transmittance), math.sqrt(1.0 - transmittance)
-    e = cmath.exp(1j * phase)
-    return _linear(state, (mode_a, mode_b), [[t, e * r], [-r / e, t]])
+    return _linear(state, (mode_a, mode_b), [[t, r], [-r, t]])
 
 
 def _rotate(state, mode, phi):
@@ -255,6 +250,17 @@ def _click_outcomes(state: GaussianState, port1: int, port2: int):
     return _checked_table(probs, state.trace(), "click table"), states
 
 
+def _detect(state: GaussianState, cfg: ProtocolConfig, ports, arm_eta, detector_eta):
+    """Each arm's loss, the combiner and each detector's efficiency on the
+    two `ports`: the pre-measurement state, then `_click_outcomes` of it."""
+    for port, eta in zip(ports, arm_eta):
+        state = _attenuate(state, port, eta)
+    state = _beamsplitter(state, *ports, cfg.interferometer.combiner_transmittance)
+    for port, eta in zip(ports, detector_eta):
+        state = _attenuate(state, port, eta)
+    return (state, *_click_outcomes(state, *ports))
+
+
 # ---------------------------------------------------------------------------
 # photon distinguishability
 
@@ -320,14 +326,9 @@ def _leak_means(cfg: ProtocolConfig) -> tuple:
 
 def false_click_probs(cfg: ProtocolConfig) -> tuple:
     """(pump, read) per-detector false-click probabilities per window."""
-    leak_pump, leak_read = _leak_means(cfg)
-    pump = tuple(
-        1.0 - (1.0 - cfg.detectors.p_dark_pump[j]) * math.exp(-leak_pump[j])
-        for j in range(2))
-    read = tuple(
-        1.0 - (1.0 - cfg.detectors.p_dark_read[j]) * math.exp(-leak_read[j])
-        for j in range(2))
-    return pump, read
+    darks = (cfg.detectors.p_dark_pump, cfg.detectors.p_dark_read)
+    return tuple(tuple(1.0 - (1.0 - d) * math.exp(-m) for d, m in zip(dark, leak))
+                 for dark, leak in zip(darks, _leak_means(cfg)))
 
 
 def pump_stage(cfg: ProtocolConfig) -> PumpStageResult:
@@ -342,13 +343,8 @@ def pump_stage(cfg: ProtocolConfig) -> PumpStageResult:
     state = _two_mode_squeeze(state, MA, OA, dev_a.p_pump)
     state = _two_mode_squeeze(state, MB, OB, dev_b.p_pump,
                               phase=intf.phi0)
-    state = _attenuate(state, OA, dev_a.eta_path)
-    state = _attenuate(state, OB, dev_b.eta_path)
-    state = _beamsplitter(state, OA, OB, intf.combiner_transmittance)
-    state = _attenuate(state, OA, cfg.detectors.eta[0])
-    state = _attenuate(state, OB, cfg.detectors.eta[1])
-
-    probs, mech = _click_outcomes(state, OA, OB)
+    state, probs, mech = _detect(state, cfg, (OA, OB),
+                                 (dev_a.eta_path, dev_b.eta_path), cfg.detectors.eta)
     return PumpStageResult(state=state, quantum_probs=probs, mech_given=mech)
 
 
@@ -389,7 +385,9 @@ def evolve_delay(state: GaussianState, tau: float,
 
 
 def readout_stage(mech_state: GaussianState, cfg: ProtocolConfig) -> np.ndarray:
-    """Partial state swap, interference and detection of the read window.
+    """Partial state swap, interference and detection of the read window:
+    the swap is a loss of p_read on each phonon mode, and arm B's read
+    drive rotates mech B by phi0 + delta_phi (see the module docstring).
 
     Returns the joint read-click outcome probabilities, in outcome_index
     order and without false clicks; they carry the trace of `mech_state`.
@@ -397,25 +395,11 @@ def readout_stage(mech_state: GaussianState, cfg: ProtocolConfig) -> np.ndarray:
     twirl that `build_trial_model` applies to `mech_state`.
     """
     intf = cfg.interferometer
-    theta_r = intf.phi0 + intf.delta_phi
     dev_a, dev_b = cfg.devices()
-
-    state = _with_vacuum(mech_state, 2)
-    ra, rb = 2, 3
-    # conversion amplitude m -> r carries the drive phase; arm A is the
-    # phase reference, arm B adds theta_r
-    state = _beamsplitter(state, MA, ra, 1.0 - dev_a.p_read, phase=math.pi)
-    state = _beamsplitter(state, MB, rb, 1.0 - dev_b.p_read,
-                          phase=math.pi - theta_r)
-    # only the read photons are measured: continue on [ra, rb] as modes 0, 1
-    state = _vacuum_projection(state, (), (ra, rb))
-    state = _attenuate(state, 0, dev_a.eta_path)
-    state = _attenuate(state, 1, dev_b.eta_path)
-    state = _beamsplitter(state, 0, 1, intf.combiner_transmittance)
-    state = _attenuate(state, 0, cfg.detectors.read_eta(0))
-    state = _attenuate(state, 1, cfg.detectors.read_eta(1))
-
-    probs, _ = _click_outcomes(state, 0, 1)
+    state = _rotate(mech_state, MB, intf.phi0 + intf.delta_phi)
+    _, probs, _ = _detect(state, cfg, (MA, MB),
+                          (dev_a.p_read * dev_a.eta_path, dev_b.p_read * dev_b.eta_path),
+                          (cfg.detectors.read_eta(0), cfg.detectors.read_eta(1)))
     return probs
 
 
@@ -550,8 +534,8 @@ def build_trial_model(cfg: ProtocolConfig) -> TrialModel:
       two-mode squeeze is invariant under R_mA(t) R_oA(-t), so it acts
       as a rotation of mech A.
     - the read photons' relative phase, of the same variance, on read
-      mode A.  The swap's other input is vacuum, so it acts as a
-      rotation of mech A before the swap.
+      photon A.  That photon is mech A through a pure loss
+      (`readout_stage`), so it acts as a rotation of mech A.
     The combiner, the losses, the vacuum projections and the delay are
     blind to a common phase, and independent normal angles add their
     variances (Mardia & Jupp, Directional Statistics, 2000).  So the

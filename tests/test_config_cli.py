@@ -322,6 +322,19 @@ class TestCliRuns:
         ("pump-probe", "pump_probe.cfg", "seed", "-1", []),
         ("plan-yield", "plan_yield_pair.cfg", "mc_reps", "0", []),
         ("plan-yield", "plan_yield_pair.cfg", "seed", "-1", []),
+        # the planner's own types refuse these; chips = 1 once read as two
+        # offsets too many
+        ("plan-yield", "plan_yield_pair.cfg", "window_mhz", "-5", []),
+        ("plan-yield", "plan_yield_pair.cfg", "devices_per_chip", "0", []),
+        ("plan-yield", "plan_yield_pair.cfg", "sigma_nm_list", "-1", []),
+        ("plan-yield", "plan_yield_pair.cfg", "chips", "1", []),
+        ("plan-fiber", "plan_fiber.cfg", "attenuation_db_per_km", "-0.17", []),
+        ("plan-fiber", "plan_fiber.cfg", "contrast_retention", "1.5", []),
+        ("plan-fiber", "plan_fiber.cfg", "overhead_fraction", "1", []),
+        ("plan-fiber", "plan_fiber.cfg", "repetition_us", "0", []),
+        ("plan-fiber", "plan_fiber.cfg", "herald_prob", "0", []),
+        ("plan-fiber", "plan_fiber.cfg", "a_n_th", "0.7", []),
+        ("plan-fiber", "plan_fiber.cfg", "b_gamma_per_us", "-1", []),
         ("witness", None, "seed", "-1", []),
         ("witness", None, "seed", "7", ["--seed", "-1"]),
     ])

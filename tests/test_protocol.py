@@ -794,6 +794,20 @@ class TestRandomConfigs:
             if max(coh2, coh2_ref) > 1e-12:
                 assert coh2 == pytest.approx(coh2_ref, rel=1e-12)
 
+    @given(cfg=protocol_configs(), setting=setting_draws)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_read_stage_equals_the_swap_and_trace_of_vacuum_read_modes(
+            self, cfg, setting):
+        # a swap with a vacuum mode, traced over the phonon, is a pure loss;
+        # serrodyne compensation takes the oracle's read-photon twirl away
+        cfg = at_setting(cfg, *setting)
+        untwirled = replace(cfg, interferometer=replace(cfg.interferometer,
+                                                        serrodyne=True))
+        for mech in protocol.pump_stage(cfg).mech_given:
+            mech = protocol.evolve_delay(mech, cfg.tau, cfg)
+            assert np.max(np.abs(protocol.readout_stage(mech, cfg)
+                                 - twirl_oracle.read_probs(mech, untwirled))) <= 1e-15
+
 
 class TestSeparableTwins:
     def test_unequal_read_darks_raise_the_flag(self):

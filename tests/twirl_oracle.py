@@ -9,6 +9,10 @@ carries the cube of that many terms per pump outcome, so the tests
 build `joint` at a reduced node count; the runtime applies one twirl of
 the summed variance, which must reproduce it.
 
+The read stage here is the physical step itself: a partial swap of each
+phonon mode into a vacuum read mode, traced over the mechanics.  The
+runtime applies the pure-loss channel that this equals.
+
 `closed_form_witness_moments` is an independent reference for the
 delay's action on the witness moments: the Heisenberg-picture algebra
 of the thermal attenuators and of the pump's twirl on moments of the
@@ -17,6 +21,7 @@ undelayed pump state.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -51,14 +56,33 @@ def pump_stage(cfg) -> protocol.PumpStageResult:
     return protocol.PumpStageResult(state=state, quantum_probs=probs, mech_given=mech)
 
 
+def _with_vacuum(state, extra):
+    """`state` with `extra` vacuum modes appended after its own."""
+    n = 2 * state.n_modes
+    cov = np.zeros((len(state.weight), n + 2 * extra, n + 2 * extra))
+    cov[:, :n, :n] = state.cov
+    cov[:, n:, n:] = np.eye(2 * extra)
+    return protocol.GaussianState(state.weight, cov)
+
+
+def _swap(state, mech, read, p_read, phase):
+    """Partial state swap of transmittance T = 1 - p_read:
+    m -> sqrt(T) m + e^{i phase} sqrt(1-T) r, r -> sqrt(T) r - e^{-i phase} sqrt(1-T) m."""
+    transmittance = 1.0 - p_read
+    t, r = math.sqrt(transmittance), math.sqrt(1.0 - transmittance)
+    e = cmath.exp(1j * phase)
+    return protocol._linear(state, (mech, read), [[t, e * r], [-r / e, t]])
+
+
 def read_probs(mech_state, cfg) -> np.ndarray:
-    """`protocol.readout_stage` with the read photons' twirl on read mode A."""
+    """`protocol.readout_stage` built as the swap of each phonon mode into a
+    vacuum read mode, traced over the mechanics, with the read photons'
+    twirl on read mode A (none with serrodyne compensation on)."""
     intf = cfg.interferometer
     dev_a, dev_b = cfg.devices()
-    state = protocol._with_vacuum(mech_state, 2)
-    state = protocol._beamsplitter(state, MA, 2, 1.0 - dev_a.p_read, phase=math.pi)
-    state = protocol._beamsplitter(state, MB, 3, 1.0 - dev_b.p_read,
-                                   phase=math.pi - intf.phi0 - intf.delta_phi)
+    state = _with_vacuum(mech_state, 2)
+    state = _swap(state, MA, 2, dev_a.p_read, math.pi)
+    state = _swap(state, MB, 3, dev_b.p_read, math.pi - intf.phi0 - intf.delta_phi)
     state = protocol._vacuum_projection(state, (), (2, 3))
     state = protocol._attenuate(state, 0, dev_a.eta_path)
     state = protocol._attenuate(state, 1, dev_b.eta_path)
