@@ -466,8 +466,7 @@ def cmd_plan_fiber(cfg: RunConfig, out_dir, config_path) -> None:
                 for k in ("n_th", "p_pump", "n_leak", "n_bg", "gamma_per_us")]
     problems = [f"[plan.fiber] missing {k}" for k in required if k not in pf]
     problems += _out_of_range("plan.fiber", pf, {
-        "separation_km_list": (lambda km: min(km, default=0.0) >= 0, "non-negative"),
-        "sigma_clearance": (lambda v: v > 0, "positive")})
+        "separation_km_list": (lambda km: min(km, default=0.0) >= 0, "non-negative")})
     if problems:
         raise ConfigError(problems)
     link = _link_from_config(pf)

@@ -37,9 +37,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple:
     items = [s.strip() for s in text.split(",") if s.strip()]
-    return tuple(float(s) for s in items)
+    return tuple(_finite(float(s)) for s in items)
 
 
 def _per_us(v: float) -> float:
@@ -162,7 +168,7 @@ class RunConfig:
 
 def _typed(section: str, key: str, text: str, caster, problems: list):
     try:
-        return caster(text)
+        return _finite(float(text)) if caster is float else caster(text)
     except (ValueError, TypeError) as exc:
         problems.append(f"[{section}] {key}: {exc}")
         return None
@@ -171,14 +177,18 @@ def _typed(section: str, key: str, text: str, caster, problems: list):
 def _build(cls, table: dict, values: dict, problems: list, section: str,
            **kwargs):
     """`cls` from a section's parsed values through its key table, or None
-    with the section's invariant violations added to `problems`."""
+    with the section's invariant violations added to `problems`, each on
+    the key of the field that leads its message."""
     for key, value in values.items():
         _, name, unit = table[key]
         kwargs[name] = value if unit is None else unit(value)
     try:
         return cls(**kwargs)
     except ConfigInvariantError as exc:
-        problems.extend(f"[{section}] {v}" for v in str(exc).split("; "))
+        keys = {name: key for key, (_, name, _) in table.items()}
+        for violation in str(exc).split("; "):
+            name, _, rule = violation.partition(" ")
+            problems.append(f"[{section}] {keys.get(name, name)} {rule}")
         return None
 
 

@@ -52,9 +52,10 @@ class DeviceParams:
         for name in ("p_pump", "p_read", "eta_path"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                out.append(f"{name}={v} outside [0, 1]")
+                out.append(f"{name} must be in [0, 1], got {v}")
         if self.p_pump > 0.05:
-            out.append(f"p_pump={self.p_pump} above the 0.05 model-validity guard")
+            out.append(f"p_pump must be at most 0.05, the model-validity guard, "
+                       f"got {self.p_pump}")
         if self.n_start is not None and self.n_start < 0:
             out.append("n_start must be non-negative")
         return out
@@ -80,7 +81,8 @@ class InterferometerConfig:
     def violations(self) -> list:
         out = []
         if not 0.0 <= self.splitter_deviation <= 0.1:
-            out.append(f"splitter_deviation={self.splitter_deviation} outside [0, 0.1]")
+            out.append(f"splitter_deviation must be in [0, 0.1], "
+                       f"got {self.splitter_deviation}")
         if self.phase_jitter_sigma < 0:
             out.append("phase_jitter_sigma must be non-negative")
         if self.envelope_sigma_ns <= 0:
@@ -118,19 +120,22 @@ class DetectorModel:
         out = []
         if len(self.eta) != 2 or len(self.p_dark_pump) != 2 or len(self.p_dark_read) != 2:
             return ["detector model needs exactly two detectors"]
-        for e in self.eta:
+        # a pair's entry i is named by its config key, `eta_1` and so on
+        for i, e in enumerate(self.eta, 1):
             if not 0.0 <= e <= 1.0:
-                out.append(f"detector efficiency {e} outside [0, 1]")
-        for p in (*self.p_dark_pump, *self.p_dark_read):
-            if not 0.0 <= p <= 1e-2:
-                out.append(f"p_dark={p} outside [0, 1e-2]")
+                out.append(f"eta_{i} must be a detector efficiency in [0, 1], got {e}")
+        for name in ("p_dark_pump", "p_dark_read"):
+            for i, p in enumerate(getattr(self, name), 1):
+                if not 0.0 <= p <= 1e-2:
+                    out.append(f"{name}_{i} must be in [0, 1e-2], got {p}")
         if self.leak_pump_scale < 0:
             out.append("leak_pump_scale must be non-negative")
         if self.read_eta_scale <= 0:
             out.append("read_eta_scale must be positive")
-        for e in self.eta:
-            if e * max(self.read_eta_scale, 1.0) > 1.0 + 1e-12:
-                out.append("read-window efficiency exceeds 1")
+        read_top = max(self.eta) * self.read_eta_scale
+        if self.read_eta_scale > 1.0 and read_top > 1.0 + 1e-12:
+            out.append(f"read_eta_scale must keep each read-window efficiency "
+                       f"eta_i x read_eta_scale at most 1, got {read_top}")
         return out
 
     def read_eta(self, detector: int) -> float:

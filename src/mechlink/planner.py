@@ -47,8 +47,9 @@ class YieldModel:
                 raise PlannerError(f"{name} must be one value per chip")
         if any(s <= 0 for s in self.sigma_nm):
             raise PlannerError("sigma_nm must be positive")
-        if self.window_mhz <= 0:
-            raise PlannerError("window_mhz must be positive")
+        for name in ("window_mhz", "carrier_nm"):
+            if getattr(self, name) <= 0:
+                raise PlannerError(f"{name} must be positive")
 
     @property
     def window_nm(self) -> float:
@@ -167,9 +168,11 @@ class LinkBudget:
 
     def __post_init__(self):
         for name in ("attenuation_db_per_km", "repetition_period", "herald_prob",
-                     "read_prob"):
+                     "read_prob", "sigma_clearance"):
             if getattr(self, name) <= 0:
                 raise PlannerError(f"{name} must be positive")
+        if self.tau < 0:
+            raise PlannerError("tau must be non-negative")
         if not 0 <= self.overhead_fraction < 1:
             raise PlannerError("overhead_fraction must be in [0, 1)")
         if not 0 < self.contrast_retention <= 1:

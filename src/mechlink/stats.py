@@ -142,7 +142,7 @@ _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # at v^2 < 0.01 the first term left out is under 1e-18 of the sum
 _BD0_SERIES = 1.0 / np.arange(3.0, 21.0, 2.0)
 # each orientation's fraction depth is probed at |lambda| = sigma z_k,
-# z_k = 2^(k/4) - 1, and an element in [z_k, z_k+1) takes the depth of z_k
+# z_k = 2^(k/4) - 1, sigma = sqrt(ab / (a + b)), and taken at its deepest
 _LADDER_STEPS = 32
 _LADDER_Z = 2.0 ** (np.arange(_LADDER_STEPS) / 4.0) - 1.0
 
@@ -223,15 +223,15 @@ def _oriented_terms(a: float, b: float, orientation: int, depth: int) -> tuple:
 class _Fraction:
     """One posterior's BFRAC, tabulated once per orientation o.
 
-    `depths[o, k]` is the number of terms after which Didonato & Morris's
-    forward recurrence has stopped on every ladder point from z_k out,
-    plus one.  `backward[o]` holds A'[n] = A[n] / (E[n-1] E[n]),
-    U' = U / E and V' = V / E, for the backward sum
-    t'_n = U'[n] + V'[n] x + c + A'[n+1] x0^2 / t'_(n+1), f = 1 / (E[0] t'_0).
+    `depths[o]` is the number of terms after which Didonato & Morris's
+    forward recurrence has stopped on every ladder point, plus one.
+    `backward[o]` holds A'[n] = A[n] / (E[n-1] E[n]), U' = U / E and
+    V' = V / E for n = 0 ... depths[o] + 1, and 1 / E[0], for the
+    backward sum t'_n = U'[n] + V'[n] x + c + A'[n+1] x0^2 / t'_(n+1),
+    f = 1 / (E[0] t'_0).
     """
 
-    sigma: float
-    depths: np.ndarray
+    depths: tuple
     backward: tuple
 
 
@@ -245,20 +245,20 @@ def _fractions(posts: list) -> list:
     new = [p for p in dict.fromkeys(posts) if p not in _FRACTIONS]
     for first in range(0, len(new), 16):
         chunk = new[first:first + 16]
-        for (a, b), depths in zip(chunk, _ladder_depths(chunk)):
+        for (a, b), depths in zip(chunk, _ladder_depths(chunk).tolist()):
             backward = []
             for o in (0, 1):
-                alpha, u, v, e = _oriented_terms(a, b, o, int(depths[o].max()))
+                alpha, u, v, e = _oriented_terms(a, b, o, depths[o])
                 scaled = alpha.copy()
                 scaled[1:] /= e[1:] * e[:-1]
                 backward.append((scaled, u / e, v / e, 1.0 / e[0]))
-            _FRACTIONS[a, b] = _Fraction(math.sqrt(a * b / (a + b)), depths,
-                                         tuple(backward))
+            _FRACTIONS[a, b] = _Fraction(tuple(depths), tuple(backward))
     return [_FRACTIONS[p] for p in posts]
 
 
 def _ladder_depths(posts: list) -> np.ndarray:
-    """Forward-recurrence depths, (posterior, orientation, ladder step).
+    """Forward-recurrence depths, (posterior, orientation), each the
+    deepest over the orientation's ladder points.
 
     Every ladder point of every posterior runs one forward recurrence;
     the tables start at 32 + 2 sigma terms and double until each point
@@ -290,9 +290,7 @@ def _ladder_depths(posts: list) -> np.ndarray:
         if cap == limit:
             raise StatsError("beta fraction did not converge")
         cap *= 2
-    steps = steps.reshape(len(posts), 2, _LADDER_STEPS)
-    # a ladder step takes the deepest point at or beyond it
-    return np.maximum.accumulate(steps[..., ::-1], axis=2)[..., ::-1] + 1
+    return steps.reshape(len(posts), 2, _LADDER_STEPS).max(axis=2) + 1
 
 
 def _forward_stops(al: np.ndarray, be: np.ndarray, inside: np.ndarray):
@@ -323,70 +321,52 @@ def _forward_stops(al: np.ndarray, be: np.ndarray, inside: np.ndarray):
 def _fraction(posts: list, which, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """BFRAC at 0 < x < 1 for element i's posterior posts[which[i]].
 
-    Each element is summed backward from its own depth: elements are
-    ordered deepest first and join the recurrence at their depth (t = inf).
-    With one posterior, each orientation is summed on its own with scalar
-    terms; over several posteriors, every element gathers the terms of its
-    (posterior, orientation) column.  Either way an element sees the same
+    Each column, one (posterior, orientation) pair, is summed backward
+    from its own depth, from t = inf.  With one posterior, each orientation
+    is one run with scalar terms.  Over several, one run from the deepest
+    column covers every element, each gathering its column's terms; U' is
+    +inf past a column's depth, so t stays inf until the element reaches
+    its own column's depth.  Either way an element sees the same
     arithmetic, so it comes out the same in any batch.
     """
     fr = _fractions(posts)
     group = 2 * which + (lam < 0.0)
-    sigma = np.array([f.sigma for f in fr])[which]
-    step = np.floor(4.0 * np.log2(1.0 + np.abs(lam) / sigma))
-    step = np.minimum(step, _LADDER_STEPS - 1).astype(np.intp)
-    depth = np.concatenate([f.depths for f in fr])[group, step]
-    del step
-    # deepest first, in one run per orientation with one posterior, else
-    # in a single run
-    key = (depth.max() - depth).astype(np.uint16)
-    if len(fr) == 1:
-        key[group == 1] += 2**15
-    order = np.argsort(key, kind="stable")
-    cuts = [0, int(np.searchsorted(key[order], 2**15)), len(x)]
-    depth, group = depth[order], group[order]
-    x, c = x[order], 1.0 + np.abs(lam[order])
+    c = 1.0 + np.abs(lam)
     x2 = np.where(group % 2 == 0, x, 1.0 - x) ** 2
-    # (term, column) tables, zero past a column's own depth
     columns = [f.backward[o] for f in fr for o in (0, 1)]
-    rows = int(depth.max()) + 2
-    alpha, u, v = (np.zeros((rows, len(columns))) for _ in range(3))
+    if len(fr) == 1:
+        f = np.empty_like(x)
+        for o, (sa, su, sv, head) in enumerate(columns):
+            sel = np.flatnonzero(group == o)
+            if len(sel):
+                terms = zip(sa[:0:-1].tolist(), sv[-2::-1].tolist(), su[-2::-1].tolist())
+                f[sel] = head / _backward_sum(x[sel], x2[sel], c[sel], terms)
+        return f
+    # (term, column) tables, padded past a column's own depth
+    shape = (max(max(f.depths) for f in fr) + 2, len(columns))
+    alpha, v, u = (np.full(shape, fill) for fill in (0.0, 0.0, np.inf))
     for k, (sa, su, sv, _) in enumerate(columns):
-        n = min(len(sa), rows)
-        alpha[:n, k], u[:n, k], v[:n, k] = sa[:n], su[:n], sv[:n]
+        alpha[:len(sa), k], u[:len(su), k], v[:len(sv), k] = sa, su, sv
+    gathered = [np.empty_like(x) for _ in range(3)]
+    terms = ([table[n + k].take(group, out=g) for table, k, g
+              in zip((alpha, v, u), (1, 0, 0), gathered)]
+             for n in range(shape[0] - 2, -1, -1))
+    heads = np.array([col[3] for col in columns])
+    return heads[group] / _backward_sum(x, x2, c, terms)
+
+
+def _backward_sum(x: np.ndarray, x2: np.ndarray, c: np.ndarray, terms) -> np.ndarray:
+    """t'_0 from t = inf, over (A'[n+1], V'[n], U'[n]) from the deepest n."""
     t = np.full_like(x, np.inf)
     tmp = np.empty_like(x)
-    for lo, hi in zip(cuts, cuts[1:]):
-        if lo == hi:
-            continue
-        if len(fr) == 1:
-            terms = [alpha[1:, group[lo]].tolist(), v[:, group[lo]].tolist(),
-                     u[:, group[lo]].tolist()]
-        else:
-            gathered = [np.empty(hi - lo) for _ in range(3)]
-        ds = depth[lo:hi]
-        active = np.searchsorted(-ds, -np.arange(int(ds[0]) + 1),
-                                 side="right").tolist()
-        m = -1
-        for n in range(int(ds[0]), -1, -1):
-            if active[n] != m:
-                m = active[n]
-                tt, x2m, cm = t[lo:lo + m], x2[lo:lo + m], c[lo:lo + m]
-                xm, tm, gm = x[lo:lo + m], tmp[lo:lo + m], group[lo:lo + m]
-            if len(fr) == 1:
-                a_n, v_n, u_n = terms[0][n], terms[1][n], terms[2][n]
-            else:
-                a_n, v_n, u_n = (table[k].take(gm, out=g[:m]) for table, k, g
-                                 in zip((alpha, v, u), (n + 1, n, n), gathered))
-            np.divide(x2m, tt, out=tt)
-            tt *= a_n
-            tt += cm
-            np.multiply(xm, v_n, out=tm)
-            tt += tm
-            tt += u_n
-    f = np.empty_like(t)
-    f[order] = np.array([col[3] for col in columns])[group] / t
-    return f
+    for a_n, v_n, u_n in terms:
+        np.divide(x2, t, out=t)
+        t *= a_n
+        t += c
+        np.multiply(x, v_n, out=tmp)
+        t += tmp
+        t += u_n
+    return t
 
 
 def _prefactor(posts: list, which, x: np.ndarray) -> tuple:

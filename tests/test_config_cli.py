@@ -1,5 +1,7 @@
 """Config parsing and the command-line surface."""
 
+import configparser
+import itertools
 import json
 import math
 import os
@@ -82,6 +84,25 @@ class TestParseConfig:
             parse_config(write_cfg(tmp_path, bad))
         text = "; ".join(err.value.violations)
         assert "p_pump" in text and "efficiency" in text
+
+    def test_non_finite_values_are_refused_on_their_key(self, tmp_path):
+        # nan once ran as the sigma = 0 answer (`sigma > 0` is false for
+        # nan) or failed mid-run with messages that named no key
+        paths = ("tally_json", "clicklog_csv", "clicklog_meta", "data_csv")
+        shipped = [name for name in sorted(os.listdir(cfg_dir(""))) if name.endswith(".cfg")]
+        for name in shipped:
+            parser = configparser.ConfigParser(interpolation=None)
+            parser.read(cfg_dir(name))
+            keys = [(s, k) for s in parser.sections() for k in parser[s] if k not in paths]
+            for (section, key), value in itertools.product(keys, ("nan", "inf", "-inf")):
+                edited = configparser.ConfigParser(interpolation=None)
+                edited.read_dict(parser)
+                edited[section][key] = value
+                with open(tmp_path / name, "w") as fh:
+                    edited.write(fh)
+                with pytest.raises(ConfigError) as err:
+                    parse_config(tmp_path / name)
+                assert f"[{section}] {key}" in str(err.value), (name, value)
 
     def test_unit_suffixed_keys_convert(self, tmp_path):
         text = MINIMAL + """
@@ -335,6 +356,11 @@ class TestCliRuns:
         ("plan-fiber", "plan_fiber.cfg", "herald_prob", "0", []),
         ("plan-fiber", "plan_fiber.cfg", "a_n_th", "0.7", []),
         ("plan-fiber", "plan_fiber.cfg", "b_gamma_per_us", "-1", []),
+        # these once planned at exit 0: a carrier read through its square,
+        # a zero window, g2 at a negative delay
+        ("plan-yield", "plan_yield_pair.cfg", "carrier_nm", "-1550", []),
+        ("plan-yield", "plan_yield_pair.cfg", "carrier_nm", "0", []),
+        ("plan-fiber", "plan_fiber.cfg", "tau_ns", "-123", []),
         ("witness", None, "seed", "-1", []),
         ("witness", None, "seed", "7", ["--seed", "-1"]),
     ])
@@ -353,6 +379,26 @@ class TestCliRuns:
                          "--out", str(out), *args]) == 2
         assert f"] {key} must be" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("device.A", "gamma_per_us", "-1"),
+        ("device.A", "bath_k_per_us", "-1"),
+        ("protocol", "tau_ns", "-5"),
+        ("detectors", "eta_1", "1.5"),
+        ("detectors", "p_dark_read_2", "0.5"),
+    ])
+    def test_simulation_errors_name_the_key(self, section, key, value, tmp_path,
+                                            capsys):
+        # each once named the field its key sets (gamma_decay, tau) or no
+        # key at all ("p_dark=0.5 outside [0, 1e-2]")
+        with open(cfg_dir("entangle_stats.cfg")) as f:
+            text = f.read()
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
+        out = tmp_path / "o"
+        assert cli.main(["witness", "--config", str(write_cfg(tmp_path, text)),
+                         "--out", str(out)]) == 2
+        assert f"[{section}] {key} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_of_range_checks_keep_the_valid_edges(self, tmp_path):
         # a zero separation is a plan; a measured trace ignores the
